@@ -23,7 +23,7 @@ use mcgpu_mem::interleave;
 use mcgpu_sim::SimBuilder;
 use mcgpu_trace::{generate, profiles, TraceParams};
 use mcgpu_types::json::CanonicalWriter;
-use mcgpu_types::{ChipId, LineAddr, LlcOrgKind, MachineConfig};
+use mcgpu_types::{ChipId, LineAddr, LlcOrgKind, MachineConfig, TopologyKind};
 use sac::eab::{ArchBandwidth, EabInputs, EabModel};
 use sac::Crd;
 use std::hint::black_box;
@@ -165,27 +165,39 @@ fn main() {
         }));
     }
 
-    // End-to-end 20k-access SN simulations under two organizations.
+    // End-to-end 20k-access SN simulations: two organizations on the
+    // 4-chip ring, and memory-side on the 16-chip mesh, whose saturated
+    // multi-hop fabric keeps deep transit backlogs at intermediate chips.
     {
-        let cfg = MachineConfig::experiment_baseline();
+        let ring4 = MachineConfig::experiment_baseline();
+        let mut mesh16 = ring4.clone();
+        mesh16.topology = TopologyKind::Mesh2D;
+        mesh16.chips = 16;
         let p = profiles::by_name("SN").expect("profile");
         let params = TraceParams {
             total_accesses: 20_000,
             ..TraceParams::quick()
         };
-        let wl = generate(&cfg, &p, &params);
-        for (name, org) in [
-            ("end_to_end_sn_20k_memory_side", LlcOrgKind::MemorySide),
-            ("end_to_end_sn_20k_sac", LlcOrgKind::Sac),
+        for (name, cfg, org) in [
+            (
+                "end_to_end_sn_20k_memory_side",
+                &ring4,
+                LlcOrgKind::MemorySide,
+            ),
+            ("end_to_end_sn_20k_sac", &ring4, LlcOrgKind::Sac),
+            (
+                "end_to_end_sn_20k_mesh16_memory_side",
+                &mesh16,
+                LlcOrgKind::MemorySide,
+            ),
         ] {
-            let cfg = cfg.clone();
-            let wl = &wl;
-            samples.push(measure(name, target, move || {
+            let wl = generate(cfg, &p, &params);
+            samples.push(measure(name, target, || {
                 SimBuilder::new(cfg.clone())
                     .organization(org)
                     .build()
                     .expect("valid machine configuration")
-                    .run(black_box(wl))
+                    .run(black_box(&wl))
                     .unwrap();
             }));
         }

@@ -1,17 +1,27 @@
 //! Inter-chip fabric: topology-generic packet transport.
 //!
 //! The fabric keeps one directed bandwidth/latency [`Pipe`] per (chip,
-//! neighbor-slot) of the configured [`Topology`] and re-injects multi-hop
-//! packets hop by hop in [`FabricNetwork::tick`], re-routing every hop so
-//! traffic steers around failed links. On the paper's ring (Table 3: 12
-//! bidirectional NVLink-class links in total, 3 per adjacent pair, 96 GB/s
-//! per direction per pair) this reproduces the original hard-wired ring
+//! neighbor-slot) of the configured [`Topology`] and forwards multi-hop
+//! packets hop by hop. Routing is a pure function of link liveness, so
+//! the fabric tabulates it as a next-hop table `routes[from][dest]`,
+//! rebuilt only when liveness changes (construction, [`fail_link`],
+//! checkpoint restore). A packet that lands at an intermediate chip is
+//! routed once, from the table, onto the transit backlog of the link it
+//! leaves by; [`tick`] feeds each link from its backlog until the link's
+//! queue is full, so a tick costs O(links + packets moved) however deep
+//! the backlog. On the paper's ring (Table 3: 12 bidirectional
+//! NVLink-class links in total, 3 per adjacent pair, 96 GB/s per
+//! direction per pair) this reproduces the original hard-wired ring
 //! fabric bit-for-bit: slot 0 is clockwise, slot 1 counter-clockwise, and
 //! the [`Ring`](crate::topology::Ring) routing policy is the original
 //! shortest-path/balanced-tie-break/long-way-around logic.
+//!
+//! [`fail_link`]: FabricNetwork::fail_link
+//! [`tick`]: FabricNetwork::tick
 
 use crate::topology::{build_topology, Topology};
 use mcgpu_types::{ChipId, MachineConfig, Pipe};
+use std::collections::VecDeque;
 
 /// A packet travelling on the fabric towards `dest`.
 #[derive(Debug, Clone)]
@@ -20,6 +30,12 @@ struct FabricPacket<T> {
     bytes: u64,
     payload: T,
 }
+
+/// A packet waiting at an intermediate chip, tagged with its arrival
+/// sequence number there. A chip's transit packets are spread over one
+/// backlog per outgoing link plus a stalled list; the numbers recover
+/// their single arrival order for re-routing and checkpoints.
+type Transit<T> = (u64, FabricPacket<T>);
 
 /// Why [`FabricNetwork::try_send`] returned the payload to the caller.
 /// Both cases are backpressure — the caller retries — but a `NoRoute`
@@ -72,9 +88,20 @@ pub struct FabricNetwork<T> {
     /// Links die in pairs (both directions of an adjacency) via
     /// [`FabricNetwork::fail_link`].
     alive: Vec<Vec<bool>>,
-    /// Packets that completed a hop and wait at an intermediate chip for
-    /// re-injection, per chip.
-    transit: Vec<Vec<FabricPacket<T>>>,
+    /// `routes[from][dest]`: the outgoing slot at `from` towards `dest`
+    /// under `alive` (`None` = no live path), i.e. [`Topology::route`]
+    /// tabulated.
+    routes: Vec<Vec<Option<usize>>>,
+    /// `backlog[chip][slot]`: packets that completed a hop into `chip`
+    /// and leave by `slot` next, waiting for room in that link's queue,
+    /// in arrival order.
+    backlog: Vec<Vec<VecDeque<Transit<T>>>>,
+    /// Transit packets at each chip with no live route, in arrival order.
+    /// Links never recover, so they wait here (conserved) until the
+    /// engine's watchdog declares the machine wedged.
+    stalled: Vec<Vec<Transit<T>>>,
+    /// Next transit arrival sequence number.
+    next_seq: u64,
     /// Packets that reached their destination, per chip.
     arrived: Vec<Vec<FabricPacket<T>>>,
     delivered: u64,
@@ -99,20 +126,68 @@ impl<T> FabricNetwork<T> {
                     .collect()
             })
             .collect();
-        let alive = ChipId::all(n)
-            .map(|c| vec![true; topo.neighbors(c).len()])
+        let alive = links.iter().map(|l| vec![true; l.len()]).collect();
+        let backlog = links
+            .iter()
+            .map(|l| l.iter().map(|_| VecDeque::new()).collect())
             .collect();
-        FabricNetwork {
+        let mut fabric = FabricNetwork {
             chips: n,
             topo,
             links,
             alive,
-            transit: (0..n).map(|_| Vec::new()).collect(),
+            routes: vec![vec![None; n]; n],
+            backlog,
+            stalled: (0..n).map(|_| Vec::new()).collect(),
+            next_seq: 0,
             arrived: (0..n).map(|_| Vec::new()).collect(),
             delivered: 0,
             bytes_sent: 0,
             sent_from: vec![0; n],
+        };
+        fabric.rebuild_routes();
+        fabric
+    }
+
+    /// Recompute the next-hop table from `alive`.
+    fn rebuild_routes(&mut self) {
+        for from in ChipId::all(self.chips) {
+            self.topo
+                .route_row(from, &self.alive, &mut self.routes[from.index()]);
         }
+    }
+
+    /// Queue a transit packet at `chip` behind the link its route leaves
+    /// by, or on the stalled list when it has no live route.
+    fn place(&mut self, chip: usize, entry: Transit<T>) {
+        match self.routes[chip][entry.1.dest.index()] {
+            Some(slot) => self.backlog[chip][slot].push_back(entry),
+            None => self.stalled[chip].push(entry),
+        }
+    }
+
+    /// Take a packet into transit at `chip`, after every packet already
+    /// waiting there.
+    fn enter_transit(&mut self, chip: usize, pkt: FabricPacket<T>) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.place(chip, (seq, pkt));
+    }
+
+    /// Transit packets waiting at `chip`.
+    fn transit_len(&self, chip: usize) -> usize {
+        self.backlog[chip].iter().map(VecDeque::len).sum::<usize>() + self.stalled[chip].len()
+    }
+
+    /// `chip`'s transit packets in arrival order.
+    fn transit_in_order(&self, chip: usize) -> Vec<&Transit<T>> {
+        let mut all: Vec<&Transit<T>> = self.backlog[chip]
+            .iter()
+            .flatten()
+            .chain(&self.stalled[chip])
+            .collect();
+        all.sort_unstable_by_key(|&&(seq, _)| seq);
+        all
     }
 
     /// The outgoing slot at `a` of the adjacency `a <-> b` (the first slot
@@ -147,11 +222,29 @@ impl<T> FabricNetwork<T> {
     /// in flight on the dead links are returned to their sending chip and
     /// re-routed along surviving links — conserved, not dropped.
     pub fn fail_link(&mut self, a: ChipId, b: ChipId) {
+        let mut stranded = Vec::new();
         for (from, to) in [(a, b), (b, a)] {
             let slot = self.slot_towards(from, to);
             self.alive[from.index()][slot] = false;
-            let stranded = self.links[from.index()][slot].drain();
-            self.transit[from.index()].extend(stranded);
+            stranded.push((from.index(), self.links[from.index()][slot].drain()));
+        }
+        self.rebuild_routes();
+        // Re-route every waiting packet in its chip's arrival order, then
+        // append the stranded ones behind them.
+        for chip in 0..self.chips {
+            let mut waiting = std::mem::take(&mut self.stalled[chip]);
+            for q in &mut self.backlog[chip] {
+                waiting.extend(q.drain(..));
+            }
+            waiting.sort_unstable_by_key(|&(seq, _)| seq);
+            for entry in waiting {
+                self.place(chip, entry);
+            }
+        }
+        for (chip, pkts) in stranded {
+            for pkt in pkts {
+                self.enter_transit(chip, pkt);
+            }
         }
     }
 
@@ -159,6 +252,14 @@ impl<T> FabricNetwork<T> {
     /// failures always take both).
     pub fn link_alive(&self, a: ChipId, b: ChipId) -> bool {
         self.alive[a.index()][self.slot_towards(a, b)]
+    }
+
+    /// The outgoing slot at `from` a packet for `dest` takes next under
+    /// the current link liveness, or `None` when no live path remains:
+    /// the fabric's route table, equal to [`Topology::route`] by
+    /// construction.
+    pub fn next_hop(&self, from: ChipId, dest: ChipId) -> Option<usize> {
+        self.routes[from.index()][dest.index()]
     }
 
     /// Inject a packet at `from` destined for `to`.
@@ -179,7 +280,7 @@ impl<T> FabricNetwork<T> {
         bytes: u64,
     ) -> Result<(), SendError<T>> {
         assert_ne!(from, to, "fabric packets must cross chips");
-        let Some(slot) = self.topo.route(from, to, &self.alive) else {
+        let Some(slot) = self.next_hop(from, to) else {
             return Err(SendError::NoRoute(payload));
         };
         let pkt = FabricPacket {
@@ -198,41 +299,33 @@ impl<T> FabricNetwork<T> {
 
     /// Whether `from` can currently inject a packet towards `to`.
     pub fn can_send(&self, from: ChipId, to: ChipId) -> bool {
-        match self.topo.route(from, to, &self.alive) {
-            Some(slot) => self.links[from.index()][slot].can_push(),
-            None => false,
-        }
+        self.next_hop(from, to)
+            .is_some_and(|slot| self.links[from.index()][slot].can_push())
     }
 
-    /// Advance one cycle: move link traffic, land arrivals, and re-inject
-    /// transit packets onto their next hop.
+    /// Advance one cycle: feed each link from its transit backlog, move
+    /// link traffic, and land completed hops.
     pub fn tick(&mut self, now: u64) {
-        // Re-inject packets waiting at intermediate chips first so they get
-        // this cycle's bandwidth. Routing is re-evaluated every hop, so
-        // packets stranded by a link failure take a surviving path; with no
-        // live path they wait here (conserved) until one returns or the
-        // engine's watchdog declares the machine wedged.
-        for chip in 0..self.chips {
-            let waiting = std::mem::take(&mut self.transit[chip]);
-            for pkt in waiting {
-                let from = ChipId(chip as u8);
-                match self.topo.route(from, pkt.dest, &self.alive) {
-                    Some(slot) => {
-                        let bytes = pkt.bytes;
-                        if let Err(p) = self.links[chip][slot].try_push(pkt, bytes) {
-                            self.transit[chip].push(p);
-                        }
-                    }
-                    None => self.transit[chip].push(pkt),
+        // Transit packets go first so they get this cycle's bandwidth,
+        // oldest first, until the link's queue is full.
+        for (pipe, backlog) in self
+            .links
+            .iter_mut()
+            .flatten()
+            .zip(self.backlog.iter_mut().flatten())
+        {
+            while pipe.can_push() {
+                let Some((_, pkt)) = backlog.pop_front() else {
+                    break;
+                };
+                let bytes = pkt.bytes;
+                if pipe.try_push(pkt, bytes).is_err() {
+                    unreachable!("can_push checked");
                 }
             }
+            pipe.tick(now);
         }
-        for chip in 0..self.chips {
-            for pipe in &mut self.links[chip] {
-                pipe.tick(now);
-            }
-        }
-        // Land completed hops.
+        // Land completed hops: deliver, or route onward from the table.
         for chip in 0..self.chips {
             for slot in 0..self.links[chip].len() {
                 let next = self.topo.neighbors(ChipId(chip as u8))[slot];
@@ -241,7 +334,7 @@ impl<T> FabricNetwork<T> {
                         self.delivered += 1;
                         self.arrived[next.index()].push(pkt);
                     } else {
-                        self.transit[next.index()].push(pkt);
+                        self.enter_transit(next.index(), pkt);
                     }
                 }
             }
@@ -264,18 +357,15 @@ impl<T> FabricNetwork<T> {
 
     /// Packets still anywhere in the network.
     pub fn len(&self) -> usize {
-        self.links
-            .iter()
-            .flat_map(|l| l.iter())
-            .map(|p| p.len())
-            .sum::<usize>()
-            + self.transit.iter().map(|t| t.len()).sum::<usize>()
-            + self.arrived.iter().map(|a| a.len()).sum::<usize>()
+        ChipId::all(self.chips).map(|c| self.chip_load(c)).sum()
     }
 
     /// Whether the network is completely idle.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.arrived.iter().all(Vec::is_empty)
+            && self.stalled.iter().all(Vec::is_empty)
+            && self.backlog.iter().flatten().all(VecDeque::is_empty)
+            && self.links.iter().flatten().all(Pipe::is_empty)
     }
 
     /// Whether ticking the fabric is a state no-op: no packets anywhere
@@ -283,13 +373,7 @@ impl<T> FabricNetwork<T> {
     /// bandwidth budget has saturated at its credit cap. The engine's
     /// idle-cycle skip requires this before jumping the clock.
     pub fn tick_is_noop(&self) -> bool {
-        self.transit.iter().all(Vec::is_empty)
-            && self.arrived.iter().all(Vec::is_empty)
-            && self
-                .links
-                .iter()
-                .flat_map(|l| l.iter())
-                .all(Pipe::tick_is_noop)
+        self.is_empty() && self.links.iter().flatten().all(Pipe::tick_is_noop)
     }
 
     /// Packets currently held at `chip`: queued or in flight on its
@@ -297,8 +381,8 @@ impl<T> FabricNetwork<T> {
     /// Used for deadlock diagnostics.
     pub fn chip_load(&self, chip: ChipId) -> usize {
         let i = chip.index();
-        self.links[i].iter().map(|p| p.len()).sum::<usize>()
-            + self.transit[i].len()
+        self.links[i].iter().map(Pipe::len).sum::<usize>()
+            + self.transit_len(i)
             + self.arrived[i].len()
     }
 
@@ -307,11 +391,18 @@ impl<T> FabricNetwork<T> {
     /// request-conservation audit to count request-carrying packets while
     /// ignoring writeback/invalidate traffic.
     pub fn count_matching(&self, mut pred: impl FnMut(&T) -> bool) -> usize {
+        let transit = self
+            .backlog
+            .iter()
+            .flatten()
+            .flatten()
+            .chain(self.stalled.iter().flatten())
+            .map(|(_, pkt)| pkt);
         self.links
             .iter()
-            .flat_map(|l| l.iter())
-            .flat_map(|p| p.iter())
-            .chain(self.transit.iter().flatten())
+            .flatten()
+            .flat_map(Pipe::iter)
+            .chain(transit)
             .chain(self.arrived.iter().flatten())
             .filter(|pkt| pred(&pkt.payload))
             .count()
@@ -335,9 +426,11 @@ impl<T> FabricNetwork<T> {
     /// Serialize the full fabric state (link pipes with queued and
     /// in-flight packets, link liveness, transit and arrival buffers,
     /// counters) into a checkpoint payload, encoding each payload with
-    /// `f`. The topology is not serialized — the restoring side rebuilds
-    /// from the same [`MachineConfig`] (the checkpoint config fingerprint
-    /// guarantees it matches).
+    /// `f`. Each chip's transit packets are written as one list in
+    /// arrival order. The topology and route table are not serialized —
+    /// the restoring side rebuilds them from the same [`MachineConfig`]
+    /// (the checkpoint config fingerprint guarantees it matches) and the
+    /// restored liveness.
     pub fn save_with(
         &self,
         e: &mut mcgpu_types::Enc,
@@ -354,8 +447,9 @@ impl<T> FabricNetwork<T> {
                 self.links[chip][slot].save_with(e, &mut put_pkt);
                 e.put_bool(self.alive[chip][slot]);
             }
-            e.put_seq_len(self.transit[chip].len());
-            for pkt in &self.transit[chip] {
+            let transit = self.transit_in_order(chip);
+            e.put_seq_len(transit.len());
+            for (_, pkt) in transit {
                 put_pkt(e, pkt);
             }
             e.put_seq_len(self.arrived[chip].len());
@@ -399,17 +493,20 @@ impl<T> FabricNetwork<T> {
                     payload,
                 })
             };
+        // Transit packets are routed only once every chip's liveness is
+        // back.
+        let mut transit = Vec::with_capacity(chips);
         for chip in 0..chips {
             for slot in 0..self.links[chip].len() {
                 self.links[chip][slot] = Pipe::load_with(d, &mut get_pkt)?;
                 self.alive[chip][slot] = d.get_bool()?;
             }
             let n = d.get_seq_len()?;
-            self.transit[chip].clear();
+            let mut waiting = Vec::with_capacity(n);
             for _ in 0..n {
-                let pkt = get_pkt(d)?;
-                self.transit[chip].push(pkt);
+                waiting.push(get_pkt(d)?);
             }
+            transit.push(waiting);
             let n = d.get_seq_len()?;
             self.arrived[chip].clear();
             for _ in 0..n {
@@ -420,6 +517,14 @@ impl<T> FabricNetwork<T> {
         }
         self.delivered = d.get_u64()?;
         self.bytes_sent = d.get_u64()?;
+        self.rebuild_routes();
+        for (chip, waiting) in transit.into_iter().enumerate() {
+            self.stalled[chip].clear();
+            self.backlog[chip].iter_mut().for_each(VecDeque::clear);
+            for pkt in waiting {
+                self.enter_transit(chip, pkt);
+            }
+        }
         Ok(())
     }
 }

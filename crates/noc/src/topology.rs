@@ -43,45 +43,59 @@ pub trait Topology: std::fmt::Debug + Send + Sync {
 
     /// The outgoing slot at `from` for a packet destined to `dest`, given
     /// current link liveness, or `None` when failures have disconnected
-    /// `dest` from `from`. Routing is re-evaluated every hop, so a
-    /// returned slot only ever commits one hop.
+    /// `dest` from `from`. Routing is a pure function of liveness, so the
+    /// fabric tabulates it once per liveness change (see
+    /// [`route_row`](Topology::route_row)) rather than per packet.
     fn route(&self, from: ChipId, dest: ChipId, alive: &LinkLiveness) -> Option<usize>;
 
-    /// Shortest-path route over live links by breadth-first search,
-    /// expanding neighbors in slot order — deterministic, and the default
-    /// `route` for topologies without a closed-form policy.
-    fn bfs_route(&self, from: ChipId, dest: ChipId, alive: &LinkLiveness) -> Option<usize> {
-        debug_assert_ne!(from, dest);
-        let n = self.nodes();
-        // first_slot[c] = the slot taken *at `from`* on the shortest path
-        // reaching c; usize::MAX = unvisited.
-        let mut first_slot = vec![usize::MAX; n];
-        let mut queue = std::collections::VecDeque::with_capacity(n);
+    /// Fill `row[dest]` with [`route`](Topology::route)`(from, dest,
+    /// alive)` for every chip `dest` (`row[from]` is `None`). The default
+    /// calls `route` once per destination; breadth-first topologies
+    /// override it with one [`bfs_row`](Topology::bfs_row) pass.
+    fn route_row(&self, from: ChipId, alive: &LinkLiveness, row: &mut [Option<usize>]) {
+        for dest in ChipId::all(self.nodes()) {
+            row[dest.index()] = if dest == from {
+                None
+            } else {
+                self.route(from, dest, alive)
+            };
+        }
+    }
+
+    /// Shortest-path next hops from `from` to every chip over live links,
+    /// by one breadth-first pass expanding neighbors in slot order
+    /// (deterministic): `row[c]` is the slot taken at `from` on the first
+    /// shortest path that reaches `c`, or `None` when `c` is unreachable
+    /// or is `from` itself. The routing policy for topologies without a
+    /// closed-form one.
+    fn bfs_row(&self, from: ChipId, alive: &LinkLiveness, row: &mut [Option<usize>]) {
+        row.fill(None);
+        let mut queue = Vec::with_capacity(self.nodes());
         for (slot, &next) in self.neighbors(from).iter().enumerate() {
-            if alive[from.index()][slot] && first_slot[next.index()] == usize::MAX {
-                if next == dest {
-                    return Some(slot);
-                }
-                first_slot[next.index()] = slot;
-                queue.push_back(next);
+            if alive[from.index()][slot] && row[next.index()].is_none() {
+                row[next.index()] = Some(slot);
+                queue.push(next);
             }
         }
-        while let Some(cur) = queue.pop_front() {
-            let inherited = first_slot[cur.index()];
+        let mut head = 0;
+        while let Some(&cur) = queue.get(head) {
+            head += 1;
+            let inherited = row[cur.index()];
             for (slot, &next) in self.neighbors(cur).iter().enumerate() {
-                if alive[cur.index()][slot]
-                    && next != from
-                    && first_slot[next.index()] == usize::MAX
-                {
-                    if next == dest {
-                        return Some(inherited);
-                    }
-                    first_slot[next.index()] = inherited;
-                    queue.push_back(next);
+                if alive[cur.index()][slot] && next != from && row[next.index()].is_none() {
+                    row[next.index()] = inherited;
+                    queue.push(next);
                 }
             }
         }
-        None
+    }
+
+    /// One destination's entry of a fresh [`bfs_row`](Topology::bfs_row):
+    /// the per-pair `route` of breadth-first topologies.
+    fn bfs_route(&self, from: ChipId, dest: ChipId, alive: &LinkLiveness) -> Option<usize> {
+        let mut row = vec![None; self.nodes()];
+        self.bfs_row(from, alive, &mut row);
+        row[dest.index()]
     }
 }
 
@@ -252,6 +266,10 @@ impl Topology for FullyConnected {
     fn route(&self, from: ChipId, dest: ChipId, alive: &LinkLiveness) -> Option<usize> {
         self.bfs_route(from, dest, alive)
     }
+
+    fn route_row(&self, from: ChipId, alive: &LinkLiveness, row: &mut [Option<usize>]) {
+        self.bfs_row(from, alive, row);
+    }
 }
 
 /// A 2-D mesh: chips placed row-major on the most balanced
@@ -299,6 +317,10 @@ impl Topology for Mesh2D {
 
     fn route(&self, from: ChipId, dest: ChipId, alive: &LinkLiveness) -> Option<usize> {
         self.bfs_route(from, dest, alive)
+    }
+
+    fn route_row(&self, from: ChipId, alive: &LinkLiveness, row: &mut [Option<usize>]) {
+        self.bfs_row(from, alive, row);
     }
 }
 

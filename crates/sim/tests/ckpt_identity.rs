@@ -9,7 +9,7 @@ use mcgpu_sim::{SimBuilder, SimError, Simulator};
 use mcgpu_trace::{generate, profiles, TraceParams, Workload};
 use mcgpu_types::ckpt::{read_snapshot, write_snapshot, CkptError};
 use mcgpu_types::fault::{FaultEvent, FaultKind, FaultPlan};
-use mcgpu_types::{ChipId, LlcOrgKind, MachineConfig, ObsConfig};
+use mcgpu_types::{ChipId, LlcOrgKind, MachineConfig, ObsConfig, TopologyKind};
 use proptest::prelude::*;
 
 fn workload(cfg: &MachineConfig, bench: &str, accesses: usize) -> Workload {
@@ -123,6 +123,31 @@ fn restore_is_byte_identical_under_fault_injection() {
     let straight = run_straight(&cfg, LlcOrgKind::Sac, &plan, &wl);
     let resumed = run_interrupted(&cfg, LlcOrgKind::Sac, &plan, &wl, 3_000)
         .expect("run finished before the cut");
+    assert_eq!(straight.0, resumed.0, "RunStats diverged");
+    assert_eq!(straight.1, resumed.1, "obs report diverged");
+}
+
+/// Restore on a backlogged fabric: SN memory-side on the 16-chip mesh
+/// keeps deep transit backlogs at intermediate chips, and a link failure
+/// before the cut re-routes them onto detours. Restore-then-run must
+/// match the straight run byte for byte.
+#[test]
+fn restore_is_byte_identical_on_a_backlogged_mesh16_after_link_failure() {
+    let mut cfg = MachineConfig::experiment_baseline();
+    cfg.topology = TopologyKind::Mesh2D;
+    cfg.chips = 16;
+    let wl = workload(&cfg, "SN", 20_000);
+    let plan = FaultPlan::new(vec![FaultEvent {
+        cycle: 800,
+        kind: FaultKind::LinkFail {
+            a: ChipId(5),
+            b: ChipId(6),
+        },
+    }]);
+    let org = LlcOrgKind::MemorySide;
+    let straight = run_straight(&cfg, org, &plan, &wl);
+    let resumed =
+        run_interrupted(&cfg, org, &plan, &wl, 1_500).expect("run finished before the cut");
     assert_eq!(straight.0, resumed.0, "RunStats diverged");
     assert_eq!(straight.1, resumed.1, "obs report diverged");
 }

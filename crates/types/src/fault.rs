@@ -26,8 +26,11 @@ pub enum FaultKind {
         factor: f64,
     },
     /// The inter-chip link pair between adjacent chips `a` and `b` fails
-    /// outright in both directions; traffic must route the long way around
-    /// the ring.
+    /// outright in both directions; links never recover. Packets queued or
+    /// in flight on it return to their sender, and traffic detours over
+    /// surviving links: the long way around a ring, a breadth-first
+    /// shortest live path on mesh and fully-connected fabrics. A
+    /// destination left with no live path is refused as unroutable.
     LinkFail {
         /// One endpoint of the link.
         a: ChipId,
