@@ -153,12 +153,12 @@ fn bench_kernel_launch(c: &mut Criterion) {
     });
 }
 
-/// The two-tier engine on a sparse phase: one cell timed with the
-/// stepping loop, the skipping loop, and the analytic fast mode. Long
-/// compute gaps leave the memory system idle for thousands of cycles, so
-/// skip-on should land an order of magnitude under skip-off while
-/// producing byte-identical statistics (proven by `tests/two_tier_diff.rs`;
-/// this group only tracks the speed of it).
+/// The two-tier engine on a sparse phase: one cell timed on the cycle
+/// engine and in the analytic fast mode. Long compute gaps leave the
+/// memory system idle for thousands of cycles, which the engine's
+/// next-event skipping jumps over (its byte identity with stepping every
+/// cycle is proven by the `mcgpu-sim` differential tests; this group only
+/// tracks the speed of it).
 fn bench_two_tier(c: &mut Criterion) {
     let cfg = MachineConfig::experiment_baseline();
     let mut p = profiles::by_name("SN").expect("profile");
@@ -172,19 +172,16 @@ fn bench_two_tier(c: &mut Criterion) {
     let wl = generate(&cfg, &p, &params);
     let mut group = c.benchmark_group("two_tier_sparse");
     group.sample_size(10);
-    for (name, skip) in [("sn_1k_skip_off", false), ("sn_1k_skip_on", true)] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                SimBuilder::new(cfg.clone())
-                    .organization(LlcOrgKind::Sac)
-                    .skip_idle(skip)
-                    .build()
-                    .expect("valid machine configuration")
-                    .run(black_box(&wl))
-                    .unwrap()
-            })
-        });
-    }
+    group.bench_function("sn_1k", |b| {
+        b.iter(|| {
+            SimBuilder::new(cfg.clone())
+                .organization(LlcOrgKind::Sac)
+                .build()
+                .expect("valid machine configuration")
+                .run(black_box(&wl))
+                .unwrap()
+        })
+    });
     group.bench_function("sn_1k_fast_mode", |b| {
         b.iter(|| sac_bench::fastmode::run_fast(black_box(&cfg), &wl, LlcOrgKind::Sac))
     });

@@ -4,7 +4,7 @@
 //! sacsim [--bench NAME] [--org ORG] [--accesses N] [--input-scale X]
 //!        [--chips N] [--topology ring|full|mesh2d]
 //!        [--hw-coherence] [--sectored] [--json] [--jobs N] [--list-orgs]
-//!        [--mode cycle|fast] [--skip-idle] [--list-modes]
+//!        [--mode cycle|fast] [--list-modes]
 //!        [--watchdog-cycles N] [--journal PATH] [--resume PATH]
 //!        [--obs] [--obs-window N] [--obs-out PATH] [--trace-out PATH]
 //!        [--checkpoint PATH] [--restore PATH] [--checkpoint-interval N]
@@ -23,12 +23,12 @@
 //! configuration is validated up front, so an over-wide machine or an
 //! unknown label fails fast instead of quarantining sweep cells.
 //!
-//! Engine tier: `--mode cycle` (default) steps every cycle; `--mode fast`
+//! Engine tier: `--mode cycle` (default) simulates every cycle, jumping
+//! the clock over cycles in which nothing can move; `--mode fast`
 //! evaluates cells with the analytic locality estimator instead (no cycle
 //! simulation, so `--obs*`, `--trace-out`, `--checkpoint`, `--restore` and
-//! `--state-dir` are rejected with it). `--skip-idle` turns on
-//! event-driven idle-cycle skipping in cycle mode — byte-identical
-//! statistics, purely a speed knob. `--list-modes` prints the registry.
+//! `--state-dir` are rejected with it). `--list-modes` prints the
+//! registry.
 //!
 //! Robustness knobs: `--watchdog-cycles N` sets the forward-progress
 //! watchdog window (`MCGPU_WATCHDOG_CYCLES` works too; `18446744073709551615`
@@ -270,7 +270,6 @@ fn main() {
             let total = wl.total_accesses();
             let mut b = SimBuilder::new(cfg.clone())
                 .organization(org)
-                .skip_idle(opts.skip_idle)
                 .observability(obs);
             if let Some(p) = &ckpt_path {
                 b = b.checkpoint_to(p, interval);

@@ -122,10 +122,6 @@ pub struct SweepOptions {
     /// stamped with the mode, and a `--resume` in a different mode is
     /// refused rather than silently mixing fidelities.
     pub mode: EngineMode,
-    /// Event-driven idle-cycle skipping for cycle-mode cells. Results are
-    /// byte-identical either way (the engine's skip contract), so this is
-    /// purely a speed knob and is *not* part of the journal cell identity.
-    pub skip_idle: bool,
 }
 
 impl SweepOptions {
@@ -158,7 +154,6 @@ impl SweepOptions {
                 .and_then(|v| v.parse().ok())
                 .unwrap_or(0),
             mode: value("--mode").map_or(EngineMode::Cycle, |v| parse_mode_or_exit(&v)),
-            skip_idle: std::env::args().any(|a| a == "--skip-idle"),
         }
     }
 
@@ -355,13 +350,11 @@ pub fn try_run_one(
     workload: &Workload,
     org: LlcOrgKind,
 ) -> Result<RunStats, CellError> {
-    try_run_cell(cfg, workload, org, EngineMode::Cycle, false)
+    try_run_cell(cfg, workload, org, EngineMode::Cycle)
 }
 
-/// [`try_run_one`] with the engine tier selected explicitly: cycle-stepped
-/// simulation (optionally with idle-cycle skipping, which is
-/// byte-identical) or the analytic fast estimator (`skip_idle` is
-/// meaningless and ignored in fast mode).
+/// [`try_run_one`] with the engine tier selected explicitly: cycle-accurate
+/// simulation or the analytic fast estimator.
 ///
 /// # Errors
 /// [`CellError::Sim`] for configuration rejections and runtime aborts;
@@ -371,13 +364,11 @@ pub fn try_run_cell(
     workload: &Workload,
     org: LlcOrgKind,
     mode: EngineMode,
-    skip_idle: bool,
 ) -> Result<RunStats, CellError> {
     match mode {
         EngineMode::Fast => Ok(fastmode::run_fast(cfg, workload, org)),
         EngineMode::Cycle => Ok(SimBuilder::new(cfg.clone())
             .organization(org)
-            .skip_idle(skip_idle)
             .build()?
             .run(workload)?),
     }
@@ -449,7 +440,6 @@ fn run_cell_attempt(
     attempt: u32,
     ckpt: Option<(&Path, u64)>,
     mode: EngineMode,
-    skip_idle: bool,
 ) -> Result<RunStats, CellError> {
     if mode == EngineMode::Fast {
         // No cycles: nothing to watchdog, checkpoint, or escalate.
@@ -458,12 +448,11 @@ fn run_cell_attempt(
     let mut c = cfg.clone();
     c.watchdog_cycles = sweep::escalate_budget(c.watchdog_cycles, attempt);
     let Some((path, interval)) = ckpt else {
-        return try_run_cell(&c, workload, org, mode, skip_idle);
+        return try_run_cell(&c, workload, org, mode);
     };
     let build = || {
         SimBuilder::new(c.clone())
             .organization(org)
-            .skip_idle(skip_idle)
             .checkpoint_to(path, interval)
             .build()
     };
@@ -580,9 +569,7 @@ pub fn run_profiles(
         let name = format!("{}/{}", profs[pi].name, org.label());
         // Fast-mode cells get a distinct identity so a fast journal can
         // never replay into a cycle sweep (or vice versa); cycle-mode
-        // descs are unchanged so existing journals stay valid. Idle
-        // skipping is byte-identical by contract and so is *not* part of
-        // the identity.
+        // descs are unchanged so existing journals stay valid.
         let mut desc = cell_config_desc(cfg, params, profs[pi].name, org);
         if opts.mode != EngineMode::Cycle {
             desc.push_str("|mode:");
@@ -627,7 +614,6 @@ pub fn run_profiles(
                 attempt,
                 snapshot.as_ref().map(|(p, i)| (p.as_path(), *i)),
                 opts.mode,
-                opts.skip_idle,
             )
         });
         // A terminal outcome supersedes the cell's snapshot: a completed

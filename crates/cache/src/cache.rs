@@ -151,6 +151,10 @@ pub struct SetAssocCache {
     /// unpartitioned.
     local_ways: Option<usize>,
     stats: CacheStats,
+    /// Valid lines by data home `(local, remote)`, kept in step with the
+    /// ways so [`occupancy_by_home`](SetAssocCache::occupancy_by_home) is
+    /// O(1). Derived state: not serialized, recounted on restore.
+    valid: (usize, usize),
 }
 
 impl SetAssocCache {
@@ -165,7 +169,16 @@ impl SetAssocCache {
             clock: 0,
             local_ways: None,
             stats: CacheStats::default(),
+            valid: (0, 0),
             cfg,
+        }
+    }
+
+    /// The valid-line counter for data homed `home`.
+    fn valid_count(&mut self, home: DataHome) -> &mut usize {
+        match home {
+            DataHome::Local => &mut self.valid.0,
+            DataHome::Remote => &mut self.valid.1,
         }
     }
 
@@ -336,19 +349,23 @@ impl SetAssocCache {
             sectors: mask,
             stamp: self.clock,
         };
+        if let Some(ev) = evicted {
+            *self.valid_count(ev.home) -= 1;
+        }
+        *self.valid_count(home) += 1;
         evicted
     }
 
     /// Invalidate a single line if resident, returning whether it was dirty.
     pub fn invalidate(&mut self, line: LineAddr) -> Option<bool> {
         let set = self.set_index(line);
-        for way in &mut self.sets[set] {
-            if way.valid && way.tag == line.index() {
-                way.valid = false;
-                return Some(way.dirty);
-            }
-        }
-        None
+        let way = self.sets[set]
+            .iter_mut()
+            .find(|w| w.valid && w.tag == line.index())?;
+        way.valid = false;
+        let (dirty, home) = (way.dirty, way.home);
+        *self.valid_count(home) -= 1;
+        Some(dirty)
     }
 
     /// Flush + invalidate the whole cache (software coherence at a kernel
@@ -368,6 +385,7 @@ impl SetAssocCache {
                 }
             }
         }
+        self.valid = (0, 0);
         dirty
     }
 
@@ -406,16 +424,13 @@ impl SetAssocCache {
                 }
             }
         }
+        *self.valid_count(home) = 0;
         dirty
     }
 
     /// Number of valid lines currently resident.
     pub fn len(&self) -> usize {
-        self.sets
-            .iter()
-            .flat_map(|s| s.iter())
-            .filter(|w| w.valid)
-            .count()
+        self.valid.0 + self.valid.1
     }
 
     /// Whether the cache holds no valid lines.
@@ -424,18 +439,22 @@ impl SetAssocCache {
     }
 
     /// Count of resident lines by data home `(local, remote)` — Fig. 9.
+    /// O(1): read from counters maintained on every fill, eviction,
+    /// invalidation and flush.
     pub fn occupancy_by_home(&self) -> (usize, usize) {
-        let mut local = 0;
-        let mut remote = 0;
-        for way in self.sets.iter().flat_map(|s| s.iter()) {
-            if way.valid {
-                match way.home {
-                    DataHome::Local => local += 1,
-                    DataHome::Remote => remote += 1,
-                }
+        self.valid
+    }
+
+    /// Count the valid lines by data home with a full scan of the ways.
+    fn recount_valid(&self) -> (usize, usize) {
+        let mut counts = (0, 0);
+        for way in self.sets.iter().flatten().filter(|w| w.valid) {
+            match way.home {
+                DataHome::Local => counts.0 += 1,
+                DataHome::Remote => counts.1 += 1,
             }
         }
-        (local, remote)
+        counts
     }
 
     /// Serialize the full dynamic state (every way's tag/valid/dirty/home/
@@ -519,6 +538,7 @@ impl SetAssocCache {
             way.sectors = d.get_u8()?;
             way.stamp = d.get_u64()?;
         }
+        self.valid = self.recount_valid();
         Ok(())
     }
 }
@@ -526,6 +546,7 @@ impl SetAssocCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn small() -> SetAssocCache {
         // 4 sets x 2 ways x 128 B lines = 1 KiB.
@@ -685,5 +706,100 @@ mod tests {
         // With modulo indexing all 64 fills would collide (63 evictions);
         // hashing should spread them widely.
         assert!(evictions < 32, "evictions = {evictions}");
+    }
+
+    /// One mutation of the occupancy-counter proptest.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Lookup(u64, u8, bool),
+        Fill(u64, u8, bool, bool),
+        Invalidate(u64),
+        FlushAll,
+        FlushHome(bool),
+        WritebackAllDirty,
+        SetPartition(Option<usize>),
+        Save,
+        Load,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0u64..48, 0u8..4, any::<bool>()).prop_map(|(l, s, w)| Op::Lookup(l, s, w)),
+            (0u64..48, 0u8..4, any::<bool>(), any::<bool>())
+                .prop_map(|(l, s, remote, w)| Op::Fill(l, s, remote, w)),
+            (0u64..48, 0u8..4, any::<bool>(), any::<bool>())
+                .prop_map(|(l, s, remote, w)| Op::Fill(l, s, remote, w)),
+            (0u64..48).prop_map(Op::Invalidate),
+            Just(Op::FlushAll),
+            any::<bool>().prop_map(Op::FlushHome),
+            Just(Op::WritebackAllDirty),
+            prop_oneof![Just(None), (0usize..=4).prop_map(Some)].prop_map(Op::SetPartition),
+            Just(Op::Save),
+            Just(Op::Load),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The O(1) occupancy counters equal a full scan of the ways after
+        /// every operation, on conventional and sectored caches, through
+        /// sector fills into resident lines, zero-way-pool rejections and
+        /// checkpoint restores.
+        #[test]
+        fn occupancy_counters_equal_a_recount(
+            sectored in any::<bool>(),
+            ops in proptest::collection::vec(op(), 1..200),
+        ) {
+            // 4 sets x 4 ways: 48 lines keep every set under pressure.
+            let mut geometry = CacheConfig::l1(4 * 4 * 128, 4, 128);
+            if sectored {
+                geometry = geometry.with_sectors(4);
+            }
+            let mut c = SetAssocCache::new(geometry.clone());
+            let mut saved: Option<Vec<u8>> = None;
+            let home = |remote: bool| if remote { DataHome::Remote } else { DataHome::Local };
+            for op in &ops {
+                match *op {
+                    Op::Lookup(l, s, w) => {
+                        c.lookup(LineAddr(l), Some(SectorId(s)), w);
+                    }
+                    Op::Fill(l, s, remote, w) => {
+                        c.fill(LineAddr(l), Some(SectorId(s)), home(remote), w);
+                    }
+                    Op::Invalidate(l) => {
+                        c.invalidate(LineAddr(l));
+                    }
+                    Op::FlushAll => {
+                        c.flush_all();
+                    }
+                    Op::FlushHome(remote) => {
+                        c.flush_home(home(remote));
+                    }
+                    Op::WritebackAllDirty => {
+                        c.writeback_all_dirty();
+                    }
+                    Op::SetPartition(Some(ways)) => c.set_partition(ways),
+                    Op::SetPartition(None) => c.clear_partition(),
+                    Op::Save => {
+                        let mut e = mcgpu_types::Enc::new();
+                        c.save(&mut e);
+                        saved = Some(e.into_bytes());
+                    }
+                    Op::Load => {
+                        if let Some(bytes) = &saved {
+                            // Restore into a cache that holds other lines.
+                            let mut fresh = SetAssocCache::new(geometry.clone());
+                            fresh.fill(LineAddr(1), None, DataHome::Remote, false);
+                            let mut d = mcgpu_types::Dec::new(bytes);
+                            fresh.load_into(&mut d).expect("saved cache restores");
+                            c = fresh;
+                        }
+                    }
+                }
+                prop_assert_eq!(c.occupancy_by_home(), c.recount_valid(), "after {:?}", op);
+                prop_assert_eq!(c.len(), c.recount_valid().0 + c.recount_valid().1);
+            }
+        }
     }
 }

@@ -218,11 +218,13 @@ impl SacController {
     /// The next absolute cycle (strictly after `now`) at which
     /// [`tick`](SacController::tick) or
     /// [`observe_progress`](SacController::observe_progress) can mutate
-    /// controller state, assuming a fully quiescent machine until then.
-    /// `u64::MAX` means "never while quiescent". Conservative by design:
-    /// any uncertainty collapses to `now + 1`, which disables the engine's
-    /// idle-cycle skip for that cycle rather than risking a divergence
-    /// from the stepped loop.
+    /// controller state, assuming no datapath event until then (no
+    /// request issues, moves or retires, so the profiling counters and the
+    /// completed-work count stay as they are). `u64::MAX` means "not before
+    /// the next datapath event". Conservative by design: any uncertainty
+    /// collapses to `now + 1`, which disables the engine's next-event skip
+    /// for that cycle rather than risking a divergence from stepping every
+    /// cycle.
     pub fn next_event(&self, now: u64) -> u64 {
         let clamp = |c: u64| if c > now { c } else { now + 1 };
         // `tick` acts only in the profiling state: at the midpoint warm-up
@@ -238,9 +240,8 @@ impl SacController {
                     clamp(midpoint.min(until))
                 }
             }
-            // Drain/flush transitions gate on quiescence, which the pause
-            // state machine reaches within a cycle of the skip precondition
-            // holding — never skip across them.
+            // Drain/flush transitions gate on quiescence and count
+            // overhead every cycle — never skip across them.
             SacState::Draining { .. } | SacState::Flushing => now + 1,
         };
         // `observe_progress` mutates `monitor_start` whenever it is armed

@@ -7,7 +7,7 @@
 //! banks (§3.3: "We verified that this is indeed the case for our setup").
 
 use crate::interleave;
-use mcgpu_types::{AccessKind, LineAddr, Pipe, Request};
+use mcgpu_types::{earliest_event, AccessKind, LineAddr, Pipe, Request};
 
 /// A request queued at a DRAM channel, retaining what the simulator needs to
 /// route the eventual response.
@@ -186,11 +186,12 @@ impl MemoryPartition {
         }
     }
 
-    /// Whether ticking the partition is a state no-op: every channel pipe
-    /// is empty and its bandwidth budget has saturated at the credit cap.
-    /// The engine's idle-cycle skip requires this before jumping the clock.
-    pub fn tick_is_noop(&self) -> bool {
-        self.channels.iter().all(Pipe::tick_is_noop)
+    /// The next cycle after `now` at which ticking or popping the
+    /// partition can change state: the earliest [`Pipe::next_event`] over
+    /// its channels, failed ones included (`u64::MAX` when every channel
+    /// is empty and saturated).
+    pub fn next_event(&self, now: u64) -> u64 {
+        earliest_event(now, self.channels.iter().map(|ch| ch.next_event(now)))
     }
 
     /// Pop all requests whose DRAM access completed this cycle. Writeback
@@ -328,6 +329,70 @@ impl MemoryPartition {
 mod tests {
     use super::*;
     use mcgpu_types::{Address, ChipId, ClusterId, MemAccess, RequestId};
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+
+    fn bytes(mp: &MemoryPartition) -> Vec<u8> {
+        let mut e = mcgpu_types::Enc::new();
+        mp.save(&mut e);
+        e.into_bytes()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// `next_event` is never late: after random bursts of reads,
+        /// writes and writebacks, with channels throttled and failed
+        /// mid-run, ticking and popping every cycle before the reported
+        /// event completes nothing and leaves the saved bytes unchanged.
+        #[test]
+        fn next_event_is_never_late(
+            channels in 1usize..6,
+            channel_gbs in 4.0f64..64.0,
+            latency in 0u64..150,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let mut mp = MemoryPartition::new(channels, channel_gbs, latency, 128);
+            let mut now = 0u64;
+            let mut next_id = 0u64;
+            let mut done = Vec::new();
+            for _ in 0..30 {
+                for _ in 0..rng.gen_range(1..25u32) {
+                    now += 1;
+                    for _ in 0..rng.gen_range(0..3u32) {
+                        let line = rng.gen_range(0..4096u64);
+                        if rng.gen_bool(0.2) {
+                            mp.push_writeback(LineAddr(line));
+                        } else {
+                            mp.push(req(next_id, line * 128, rng.gen_bool(0.3)));
+                            next_id += 1;
+                        }
+                    }
+                    if rng.gen_bool(0.02) {
+                        mp.throttle(rng.gen_range(0.1..1.0));
+                    }
+                    if rng.gen_bool(0.01) {
+                        mp.fail_channel(rng.gen_range(0..channels));
+                    }
+                    mp.tick(now);
+                    mp.pop_ready_into(now, &mut done);
+                }
+                let event = mp.next_event(now);
+                prop_assert!(event > now);
+                let before = bytes(&mp);
+                let horizon = event.min(now + 2_000);
+                for t in now + 1..horizon {
+                    mp.tick(t);
+                    done.clear();
+                    mp.pop_ready_into(t, &mut done);
+                    prop_assert!(done.is_empty(), "completed before event {}", event);
+                    prop_assert_eq!(&bytes(&mp), &before, "state moved before event {}", event);
+                }
+                now = horizon - 1;
+            }
+        }
+    }
 
     fn req(id: u64, addr: u64, write: bool) -> DramRequest {
         DramRequest {

@@ -1,6 +1,6 @@
 //! Output-queued crossbar with a bisection-bandwidth cap.
 
-use mcgpu_types::{BandwidthBudget, Pipe};
+use mcgpu_types::{earliest_event, BandwidthBudget, Pipe};
 
 /// An output-queued crossbar: every output port is a bandwidth- and
 /// latency-limited FIFO, and a chip-wide bisection budget caps the total
@@ -109,12 +109,15 @@ impl<T> Crossbar<T> {
         self.rejected
     }
 
-    /// Whether ticking this crossbar is a state no-op: no packets anywhere
-    /// and every budget (the bisection cap and each output port's pipe) has
-    /// saturated at its credit cap. The engine's idle-cycle skip requires
-    /// this on every crossbar before jumping the clock.
-    pub fn tick_is_noop(&self) -> bool {
-        self.bisection.refill_is_noop() && self.outputs.iter().all(Pipe::tick_is_noop)
+    /// The next cycle after `now` at which ticking or popping this
+    /// crossbar can change state: `now + 1` while the bisection budget
+    /// refills, else the earliest [`Pipe::next_event`] over the output
+    /// ports (`u64::MAX` when the crossbar is empty and saturated).
+    pub fn next_event(&self, now: u64) -> u64 {
+        if !self.bisection.refill_is_noop() {
+            return now + 1;
+        }
+        earliest_event(now, self.outputs.iter().map(|out| out.next_event(now)))
     }
 
     /// Drain all packets (LLC reconfiguration drains in-flight traffic).
@@ -164,6 +167,63 @@ impl<T> Crossbar<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+
+    fn bytes(x: &Crossbar<u32>) -> Vec<u8> {
+        let mut e = mcgpu_types::Enc::new();
+        x.save_with(&mut e, |e, &p| e.put_u32(p));
+        e.into_bytes()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// `next_event` is never late: after random bursts of traffic,
+        /// ticking and popping every port on every cycle before the
+        /// reported event pops nothing and leaves the saved bytes
+        /// unchanged.
+        #[test]
+        fn next_event_is_never_late(
+            ports in 1usize..6,
+            port_gbs in 4.0f64..128.0,
+            bisection_gbs in 8.0f64..256.0,
+            latency in 0u64..30,
+            depth in 1usize..6,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let mut x: Crossbar<u32> = Crossbar::new(ports, port_gbs, bisection_gbs, latency, depth);
+            let mut now = 0u64;
+            let mut next_item = 0u32;
+            for _ in 0..30 {
+                for _ in 0..rng.gen_range(1..25u32) {
+                    now += 1;
+                    for _ in 0..rng.gen_range(0..4u32) {
+                        let port = rng.gen_range(0..ports);
+                        let _ = x.try_push(port, next_item, [16u64, 48, 144][rng.gen_range(0..3usize)]);
+                        next_item += 1;
+                    }
+                    x.tick(now);
+                    for port in 0..ports {
+                        while rng.gen_bool(0.6) && x.pop_ready(port, now).is_some() {}
+                    }
+                }
+                let event = x.next_event(now);
+                prop_assert!(event > now);
+                let before = bytes(&x);
+                let horizon = event.min(now + 2_000);
+                for t in now + 1..horizon {
+                    x.tick(t);
+                    for port in 0..ports {
+                        prop_assert_eq!(x.pop_ready(port, t), None, "popped before event {}", event);
+                    }
+                    prop_assert_eq!(&bytes(&x), &before, "state moved before event {}", event);
+                }
+                now = horizon - 1;
+            }
+        }
+    }
 
     #[test]
     fn delivers_after_latency_to_right_port() {

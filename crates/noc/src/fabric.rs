@@ -20,7 +20,7 @@
 //! [`tick`]: FabricNetwork::tick
 
 use crate::topology::{build_topology, Topology};
-use mcgpu_types::{ChipId, MachineConfig, Pipe};
+use mcgpu_types::{earliest_event, ChipId, MachineConfig, Pipe};
 use std::collections::VecDeque;
 
 /// A packet travelling on the fabric towards `dest`.
@@ -368,12 +368,23 @@ impl<T> FabricNetwork<T> {
             && self.links.iter().flatten().all(Pipe::is_empty)
     }
 
-    /// Whether ticking the fabric is a state no-op: no packets anywhere
-    /// (see [`is_empty`](FabricNetwork::is_empty)) and every link pipe's
-    /// bandwidth budget has saturated at its credit cap. The engine's
-    /// idle-cycle skip requires this before jumping the clock.
-    pub fn tick_is_noop(&self) -> bool {
-        self.is_empty() && self.links.iter().flatten().all(Pipe::tick_is_noop)
+    /// The next cycle after `now` at which ticking the fabric or popping
+    /// its arrivals can change state: `now + 1` while a transit backlog or
+    /// an arrival list holds packets, else the earliest
+    /// [`Pipe::next_event`] over every link, dead ones included
+    /// (`u64::MAX` when nothing is left to move). Stalled packets are not
+    /// events: they never move on their own, only a
+    /// [`fail_link`](FabricNetwork::fail_link) re-routes them.
+    pub fn next_event(&self, now: u64) -> u64 {
+        if self.arrived.iter().any(|a| !a.is_empty())
+            || self.backlog.iter().flatten().any(|q| !q.is_empty())
+        {
+            return now + 1;
+        }
+        earliest_event(
+            now,
+            self.links.iter().flatten().map(|link| link.next_event(now)),
+        )
     }
 
     /// Packets currently held at `chip`: queued or in flight on its

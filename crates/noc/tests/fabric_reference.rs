@@ -5,12 +5,16 @@
 //!
 //! Both fabrics run in lockstep on ring, fully-connected and mesh
 //! machines of 2–16 chips under saturating random injection, so transit
-//! backlogs form, with random link failures (including partitions that
-//! strand packets) and degradations mid-run. Every cycle, per-chip
-//! arrivals, `try_send` outcomes, `len`, `chip_load` and `tick_is_noop`
+//! backlogs form, or sparse injection, so multi-hop packets land on idle
+//! links, with random link failures (including partitions that strand
+//! packets) and degradations mid-run. Every cycle, per-chip
+//! arrivals, `try_send` outcomes, `len`, `chip_load` and `next_event`
 //! must agree. At random cycles the checkpoint bytes must agree, and the
 //! fabric is swapped for one restored from those bytes, which must save
-//! back to the same bytes and keep agreeing from then on.
+//! back to the same bytes and keep agreeing from then on. At other random
+//! cycles injection pauses up to the reported next event: ticking and
+//! popping every cycle before it must deliver nothing and leave the
+//! checkpoint bytes unchanged, so `next_event` is never late.
 
 use mcgpu_noc::{build_topology, FabricNetwork, SendError, Topology};
 use mcgpu_types::{ChipId, Dec, Enc, MachineConfig, Pipe, TopologyKind};
@@ -167,8 +171,25 @@ impl Reference {
         ChipId::all(self.chips).map(|c| self.chip_load(c)).sum()
     }
 
-    fn tick_is_noop(&self) -> bool {
-        self.len() == 0 && self.links.iter().flatten().all(Pipe::tick_is_noop)
+    /// The fabric's next-event rule, restated over the per-chip transit
+    /// lists: a transit packet with a live route or an undelivered
+    /// arrival acts next cycle, a packet with no route is not an event,
+    /// and otherwise the links decide.
+    fn next_event(&self, now: u64) -> u64 {
+        let routable = ChipId::all(self.chips).any(|chip| {
+            self.transit[chip.index()]
+                .iter()
+                .any(|p| self.topo.route(chip, p.dest, &self.alive).is_some())
+        });
+        if routable || self.arrived.iter().any(|a| !a.is_empty()) {
+            return now + 1;
+        }
+        self.links
+            .iter()
+            .flatten()
+            .map(|link| link.next_event(now))
+            .min()
+            .unwrap_or(u64::MAX)
     }
 
     fn count_matching(&self, pred: impl Fn(u32) -> bool) -> usize {
@@ -237,9 +258,16 @@ fn lockstep(kind: TopologyKind, chips: usize, seed: u64) {
     cfg.topology = kind;
     cfg.chips = chips;
     // Thin links and small queues against up to three sends per chip per
-    // cycle keep every link saturated and the transit backlogs deep.
+    // cycle keep every link saturated and the transit backlogs deep. A
+    // sparse scenario sends a packet per chip every fifty cycles or so
+    // over longer links, so transit hops land on idle, saturated links.
+    let sparse = rng.gen_bool(0.5);
     cfg.interchip_pair_gbs = [8.0, 16.0, 32.0][rng.gen_range(0..3usize)];
-    cfg.link_latency = rng.gen_range(1..6u64);
+    cfg.link_latency = if sparse {
+        rng.gen_range(1..40u64)
+    } else {
+        rng.gen_range(1..6u64)
+    };
     let queue_depth = rng.gen_range(1..5usize);
     let pairs = cfg.link_pairs();
     let inject_cycles = 1_200u64;
@@ -250,7 +278,8 @@ fn lockstep(kind: TopologyKind, chips: usize, seed: u64) {
     let mut reference = Reference::new(&cfg, queue_depth);
     let mut fabric: FabricNetwork<u32> = FabricNetwork::new(&cfg, queue_depth);
     let mut next_payload = 0u32;
-    for now in 0..total_cycles {
+    let mut now = 0u64;
+    while now < total_cycles {
         if now < inject_cycles && rng.gen_bool(fail_p) {
             let (a, b) = pairs[rng.gen_range(0..pairs.len())];
             reference.fail_link(a, b);
@@ -264,7 +293,12 @@ fn lockstep(kind: TopologyKind, chips: usize, seed: u64) {
         }
         if now < inject_cycles {
             for src in ChipId::all(chips) {
-                for _ in 0..rng.gen_range(0..4usize) {
+                let sends = if sparse {
+                    usize::from(rng.gen_bool(0.02))
+                } else {
+                    rng.gen_range(0..4usize)
+                };
+                for _ in 0..sends {
                     let mut dst = ChipId(rng.gen_range(0..chips - 1) as u8);
                     if dst.index() >= src.index() {
                         dst = ChipId(dst.0 + 1);
@@ -299,11 +333,36 @@ fn lockstep(kind: TopologyKind, chips: usize, seed: u64) {
             );
         }
         assert_eq!(reference.len(), fabric.len(), "len at cycle {now}");
+        let event = fabric.next_event(now);
+        assert!(event > now, "next_event {event} not after cycle {now}");
         assert_eq!(
-            reference.tick_is_noop(),
-            fabric.tick_is_noop(),
-            "tick_is_noop at cycle {now}"
+            reference.next_event(now),
+            event,
+            "next_event at cycle {now}"
         );
+        if rng.gen_bool(0.02) {
+            // A quiet stretch up to the reported event: nothing may move.
+            let before = save(&fabric);
+            let end = event.min(total_cycles);
+            while now + 1 < end {
+                now += 1;
+                reference.tick(now);
+                fabric.tick(now);
+                for chip in ChipId::all(chips) {
+                    assert!(
+                        fabric.pop_arrivals(chip, now).is_empty(),
+                        "arrival at {chip:?}, cycle {now}, before event {event}"
+                    );
+                    assert!(reference.pop_arrivals(chip).is_empty());
+                }
+                assert_eq!(
+                    before,
+                    save(&fabric),
+                    "state moved at cycle {now}, before event {event}"
+                );
+            }
+            assert_eq!(reference.save(), before, "quiet stretch ending at {now}");
+        }
         if rng.gen_bool(0.01) {
             let modulus = rng.gen_range(2..5u32);
             assert_eq!(
@@ -316,6 +375,7 @@ fn lockstep(kind: TopologyKind, chips: usize, seed: u64) {
             fabric = restore(&cfg, queue_depth, &bytes);
             assert_eq!(bytes, save(&fabric), "restore round trip at cycle {now}");
         }
+        now += 1;
     }
     assert_eq!(reference.save(), save(&fabric), "final checkpoint bytes");
 }
@@ -374,5 +434,9 @@ fn partition_strands_packets_identically() {
         }
         assert!(!fabric.is_empty(), "{kind}: the partition stranded nothing");
         assert_eq!(reference.len(), fabric.len());
+        // Stranded packets never move on their own: once the rest has
+        // drained they are not an event.
+        assert_eq!(fabric.next_event(399), u64::MAX, "{kind}");
+        assert_eq!(reference.next_event(399), u64::MAX, "{kind}");
     }
 }

@@ -5,7 +5,7 @@ use crate::packet::{ReqEnvelope, RingPayload, RspEnvelope};
 use mcgpu_cache::{CacheConfig, SetAssocCache};
 use mcgpu_mem::MemoryPartition;
 use mcgpu_noc::Crossbar;
-use mcgpu_types::{AccessKind, ChipId, ClusterId, MachineConfig, Pipe};
+use mcgpu_types::{earliest_event, AccessKind, ChipId, ClusterId, MachineConfig, Pipe};
 use std::collections::VecDeque;
 
 /// Queue depth of each crossbar output port and the ring egress.
@@ -244,20 +244,31 @@ impl Chip {
             && self.bypass_to_mem.is_empty()
     }
 
-    /// Whether ticking every datapath element on this chip is a state
-    /// no-op: [`is_quiescent`](Chip::is_quiescent) plus every bandwidth
-    /// budget (crossbar bisections and ports, slice service pipes, memory
-    /// channels, ring egress, the bypass pipe) saturated at its credit cap,
-    /// so the per-cycle refills no longer change any stored bits. This is
-    /// the per-chip precondition for the engine's idle-cycle skip.
-    pub fn tick_is_noop(&self) -> bool {
-        self.is_quiescent()
-            && self.xbar_req.tick_is_noop()
-            && self.xbar_rsp.tick_is_noop()
-            && self.slices.iter().all(|s| s.service.tick_is_noop())
-            && self.memory.tick_is_noop()
-            && self.ring_egress.tick_is_noop()
-            && self.bypass_to_mem.tick_is_noop()
+    /// The next cycle after `now` at which this chip's datapath can move:
+    /// `now + 1` while a ring-side queue (`pending_req`, `pending_rsp`,
+    /// `pending_ring`) or the retry slot holds a payload, else the
+    /// earliest next event of its crossbars, slice service pipes, memory
+    /// partition, ring egress and bypass pipe. Slice MSHRs are not events
+    /// of their own: they wait on a fill that one of those pipes carries.
+    pub fn next_event(&self, now: u64) -> u64 {
+        if !self.pending_req.is_empty()
+            || !self.pending_rsp.is_empty()
+            || !self.pending_ring.is_empty()
+            || self.ring_retry.is_some()
+        {
+            return now + 1;
+        }
+        // Memory and the response side first: on sparse phases they are
+        // the likeliest to act next cycle, which ends the scan early.
+        earliest_event(
+            now,
+            std::iter::once_with(|| self.memory.next_event(now))
+                .chain(std::iter::once_with(|| self.ring_egress.next_event(now)))
+                .chain(std::iter::once_with(|| self.xbar_rsp.next_event(now)))
+                .chain(self.slices.iter().map(|s| s.service.next_event(now)))
+                .chain(std::iter::once_with(|| self.xbar_req.next_event(now)))
+                .chain(std::iter::once_with(|| self.bypass_to_mem.next_event(now))),
+        )
     }
 
     /// Aggregate LLC statistics over this chip's slices.

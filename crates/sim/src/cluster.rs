@@ -243,12 +243,12 @@ impl Cluster {
         self.deferred.is_some()
     }
 
-    /// Idle-cycle skip: account for `k` issue opportunities during which
+    /// Next-event skip: account for `k` issue opportunities during which
     /// this cluster would only have decremented its compute gap. Replicates
     /// exactly what `k` consecutive [`issue`](Cluster::issue) calls do when
     /// each returns `None` in the gap branch — the caller guarantees `k`
     /// never runs past the point where the cluster would have issued (a
-    /// finished cluster's gap simply drains to zero and stays there, as it
+    /// consumed stream's gap simply drains to zero and stays there, as it
     /// does in the stepped loop).
     pub fn skip_gap(&mut self, k: u64) {
         self.gap_remaining = self

@@ -50,7 +50,7 @@ impl DynamicCtl {
 
     /// The next cycle at which [`maybe_adjust`](DynamicCtl::maybe_adjust)
     /// can act; before this cycle it is a pure no-op. Feeds the engine's
-    /// next-event scan for idle-cycle skipping.
+    /// next-event scan.
     pub fn next_epoch(&self) -> u64 {
         self.next_epoch
     }

@@ -12,7 +12,9 @@
 //! * `diagnostics` — the forward-progress watchdog, deadlock snapshots and
 //!   the request-conservation audit;
 //! * `faults` — scheduled hardware-fault application and the degraded-EAB
-//!   refresh.
+//!   refresh;
+//! * `skip` — next-event skipping: the run loop jumps the clock over
+//!   every cycle in which nothing can move.
 //!
 //! Everything that varies *by LLC organization* — routing, fills, way
 //! splits, boundary actions, reconfiguration — lives behind
@@ -28,6 +30,8 @@ mod diagnostics;
 mod faults;
 mod skip;
 mod tick;
+#[cfg(test)]
+mod two_tier_diff;
 
 pub use ckpt::workload_fingerprint;
 pub use diagnostics::{
@@ -66,7 +70,6 @@ pub struct SimBuilder {
     obs: ObsConfig,
     ckpt_path: Option<std::path::PathBuf>,
     ckpt_interval: u64,
-    skip_idle: bool,
 }
 
 /// Request-conservation audit cadence in debug builds. Release builds
@@ -101,7 +104,6 @@ impl SimBuilder {
             obs: ObsConfig::off(),
             ckpt_path: None,
             ckpt_interval: 0,
-            skip_idle: false,
         }
     }
 
@@ -188,21 +190,6 @@ impl SimBuilder {
         self
     }
 
-    /// Enable event-driven idle-cycle skipping (off by default). When the
-    /// machine is completely quiescent — no request in flight, every queue
-    /// empty, every bandwidth credit saturated — the engine jumps the
-    /// clock to the next cycle at which any component can act instead of
-    /// stepping through provably idle ticks. The skip is semantics-free by
-    /// contract: runs with skipping enabled are byte-identical to stepped
-    /// runs (same [`RunStats`], same observability report, same checkpoint
-    /// bytes at the same cut points, and the same error at the same cycle
-    /// for deadlocked or over-budget runs). See the `skip` module docs for
-    /// the per-component next-event contract.
-    pub fn skip_idle(mut self, enabled: bool) -> Self {
-        self.skip_idle = enabled;
-        self
-    }
-
     /// Select how much observability data the run records (histograms,
     /// epoch timeline, event trace). Defaults to [`mcgpu_types::ObsLevel::Off`].
     /// The observability layer is strictly read-only: any level produces
@@ -281,13 +268,15 @@ pub struct Simulator {
     /// Request-conservation audit cadence in cycles (`0` = disabled).
     audit_period: u64,
 
-    // --- idle-cycle skipping ---
-    /// Event-driven idle-cycle skipping enabled (off by default).
-    skip_idle: bool,
-    /// Number of idle jumps performed (diagnostic only; never serialized
+    // --- next-event skipping ---
+    /// Step every cycle instead of skipping to the next event: the
+    /// reference the crate's differential tests compare the skipping
+    /// engine against. Never set outside those tests.
+    stepping: bool,
+    /// Number of clock jumps performed (diagnostic only; never serialized
     /// into stats, observability reports, or checkpoints).
     skip_jumps: u64,
-    /// Total cycles elided by idle jumps (diagnostic only).
+    /// Total cycles elided by clock jumps (diagnostic only).
     skipped_cycles: u64,
 
     // --- checkpointing ---
@@ -350,7 +339,6 @@ impl Simulator {
             obs,
             ckpt_path,
             ckpt_interval,
-            skip_idle,
         } = b;
         let obs = obs
             .level
@@ -381,7 +369,7 @@ impl Simulator {
             deadline_start: None,
             cancel,
             audit_period,
-            skip_idle,
+            stepping: false,
             skip_jumps: 0,
             skipped_cycles: 0,
             ckpt_path,
@@ -418,16 +406,16 @@ impl Simulator {
         self.policy.kind()
     }
 
-    /// Number of idle jumps the engine performed (0 unless
-    /// [`SimBuilder::skip_idle`] enabled skipping). Diagnostic only: skip
-    /// accounting never appears in [`RunStats`], observability reports, or
-    /// checkpoints, which stay byte-identical to stepped runs.
+    /// Number of times the engine jumped its clock over cycles in which
+    /// nothing could move. Diagnostic only: skip accounting never appears
+    /// in [`RunStats`], observability reports, or checkpoints, which are
+    /// byte-identical to stepping every cycle.
     pub fn skip_jumps(&self) -> u64 {
         self.skip_jumps
     }
 
-    /// Total cycles elided by idle jumps (0 unless skipping is enabled).
-    /// Diagnostic only, like [`Simulator::skip_jumps`].
+    /// Total cycles elided by clock jumps. Diagnostic only, like
+    /// [`Simulator::skip_jumps`].
     pub fn skipped_cycles(&self) -> u64 {
         self.skipped_cycles
     }
@@ -523,8 +511,8 @@ impl Simulator {
 
             // Execute until the kernel completes.
             while !self.kernel_done() {
-                if self.skip_idle {
-                    self.skip_quiescent_cycles(every);
+                if !self.stepping {
+                    self.skip_to_next_event(every);
                 }
                 self.tick(true);
                 self.check_progress()?;
@@ -710,7 +698,15 @@ impl Simulator {
             .map(|o| o.finalize(org, self.cycle, &snap, &history))
     }
 
-    fn sample_occupancy(&mut self) {
+    /// Take `times` LLC occupancy samples (Fig. 9) of the current cache
+    /// contents: one per tick on the sampling grid, or the samples of the
+    /// grid points a clock jump skipped, during which the caches were
+    /// frozen. Each sample adds the same ratios, one addition at a time,
+    /// so a replayed jump is bit-identical to stepping through it.
+    fn sample_occupancy(&mut self, times: u64) {
+        if times == 0 {
+            return;
+        }
         let mut local = 0usize;
         let mut remote = 0usize;
         let mut cap = 0usize;
@@ -722,9 +718,13 @@ impl Simulator {
         }
         let valid = local + remote;
         if valid > 0 {
-            self.occ_local += local as f64 / valid as f64;
-            self.occ_fill += valid as f64 / cap.max(1) as f64;
-            self.occ_samples += 1;
+            let local_frac = local as f64 / valid as f64;
+            let fill_frac = valid as f64 / cap.max(1) as f64;
+            for _ in 0..times {
+                self.occ_local += local_frac;
+                self.occ_fill += fill_frac;
+            }
+            self.occ_samples += times;
         }
     }
 

@@ -1,54 +1,60 @@
-//! Event-driven idle-cycle skipping (tier one of the two-tier engine).
+//! Next-event skipping: the engine's only run path.
 //!
-//! When the machine is completely quiescent — no request in flight, every
-//! queue and pipe empty, every bandwidth credit saturated at its cap — a
-//! stepped tick is a pure clock increment: nothing moves, nothing is
-//! sampled off-grid, and the only state that evolves is each cluster's
-//! compute-gap countdown. This module detects that condition, asks every
-//! component for the next cycle at which it could act, and jumps the clock
-//! to one cycle before the minimum so the next real [`tick`] executes the
-//! event at exactly the cycle the stepped loop would have.
+//! Before every tick of the main loop the engine asks each component for
+//! the next cycle at which it could act and, when all of them lie more
+//! than one cycle ahead, jumps the clock to one cycle before the earliest
+//! so the next real [`tick`] executes that event at exactly the cycle the
+//! stepped loop would have. Most skipped cycles are *latency windows*: a
+//! few requests in flight, each only ageing inside a fixed-latency pipe.
 //!
-//! The contract is *byte identity*: with skipping enabled, a run must
-//! produce the same [`RunStats`](crate::stats::RunStats), the same
-//! observability report, and the same checkpoint bytes at the same cut
-//! points as the stepped loop. The scan therefore stops at every cycle
-//! where the stepped loop does anything at all, however small:
+//! The contract is *byte identity*: a skipping run produces the same
+//! [`RunStats`](crate::stats::RunStats), the same observability report,
+//! and the same checkpoint bytes at the same cut points as stepping every
+//! cycle. The scan therefore stops at every cycle where the stepped loop
+//! does anything at all, however small:
 //!
+//! * **Datapath** — [`Chip::next_event`](crate::chip::Chip::next_event) and
+//!   [`FabricNetwork::next_event`](mcgpu_noc::FabricNetwork::next_event),
+//!   built from [`Pipe::next_event`](mcgpu_types::Pipe::next_event): a
+//!   waiting item or a refilling bandwidth budget acts next cycle, an
+//!   in-flight item at its ready cycle, and an empty saturated pipe never.
 //! * **Clusters** — an eligible cluster (within the CTA wave-lead bound)
-//!   issues when its gap countdown expires, or immediately when it holds a
-//!   deferred access; done clusters still drain their gap counter, which is
-//!   checkpointed state, so the jump replays the decrements in bulk.
+//!   with stream left issues when its gap countdown expires, or at once
+//!   when it holds a deferred access. A cluster that has consumed its
+//!   stream only waits for responses, which are datapath events. Every
+//!   eligible cluster still drains its gap counter, which is checkpointed
+//!   state, so the jump replays the decrements in bulk.
 //! * **Fault plan** — the next scheduled hardware fault.
 //! * **Policy** — [`LlcOrgPolicy::next_policy_event`] bounds when the
 //!   organization's `on_cycle` hook can next act (SAC profiling deadlines,
-//!   divergence-monitor expiry, Dynamic epoch boundaries).
-//! * **Sampling grids** — LLC occupancy every [`OCC_SAMPLE_PERIOD`]
-//!   cycles, the observability epoch window, and the caller's throughput
-//!   observer cadence. Occupancy sampling accumulates `f64` state even
-//!   when idle, so the real tick must run at each grid point.
+//!   divergence-monitor expiry, Dynamic epoch boundaries), assuming no
+//!   datapath event until then.
+//! * **Sampling grids** — the observability epoch window and the caller's
+//!   throughput observer cadence.
 //! * **Guard grids** — the coarse deadline/cancel/checkpoint grid
 //!   ([`DEADLINE_CHECK_PERIOD`]) and the conservation-audit period.
-//! * **Watchdog** — the forward-progress deadline. The stepped loop checks
-//!   the watchdog every cycle; folding `watchdog_cycle + watchdog_window`
-//!   into the scan means a quiescent-but-wedged machine still reports
-//!   [`SimError::Deadlock`](super::SimError::Deadlock) at exactly the same
-//!   cycle, so skipping can never mask a deadlock.
+//! * **Watchdog** — the forward-progress deadline, so a wedged machine
+//!   reports [`SimError::Deadlock`](super::SimError::Deadlock) at exactly
+//!   the stepped cycle.
 //! * **Cycle budget** — `max_cycles`, so `CycleLimit` fires identically.
 //!
-//! If the minimum event is `now + 1` the scan is a no-op and the stepped
-//! loop proceeds; skipping only ever removes ticks that provably do
-//! nothing.
+//! Why a window is exact: until the earliest event no item leaves a pipe
+//! and no budget changes, so no request retires, no cache line moves and
+//! the watchdog's progress signature is frozen; the policy sees the same
+//! inputs at every skipped cycle. LLC occupancy is sampled every
+//! [`OCC_SAMPLE_PERIOD`] cycles, but with the caches frozen every skipped
+//! sample adds the same `f64` pair, so the jump replays them by adding
+//! that pair once per skipped grid point — the stepped loop's sequence of
+//! additions, bit for bit.
 //!
 //! [`tick`]: Simulator::tick
 //! [`LlcOrgPolicy::next_policy_event`]: crate::org::LlcOrgPolicy::next_policy_event
 
 use super::diagnostics::DEADLINE_CHECK_PERIOD;
-use super::tick::{CTA_WAVE_LEAD, OCC_SAMPLE_PERIOD};
+use super::tick::OCC_SAMPLE_PERIOD;
 use super::Simulator;
-use crate::chip::Chip;
-use crate::cluster::Cluster;
 use crate::org::Pause;
+use mcgpu_types::earliest_event;
 
 /// Smallest cycle strictly greater than `now` congruent to `phase`
 /// modulo `period`. Returns `u64::MAX` for a zero period (no such grid).
@@ -62,72 +68,71 @@ fn next_on_grid(now: u64, period: u64, phase: u64) -> u64 {
 }
 
 impl Simulator {
-    /// Attempt one idle jump: if the machine is quiescent and every
-    /// component's next event is more than one cycle away, advance the
-    /// clock to one cycle before the earliest event and replay the
-    /// cluster gap countdowns in bulk. Called from the main run loop
-    /// before each tick when idle skipping is enabled; `every` is the
-    /// caller's throughput-observer cadence (`u64::MAX` = none).
-    pub(super) fn skip_quiescent_cycles(&mut self, every: u64) {
-        // Cheap gate first, then the full no-op proof: every queue empty
-        // and every bandwidth credit bitwise saturated, so the skipped
-        // refills would not have changed checkpointed state.
-        if self.in_flight != 0 || self.pause != Pause::Running {
-            return;
-        }
-        if !self.ring.is_empty()
-            || !self.ring.tick_is_noop()
-            || !self.chips.iter().all(Chip::tick_is_noop)
-        {
-            return;
-        }
+    /// The earliest cycle after `now` at which a cluster within
+    /// `lead_cap` (the wave-lead bound of `issue_phase`) issues. A
+    /// cluster's progress moves only when it issues and its completion
+    /// only when a response arrives, both events of the scan, so the
+    /// bound and the eligible set are frozen for a whole jump.
+    fn next_issue_event(&self, now: u64, lead_cap: usize) -> u64 {
+        earliest_event(
+            now,
+            self.chips
+                .iter()
+                .flat_map(|ch| ch.clusters.iter())
+                .filter(|cl| cl.progress() <= lead_cap)
+                .map(|cl| {
+                    if cl.has_deferred() {
+                        // A deferred access re-issues on the very next tick.
+                        now + 1
+                    } else if cl.progress() < cl.stream_len() {
+                        now + u64::from(cl.gap_remaining()) + 1
+                    } else {
+                        u64::MAX
+                    }
+                }),
+        )
+    }
 
+    /// Jump the clock to one cycle before the earliest next event when
+    /// that lies more than one cycle ahead, replaying the skipped cycles'
+    /// cluster gap countdowns and occupancy samples. Called from the main
+    /// run loop before each tick; `every` is the caller's
+    /// throughput-observer cadence (`u64::MAX` = none).
+    pub(super) fn skip_to_next_event(&mut self, every: u64) {
+        // A paused machine is draining for SAC, which counts overhead
+        // every cycle.
+        if self.pause != Pause::Running {
+            return;
+        }
         let now = self.cycle;
-        let mut event = u64::MAX;
+        let soon = now + 1;
 
-        // Clusters. Mirror `issue_phase` exactly: the wave-lead filter is
-        // computed against the slowest unfinished cluster, and `issue()`
-        // (which decrements the gap counter even on finished clusters) is
-        // only reached by clusters inside the lead bound. During a
-        // quiescent window no cluster's progress changes, so eligibility
-        // is frozen for the whole jump.
-        let Some(min_progress) = self
-            .chips
-            .iter()
-            .flat_map(|ch| ch.clusters.iter())
-            .filter(|cl| !cl.done())
-            .map(Cluster::progress)
-            .min()
-        else {
-            // Every cluster done with nothing in flight: the loop's
-            // `kernel_done` check ends the kernel, nothing to skip.
+        // Datapath first, cheapest checks first: a busy cycle leaves at
+        // the first component that acts next cycle.
+        let mut event = self.ring.next_event(now);
+        if event <= soon {
             return;
-        };
-        let lead_cap = min_progress + CTA_WAVE_LEAD;
-        for cl in self.chips.iter().flat_map(|ch| ch.clusters.iter()) {
-            if cl.progress() > lead_cap {
-                continue;
-            }
-            if cl.has_deferred() {
-                // A deferred access re-issues on the very next tick.
-                return;
-            }
-            if !cl.done() {
-                event = event.min(now + u64::from(cl.gap_remaining()) + 1);
-            }
         }
+        event = event.min(earliest_event(
+            now,
+            self.chips.iter().map(|chip| chip.next_event(now)),
+        ));
+        if event <= soon {
+            return;
+        }
+        let lead_cap = self.lead_cap();
+        event = event.min(self.next_issue_event(now, lead_cap));
 
         // Scheduled hardware faults.
         if let Some(due) = self.fault_plan.next_due() {
-            event = event.min(due.max(now + 1));
+            event = event.min(due.max(soon));
         }
 
         // The organization's next possible action.
-        event = event.min(self.policy.next_policy_event(now).max(now + 1));
+        event = event.min(self.policy.next_policy_event(now).max(soon));
 
-        // Sampling grids: occupancy, observability epochs, the caller's
-        // throughput observer.
-        event = event.min(next_on_grid(now, OCC_SAMPLE_PERIOD, 0));
+        // Sampling grids: observability epochs, the caller's throughput
+        // observer.
         if let Some(o) = self.obs.as_deref() {
             event = event.min(next_on_grid(now, o.epoch_window(), 0));
         }
@@ -144,34 +149,33 @@ impl Simulator {
             event = event.min(next_on_grid(now, self.audit_period, 0));
         }
 
-        // The forward-progress watchdog: the stepped loop would abort with
-        // `Deadlock` once `cycle - watchdog_cycle >= watchdog_window`, so
-        // the jump may not pass the deadline cycle. Progress is frozen
-        // while quiescent, so clamping here makes the deadlock fire at the
-        // identical cycle with skipping on.
+        // The forward-progress watchdog: the stepped loop aborts with
+        // `Deadlock` once `cycle - watchdog_cycle >= watchdog_window`, and
+        // the progress signature is frozen until the next datapath event,
+        // so the jump may not pass the deadline cycle.
         if self.watchdog_window != u64::MAX {
             let deadline = self.watchdog_cycle.saturating_add(self.watchdog_window);
-            event = event.min(deadline.max(now + 1));
+            event = event.min(deadline.max(soon));
         }
 
         // The cycle budget: `CycleLimit` must trigger at the same cycle.
-        event = event.min(self.max_cycles.max(now + 1));
+        event = event.min(self.max_cycles.max(soon));
 
-        if event <= now + 1 {
+        if event <= soon {
             return;
         }
-        let jumped = event - 1 - now;
-        self.cycle = event - 1;
+        let last = event - 1;
+        let jumped = last - now;
         // Replay the per-tick gap decrements the skipped `issue_phase`
         // calls would have performed. Saturating matches the stepped loop:
-        // a finished cluster's counter floors at zero and stays there.
-        for chip in &mut self.chips {
-            for cl in &mut chip.clusters {
-                if cl.progress() <= lead_cap {
-                    cl.skip_gap(jumped);
-                }
+        // a consumed stream's counter floors at zero and stays there.
+        for cl in self.chips.iter_mut().flat_map(|ch| ch.clusters.iter_mut()) {
+            if cl.progress() <= lead_cap {
+                cl.skip_gap(jumped);
             }
         }
+        self.sample_occupancy(last / OCC_SAMPLE_PERIOD - now / OCC_SAMPLE_PERIOD);
+        self.cycle = last;
         self.skip_jumps += 1;
         self.skipped_cycles += jumped;
     }

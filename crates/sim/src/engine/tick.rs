@@ -17,7 +17,7 @@ use mcgpu_types::{
 const PENDING_RING_LIMIT: usize = 64;
 /// Maximum instructions a cluster may run ahead of the slowest cluster
 /// (one CTA wave of the distributed CTA scheduler).
-pub(super) const CTA_WAVE_LEAD: usize = 384;
+const CTA_WAVE_LEAD: usize = 384;
 /// LLC occupancy sampling period in cycles (Fig. 9).
 pub(super) const OCC_SAMPLE_PERIOD: u64 = 256;
 
@@ -131,7 +131,7 @@ impl Simulator {
         // Controllers and sampling.
         self.controller_phase(now);
         if now.is_multiple_of(OCC_SAMPLE_PERIOD) {
-            self.sample_occupancy();
+            self.sample_occupancy(1);
         }
         // Observability timeline (read-only; snapshot is built before the
         // observer is borrowed mutably).
@@ -145,6 +145,19 @@ impl Simulator {
                 o.sample_epoch(&snap);
             }
         }
+    }
+
+    /// The progress bound of the wave-lead filter: only clusters at or
+    /// below it reach `issue()` this cycle.
+    pub(super) fn lead_cap(&self) -> usize {
+        self.chips
+            .iter()
+            .flat_map(|ch| ch.clusters.iter())
+            .filter(|cl| !cl.done())
+            .map(Cluster::progress)
+            .min()
+            .unwrap_or(0)
+            + CTA_WAVE_LEAD
     }
 
     fn issue_phase(&mut self) {
@@ -161,19 +174,12 @@ impl Simulator {
         // wave of CTAs. This bounds the drift between the clusters' shared
         // working-set phases (and the end-of-kernel straggler tail), as the
         // hardware CTA scheduler does.
-        let min_progress = self
-            .chips
-            .iter()
-            .flat_map(|ch| ch.clusters.iter())
-            .filter(|cl| !cl.done())
-            .map(Cluster::progress)
-            .min()
-            .unwrap_or(0);
+        let lead_cap = self.lead_cap();
         for c in 0..self.chips.len() {
             let chip_id = ChipId(c as u8);
             for i in 0..n_clusters {
                 let cl = (i + rotation) % n_clusters;
-                if self.chips[c].clusters[cl].progress() > min_progress + CTA_WAVE_LEAD {
+                if self.chips[c].clusters[cl].progress() > lead_cap {
                     continue;
                 }
                 let Some((acc, needs_request)) = self.chips[c].clusters[cl].issue() else {

@@ -39,8 +39,8 @@ impl LlcOrgPolicy for MemorySidePolicy {
     }
 
     fn next_policy_event(&self, _now: u64) -> u64 {
-        // Stateless: `on_cycle` is the default no-op, so a quiescent
-        // machine never needs a policy wake-up.
+        // Stateless: `on_cycle` is the default no-op, so the policy never
+        // needs a wake-up of its own.
         u64::MAX
     }
 }

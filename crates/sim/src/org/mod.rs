@@ -208,12 +208,13 @@ pub trait LlcOrgPolicy: std::fmt::Debug + Send {
 
     /// The next absolute cycle (strictly after `now`) at which this
     /// policy's [`on_cycle`](LlcOrgPolicy::on_cycle) hook can mutate state
-    /// or return a non-default action, assuming the machine stays fully
-    /// quiescent until then. `u64::MAX` means "never while quiescent". The
-    /// engine's idle-cycle skip clamps its clock jump to this cycle, so a
-    /// policy may be conservative (report an earlier cycle) but must never
-    /// report a later one — the conservative default of `now + 1` disables
-    /// skipping entirely for policies that do not override it.
+    /// or return a non-default action, assuming no datapath event until
+    /// then (so every input the hook observes stays as it is now).
+    /// `u64::MAX` means "not before the next datapath event". The engine's
+    /// next-event scan clamps its clock jump to this cycle, so a policy may
+    /// be conservative (report an earlier cycle) but must never report a
+    /// later one — the conservative default of `now + 1` disables skipping
+    /// entirely for policies that do not override it.
     fn next_policy_event(&self, now: u64) -> u64 {
         now + 1
     }

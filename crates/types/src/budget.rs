@@ -117,12 +117,12 @@ impl BandwidthBudget {
     }
 
     /// Whether a [`refill`](Self::refill) would leave the credit bit-for-bit
-    /// unchanged. This is the idle-skip saturation test: once an idle
-    /// budget's credit has climbed to its cap (a handful of cycles after its
-    /// last transfer), further refills are no-ops and the cycles between can
-    /// be skipped without perturbing checkpointed state. Compared on exact
-    /// bit patterns because budget credits serialize bit-exactly into
-    /// `mcgpu-ckpt-v1` snapshots.
+    /// unchanged. This is the saturation test of next-event skipping: once
+    /// a budget's credit has climbed to its cap (a handful of cycles after
+    /// its last transfer), further refills are no-ops and the cycles
+    /// between can be skipped without perturbing checkpointed state.
+    /// Compared on exact bit patterns because budget credits serialize
+    /// bit-exactly into `mcgpu-ckpt-v1` snapshots.
     #[inline]
     pub fn refill_is_noop(&self) -> bool {
         ((self.credit + self.rate).min(self.cap)).to_bits() == self.credit.to_bits()

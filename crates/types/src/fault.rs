@@ -119,8 +119,8 @@ impl FaultPlan {
     }
 
     /// Cycle of the next not-yet-applied event, if any. This is the fault
-    /// plan's contribution to the engine's next-event scan: idle-cycle
-    /// skipping must never jump past a scheduled fault.
+    /// plan's contribution to the engine's next-event scan: the clock
+    /// must never jump past a scheduled fault.
     pub fn next_due(&self) -> Option<u64> {
         self.events.get(self.cursor).map(|e| e.cycle)
     }

@@ -53,5 +53,5 @@ pub use ids::{ChannelId, ChipId, ClusterId, SliceId};
 pub use mode::{EngineMode, ModeDescriptor, ENGINE_MODES};
 pub use obs::{ObsConfig, ObsLevel};
 pub use packet::{AccessKind, MemAccess, Request, RequestId, Response, ResponseOrigin};
-pub use pipe::Pipe;
+pub use pipe::{earliest_event, Pipe};
 pub use serve::{CellPhase, RequestPhase, ServeErrorCode};

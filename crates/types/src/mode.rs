@@ -45,7 +45,7 @@ pub const ENGINE_MODES: [ModeDescriptor; 2] = [
     ModeDescriptor {
         mode: EngineMode::Cycle,
         token: "cycle",
-        summary: "cycle-stepped simulation (ground truth; supports --skip-idle)",
+        summary: "cycle-accurate simulation (ground truth)",
     },
     ModeDescriptor {
         mode: EngineMode::Fast,

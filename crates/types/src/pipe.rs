@@ -151,13 +151,22 @@ impl<T> Pipe<T> {
             .chain(self.waiting.iter().map(|(t, _)| t))
     }
 
-    /// Whether ticking this pipe is a state no-op: it holds no items and
-    /// its budget's credit has saturated at the cap (so the per-cycle
-    /// [`BandwidthBudget::refill`] no longer changes the stored bits).
-    /// This is the per-pipe precondition for idle-cycle skipping.
+    /// The next cycle after `now` at which this pipe can change state or
+    /// hand out an item: `now + 1` while items wait for bandwidth or the
+    /// budget is still refilling, the head's ready cycle when only
+    /// in-flight items remain, and `u64::MAX` when the pipe is empty and
+    /// its budget saturated. For every cycle strictly between `now` and
+    /// the returned one, [`tick`](Pipe::tick) leaves the state bit-for-bit
+    /// unchanged and [`pop_ready`](Pipe::pop_ready) returns `None` — the
+    /// per-pipe contract behind the engine's next-event skipping.
     #[inline]
-    pub fn tick_is_noop(&self) -> bool {
-        self.is_empty() && self.budget.refill_is_noop()
+    pub fn next_event(&self, now: u64) -> u64 {
+        if !self.waiting.is_empty() || !self.budget.refill_is_noop() {
+            return now + 1;
+        }
+        self.in_flight
+            .front()
+            .map_or(u64::MAX, |&(ready, _)| ready.max(now + 1))
     }
 
     /// Serialize the full pipe state (budget, latency, capacity, both
@@ -228,9 +237,118 @@ impl<T> Pipe<T> {
     }
 }
 
+/// The earliest of `events` (next-event cycles reported at `now`),
+/// stopping at the first one equal to `now + 1`: nothing can be sooner,
+/// so a busy component ends the scan without visiting the rest. Returns
+/// `u64::MAX` for an empty iterator.
+#[inline]
+pub fn earliest_event(now: u64, events: impl IntoIterator<Item = u64>) -> u64 {
+    let mut earliest = u64::MAX;
+    for e in events {
+        earliest = earliest.min(e);
+        if earliest <= now + 1 {
+            break;
+        }
+    }
+    earliest
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn bytes(p: &Pipe<u32>) -> Vec<u8> {
+        let mut e = crate::ckpt::Enc::new();
+        p.save_with(&mut e, |e, &x| e.put_u32(x));
+        e.into_bytes()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `next_event` is never late: under random traffic, at random
+        /// cycles, ticking and popping every cycle before the reported
+        /// event pops nothing and leaves the saved bytes unchanged.
+        #[test]
+        fn next_event_is_never_late(
+            rate in prop_oneof![Just(0.0), 0.5f64..64.0, Just(f64::INFINITY)],
+            latency in 0u64..40,
+            capacity in prop_oneof![Just(None), (1usize..6).prop_map(Some)],
+            seed in any::<u64>(),
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let mut p: Pipe<u32> = if rate.is_infinite() {
+                Pipe::latency_only(latency)
+            } else {
+                Pipe::new(rate, latency, capacity)
+            };
+            let mut now = 0u64;
+            let mut next_item = 0u32;
+            for _ in 0..40 {
+                // A burst of traffic, then a quiet stretch whose first
+                // event the pipe must predict.
+                for _ in 0..rng.gen_range(1..30u32) {
+                    now += 1;
+                    for _ in 0..rng.gen_range(0..3u32) {
+                        let _ = p.try_push(next_item, rng.gen_range(1..300u64));
+                        next_item += 1;
+                    }
+                    if rng.gen_bool(0.05) {
+                        p.set_rate(rate.min(1e6) * rng.gen_range(0.0..1.0));
+                    }
+                    p.tick(now);
+                    while rng.gen_bool(0.7) && p.pop_ready(now).is_some() {}
+                }
+                let event = p.next_event(now);
+                prop_assert!(event > now);
+                let before = bytes(&p);
+                let horizon = event.min(now + 2_000);
+                for t in now + 1..horizon {
+                    p.tick(t);
+                    prop_assert_eq!(p.pop_ready(t), None, "popped before event {}", event);
+                    prop_assert_eq!(&bytes(&p), &before, "state moved before event {}", event);
+                }
+                now = horizon - 1;
+            }
+        }
+    }
+
+    #[test]
+    fn next_event_reports_each_regime() {
+        let mut p: Pipe<u32> = Pipe::new(16.0, 10, None);
+        // Fresh: empty, but the budget starts one cycle below its cap.
+        assert_eq!(p.next_event(0), 1);
+        for now in 1..=4 {
+            p.tick(now);
+        }
+        assert_eq!(p.next_event(4), u64::MAX, "empty and saturated");
+        p.try_push(7, 16).unwrap();
+        assert_eq!(p.next_event(4), 5, "an item waits for bandwidth");
+        p.tick(5);
+        // Sent at 5, ready at 15. The send left the budget 16 B below its
+        // cap, so it refills on the next cycle.
+        assert_eq!(p.next_event(5), 6);
+        for now in 6..=8 {
+            p.tick(now);
+        }
+        assert_eq!(
+            p.next_event(8),
+            15,
+            "only in flight: the head's ready cycle"
+        );
+        assert_eq!(p.next_event(20), 21, "an overdue head pops next cycle");
+    }
+
+    #[test]
+    fn earliest_event_stops_at_the_next_cycle() {
+        assert_eq!(earliest_event(10, [30, 20, 40]), 20);
+        assert_eq!(earliest_event(10, std::iter::empty()), u64::MAX);
+        let mut visited = 0;
+        let e = earliest_event(10, [50, 11, 12].into_iter().inspect(|_| visited += 1));
+        assert_eq!((e, visited), (11, 2));
+    }
 
     #[test]
     fn respects_latency() {
