@@ -1,13 +1,13 @@
-//! Perf-baseline emitter: times the same primitives as the criterion
-//! micro-benchmarks (`benches/micro.rs`) with plain `Instant` loops and
-//! writes a canonical `mcgpu-bench-v1` document, so the repo carries a
-//! `BENCH_sac.json` trajectory that future optimization PRs can compare
-//! against with numbers instead of adjectives.
+//! Perf-baseline emitter: times the engine's primitives (slice
+//! lookup/fill, PAE indexing, EAB, CRD) and whole cells with plain
+//! `Instant` loops and writes a canonical `mcgpu-bench-v1` document, so
+//! the repo carries a `BENCH_sac.json` trajectory that future
+//! optimization PRs can compare against with numbers instead of
+//! adjectives.
 //!
-//! The criterion benches remain the precision instrument for local work
-//! (`cargo bench`); this binary is the cheap CI-friendly sampler. Each
-//! primitive is calibrated with a short probe run, then timed for enough
-//! iterations to cover the target interval.
+//! This is the repo's one micro-benchmark harness. Each primitive is
+//! calibrated with a short probe run, then timed for enough iterations to
+//! cover the target interval.
 //!
 //! Flags:
 //! - `--out PATH` — where to write the JSON document (default

@@ -35,9 +35,7 @@ pub mod figcheck;
 pub mod figdata;
 pub mod golden;
 pub mod journal;
-pub mod proto;
 pub mod resilience;
-pub mod serve;
 pub mod state;
 pub mod sweep;
 
@@ -93,8 +91,8 @@ pub fn parse_mode_or_exit(token: &str) -> EngineMode {
 }
 
 /// Default mid-cell checkpoint cadence in simulated cycles; the engine
-/// quantizes writes to its coarse deadline-check grid, so this is also the
-/// finest cadence that costs nothing on the hot path.
+/// quantizes writes to its coarse checkpoint grid of the same period, so
+/// this is also the finest cadence it honours.
 pub const DEFAULT_CKPT_INTERVAL: u64 = 65_536;
 
 /// Journal/resume options for a sweep, normally parsed from the command
@@ -344,7 +342,7 @@ impl BenchRows {
 ///
 /// # Errors
 /// [`CellError::Sim`] for configuration rejections and runtime aborts
-/// (cycle limit, deadlock, wall-clock timeout, invariant violation).
+/// (cycle limit, deadlock, invariant violation).
 pub fn try_run_one(
     cfg: &MachineConfig,
     workload: &Workload,

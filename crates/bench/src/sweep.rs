@@ -108,22 +108,15 @@ pub enum CellError {
 impl CellError {
     /// Whether a retry with a relaxed budget can plausibly succeed.
     ///
-    /// Cycle-limit, watchdog-deadlock, wall-clock-timeout and cooperative-
-    /// cancellation aborts are budget trips — a slow-but-live run clears
-    /// them with a bigger budget (a still-cancelled run fails the retry
-    /// instantly and cheaply), and a true deadlock fails them again
-    /// deterministically. Panics, configuration rejections and invariant
-    /// violations are bugs; retrying the same deterministic run cannot
-    /// change the outcome.
+    /// Cycle-limit and watchdog-deadlock aborts are budget trips — a
+    /// slow-but-live run clears them with a bigger budget, and a true
+    /// deadlock fails them again deterministically. Panics, configuration
+    /// rejections, invariant violations and checkpoint failures are not;
+    /// retrying the same deterministic run cannot change the outcome.
     pub fn retryable(&self) -> bool {
         matches!(
             self,
-            CellError::Sim(
-                SimError::CycleLimit { .. }
-                    | SimError::Deadlock { .. }
-                    | SimError::Timeout { .. }
-                    | SimError::Cancelled { .. }
-            )
+            CellError::Sim(SimError::CycleLimit { .. } | SimError::Deadlock { .. })
         )
     }
 
@@ -133,29 +126,9 @@ impl CellError {
             CellError::Panic { .. } => "panic",
             CellError::Sim(SimError::CycleLimit { .. }) => "cycle-limit",
             CellError::Sim(SimError::Deadlock { .. }) => "deadlock",
-            CellError::Sim(SimError::Timeout { .. }) => "timeout",
-            CellError::Sim(SimError::Cancelled { .. }) => "cancelled",
             CellError::Sim(SimError::InvariantViolation { .. }) => "invariant-violation",
             CellError::Sim(SimError::Config(_)) => "config",
             CellError::Sim(SimError::Checkpoint { .. }) => "checkpoint",
-        }
-    }
-
-    /// Re-classify a journaled [`CellError::kind`] string without the
-    /// original error value: `Some(true)` for budget-trip kinds that are
-    /// worth retrying, `Some(false)` for permanent failures, `None` for a
-    /// string outside the taxonomy (a corrupt or future-version record).
-    ///
-    /// This is the classification a restarted daemon applies to quarantined
-    /// journal records when it re-adopts interrupted requests; it must
-    /// agree with [`CellError::retryable`] for every variant so a restart
-    /// can never flip a retry decision (pinned by the round-trip proptest
-    /// in `tests/cell_error_roundtrip.rs`).
-    pub fn kind_retryable(kind: &str) -> Option<bool> {
-        match kind {
-            "cycle-limit" | "deadlock" | "timeout" | "cancelled" => Some(true),
-            "panic" | "invariant-violation" | "config" | "checkpoint" => Some(false),
-            _ => None,
         }
     }
 }
@@ -390,31 +363,6 @@ mod tests {
         // Normal doubling is untouched.
         assert_eq!(escalate_budget(1000, 0), 1000);
         assert_eq!(escalate_budget(1000, 2), 4000);
-    }
-
-    #[test]
-    fn kind_reclassification_agrees_with_retryable() {
-        let samples: Vec<CellError> = vec![
-            CellError::Panic {
-                message: "x".into(),
-            },
-            CellError::Sim(SimError::CycleLimit { limit: 1 }),
-            CellError::Sim(SimError::Timeout {
-                elapsed_ms: 2,
-                budget_ms: 1,
-            }),
-            CellError::Sim(SimError::Cancelled { cycle: 9 }),
-            CellError::Sim(SimError::Config(mcgpu_types::ConfigError::new("bad"))),
-        ];
-        for e in samples {
-            assert_eq!(
-                CellError::kind_retryable(e.kind()),
-                Some(e.retryable()),
-                "{}",
-                e.kind()
-            );
-        }
-        assert_eq!(CellError::kind_retryable("not-a-kind"), None);
     }
 
     #[test]

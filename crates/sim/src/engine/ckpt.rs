@@ -19,10 +19,10 @@
 //!   [`Simulator::restore`] re-attaches the in-progress kernel's streams
 //!   before decoding cursor state. A fingerprint over every access
 //!   guards against re-attaching a different workload;
-//! * builder-provided run limits (`max_cycles`, watchdog window,
-//!   deadline, audit period) — the caller configures the new simulator
-//!   identically, and a restore under *different* limits is a feature
-//!   (e.g. extending the budget of a timed-out run);
+//! * builder-provided run limits (`max_cycles`, watchdog window, audit
+//!   period) — the caller configures the new simulator identically, and a
+//!   restore under *different* limits is a feature (e.g. extending the
+//!   budget of a run that hit its cycle limit);
 //! * per-cycle scratch buffers and spare-entry pools — allocation reuse
 //!   only, no simulation-visible state.
 //!
@@ -32,7 +32,7 @@
 //! snapshot readable and a torn file is detected, never misparsed.
 
 use super::coherence::SharerDirectory;
-use super::diagnostics::{SimError, DEADLINE_CHECK_PERIOD};
+use super::diagnostics::SimError;
 use super::Simulator;
 use crate::org::Pause;
 use crate::packet::RingPayload;
@@ -347,15 +347,20 @@ impl Simulator {
         self.restore(&payload, wl)
     }
 
+    /// The coarse cycle grid periodic checkpoint writes land on: a write
+    /// is due only at cycles `≡ 1 (mod CKPT_GRID_PERIOD)`, so the trigger
+    /// costs one branch per cycle and the skip scan one grid.
+    pub(super) const CKPT_GRID_PERIOD: u64 = 65_536;
+
     /// Periodic-trigger hook, called once per cycle from the run loop.
-    /// Fires on the coarse deadline-check grid once `ckpt_interval`
-    /// cycles have elapsed since the last write; no-ops (one branch) when
-    /// checkpointing is off.
+    /// Fires on the [`CKPT_GRID_PERIOD`](Self::CKPT_GRID_PERIOD) grid once
+    /// `ckpt_interval` cycles have elapsed since the last write; no-ops
+    /// (one branch) when checkpointing is off.
     pub(super) fn maybe_checkpoint(&mut self) -> Result<(), SimError> {
         if self.ckpt_interval == 0 {
             return Ok(());
         }
-        if self.cycle % DEADLINE_CHECK_PERIOD != 1
+        if self.cycle % Self::CKPT_GRID_PERIOD != 1
             || self.cycle.saturating_sub(self.last_ckpt_cycle) < self.ckpt_interval
         {
             return Ok(());

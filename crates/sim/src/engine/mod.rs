@@ -64,8 +64,6 @@ pub struct SimBuilder {
     dynamic_epoch: u64,
     fault_plan: FaultPlan,
     watchdog_window: u64,
-    deadline: Option<std::time::Duration>,
-    cancel: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
     audit_period: u64,
     obs: ObsConfig,
     ckpt_path: Option<std::path::PathBuf>,
@@ -94,8 +92,6 @@ impl SimBuilder {
             dynamic_epoch: 8192,
             fault_plan: FaultPlan::none(),
             watchdog_window,
-            deadline: None,
-            cancel: None,
             audit_period: if cfg!(debug_assertions) {
                 AUDIT_PERIOD_DEFAULT
             } else {
@@ -145,27 +141,6 @@ impl SimBuilder {
         self
     }
 
-    /// Set a wall-clock deadline: the run aborts with [`SimError::Timeout`]
-    /// once this much real time has elapsed. The check is abort-only and
-    /// runs on a coarse cycle grid, so runs that complete are byte-identical
-    /// with and without a deadline.
-    pub fn deadline(mut self, budget: std::time::Duration) -> Self {
-        self.deadline = Some(budget);
-        self
-    }
-
-    /// Install a cooperative cancellation flag: the run aborts with
-    /// [`SimError::Cancelled`] at the next check after the flag is set by
-    /// another thread. This is how a long-running caller (the sweep service
-    /// daemon) stops budget-expired or aborted cells promptly instead of
-    /// letting them run to completion. The flag is abort-only and polled on
-    /// the same coarse cycle grid as the wall-clock deadline, so runs that
-    /// complete are byte-identical with and without a flag installed.
-    pub fn cancel_flag(mut self, flag: std::sync::Arc<std::sync::atomic::AtomicBool>) -> Self {
-        self.cancel = Some(flag);
-        self
-    }
-
     /// Run the request-conservation audit every `period` cycles (`0`
     /// disables it). Defaults to every 4096 cycles in debug builds and off
     /// in release builds. The audit is read-only, so enabling it never
@@ -177,7 +152,7 @@ impl SimBuilder {
 
     /// Write a `mcgpu-ckpt-v1` engine snapshot to `path` roughly every
     /// `interval` cycles (`0` disables checkpointing, the default). Writes
-    /// land on the engine's coarse 65,536-cycle deadline-check grid, so the
+    /// land on the engine's coarse 65,536-cycle checkpoint grid, so the
     /// effective period is `interval` rounded up to that grid. Snapshot
     /// writing is strictly read-only with respect to simulation state:
     /// runs with checkpointing enabled are byte-identical to runs without.
@@ -257,14 +232,6 @@ pub struct Simulator {
     /// Remaining DRAM bandwidth fraction per chip (throttle only; channel
     /// failures are read off the partitions directly).
     dram_factor: Vec<f64>,
-    /// Wall-clock budget for one run (`None` = unlimited).
-    deadline: Option<std::time::Duration>,
-    /// Cooperative cancellation flag shared with the caller (`None` =
-    /// never cancelled). Polled on the deadline's coarse cycle grid.
-    cancel: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
-    /// When the current run started (set by `run_observed`; only read when
-    /// a deadline is configured).
-    deadline_start: Option<std::time::Instant>,
     /// Request-conservation audit cadence in cycles (`0` = disabled).
     audit_period: u64,
 
@@ -283,7 +250,7 @@ pub struct Simulator {
     /// Where periodic snapshots are written (`None` = checkpointing off).
     ckpt_path: Option<std::path::PathBuf>,
     /// Requested snapshot period in cycles (`0` = off); writes land on the
-    /// coarse deadline-check grid.
+    /// coarse checkpoint grid.
     ckpt_interval: u64,
     /// Cycle of the last snapshot written (or the restore point).
     last_ckpt_cycle: u64,
@@ -333,8 +300,6 @@ impl Simulator {
             dynamic_epoch: _,
             fault_plan,
             watchdog_window,
-            deadline,
-            cancel,
             audit_period,
             obs,
             ckpt_path,
@@ -365,9 +330,6 @@ impl Simulator {
             watchdog_cycle: 0,
             link_factor: vec![1.0; cfg.num_links()],
             dram_factor: vec![1.0; cfg.chips],
-            deadline,
-            deadline_start: None,
-            cancel,
             audit_period,
             stepping: false,
             skip_jumps: 0,
@@ -463,9 +425,6 @@ impl Simulator {
         every: u64,
         mut observer: impl FnMut(u64, u64, usize),
     ) -> Result<RunStats, SimError> {
-        if self.deadline.is_some() {
-            self.deadline_start = Some(std::time::Instant::now());
-        }
         if self.ckpt_interval != 0 && self.wl_fingerprint.is_none() {
             self.wl_fingerprint = Some(workload_fingerprint(wl));
         }
@@ -908,55 +867,6 @@ mod tests {
             }
             other => panic!("expected InvariantViolation, got {other}"),
         }
-    }
-
-    #[test]
-    fn wall_clock_deadline_aborts_with_timeout() {
-        let c = cfg();
-        let wl = generate(&c, &profiles::by_name("SN").unwrap(), &TraceParams::quick());
-        let err = SimBuilder::new(c)
-            .deadline(std::time::Duration::ZERO)
-            .build()
-            .expect("valid machine configuration")
-            .run(&wl)
-            .unwrap_err();
-        assert!(matches!(err, SimError::Timeout { .. }), "got {err}");
-    }
-
-    #[test]
-    fn pre_set_cancel_flag_aborts_with_cancelled() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
-        let c = cfg();
-        let wl = generate(&c, &profiles::by_name("SN").unwrap(), &TraceParams::quick());
-        let flag = Arc::new(AtomicBool::new(true));
-        let err = SimBuilder::new(c)
-            .cancel_flag(Arc::clone(&flag))
-            .build()
-            .expect("valid machine configuration")
-            .run(&wl)
-            .unwrap_err();
-        assert!(matches!(err, SimError::Cancelled { .. }), "got {err}");
-    }
-
-    #[test]
-    fn unset_cancel_flag_leaves_results_byte_identical() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
-        let c = cfg();
-        let wl = generate(&c, &profiles::by_name("SN").unwrap(), &TraceParams::quick());
-        let plain = SimBuilder::new(c.clone())
-            .build()
-            .expect("valid machine configuration")
-            .run(&wl)
-            .unwrap();
-        let flagged = SimBuilder::new(c)
-            .cancel_flag(Arc::new(AtomicBool::new(false)))
-            .build()
-            .expect("valid machine configuration")
-            .run(&wl)
-            .unwrap();
-        assert_eq!(plain.to_canonical_json(), flagged.to_canonical_json());
     }
 
     #[test]

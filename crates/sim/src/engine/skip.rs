@@ -31,8 +31,8 @@
 //!   datapath event until then.
 //! * **Sampling grids** — the observability epoch window and the caller's
 //!   throughput observer cadence.
-//! * **Guard grids** — the coarse deadline/cancel/checkpoint grid
-//!   ([`DEADLINE_CHECK_PERIOD`]) and the conservation-audit period.
+//! * **Guard grids** — the coarse checkpoint grid
+//!   ([`Simulator::CKPT_GRID_PERIOD`]) and the conservation-audit period.
 //! * **Watchdog** — the forward-progress deadline, so a wedged machine
 //!   reports [`SimError::Deadlock`](super::SimError::Deadlock) at exactly
 //!   the stepped cycle.
@@ -50,7 +50,6 @@
 //! [`tick`]: Simulator::tick
 //! [`LlcOrgPolicy::next_policy_event`]: crate::org::LlcOrgPolicy::next_policy_event
 
-use super::diagnostics::DEADLINE_CHECK_PERIOD;
 use super::tick::OCC_SAMPLE_PERIOD;
 use super::Simulator;
 use crate::org::Pause;
@@ -140,10 +139,9 @@ impl Simulator {
             event = event.min(next_on_grid(now, every, 0));
         }
 
-        // Guard grids: cancellation/deadline polls and checkpoint writes
-        // share the coarse grid; the conservation audit has its own.
-        if self.cancel.is_some() || self.deadline.is_some() || self.ckpt_interval != 0 {
-            event = event.min(next_on_grid(now, DEADLINE_CHECK_PERIOD, 1));
+        // Guard grids: checkpoint writes and the conservation audit.
+        if self.ckpt_interval != 0 {
+            event = event.min(next_on_grid(now, Self::CKPT_GRID_PERIOD, 1));
         }
         if self.audit_period != 0 {
             event = event.min(next_on_grid(now, self.audit_period, 0));

@@ -295,14 +295,6 @@ pub const REGISTRY: [OrgDescriptor; 5] = [
     },
 ];
 
-/// The registry row for `kind`.
-pub fn descriptor(kind: LlcOrgKind) -> &'static OrgDescriptor {
-    REGISTRY
-        .iter()
-        .find(|d| d.kind == kind)
-        .expect("every organization is registered")
-}
-
 /// Resolve a CLI token (or an organization's display label) to its
 /// organization. Tokens are the canonical spelling; labels are accepted so
 /// journal files and `--org SAC` keep working.
@@ -311,12 +303,6 @@ pub fn org_by_token(token: &str) -> Option<LlcOrgKind> {
         .iter()
         .find(|d| d.token == token || d.kind.label() == token)
         .map(|d| d.kind)
-}
-
-/// Every registered CLI token, in registry order — the vocabulary quoted by
-/// unknown-organization errors.
-pub fn tokens() -> Vec<&'static str> {
-    REGISTRY.iter().map(|d| d.token).collect()
 }
 
 /// Build the policy implementing `kind` on the machine described by `cfg`.
@@ -348,7 +334,7 @@ mod tests {
     fn registry_covers_every_organization_once() {
         assert_eq!(REGISTRY.len(), LlcOrgKind::ALL.len());
         for kind in LlcOrgKind::ALL {
-            assert_eq!(descriptor(kind).kind, kind);
+            assert_eq!(REGISTRY.iter().filter(|d| d.kind == kind).count(), 1);
         }
     }
 

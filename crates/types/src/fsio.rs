@@ -1,11 +1,11 @@
 //! Durable, atomic file writes.
 //!
-//! Every on-disk artifact that must survive a crash — the run journal, the
-//! serve manifest, engine checkpoints — is written through this module's
-//! single primitive: write a sibling `*.tmp` file, `fsync` it, atomically
-//! `rename` it over the destination, then `fsync` the directory so the
-//! rename itself is durable. A reader therefore sees either the complete
-//! previous file or the complete new file, never a torn mixture.
+//! Every on-disk artifact that must survive a crash — the run journal and
+//! engine checkpoints — is written through this module's single primitive:
+//! write a sibling `*.tmp` file, `fsync` it, atomically `rename` it over the
+//! destination, then `fsync` the directory so the rename itself is durable.
+//! A reader therefore sees either the complete previous file or the
+//! complete new file, never a torn mixture.
 //!
 //! # Failure injection
 //!
@@ -14,9 +14,8 @@
 //! thread-local one-shot [`FailPoint`] that makes the *next* matching I/O
 //! step fail exactly the way a power loss at that instant would look
 //! (half-written tmp file, unsynced data, missing rename). Production code
-//! never arms it; tests use it to prove the journal, manifest and
-//! checkpoint writers either complete atomically or leave the previous
-//! state readable.
+//! never arms it; tests use it to prove the journal and checkpoint writers
+//! either complete atomically or leave the previous state readable.
 
 use std::cell::Cell;
 use std::fs;
@@ -120,31 +119,6 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
     sync_parent_dir(path)
 }
 
-/// Durably append `bytes` to `path` (creating it if absent): `write` +
-/// `fsync`. Append-only logs (the run journal) use this; atomicity there
-/// comes from the reader skipping a torn final record, not from rename.
-///
-/// # Errors
-/// Propagates the underlying I/O error. An armed [`FailPoint::ShortWrite`]
-/// appends only a prefix; an armed [`FailPoint::Fsync`] appends everything
-/// but fails before durability.
-pub fn append_durable(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let mut f = fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
-    if trip(FailPoint::ShortWrite) {
-        f.write_all(&bytes[..bytes.len() / 2])?;
-        let _ = f.sync_all();
-        return Err(injected("short append"));
-    }
-    f.write_all(bytes)?;
-    if trip(FailPoint::Fsync) {
-        return Err(injected("fsync"));
-    }
-    f.sync_all()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,20 +171,6 @@ mod tests {
         inject_failure(None);
         atomic_write(&p, b"v2").unwrap();
         assert_eq!(fs::read(&p).unwrap(), b"v2");
-    }
-
-    #[test]
-    fn append_durable_appends() {
-        let d = tdir("append");
-        let p = d.join("log.jsonl");
-        append_durable(&p, b"a\n").unwrap();
-        append_durable(&p, b"b\n").unwrap();
-        assert_eq!(fs::read(&p).unwrap(), b"a\nb\n");
-        inject_failure(Some(FailPoint::ShortWrite));
-        assert!(append_durable(&p, b"cccccccc\n").is_err());
-        let got = fs::read(&p).unwrap();
-        assert!(got.starts_with(b"a\nb\n"));
-        assert!(got.len() < b"a\nb\ncccccccc\n".len(), "torn tail");
     }
 
     #[test]

@@ -34,7 +34,6 @@ pub mod mode;
 pub mod obs;
 pub mod packet;
 pub mod pipe;
-pub mod serve;
 
 pub use addr::{Address, LineAddr, PageAddr, SectorId};
 pub use budget::BandwidthBudget;
@@ -54,4 +53,3 @@ pub use mode::{EngineMode, ModeDescriptor, ENGINE_MODES};
 pub use obs::{ObsConfig, ObsLevel};
 pub use packet::{AccessKind, MemAccess, Request, RequestId, Response, ResponseOrigin};
 pub use pipe::{earliest_event, Pipe};
-pub use serve::{CellPhase, RequestPhase, ServeErrorCode};
