@@ -203,6 +203,27 @@ fn main() {
         }
     }
 
+    // NN memory-side at the figure-sweep volume: its dense trace keeps
+    // the cluster MSHR files near their 256-entry limit and hundreds of
+    // fetches pending at each slice, which the 20k SN cells above never
+    // reach. A return to scanning the MSHR tables fails `--check` here.
+    {
+        let cfg = MachineConfig::experiment_baseline();
+        let params = TraceParams {
+            total_accesses: 150_000,
+            ..TraceParams::standard()
+        };
+        let wl = generate(&cfg, &profiles::by_name("NN").expect("profile"), &params);
+        samples.push(measure("end_to_end_nn_150k_memory_side", target, || {
+            SimBuilder::new(cfg.clone())
+                .organization(LlcOrgKind::MemorySide)
+                .build()
+                .expect("valid machine configuration")
+                .run(black_box(&wl))
+                .unwrap();
+        }));
+    }
+
     // Tick loop under hardware coherence (stresses the sharer directory).
     {
         let mut cfg = MachineConfig::experiment_baseline();

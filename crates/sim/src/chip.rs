@@ -1,6 +1,7 @@
 //! Per-chip hardware: clusters, NoCs, LLC slices, memory partition.
 
 use crate::cluster::Cluster;
+use crate::mshr::MshrTable;
 use crate::packet::{ReqEnvelope, RingPayload, RspEnvelope};
 use mcgpu_cache::{CacheConfig, SetAssocCache};
 use mcgpu_mem::MemoryPartition;
@@ -14,26 +15,26 @@ const PORT_QUEUE: usize = 32;
 const SLICE_QUEUE: usize = 48;
 
 /// Slice MSHRs: outstanding line fetches with the requests merged onto
-/// them, stored as a flat `(line index, waiters)` table with a recycled
-/// waiter-list pool. The table holds one entry per fetch in flight at one
-/// slice — small enough that a linear scan beats hashing — and completed
-/// entries return their `Vec` to the pool, so steady-state operation does
-/// not allocate.
+/// them, in an `MshrTable` of `(line index, waiters)` with a recycled
+/// waiter-list pool. A slice under dense traffic holds hundreds of fetches
+/// in flight, and the table makes every lookup O(1). Completed entries
+/// return their `Vec` to the pool, so steady-state operation does not
+/// allocate.
 #[derive(Debug, Default)]
 pub struct PendingFetches {
-    entries: Vec<(u64, Vec<ReqEnvelope>)>,
+    table: MshrTable<Vec<ReqEnvelope>>,
     spare: Vec<Vec<ReqEnvelope>>,
 }
 
 impl PendingFetches {
     /// Whether a fetch for `line` is outstanding.
     pub fn contains(&self, line: u64) -> bool {
-        self.entries.iter().any(|(l, _)| *l == line)
+        self.table.contains(line)
     }
 
     /// Merge `env` onto the outstanding fetch for `line`, if one exists.
     pub fn merge(&mut self, line: u64, env: ReqEnvelope) -> bool {
-        if let Some((_, waiters)) = self.entries.iter_mut().find(|(l, _)| *l == line) {
+        if let Some(waiters) = self.table.get_mut(line) {
             waiters.push(env);
             true
         } else {
@@ -43,17 +44,22 @@ impl PendingFetches {
 
     /// Register a new outstanding fetch for `line` with no waiters yet (the
     /// initiating request rides the memory path itself).
+    ///
+    /// # Panics
+    /// Panics when a fetch for `line` is already outstanding: its fill
+    /// would complete only one of the two entries.
     pub fn begin(&mut self, line: u64) {
-        debug_assert!(!self.contains(line));
         let waiters = self.spare.pop().unwrap_or_default();
-        self.entries.push((line, waiters));
+        assert!(
+            self.table.insert(line, waiters),
+            "fetch for line {line:#x} begun twice"
+        );
     }
 
     /// Complete the fetch for `line`, returning its merged waiters. Give
     /// the `Vec` back via [`recycle`](PendingFetches::recycle) once drained.
     pub fn take(&mut self, line: u64) -> Option<Vec<ReqEnvelope>> {
-        let i = self.entries.iter().position(|(l, _)| *l == line)?;
-        Some(self.entries.swap_remove(i).1)
+        self.table.remove(line)
     }
 
     /// Return a drained waiter list to the pool.
@@ -64,19 +70,20 @@ impl PendingFetches {
 
     /// Total requests waiting on outstanding fetches.
     pub fn waiting(&self) -> usize {
-        self.entries.iter().map(|(_, w)| w.len()).sum()
+        self.table.entries().iter().map(|(_, w)| w.len()).sum()
     }
 
     /// Whether no fetch is outstanding.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.table.is_empty()
     }
 
-    /// Serialize the outstanding fetches into a checkpoint payload. The
-    /// recycled spare pool is allocation-only state and is not saved.
+    /// Serialize the outstanding fetches, in table order, into a checkpoint
+    /// payload. The recycled spare pool is allocation-only state and is not
+    /// saved.
     pub fn save(&self, e: &mut mcgpu_types::Enc) {
-        e.put_seq_len(self.entries.len());
-        for (line, waiters) in &self.entries {
+        e.put_seq_len(self.table.len());
+        for (line, waiters) in self.table.entries() {
             e.put_u64(*line);
             e.put_seq_len(waiters.len());
             for w in waiters {
@@ -85,13 +92,14 @@ impl PendingFetches {
         }
     }
 
-    /// Restore state saved by [`PendingFetches::save`].
+    /// Restore state saved by [`PendingFetches::save`], in its saved order.
     ///
     /// # Errors
-    /// Returns a decode error on truncated or malformed input.
+    /// Returns a decode error on truncated or malformed input, or when the
+    /// snapshot lists a line twice.
     pub fn load_into(&mut self, d: &mut mcgpu_types::Dec<'_>) -> mcgpu_types::CkptResult<()> {
         let n = d.get_seq_len()?;
-        self.entries.clear();
+        self.table.clear();
         for _ in 0..n {
             let line = d.get_u64()?;
             let m = d.get_seq_len()?;
@@ -100,7 +108,11 @@ impl PendingFetches {
             for _ in 0..m {
                 waiters.push(ReqEnvelope::load(d)?);
             }
-            self.entries.push((line, waiters));
+            if !self.table.insert(line, waiters) {
+                return Err(mcgpu_types::CkptError::Decode(format!(
+                    "slice snapshot lists a pending fetch for line {line:#x} twice"
+                )));
+            }
         }
         Ok(())
     }
@@ -414,6 +426,29 @@ mod tests {
         assert_eq!(chip.xbar_req.ports(), cfg.slices_per_chip);
         assert_eq!(chip.xbar_rsp.ports(), cfg.clusters_per_chip);
         assert!(chip.is_quiescent());
+    }
+
+    #[test]
+    fn restore_rejects_a_pending_fetch_listed_twice() {
+        let load = |p: &mut PendingFetches, lines: &[u64]| {
+            let mut e = mcgpu_types::Enc::new();
+            e.put_seq_len(lines.len());
+            for &line in lines {
+                e.put_u64(line);
+                e.put_seq_len(0);
+            }
+            p.load_into(&mut mcgpu_types::Dec::new(&e.into_bytes()))
+        };
+        let mut pending = PendingFetches::default();
+        load(&mut pending, &[0x15, 0x2a]).expect("distinct lines load");
+        assert!(pending.contains(0x15) && pending.contains(0x2a));
+
+        // The second entry would never complete: one fill takes one entry.
+        let err = load(&mut pending, &[0x2a, 0x15, 0x2a]).unwrap_err();
+        assert!(
+            matches!(&err, mcgpu_types::CkptError::Decode(m) if m.contains("0x2a")),
+            "got {err}"
+        );
     }
 
     #[test]

@@ -1,31 +1,33 @@
 //! SM-cluster frontend: trace-driven request generation behind a private
 //! write-through L1 with MSHRs.
 
+use crate::mshr::MshrTable;
 use mcgpu_cache::{CacheConfig, DataHome, LookupOutcome, SetAssocCache};
 use mcgpu_types::{AccessKind, ClusterId, LineAddr, MachineConfig, MemAccess, SectorId};
 use std::sync::Arc;
 
-/// The cluster's MSHR file: a preallocated flat table of
-/// `(line index, merged count)` entries, linear-scanned on lookup. The
-/// table never exceeds `mshrs_per_cluster` entries (64 in the baseline),
-/// where a scan beats hashing and the storage never reallocates on the
+/// The cluster's MSHR file: read misses in flight, each with its count of
+/// merged accesses. It holds at most `mshrs_per_cluster` entries (256 at
+/// experiment scale, where a dense trace keeps it nearly full), so it is
+/// an [`MshrTable`]: merge, allocate and retire are O(1). The entry
+/// vector is preallocated to the limit and never reallocates on the
 /// per-cycle path.
 #[derive(Debug)]
-struct MshrFile {
-    entries: Vec<(u64, u32)>,
+pub(crate) struct MshrFile {
+    table: MshrTable<u32>,
 }
 
 impl MshrFile {
-    fn with_capacity(limit: usize) -> Self {
+    pub(crate) fn with_capacity(limit: usize) -> Self {
         MshrFile {
-            entries: Vec::with_capacity(limit),
+            table: MshrTable::with_capacity(limit),
         }
     }
 
     /// Merge another access onto an outstanding miss. Returns `false` when
     /// no fetch for `line` is in flight.
-    fn merge(&mut self, line: u64) -> bool {
-        if let Some((_, merged)) = self.entries.iter_mut().find(|(l, _)| *l == line) {
+    pub(crate) fn merge(&mut self, line: u64) -> bool {
+        if let Some(merged) = self.table.get_mut(line) {
             *merged += 1;
             true
         } else {
@@ -34,26 +36,67 @@ impl MshrFile {
     }
 
     /// Allocate a new entry for `line` with one merged access.
-    fn allocate(&mut self, line: u64) {
-        debug_assert!(!self.entries.iter().any(|(l, _)| *l == line));
-        self.entries.push((line, 1));
+    ///
+    /// # Panics
+    /// Panics when a miss for `line` is already outstanding: a second
+    /// fetch of the same line would leave an entry no response retires.
+    pub(crate) fn allocate(&mut self, line: u64) {
+        assert!(
+            self.table.insert(line, 1),
+            "MSHR for line {line:#x} allocated twice"
+        );
     }
 
     /// Retire the entry for `line`, returning its merged count (1 when the
     /// fill had no registered miss, e.g. an L1 refill after a flush).
-    fn retire(&mut self, line: u64) -> u32 {
-        match self.entries.iter().position(|(l, _)| *l == line) {
-            Some(i) => self.entries.swap_remove(i).1,
-            None => 1,
+    pub(crate) fn retire(&mut self, line: u64) -> u32 {
+        self.table.remove(line).unwrap_or(1)
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.table.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.table.is_empty()
+    }
+
+    /// Serialize the entries, in table order, into a checkpoint payload.
+    pub(crate) fn save(&self, e: &mut mcgpu_types::Enc) {
+        e.put_seq_len(self.table.len());
+        for &(line, merged) in self.table.entries() {
+            e.put_u64(line);
+            e.put_u32(merged);
         }
     }
 
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+    /// Restore entries saved by [`MshrFile::save`], in their saved order.
+    ///
+    /// # Errors
+    /// Returns a decode error on truncated input, on more than `limit`
+    /// entries, or on a line listed twice.
+    pub(crate) fn load_into(
+        &mut self,
+        d: &mut mcgpu_types::Dec<'_>,
+        limit: usize,
+    ) -> mcgpu_types::CkptResult<()> {
+        let n = d.get_seq_len()?;
+        if n > limit {
+            return Err(mcgpu_types::CkptError::Decode(format!(
+                "cluster snapshot has {n} MSHR entries, the limit is {limit}"
+            )));
+        }
+        self.table.clear();
+        for _ in 0..n {
+            let line = d.get_u64()?;
+            let merged = d.get_u32()?;
+            if !self.table.insert(line, merged) {
+                return Err(mcgpu_types::CkptError::Decode(format!(
+                    "cluster snapshot lists MSHR line {line:#x} twice"
+                )));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -281,11 +324,7 @@ impl Cluster {
         e.put_usize(self.cursor);
         e.put_u32(self.gap_remaining);
         e.put_u32(self.compute_gap);
-        e.put_seq_len(self.mshrs.entries.len());
-        for &(line, merged) in &self.mshrs.entries {
-            e.put_u64(line);
-            e.put_u32(merged);
-        }
+        self.mshrs.save(e);
         e.put_bool(self.deferred.is_some());
         if let Some(acc) = &self.deferred {
             e.put_access(acc);
@@ -300,8 +339,10 @@ impl Cluster {
     /// against the attached stream.
     ///
     /// # Errors
-    /// Returns a decode error on truncated or malformed input, or when the
-    /// saved cursor runs past the attached trace.
+    /// Returns a decode error on truncated or malformed input, when the
+    /// saved cursor runs past the attached trace, or when the saved MSHR
+    /// file lists a line twice or holds more than `mshrs_per_cluster`
+    /// entries.
     pub fn load_into(&mut self, d: &mut mcgpu_types::Dec<'_>) -> mcgpu_types::CkptResult<()> {
         self.l1.load_into(d)?;
         let cursor = d.get_usize()?;
@@ -314,13 +355,7 @@ impl Cluster {
         self.cursor = cursor;
         self.gap_remaining = d.get_u32()?;
         self.compute_gap = d.get_u32()?;
-        let n = d.get_seq_len()?;
-        self.mshrs.entries.clear();
-        for _ in 0..n {
-            let line = d.get_u64()?;
-            let merged = d.get_u32()?;
-            self.mshrs.entries.push((line, merged));
-        }
+        self.mshrs.load_into(d, self.mshr_limit)?;
         self.deferred = if d.get_bool()? {
             Some(d.get_access()?)
         } else {
@@ -419,6 +454,50 @@ mod tests {
         assert_eq!(a, again);
         assert!(needs);
         assert!(!c.done());
+    }
+
+    /// A snapshot of `c` with an empty stream position and an MSHR file
+    /// listing `lines`, one merged access each.
+    fn snapshot_with_mshrs(c: &Cluster, lines: &[u64]) -> Vec<u8> {
+        let mut e = mcgpu_types::Enc::new();
+        c.l1.save(&mut e);
+        e.put_usize(0);
+        e.put_u32(0);
+        e.put_u32(0);
+        e.put_seq_len(lines.len());
+        for &line in lines {
+            e.put_u64(line);
+            e.put_u32(1);
+        }
+        e.put_bool(false);
+        e.put_u64(0);
+        e.put_u64(0);
+        e.into_bytes()
+    }
+
+    #[test]
+    fn restore_rejects_a_duplicate_or_overfull_mshr_file() {
+        let mut cfg = cfg();
+        cfg.mshrs_per_cluster = 2;
+        let mut c = Cluster::new(&cfg, ClusterId::new(ChipId(0), 0));
+        let load = |c: &mut Cluster, lines: &[u64]| {
+            let snapshot = snapshot_with_mshrs(c, lines);
+            c.load_into(&mut mcgpu_types::Dec::new(&snapshot))
+        };
+        load(&mut c, &[0x2a, 0x2b]).expect("a full file of distinct lines loads");
+        assert_eq!(c.outstanding(), 2);
+
+        // A line listed twice would leave an entry no response retires.
+        let err = load(&mut c, &[0x2a, 0x2a]).unwrap_err();
+        assert!(
+            matches!(&err, mcgpu_types::CkptError::Decode(m) if m.contains("0x2a")),
+            "got {err}"
+        );
+        let err = load(&mut c, &[1, 2, 3]).unwrap_err();
+        assert!(
+            matches!(&err, mcgpu_types::CkptError::Decode(m) if m.contains("3 MSHR entries")),
+            "got {err}"
+        );
     }
 
     #[test]

@@ -382,6 +382,12 @@ impl Simulator {
         self.skipped_cycles
     }
 
+    /// The chips, for the crate's own tests.
+    #[cfg(test)]
+    pub(crate) fn chips(&self) -> &[Chip] {
+        &self.chips
+    }
+
     /// Apply (or clear) the policy's way split on every LLC slice.
     fn apply_partitioning(&mut self) {
         let split = self.policy.way_split();

@@ -1,0 +1,113 @@
+//! The miss table both MSHR tiers share: the SM cluster's L1 MSHR file
+//! and each LLC slice's pending-fetch table.
+
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Outstanding misses keyed by line index. The entries live in a flat
+/// `(line, value)` vector in allocation order, deleted by swap-remove, and
+/// an index maps each line to its slot, so lookup, insertion and removal
+/// are O(1) however full the table runs. The vector's order is the
+/// checkpoint order: [`entries`](MshrTable::entries) hands it to `save`,
+/// so the index changes no snapshot byte.
+#[derive(Debug, Default)]
+pub(crate) struct MshrTable<V> {
+    entries: Vec<(u64, V)>,
+    slots: HashMap<u64, usize, BuildHasherDefault<LineHasher>>,
+}
+
+impl<V> MshrTable<V> {
+    /// An empty table whose entry vector holds `capacity` entries without
+    /// reallocating. The index is not pre-sized: it grows with use.
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        MshrTable {
+            entries: Vec::with_capacity(capacity),
+            slots: HashMap::default(),
+        }
+    }
+
+    /// Whether `line` has an entry.
+    pub(crate) fn contains(&self, line: u64) -> bool {
+        self.slots.contains_key(&line)
+    }
+
+    /// The value of `line`'s entry, if it has one.
+    pub(crate) fn get_mut(&mut self, line: u64) -> Option<&mut V> {
+        let slot = *self.slots.get(&line)?;
+        Some(&mut self.entries[slot].1)
+    }
+
+    /// Append an entry for `line`. Returns `false`, leaving the table
+    /// unchanged and dropping `value`, when `line` already has one.
+    pub(crate) fn insert(&mut self, line: u64, value: V) -> bool {
+        match self.slots.entry(line) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(slot) => {
+                slot.insert(self.entries.len());
+                self.entries.push((line, value));
+                true
+            }
+        }
+    }
+
+    /// Remove `line`'s entry and return its value. The last entry moves
+    /// into the freed slot, as `Vec::swap_remove` moves it.
+    pub(crate) fn remove(&mut self, line: u64) -> Option<V> {
+        let slot = self.slots.remove(&line)?;
+        let (_, value) = self.entries.swap_remove(slot);
+        if let Some(&(moved, _)) = self.entries.get(slot) {
+            self.slots.insert(moved, slot);
+        }
+        Some(value)
+    }
+
+    /// Remove every entry.
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
+        self.slots.clear();
+    }
+
+    /// The entries in table order.
+    pub(crate) fn entries(&self) -> &[(u64, V)] {
+        &self.entries
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+}
+
+/// A multiplicative hasher for line indices: one 64 × 64 → 128-bit
+/// multiply by an odd constant, folded to 64 bits, so both the low bits
+/// (bucket) and the top bits (tag) of the hash depend on every key bit. A
+/// plain multiply would leave the low bits a function of the key's low
+/// bits alone, so lines that differ only above them (strided streams,
+/// page-aligned regions) would share a bucket. The keys come from the
+/// simulated address stream, not from outside input, so the table needs no
+/// defence against crafted collisions.
+#[derive(Default)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let product = u128::from(self.0 ^ n) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+#[cfg(test)]
+mod lockstep;
