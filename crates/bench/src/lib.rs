@@ -801,11 +801,6 @@ pub fn group_speedup(
     harmonic_mean(&v)
 }
 
-/// Format a float with 2 decimals.
-pub fn f2(x: f64) -> String {
-    format!("{x:.2}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -12,7 +12,7 @@ use crate::sweep;
 use mcgpu_sim::SimBuilder;
 use mcgpu_trace::Workload;
 use mcgpu_types::fault::{FaultEvent, FaultKind, FaultPlan};
-use mcgpu_types::{ChipId, LlcOrgKind, MachineConfig};
+use mcgpu_types::{ChipId, LlcOrgKind, MachineConfig, ObsConfig};
 
 /// Cycle at which mid-run scenarios inject their first fault: early enough
 /// that most of the run executes degraded (the fastest benchmarks finish
@@ -163,20 +163,23 @@ pub fn run_scenario(
     let mut sim = SimBuilder::new(cfg.clone())
         .organization(org)
         .fault_plan(FaultPlan::new(sc.events.clone()))
+        .observability(ObsConfig::metrics().with_epoch_window(500))
         .build()
         .expect("valid machine configuration");
-    let mut done_at_fault = 0u64;
-    let fault_cycle = sc.fault_cycle;
-    let result = sim.run_observed(wl, 500, |cycle, done, _| {
-        if cycle <= fault_cycle {
-            done_at_fault = done;
-        }
-    });
-    match result {
+    match sim.run(wl) {
         Ok(stats) if stats.cycles <= sc.fault_cycle => {
             Outcome::Failed("finished before the fault hit".to_string())
         }
         Ok(stats) => {
+            // Work retired by the fault cycle: the epochs that end there.
+            let done_at_fault: u64 = sim
+                .take_obs_report()
+                .expect("observability is enabled")
+                .timeline
+                .iter()
+                .filter(|e| e.end_cycle <= sc.fault_cycle)
+                .map(|e| e.reads + e.writes)
+                .sum();
             let work = stats.reads + stats.writes;
             let post_cycles = stats.cycles - sc.fault_cycle;
             Outcome::Done {

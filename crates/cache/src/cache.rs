@@ -192,11 +192,6 @@ impl SetAssocCache {
         &self.stats
     }
 
-    /// Reset the statistics (e.g. at a profiling-window boundary).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     /// Partition each set's ways into `local_ways` for local data and the
     /// rest for remote data. Existing contents stay resident (and can still
     /// hit) until evicted. Pass the full associativity to dedicate everything

@@ -151,13 +151,6 @@ impl ProfileCollector {
         .clamped()
     }
 
-    /// Total counter + CRD storage in bytes per chip (§3.6).
-    pub fn storage_bytes_per_chip(&self) -> usize {
-        let slices_per_chip = self.mem_side_slices.len() / self.crds.len().max(1);
-        crate::overhead::HardwareOverhead::new(self.crds[0].storage_bytes(), slices_per_chip)
-            .total_bytes()
-    }
-
     /// Reset the rate counters but keep the CRD directory contents warm:
     /// used at the profiling window's midpoint so both the measured
     /// memory-side hit rate and the CRD's predicted SM-side hit rate

@@ -341,7 +341,7 @@ pub fn estimate_cell(
             remote_crossings * (read_wire * (1.0 - write_frac) + write_wire * write_frac);
         // A full boundary flush writes replicated remote dirty granules
         // back to their homes across the fabric, a full line each
-        // (`RingPayload::Writeback`). The tiered organizations' partial
+        // (`FabricPayload::Writeback`). The tiered organizations' partial
         // flushes move too little to model (measured < 3% of cell traffic).
         if flushes_each_kernel {
             let distinct_remote: u64 = k.distinct_remote.iter().sum();

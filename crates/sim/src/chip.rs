@@ -2,7 +2,7 @@
 
 use crate::cluster::Cluster;
 use crate::mshr::MshrTable;
-use crate::packet::{ReqEnvelope, RingPayload, RspEnvelope};
+use crate::packet::{FabricPayload, ReqEnvelope, RspEnvelope};
 use mcgpu_cache::{CacheConfig, SetAssocCache};
 use mcgpu_mem::MemoryPartition;
 use mcgpu_noc::Crossbar;
@@ -179,11 +179,11 @@ pub struct Chip {
     /// The chip's memory partition.
     pub memory: MemoryPartition,
     /// NoC leg carrying traffic towards the inter-chip links.
-    pub ring_egress: Pipe<RingPayload>,
-    /// Payloads waiting to enter `ring_egress`.
-    pub pending_ring: VecDeque<RingPayload>,
-    /// Payload that left `ring_egress` but found the ring link full.
-    pub ring_retry: Option<RingPayload>,
+    pub fabric_egress: Pipe<FabricPayload>,
+    /// Payloads waiting to enter `fabric_egress`.
+    pub pending_fabric: VecDeque<FabricPayload>,
+    /// Payload that left `fabric_egress` but found the fabric link full.
+    pub fabric_retry: Option<FabricPayload>,
     /// Requests (from the ring) waiting to enter `xbar_req`.
     pub pending_req: VecDeque<ReqEnvelope>,
     /// Responses waiting to enter `xbar_rsp`.
@@ -229,9 +229,9 @@ impl Chip {
                 cfg.dram_latency,
                 cfg.line_size,
             ),
-            ring_egress: Pipe::new(cfg.egress_gbs(id), 4, Some(PORT_QUEUE)),
-            pending_ring: VecDeque::new(),
-            ring_retry: None,
+            fabric_egress: Pipe::new(cfg.egress_gbs(id), 4, Some(PORT_QUEUE)),
+            pending_fabric: VecDeque::new(),
+            fabric_retry: None,
             pending_req: VecDeque::new(),
             pending_rsp: VecDeque::new(),
             bypass_to_mem: Pipe::latency_only(8),
@@ -248,9 +248,9 @@ impl Chip {
                 .iter()
                 .all(|s| s.service.is_empty() && s.pending.is_empty())
             && self.memory.is_empty()
-            && self.ring_egress.is_empty()
-            && self.pending_ring.is_empty()
-            && self.ring_retry.is_none()
+            && self.fabric_egress.is_empty()
+            && self.pending_fabric.is_empty()
+            && self.fabric_retry.is_none()
             && self.pending_req.is_empty()
             && self.pending_rsp.is_empty()
             && self.bypass_to_mem.is_empty()
@@ -258,15 +258,15 @@ impl Chip {
 
     /// The next cycle after `now` at which this chip's datapath can move:
     /// `now + 1` while a ring-side queue (`pending_req`, `pending_rsp`,
-    /// `pending_ring`) or the retry slot holds a payload, else the
+    /// `pending_fabric`) or the retry slot holds a payload, else the
     /// earliest next event of its crossbars, slice service pipes, memory
     /// partition, ring egress and bypass pipe. Slice MSHRs are not events
     /// of their own: they wait on a fill that one of those pipes carries.
     pub fn next_event(&self, now: u64) -> u64 {
         if !self.pending_req.is_empty()
             || !self.pending_rsp.is_empty()
-            || !self.pending_ring.is_empty()
-            || self.ring_retry.is_some()
+            || !self.pending_fabric.is_empty()
+            || self.fabric_retry.is_some()
         {
             return now + 1;
         }
@@ -275,7 +275,7 @@ impl Chip {
         earliest_event(
             now,
             std::iter::once_with(|| self.memory.next_event(now))
-                .chain(std::iter::once_with(|| self.ring_egress.next_event(now)))
+                .chain(std::iter::once_with(|| self.fabric_egress.next_event(now)))
                 .chain(std::iter::once_with(|| self.xbar_rsp.next_event(now)))
                 .chain(self.slices.iter().map(|s| s.service.next_event(now)))
                 .chain(std::iter::once_with(|| self.xbar_req.next_event(now)))
@@ -332,13 +332,13 @@ impl Chip {
             e.put_bool(s.disabled);
         }
         self.memory.save(e);
-        self.ring_egress.save_with(e, |e, p| p.save(e));
-        e.put_seq_len(self.pending_ring.len());
-        for p in &self.pending_ring {
+        self.fabric_egress.save_with(e, |e, p| p.save(e));
+        e.put_seq_len(self.pending_fabric.len());
+        for p in &self.pending_fabric {
             p.save(e);
         }
-        e.put_bool(self.ring_retry.is_some());
-        if let Some(p) = &self.ring_retry {
+        e.put_bool(self.fabric_retry.is_some());
+        if let Some(p) = &self.fabric_retry {
             p.save(e);
         }
         e.put_seq_len(self.pending_req.len());
@@ -386,14 +386,14 @@ impl Chip {
             s.disabled = d.get_bool()?;
         }
         self.memory.load_into(d)?;
-        self.ring_egress = Pipe::load_with(d, RingPayload::load)?;
+        self.fabric_egress = Pipe::load_with(d, FabricPayload::load)?;
         let n = d.get_seq_len()?;
-        self.pending_ring.clear();
+        self.pending_fabric.clear();
         for _ in 0..n {
-            self.pending_ring.push_back(RingPayload::load(d)?);
+            self.pending_fabric.push_back(FabricPayload::load(d)?);
         }
-        self.ring_retry = if d.get_bool()? {
-            Some(RingPayload::load(d)?)
+        self.fabric_retry = if d.get_bool()? {
+            Some(FabricPayload::load(d)?)
         } else {
             None
         };

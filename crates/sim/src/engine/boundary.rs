@@ -3,7 +3,7 @@
 
 use super::{SimError, Simulator};
 use crate::org::BoundaryAction;
-use crate::packet::RingPayload;
+use crate::packet::FabricPayload;
 use mcgpu_cache::DataHome;
 use mcgpu_types::{CoherenceKind, LineAddr};
 
@@ -45,7 +45,7 @@ impl Simulator {
         if home.index() == c {
             self.chips[c].memory.push_writeback(line);
         } else {
-            self.push_ring(c, RingPayload::Writeback { line, home });
+            self.push_fabric(c, FabricPayload::Writeback { line, home });
         }
     }
 

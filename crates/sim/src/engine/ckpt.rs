@@ -35,7 +35,7 @@ use super::coherence::SharerDirectory;
 use super::diagnostics::SimError;
 use super::Simulator;
 use crate::org::Pause;
-use crate::packet::RingPayload;
+use crate::packet::FabricPayload;
 use crate::stats::KernelStats;
 use mcgpu_mem::PageTable;
 use mcgpu_trace::Workload;
@@ -155,7 +155,7 @@ impl Simulator {
 
         // Memory-system and network state.
         self.page_table.save(&mut e);
-        self.ring.save_with(&mut e, |e, p| p.save(e));
+        self.fabric.save_with(&mut e, |e, p| p.save(e));
         e.put_seq_len(self.chips.len());
         for chip in &self.chips {
             chip.save(&mut e);
@@ -273,7 +273,7 @@ impl Simulator {
         }
 
         self.page_table = PageTable::load(&mut d)?;
-        self.ring.load_into(&mut d, RingPayload::load)?;
+        self.fabric.load_into(&mut d, FabricPayload::load)?;
 
         // Re-attach the in-progress kernel's access streams *before*
         // decoding the chips: cluster cursor validation needs the real

@@ -2,7 +2,7 @@
 //! write-invalidation protocol (§5.6).
 
 use super::Simulator;
-use crate::packet::RingPayload;
+use crate::packet::FabricPayload;
 use mcgpu_types::{ChipId, CoherenceKind, LineAddr};
 
 /// Chip-granularity sharer directory for hardware coherence, stored as a
@@ -94,9 +94,9 @@ impl Simulator {
         }
         for b in 0..self.cfg.chips {
             if others & (1u64 << b) != 0 {
-                self.push_ring(
+                self.push_fabric(
                     c,
-                    RingPayload::Inval {
+                    FabricPayload::Inval {
                         line,
                         target: ChipId(b as u8),
                     },

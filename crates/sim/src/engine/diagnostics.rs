@@ -3,7 +3,7 @@
 
 use super::Simulator;
 use crate::cluster::Cluster;
-use crate::packet::RingPayload;
+use crate::packet::FabricPayload;
 use mcgpu_types::ConfigError;
 
 /// Simulation failure.
@@ -117,12 +117,12 @@ pub struct ChipSnapshot {
     pub memory: usize,
     /// Requests on the ring→memory bypass path.
     pub bypass: usize,
-    /// Payloads waiting to leave the chip for the ring (including the
+    /// Payloads waiting to leave the chip for the fabric (including the
     /// egress pipe and retry slot).
-    pub ring_egress: usize,
-    /// Payloads inside the ring fabric charged to this chip (link pipes,
+    pub fabric_egress: usize,
+    /// Payloads inside the inter-chip fabric charged to this chip (link pipes,
     /// transit buffers, undelivered arrivals).
-    pub ring_fabric: usize,
+    pub fabric: usize,
 }
 
 impl ChipSnapshot {
@@ -135,8 +135,8 @@ impl ChipSnapshot {
             + self.slice_pending
             + self.memory
             + self.bypass
-            + self.ring_egress
-            + self.ring_fabric
+            + self.fabric_egress
+            + self.fabric
     }
 }
 
@@ -155,8 +155,8 @@ impl std::fmt::Display for DeadlockSnapshot {
                 c.slice_pending,
                 c.memory,
                 c.bypass,
-                c.ring_egress,
-                c.ring_fabric
+                c.fabric_egress,
+                c.fabric
             )?;
         }
         Ok(())
@@ -174,9 +174,9 @@ pub struct ConservationReport {
     pub in_flight: u64,
     /// Request-carrying queue entries found machine-wide.
     pub accounted: u64,
-    /// Request-carrying ring-fabric packets (machine-wide; the ring does
+    /// Request-carrying fabric packets (machine-wide; the fabric does
     /// not attribute transit packets to a chip).
-    pub ring_fabric: usize,
+    pub fabric: usize,
     /// Per-chip breakdown of the accounted entries.
     pub chips: Vec<ChipConservation>,
 }
@@ -200,8 +200,8 @@ pub struct ChipConservation {
     pub bypass: usize,
     /// Responses inside the response crossbar and its ingress queue.
     pub network_rsp: usize,
-    /// Request/response payloads waiting to leave the chip for the ring.
-    pub ring_egress: usize,
+    /// Request/response payloads waiting to leave the chip for the fabric.
+    pub fabric_egress: usize,
 }
 
 impl ChipConservation {
@@ -213,7 +213,7 @@ impl ChipConservation {
             + self.memory
             + self.bypass
             + self.network_rsp
-            + self.ring_egress
+            + self.fabric_egress
     }
 }
 
@@ -222,7 +222,7 @@ impl std::fmt::Display for ConservationReport {
         write!(
             f,
             "in_flight={} but accounted={} (ring fabric {})",
-            self.in_flight, self.accounted, self.ring_fabric
+            self.in_flight, self.accounted, self.fabric
         )?;
         for c in &self.chips {
             write!(
@@ -235,7 +235,7 @@ impl std::fmt::Display for ConservationReport {
                 c.memory,
                 c.bypass,
                 c.network_rsp,
-                c.ring_egress
+                c.fabric_egress
             )?;
         }
         Ok(())
@@ -255,8 +255,8 @@ impl Simulator {
             .sum();
         self.cluster_reads_total()
             + self.writes_done
-            + self.ring.delivered()
-            + self.ring.bytes_sent()
+            + self.fabric.delivered()
+            + self.fabric.bytes_sent()
             + dram
     }
 
@@ -296,8 +296,8 @@ impl Simulator {
     /// and the run's statistics can no longer be trusted, so the audit
     /// fails fast with the full breakdown.
     pub(super) fn audit_conservation(&self) -> Result<(), SimError> {
-        fn carries_request(p: &RingPayload) -> bool {
-            matches!(p, RingPayload::Req(_) | RingPayload::Rsp(_))
+        fn carries_request(p: &FabricPayload) -> bool {
+            matches!(p, FabricPayload::Req(_) | FabricPayload::Rsp(_))
         }
         let chips: Vec<ChipConservation> = self
             .chips
@@ -311,22 +311,22 @@ impl Simulator {
                 memory: chip.memory.pending_requests(),
                 bypass: chip.bypass_to_mem.len(),
                 network_rsp: chip.pending_rsp.len() + chip.xbar_rsp.len(),
-                ring_egress: chip
-                    .pending_ring
+                fabric_egress: chip
+                    .pending_fabric
                     .iter()
                     .filter(|p| carries_request(p))
                     .count()
                     + chip
-                        .ring_egress
+                        .fabric_egress
                         .iter()
                         .filter(|p| carries_request(p))
                         .count()
-                    + chip.ring_retry.as_ref().is_some_and(carries_request) as usize,
+                    + chip.fabric_retry.as_ref().is_some_and(carries_request) as usize,
             })
             .collect();
-        let ring_fabric = self.ring.count_matching(carries_request);
+        let fabric = self.fabric.count_matching(carries_request);
         let accounted =
-            chips.iter().map(ChipConservation::total).sum::<usize>() as u64 + ring_fabric as u64;
+            chips.iter().map(ChipConservation::total).sum::<usize>() as u64 + fabric as u64;
         if accounted == self.in_flight {
             return Ok(());
         }
@@ -335,7 +335,7 @@ impl Simulator {
             report: Box::new(ConservationReport {
                 in_flight: self.in_flight,
                 accounted,
-                ring_fabric,
+                fabric,
                 chips,
             }),
         })
@@ -357,10 +357,10 @@ impl Simulator {
                 slice_pending: chip.slices.iter().map(|s| s.pending.waiting()).sum(),
                 memory: chip.memory.len(),
                 bypass: chip.bypass_to_mem.len(),
-                ring_egress: chip.pending_ring.len()
-                    + chip.ring_egress.len()
-                    + usize::from(chip.ring_retry.is_some()),
-                ring_fabric: self.ring.chip_load(chip.id),
+                fabric_egress: chip.pending_fabric.len()
+                    + chip.fabric_egress.len()
+                    + usize::from(chip.fabric_retry.is_some()),
+                fabric: self.fabric.chip_load(chip.id),
             })
             .collect();
         DeadlockSnapshot {

@@ -29,12 +29,12 @@ impl Simulator {
     fn apply_fault(&mut self, kind: FaultKind) {
         match kind {
             FaultKind::LinkDegrade { a, b, factor } => {
-                self.ring.degrade_link(a, b, factor);
+                self.fabric.degrade_link(a, b, factor);
                 let p = self.pair_index(a, b);
                 self.link_factor[p] = factor;
             }
             FaultKind::LinkFail { a, b } => {
-                self.ring.fail_link(a, b);
+                self.fabric.fail_link(a, b);
                 let p = self.pair_index(a, b);
                 self.link_factor[p] = 0.0;
             }

@@ -42,7 +42,7 @@ use crate::chip::Chip;
 use crate::cluster::Cluster;
 use crate::obs::{ChipSample, MachineSnapshot, ObsReport, Observer};
 use crate::org::{self, LlcOrgPolicy, Pause, RouteMode};
-use crate::packet::RingPayload;
+use crate::packet::FabricPayload;
 use crate::stats::{KernelStats, RunStats};
 use coherence::SharerDirectory;
 use mcgpu_mem::{DramRequest, PageTable};
@@ -204,7 +204,7 @@ pub struct Simulator {
     /// decision, plus the organization's internal controller state.
     policy: Box<dyn LlcOrgPolicy>,
     chips: Vec<Chip>,
-    ring: FabricNetwork<RingPayload>,
+    fabric: FabricNetwork<FabricPayload>,
     page_table: PageTable,
     cycle: u64,
     max_cycles: u64,
@@ -284,8 +284,8 @@ pub struct Simulator {
 
     // --- per-cycle scratch buffers (reused, never reallocated in steady
     // state) ---
-    /// Ring arrivals being dispatched this cycle.
-    ring_scratch: Vec<RingPayload>,
+    /// Fabric arrivals being dispatched this cycle.
+    fabric_scratch: Vec<FabricPayload>,
     /// DRAM completions being processed this cycle.
     dram_scratch: Vec<DramRequest>,
 }
@@ -310,12 +310,12 @@ impl Simulator {
             .enabled()
             .then(|| Box::new(Observer::new(obs, cfg.chips)));
         let chips: Vec<Chip> = ChipId::all(cfg.chips).map(|c| Chip::new(&cfg, c)).collect();
-        let ring = FabricNetwork::new(&cfg, 32);
+        let fabric = FabricNetwork::new(&cfg, 32);
 
         let mut sim = Simulator {
             page_table: PageTable::new(cfg.page_size),
             chips,
-            ring,
+            fabric,
             cycle: 0,
             max_cycles,
             next_id: 0,
@@ -350,7 +350,7 @@ impl Simulator {
             occ_local: 0.0,
             occ_fill: 0.0,
             kernels: Vec::new(),
-            ring_scratch: Vec::new(),
+            fabric_scratch: Vec::new(),
             dram_scratch: Vec::new(),
             cfg,
         };
@@ -410,27 +410,14 @@ impl Simulator {
     // Main loop.
     // ------------------------------------------------------------------
 
-    /// Run a complete workload, returning its statistics.
+    /// Run a complete workload, returning its statistics. For the
+    /// run's time-varying view (Fig. 12), enable the epoch timeline with
+    /// [`SimBuilder::observability`] and read it from
+    /// [`Simulator::take_obs_report`] afterwards.
     ///
     /// # Errors
     /// [`SimError::CycleLimit`] if the run exceeds the cycle budget.
     pub fn run(&mut self, wl: &Workload) -> Result<RunStats, SimError> {
-        self.run_observed(wl, u64::MAX, |_, _, _| {})
-    }
-
-    /// Like [`run`](Simulator::run), but invokes `observer(cycle,
-    /// completed_accesses, active_clusters)` every `every` cycles — the
-    /// instantaneous throughput timeline behind Fig. 12's time-varying
-    /// analysis.
-    ///
-    /// # Errors
-    /// [`SimError::CycleLimit`] if the run exceeds the cycle budget.
-    pub fn run_observed(
-        &mut self,
-        wl: &Workload,
-        every: u64,
-        mut observer: impl FnMut(u64, u64, usize),
-    ) -> Result<RunStats, SimError> {
         if self.ckpt_interval != 0 && self.wl_fingerprint.is_none() {
             self.wl_fingerprint = Some(workload_fingerprint(wl));
         }
@@ -468,7 +455,7 @@ impl Simulator {
                 self.work_before = self.cluster_reads_total() + self.writes_done;
 
                 let (now, ring_bytes, mem_bytes) =
-                    (self.cycle, self.ring.bytes_sent(), self.mem_bytes_total());
+                    (self.cycle, self.fabric.bytes_sent(), self.mem_bytes_total());
                 self.policy.begin_kernel(now, ring_bytes, mem_bytes);
             }
             let kernel_start_cycle = self.kernel_start_cycle;
@@ -477,18 +464,11 @@ impl Simulator {
             // Execute until the kernel completes.
             while !self.kernel_done() {
                 if !self.stepping {
-                    self.skip_to_next_event(every);
+                    self.skip_to_next_event();
                 }
                 self.tick(true);
                 self.check_progress()?;
                 self.maybe_checkpoint()?;
-                if every != u64::MAX && self.cycle.is_multiple_of(every) {
-                    observer(
-                        self.cycle,
-                        self.cluster_reads_total() + self.writes_done,
-                        self.active_clusters(),
-                    );
-                }
                 if self.cycle >= self.max_cycles {
                     return Err(SimError::CycleLimit {
                         limit: self.max_cycles,
@@ -533,11 +513,11 @@ impl Simulator {
     }
 
     fn machine_quiescent(&self) -> bool {
-        self.in_flight == 0 && self.ring.is_empty() && self.chips.iter().all(Chip::is_quiescent)
+        self.in_flight == 0 && self.fabric.is_empty() && self.chips.iter().all(Chip::is_quiescent)
     }
 
     /// Number of clusters still executing their current kernel stream.
-    pub fn active_clusters(&self) -> usize {
+    fn active_clusters(&self) -> usize {
         self.chips
             .iter()
             .flat_map(|c| c.clusters.iter())
@@ -595,7 +575,7 @@ impl Simulator {
                             .sum::<usize>()) as u64,
                     llc_accesses: cl.accesses,
                     llc_hits: cl.hits,
-                    ring_sent_bytes: self.ring.bytes_sent_from(ChipId(c as u8)),
+                    ring_sent_bytes: self.fabric.bytes_sent_from(ChipId(c as u8)),
                 }
             })
             .collect();
@@ -605,8 +585,8 @@ impl Simulator {
             writes: self.writes_done,
             in_flight: self.in_flight,
             active_clusters: self.active_clusters() as u64,
-            ring_bytes: self.ring.bytes_sent(),
-            ring_delivered: self.ring.delivered(),
+            ring_bytes: self.fabric.bytes_sent(),
+            ring_delivered: self.fabric.delivered(),
             noc_bytes: self
                 .chips
                 .iter()
@@ -718,7 +698,7 @@ impl Simulator {
             } else {
                 0.0
             },
-            ring_bytes: self.ring.bytes_sent(),
+            ring_bytes: self.fabric.bytes_sent(),
             dram_reads: self.chips.iter().map(|c| c.memory.served_reads()).sum(),
             dram_writes: self.chips.iter().map(|c| c.memory.served_writes()).sum(),
             overhead_cycles: self.overhead_cycles,

@@ -29,8 +29,7 @@
 //!   organization's `on_cycle` hook can next act (SAC profiling deadlines,
 //!   divergence-monitor expiry, Dynamic epoch boundaries), assuming no
 //!   datapath event until then.
-//! * **Sampling grids** — the observability epoch window and the caller's
-//!   throughput observer cadence.
+//! * **Sampling grid** — the observability epoch window.
 //! * **Guard grids** — the coarse checkpoint grid
 //!   ([`Simulator::CKPT_GRID_PERIOD`]) and the conservation-audit period.
 //! * **Watchdog** — the forward-progress deadline, so a wedged machine
@@ -95,9 +94,8 @@ impl Simulator {
     /// Jump the clock to one cycle before the earliest next event when
     /// that lies more than one cycle ahead, replaying the skipped cycles'
     /// cluster gap countdowns and occupancy samples. Called from the main
-    /// run loop before each tick; `every` is the caller's
-    /// throughput-observer cadence (`u64::MAX` = none).
-    pub(super) fn skip_to_next_event(&mut self, every: u64) {
+    /// run loop before each tick.
+    pub(super) fn skip_to_next_event(&mut self) {
         // A paused machine is draining for SAC, which counts overhead
         // every cycle.
         if self.pause != Pause::Running {
@@ -108,7 +106,7 @@ impl Simulator {
 
         // Datapath first, cheapest checks first: a busy cycle leaves at
         // the first component that acts next cycle.
-        let mut event = self.ring.next_event(now);
+        let mut event = self.fabric.next_event(now);
         if event <= soon {
             return;
         }
@@ -130,13 +128,9 @@ impl Simulator {
         // The organization's next possible action.
         event = event.min(self.policy.next_policy_event(now).max(soon));
 
-        // Sampling grids: observability epochs, the caller's throughput
-        // observer.
+        // Sampling grid: observability epochs.
         if let Some(o) = self.obs.as_deref() {
             event = event.min(next_on_grid(now, o.epoch_window(), 0));
-        }
-        if every != u64::MAX {
-            event = event.min(next_on_grid(now, every, 0));
         }
 
         // Guard grids: checkpoint writes and the conservation audit.

@@ -6,15 +6,15 @@ use super::Simulator;
 use crate::chip::Chip;
 use crate::cluster::Cluster;
 use crate::org::{EpochCtx, Pause, RouteMode};
-use crate::packet::{FillAction, ReqEnvelope, ReqStage, RingPayload, RspEnvelope};
+use crate::packet::{FabricPayload, FillAction, ReqEnvelope, ReqStage, RspEnvelope};
 use mcgpu_cache::{DataHome, LookupOutcome};
 use mcgpu_mem::{interleave, DramRequest};
 use mcgpu_types::{
     AccessKind, ChipId, LineAddr, MemAccess, Request, RequestId, Response, ResponseOrigin,
 };
 
-/// Ring egress queue bound (requests waiting to leave the chip).
-const PENDING_RING_LIMIT: usize = 64;
+/// Fabric egress queue bound (requests waiting to leave the chip).
+const PENDING_FABRIC_LIMIT: usize = 64;
 /// Maximum instructions a cluster may run ahead of the slowest cluster
 /// (one CTA wave of the distributed CTA scheduler).
 const CTA_WAVE_LEAD: usize = 384;
@@ -125,8 +125,8 @@ impl Simulator {
             }
         }
 
-        // Inter-chip ring.
-        self.ring_phase(now);
+        // Inter-chip fabric.
+        self.fabric_phase(now);
 
         // Controllers and sampling.
         self.controller_phase(now);
@@ -230,8 +230,10 @@ impl Simulator {
                         .xbar_req
                         .try_push(slice, env, env.wire_bytes())
                         .is_ok()
-                } else if self.chips[c].pending_ring.len() < PENDING_RING_LIMIT {
-                    self.chips[c].pending_ring.push_back(RingPayload::Req(env));
+                } else if self.chips[c].pending_fabric.len() < PENDING_FABRIC_LIMIT {
+                    self.chips[c]
+                        .pending_fabric
+                        .push_back(FabricPayload::Req(env));
                     true
                 } else {
                     false
@@ -368,18 +370,18 @@ impl Simulator {
                             // The tiered organizations write remote data
                             // through to the home slice instead of
                             // replicating written lines locally.
-                            self.push_ring(
+                            self.push_fabric(
                                 c,
-                                RingPayload::Req(ReqEnvelope {
+                                FabricPayload::Req(ReqEnvelope {
                                     req: env.req,
                                     stage: ReqStage::ToHomeSlice,
                                 }),
                             );
                         } else {
                             self.begin_fetch(c, s, line);
-                            self.push_ring(
+                            self.push_fabric(
                                 c,
-                                RingPayload::Req(ReqEnvelope {
+                                FabricPayload::Req(ReqEnvelope {
                                     req: env.req,
                                     stage: ReqStage::ToHomeMemBypass,
                                 }),
@@ -404,9 +406,9 @@ impl Simulator {
                                     slice: Some(s as u16),
                                 });
                             } else {
-                                self.push_ring(
+                                self.push_fabric(
                                     c,
-                                    RingPayload::Req(ReqEnvelope {
+                                    FabricPayload::Req(ReqEnvelope {
                                         req: env.req,
                                         stage: ReqStage::ToHomeMemBypass,
                                     }),
@@ -415,9 +417,9 @@ impl Simulator {
                         }
                         RouteMode::Tiered => {
                             debug_assert_ne!(home, chip_id, "local-homed goes ToHomeSlice");
-                            self.push_ring(
+                            self.push_fabric(
                                 c,
-                                RingPayload::Req(ReqEnvelope {
+                                FabricPayload::Req(ReqEnvelope {
                                     req: env.req,
                                     stage: ReqStage::ToHomeSlice,
                                 }),
@@ -501,9 +503,9 @@ impl Simulator {
                     .page_table
                     .lookup(page)
                     .expect("cached lines have mapped pages");
-                self.push_ring(
+                self.push_fabric(
                     c,
-                    RingPayload::Writeback {
+                    FabricPayload::Writeback {
                         line: ev.line,
                         home,
                     },
@@ -580,7 +582,7 @@ impl Simulator {
         if requester == chip_id {
             self.chips[c].pending_rsp.push_back(env);
         } else {
-            self.push_ring(c, RingPayload::Rsp(env));
+            self.push_fabric(c, FabricPayload::Rsp(env));
         }
     }
 
@@ -601,66 +603,66 @@ impl Simulator {
         }
     }
 
-    /// Queue a payload for the inter-chip ring (bounded; requests check the
+    /// Queue a payload for the inter-chip fabric (bounded; requests check the
     /// bound before issue, internal traffic may exceed it briefly).
-    pub(super) fn push_ring(&mut self, c: usize, payload: RingPayload) {
-        self.chips[c].pending_ring.push_back(payload);
+    pub(super) fn push_fabric(&mut self, c: usize, payload: FabricPayload) {
+        self.chips[c].pending_fabric.push_back(payload);
     }
 
-    fn ring_dest(&self, p: &RingPayload, from: ChipId) -> ChipId {
+    fn fabric_dest(&self, p: &FabricPayload, from: ChipId) -> ChipId {
         let d = match p {
-            RingPayload::Req(env) => env.req.home,
-            RingPayload::Rsp(env) => env.rsp.dest.chip,
-            RingPayload::Writeback { home, .. } => *home,
-            RingPayload::Inval { target, .. } => *target,
+            FabricPayload::Req(env) => env.req.home,
+            FabricPayload::Rsp(env) => env.rsp.dest.chip,
+            FabricPayload::Writeback { home, .. } => *home,
+            FabricPayload::Inval { target, .. } => *target,
         };
         debug_assert_ne!(d, from, "ring payloads must cross chips");
         d
     }
 
-    fn ring_phase(&mut self, now: u64) {
+    fn fabric_phase(&mut self, now: u64) {
         let line_size = self.cfg.line_size;
-        // Egress: retry, drain pending into the egress pipe, pipe into ring.
+        // Egress: retry, drain pending into the egress pipe, pipe into the fabric.
         for c in 0..self.chips.len() {
             let from = ChipId(c as u8);
-            if let Some(p) = self.chips[c].ring_retry.take() {
-                let dest = self.ring_dest(&p, from);
+            if let Some(p) = self.chips[c].fabric_retry.take() {
+                let dest = self.fabric_dest(&p, from);
                 let bytes = p.wire_bytes(line_size);
-                if let Err(e) = self.ring.try_send(from, dest, p, bytes) {
-                    self.chips[c].ring_retry = Some(e.into_payload());
+                if let Err(e) = self.fabric.try_send(from, dest, p, bytes) {
+                    self.chips[c].fabric_retry = Some(e.into_payload());
                 }
             }
-            while let Some(p) = self.chips[c].pending_ring.front() {
+            while let Some(p) = self.chips[c].pending_fabric.front() {
                 let bytes = p.wire_bytes(line_size);
                 let p = *p;
-                if self.chips[c].ring_egress.try_push(p, bytes).is_err() {
+                if self.chips[c].fabric_egress.try_push(p, bytes).is_err() {
                     break;
                 }
-                self.chips[c].pending_ring.pop_front();
+                self.chips[c].pending_fabric.pop_front();
             }
-            self.chips[c].ring_egress.tick(now);
-            while self.chips[c].ring_retry.is_none() {
-                let Some(p) = self.chips[c].ring_egress.pop_ready(now) else {
+            self.chips[c].fabric_egress.tick(now);
+            while self.chips[c].fabric_retry.is_none() {
+                let Some(p) = self.chips[c].fabric_egress.pop_ready(now) else {
                     break;
                 };
-                let dest = self.ring_dest(&p, from);
+                let dest = self.fabric_dest(&p, from);
                 let bytes = p.wire_bytes(line_size);
-                if let Err(e) = self.ring.try_send(from, dest, p, bytes) {
-                    self.chips[c].ring_retry = Some(e.into_payload());
+                if let Err(e) = self.fabric.try_send(from, dest, p, bytes) {
+                    self.chips[c].fabric_retry = Some(e.into_payload());
                 }
             }
         }
 
-        self.ring.tick(now);
+        self.fabric.tick(now);
 
         // Arrivals.
         for c in 0..self.chips.len() {
             let chip_id = ChipId(c as u8);
-            let mut arrivals = std::mem::take(&mut self.ring_scratch);
-            self.ring.pop_arrivals_into(chip_id, now, &mut arrivals);
+            let mut arrivals = std::mem::take(&mut self.fabric_scratch);
+            self.fabric.pop_arrivals_into(chip_id, now, &mut arrivals);
             for p in arrivals.drain(..) {
                 match p {
-                    RingPayload::Req(env) => match env.stage {
+                    FabricPayload::Req(env) => match env.stage {
                         ReqStage::ToHomeSlice => self.chips[c].pending_req.push_back(env),
                         ReqStage::ToHomeMemBypass => {
                             let bytes = env.wire_bytes();
@@ -673,7 +675,7 @@ impl Simulator {
                             unreachable!("local-slice requests never ride the ring")
                         }
                     },
-                    RingPayload::Rsp(env) => {
+                    FabricPayload::Rsp(env) => {
                         let is_write = env.rsp.access.kind.is_write();
                         if env.fill == FillAction::FillLocalSlice {
                             let line = env.rsp.access.addr.line(self.cfg.line_size);
@@ -699,18 +701,18 @@ impl Simulator {
                             self.chips[c].pending_rsp.push_back(env);
                         }
                     }
-                    RingPayload::Writeback { line, home } => {
+                    FabricPayload::Writeback { line, home } => {
                         debug_assert_eq!(home, chip_id);
                         self.chips[c].memory.push_writeback(line);
                     }
-                    RingPayload::Inval { line, target } => {
+                    FabricPayload::Inval { line, target } => {
                         debug_assert_eq!(target, chip_id);
                         let s = self.slice_of(line);
                         self.chips[c].slices[s].cache.invalidate(line);
                     }
                 }
             }
-            self.ring_scratch = arrivals;
+            self.fabric_scratch = arrivals;
         }
     }
 
@@ -721,17 +723,17 @@ impl Simulator {
     /// sequencing: dirty writeback, pause transition, overhead accounting,
     /// way-split repartition.
     fn controller_phase(&mut self, now: u64) {
-        let ring_bytes = self.ring.bytes_sent();
+        let ring_bytes = self.fabric.bytes_sent();
         let mem_bytes = self.mem_bytes_total();
         let actions = {
             // Borrow individual fields (all disjoint from `policy`) so the
             // policy can observe the machine while it mutates itself.
             let chips = &self.chips;
-            let ring = &self.ring;
+            let fabric = &self.fabric;
             let in_flight = self.in_flight;
             let writes_done = self.writes_done;
             let quiescent =
-                move || in_flight == 0 && ring.is_empty() && chips.iter().all(Chip::is_quiescent);
+                move || in_flight == 0 && fabric.is_empty() && chips.iter().all(Chip::is_quiescent);
             let work_done = move || {
                 chips
                     .iter()

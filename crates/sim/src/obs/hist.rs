@@ -136,14 +136,6 @@ impl LatencyHistogram {
         self.count == 0
     }
 
-    /// Count in bucket `i`.
-    ///
-    /// # Panics
-    /// Panics if `i >= HIST_BUCKETS`.
-    pub fn bucket_count(&self, i: usize) -> u64 {
-        self.counts[i]
-    }
-
     /// `(bucket index, count)` pairs for every non-empty bucket, ascending.
     pub fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.counts

@@ -29,7 +29,7 @@ pub use hist::{LatencyHistogram, HIST_BUCKETS};
 pub use timeline::{ChipSample, EpochRecorder, EpochSample, MachineSnapshot};
 pub use trace::{TraceSink, TID_KERNELS, TID_SAC};
 
-use crate::stats::JsonWriter;
+use mcgpu_types::json::CanonicalWriter;
 use mcgpu_types::{CkptError, CkptResult, Dec, Enc, ObsConfig, ResponseOrigin};
 use sac::controller::KernelRecord;
 
@@ -446,7 +446,7 @@ impl ObsReport {
     /// runs emit byte-identical documents. The trace (if any) is a separate
     /// artifact and is not embedded.
     pub fn to_canonical_json(&self) -> String {
-        let mut w = JsonWriter::new();
+        let mut w = CanonicalWriter::new();
         w.open();
         w.str_field("schema", "mcgpu-obs-v1");
         w.str_field("organization", &self.organization);
@@ -499,8 +499,8 @@ impl ObsReport {
     }
 }
 
-/// Emit one histogram as an object member named `key`.
-fn hist_object(w: &mut JsonWriter, key: &str, h: &LatencyHistogram) {
+/// Emit one histogram as an array-element object whose `class` is `key`.
+fn hist_object(w: &mut CanonicalWriter, key: &str, h: &LatencyHistogram) {
     w.open();
     w.str_field("class", key);
     w.u64_field("count", h.count());

@@ -53,17 +53,10 @@ pub struct TraceSink {
     events: Vec<Event>,
 }
 
+/// `s` escaped as the contents of a JSON string literal.
 fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    mcgpu_types::json::escape_into(s, &mut out);
     out
 }
 

@@ -60,9 +60,9 @@ impl RspEnvelope {
     }
 }
 
-/// Anything the inter-chip ring can carry.
+/// Anything the inter-chip fabric can carry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RingPayload {
+pub enum FabricPayload {
     /// A request on its way to a remote chip.
     Req(ReqEnvelope),
     /// A response on its way back.
@@ -83,14 +83,14 @@ pub enum RingPayload {
     },
 }
 
-impl RingPayload {
+impl FabricPayload {
     /// Bytes on the wire.
     pub fn wire_bytes(&self, line_size: u64) -> u64 {
         match self {
-            RingPayload::Req(e) => e.wire_bytes(),
-            RingPayload::Rsp(e) => e.wire_bytes(line_size),
-            RingPayload::Writeback { .. } => mcgpu_types::packet::RSP_HEADER_BYTES + line_size,
-            RingPayload::Inval { .. } => mcgpu_types::packet::RSP_HEADER_BYTES,
+            FabricPayload::Req(e) => e.wire_bytes(),
+            FabricPayload::Rsp(e) => e.wire_bytes(line_size),
+            FabricPayload::Writeback { .. } => mcgpu_types::packet::RSP_HEADER_BYTES + line_size,
+            FabricPayload::Inval { .. } => mcgpu_types::packet::RSP_HEADER_BYTES,
         }
     }
 }
@@ -153,24 +153,24 @@ impl RspEnvelope {
     }
 }
 
-impl RingPayload {
+impl FabricPayload {
     /// Serialize into a checkpoint payload.
     pub fn save(&self, e: &mut Enc) {
         match self {
-            RingPayload::Req(env) => {
+            FabricPayload::Req(env) => {
                 e.put_u8(0);
                 env.save(e);
             }
-            RingPayload::Rsp(env) => {
+            FabricPayload::Rsp(env) => {
                 e.put_u8(1);
                 env.save(e);
             }
-            RingPayload::Writeback { line, home } => {
+            FabricPayload::Writeback { line, home } => {
                 e.put_u8(2);
                 e.put_u64(line.0);
                 e.put_u8(home.0);
             }
-            RingPayload::Inval { line, target } => {
+            FabricPayload::Inval { line, target } => {
                 e.put_u8(3);
                 e.put_u64(line.0);
                 e.put_u8(target.0);
@@ -178,19 +178,19 @@ impl RingPayload {
         }
     }
 
-    /// Deserialize a payload saved by [`RingPayload::save`].
+    /// Deserialize a payload saved by [`FabricPayload::save`].
     ///
     /// # Errors
     /// Returns a decode error on truncated or malformed input.
     pub fn load(d: &mut Dec<'_>) -> CkptResult<Self> {
         Ok(match d.get_u8()? {
-            0 => RingPayload::Req(ReqEnvelope::load(d)?),
-            1 => RingPayload::Rsp(RspEnvelope::load(d)?),
-            2 => RingPayload::Writeback {
+            0 => FabricPayload::Req(ReqEnvelope::load(d)?),
+            1 => FabricPayload::Rsp(RspEnvelope::load(d)?),
+            2 => FabricPayload::Writeback {
                 line: LineAddr(d.get_u64()?),
                 home: ChipId(d.get_u8()?),
             },
-            3 => RingPayload::Inval {
+            3 => FabricPayload::Inval {
                 line: LineAddr(d.get_u64()?),
                 target: ChipId(d.get_u8()?),
             },
@@ -205,7 +205,7 @@ mod tests {
     use mcgpu_types::{Address, ClusterId, MemAccess, RequestId, ResponseOrigin};
 
     #[test]
-    fn ring_payload_sizes() {
+    fn fabric_payload_sizes() {
         let req = ReqEnvelope {
             req: Request {
                 id: RequestId(1),
@@ -215,7 +215,7 @@ mod tests {
             },
             stage: ReqStage::ToHomeSlice,
         };
-        assert_eq!(RingPayload::Req(req).wire_bytes(128), 16);
+        assert_eq!(FabricPayload::Req(req).wire_bytes(128), 16);
         let rsp = RspEnvelope {
             rsp: Response {
                 id: RequestId(1),
@@ -225,9 +225,9 @@ mod tests {
             },
             fill: FillAction::FillLocalSlice,
         };
-        assert_eq!(RingPayload::Rsp(rsp).wire_bytes(128), 144);
+        assert_eq!(FabricPayload::Rsp(rsp).wire_bytes(128), 144);
         assert_eq!(
-            RingPayload::Writeback {
+            FabricPayload::Writeback {
                 line: LineAddr(0),
                 home: ChipId(0)
             }
@@ -235,7 +235,7 @@ mod tests {
             144
         );
         assert_eq!(
-            RingPayload::Inval {
+            FabricPayload::Inval {
                 line: LineAddr(0),
                 target: ChipId(0)
             }

@@ -1,7 +1,7 @@
 //! End-to-end run statistics.
 
 use mcgpu_cache::CacheStats;
-use mcgpu_types::json::{parse, JsonValue};
+use mcgpu_types::json::{parse, CanonicalWriter, JsonValue};
 use mcgpu_types::{LlcOrgKind, ParseError, ResponseOrigin};
 use sac::controller::KernelRecord;
 use sac::eab::EabInputs;
@@ -160,14 +160,14 @@ impl RunStats {
     /// iff their statistics are bit-identical, so committed snapshots under
     /// `tests/golden/` catch any behavioural drift in the simulator.
     pub fn to_canonical_json(&self) -> String {
-        let mut w = JsonWriter::new();
+        let mut w = CanonicalWriter::new();
         w.open();
         w.str_field("organization", self.organization.label());
         w.u64_field("cycles", self.cycles);
         w.u64_field("reads", self.reads);
         w.u64_field("writes", self.writes);
-        w.cache_field("l1", &self.l1);
-        w.cache_field("llc", &self.llc);
+        cache_field(&mut w, "l1", &self.l1);
+        cache_field(&mut w, "llc", &self.llc);
         w.u64_array_field("responses_by_origin", &self.responses_by_origin);
         w.f64_field("llc_local_fraction", self.llc_local_fraction);
         w.f64_field("llc_occupancy", self.llc_occupancy);
@@ -355,139 +355,17 @@ impl RunStats {
     }
 }
 
-/// Tiny canonical-JSON emitter: objects and arrays with deterministic
-/// layout. Floats use `{:?}` (shortest representation that round-trips),
-/// so byte equality of the output is exactly bit equality of the stats.
-/// Shared with the observability report emitter (`crate::obs`), which
-/// uses the same conventions for its own documents.
-pub(crate) struct JsonWriter {
-    out: String,
-    indent: usize,
-    /// Whether the current container already has a member (comma control).
-    has_member: Vec<bool>,
-}
-
-impl JsonWriter {
-    pub(crate) fn new() -> Self {
-        JsonWriter {
-            out: String::new(),
-            indent: 0,
-            has_member: Vec::new(),
-        }
-    }
-
-    fn newline_key(&mut self, key: &str) {
-        self.member_separator();
-        self.out.push_str(&"  ".repeat(self.indent));
-        self.out.push('"');
-        self.out.push_str(key);
-        self.out.push_str("\": ");
-    }
-
-    fn member_separator(&mut self) {
-        if let Some(has) = self.has_member.last_mut() {
-            if *has {
-                self.out.push(',');
-            }
-            *has = true;
-        }
-        if !self.out.is_empty() {
-            self.out.push('\n');
-        }
-    }
-
-    pub(crate) fn open(&mut self) {
-        self.out.push('{');
-        self.indent += 1;
-        self.has_member.push(false);
-    }
-
-    pub(crate) fn close(&mut self) {
-        self.indent -= 1;
-        self.has_member.pop();
-        self.out.push('\n');
-        self.out.push_str(&"  ".repeat(self.indent));
-        self.out.push('}');
-    }
-
-    pub(crate) fn str_field(&mut self, key: &str, v: &str) {
-        self.newline_key(key);
-        self.out.push('"');
-        self.out.push_str(v);
-        self.out.push('"');
-    }
-
-    pub(crate) fn u64_field(&mut self, key: &str, v: u64) {
-        self.newline_key(key);
-        self.out.push_str(&v.to_string());
-    }
-
-    pub(crate) fn f64_field(&mut self, key: &str, v: f64) {
-        self.newline_key(key);
-        self.out.push_str(&format!("{v:?}"));
-    }
-
-    pub(crate) fn bool_field(&mut self, key: &str, v: bool) {
-        self.newline_key(key);
-        self.out.push_str(if v { "true" } else { "false" });
-    }
-
-    pub(crate) fn u64_array_field(&mut self, key: &str, vs: &[u64]) {
-        self.newline_key(key);
-        self.out.push('[');
-        for (i, v) in vs.iter().enumerate() {
-            if i > 0 {
-                self.out.push_str(", ");
-            }
-            self.out.push_str(&v.to_string());
-        }
-        self.out.push(']');
-    }
-
-    fn cache_field(&mut self, key: &str, s: &CacheStats) {
-        self.newline_key(key);
-        self.open();
-        self.u64_field("accesses", s.accesses);
-        self.u64_field("hits", s.hits);
-        self.u64_field("misses", s.misses);
-        self.u64_field("sector_misses", s.sector_misses);
-        self.u64_field("fills", s.fills);
-        self.u64_field("evictions", s.evictions);
-        self.u64_field("fill_rejections", s.fill_rejections);
-        self.close();
-    }
-
-    pub(crate) fn array_field(
-        &mut self,
-        key: &str,
-        len: usize,
-        mut item: impl FnMut(&mut Self, usize),
-    ) {
-        self.newline_key(key);
-        if len == 0 {
-            self.out.push_str("[]");
-            return;
-        }
-        self.out.push('[');
-        self.indent += 1;
-        self.has_member.push(false);
-        for i in 0..len {
-            self.member_separator();
-            self.out.push_str(&"  ".repeat(self.indent));
-            // The item itself opens an object; suppress its key machinery.
-            item(self, i);
-        }
-        self.indent -= 1;
-        self.has_member.pop();
-        self.out.push('\n');
-        self.out.push_str(&"  ".repeat(self.indent));
-        self.out.push(']');
-    }
-
-    pub(crate) fn finish(mut self) -> String {
-        self.out.push('\n');
-        self.out
-    }
+/// Emit one cache's counters as an object member named `key`.
+fn cache_field(w: &mut CanonicalWriter, key: &str, s: &CacheStats) {
+    w.object_field(key, |w| {
+        w.u64_field("accesses", s.accesses);
+        w.u64_field("hits", s.hits);
+        w.u64_field("misses", s.misses);
+        w.u64_field("sector_misses", s.sector_misses);
+        w.u64_field("fills", s.fills);
+        w.u64_field("evictions", s.evictions);
+        w.u64_field("fill_rejections", s.fill_rejections);
+    });
 }
 
 /// Harmonic mean of positive values, as the paper uses for average speedups.

@@ -2,7 +2,7 @@
 
 use mcgpu_sim::SimBuilder;
 use mcgpu_trace::{generate, profiles, TraceParams};
-use mcgpu_types::{CoherenceKind, LlcOrgKind, MachineConfig};
+use mcgpu_types::{CoherenceKind, LlcOrgKind, MachineConfig, ObsConfig};
 
 fn cfg() -> MachineConfig {
     MachineConfig::experiment_baseline()
@@ -116,24 +116,26 @@ fn hardware_coherence_changes_traffic_not_work() {
 }
 
 #[test]
-fn observer_reports_monotone_progress() {
+fn timeline_tiles_the_run_and_sums_to_run_stats() {
     let c = cfg();
     let wl = generate(&c, &profiles::by_name("BS").unwrap(), &params(40_000));
     let mut sim = SimBuilder::new(c)
         .organization(LlcOrgKind::MemorySide)
+        .observability(ObsConfig::metrics().with_epoch_window(2_000))
         .build()
         .expect("valid machine configuration");
-    let mut samples = Vec::new();
-    sim.run_observed(&wl, 2_000, |cycle, done, active| {
-        samples.push((cycle, done, active));
-    })
-    .unwrap();
-    assert!(!samples.is_empty());
-    for w in samples.windows(2) {
-        assert!(w[1].0 > w[0].0, "cycles increase");
-        assert!(w[1].1 >= w[0].1, "completed work never decreases");
+    let s = sim.run(&wl).unwrap();
+    let timeline = sim.take_obs_report().unwrap().timeline;
+    assert_eq!(timeline.first().unwrap().start_cycle, 0);
+    assert_eq!(timeline.last().unwrap().end_cycle, s.cycles);
+    for w in timeline.windows(2) {
+        assert_eq!(w[1].start_cycle, w[0].end_cycle, "epochs are contiguous");
     }
-    assert!(samples.iter().all(|&(_, _, a)| a <= 32));
+    assert!(timeline.iter().all(|e| e.start_cycle < e.end_cycle));
+    let reads: u64 = timeline.iter().map(|e| e.reads).sum();
+    let writes: u64 = timeline.iter().map(|e| e.writes).sum();
+    assert_eq!((reads, writes), (s.reads, s.writes));
+    assert!(timeline.iter().all(|e| e.active_clusters <= 32));
 }
 
 #[test]

@@ -185,11 +185,6 @@ impl AddressLayout {
             SharingClass::TrueShared
         }
     }
-
-    /// The sharing class of the page `page`.
-    pub fn classify_page(&self, page: PageAddr) -> SharingClass {
-        self.classify(LineAddr(page.index() * self.lines_per_page))
-    }
 }
 
 #[cfg(test)]

@@ -736,30 +736,6 @@ impl MachineConfig {
         let cw = (to.index() + n - from.index()) % n;
         cw.min(n - cw)
     }
-
-    /// The next hop from `from` towards `to` along the shortest ring path.
-    /// Ties (diametrically opposite chips) are broken towards the clockwise
-    /// direction for even `from`, counter-clockwise for odd `from`, which
-    /// balances load over both directions.
-    ///
-    /// # Panics
-    /// Panics if `from == to`.
-    pub fn ring_next_hop(&self, from: ChipId, to: ChipId) -> ChipId {
-        assert_ne!(from, to, "no hop needed");
-        let n = self.chips;
-        let cw = (to.index() + n - from.index()) % n;
-        let ccw = n - cw;
-        let clockwise = match cw.cmp(&ccw) {
-            std::cmp::Ordering::Less => true,
-            std::cmp::Ordering::Greater => false,
-            std::cmp::Ordering::Equal => from.index().is_multiple_of(2),
-        };
-        if clockwise {
-            ChipId(((from.index() + 1) % n) as u8)
-        } else {
-            ChipId(((from.index() + n - 1) % n) as u8)
-        }
-    }
 }
 
 impl Default for MachineConfig {
@@ -943,26 +919,12 @@ mod tests {
     }
 
     #[test]
-    fn ring_distance_and_hops() {
+    fn ring_distances() {
         let c = MachineConfig::paper_baseline();
         assert_eq!(c.ring_distance(ChipId(0), ChipId(1)), 1);
         assert_eq!(c.ring_distance(ChipId(0), ChipId(2)), 2);
         assert_eq!(c.ring_distance(ChipId(0), ChipId(3)), 1);
         assert_eq!(c.ring_distance(ChipId(3), ChipId(0)), 1);
-        // Next hop always reduces distance.
-        for a in ChipId::all(4) {
-            for b in ChipId::all(4) {
-                if a == b {
-                    continue;
-                }
-                let hop = c.ring_next_hop(a, b);
-                if hop != b {
-                    assert!(c.ring_distance(hop, b) < c.ring_distance(a, b));
-                } else {
-                    assert_eq!(c.ring_distance(a, b), 1);
-                }
-            }
-        }
     }
 
     #[test]
@@ -971,7 +933,6 @@ mod tests {
         c.chips = 2;
         c.validate().unwrap();
         assert_eq!(c.ring_distance(ChipId(0), ChipId(1)), 1);
-        assert_eq!(c.ring_next_hop(ChipId(0), ChipId(1)), ChipId(1));
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! Minimal JSON reader for the run journal and the golden-stats format.
+//! Minimal JSON reader, and the workspace's one canonical JSON writer.
 //!
 //! The workspace has no registry access, so it cannot pull `serde_json`;
 //! this module implements just enough of RFC 8259 to read back what the
 //! workspace itself writes: the canonical `RunStats` JSON emitted by
-//! `mcgpu_sim::stats` and the JSONL records of the sweep run journal.
+//! `mcgpu_sim::stats` through [`CanonicalWriter`] and the JSONL records of
+//! the sweep run journal.
 //! Numbers keep their source text (see [`JsonValue::Number`]) so a
 //! parse → re-emit round trip is byte-exact — the property the resumable
 //! sweep journal's "replayed cells are byte-identical" guarantee rests on.
@@ -135,8 +136,8 @@ pub fn escape_into(s: &str, out: &mut String) {
 /// shortest-roundtrip `{:?}` form, strings escaped through
 /// [`escape_into`]. Byte equality of two documents written this way is
 /// exactly bit equality of what was written — the property the golden
-/// snapshots, the sweep journal, and the figure-regression reports all
-/// rest on.
+/// snapshots, the observability reports, the sweep journal, and the
+/// figure-regression reports all rest on.
 ///
 /// # Example
 /// ```
@@ -257,32 +258,36 @@ impl CanonicalWriter {
         self.out.push(']');
     }
 
-    /// `"key": [1.5, 2.5, ...]` on one line (for short numeric vectors).
-    pub fn f64_array_field(&mut self, key: &str, vs: &[f64]) {
+    /// `"key": [a, b, ...]` on one line, each element written by `item`.
+    fn inline_array<T>(&mut self, key: &str, vs: &[T], mut item: impl FnMut(&mut String, &T)) {
         self.newline_key(key);
         self.out.push('[');
         for (i, v) in vs.iter().enumerate() {
             if i > 0 {
                 self.out.push_str(", ");
             }
-            self.out.push_str(&format!("{v:?}"));
+            item(&mut self.out, v);
         }
         self.out.push(']');
     }
 
+    /// `"key": [1, 2, ...]` on one line (for short integer vectors).
+    pub fn u64_array_field(&mut self, key: &str, vs: &[u64]) {
+        self.inline_array(key, vs, |out, v| out.push_str(&v.to_string()));
+    }
+
+    /// `"key": [1.5, 2.5, ...]` on one line (for short numeric vectors).
+    pub fn f64_array_field(&mut self, key: &str, vs: &[f64]) {
+        self.inline_array(key, vs, |out, v| out.push_str(&format!("{v:?}")));
+    }
+
     /// `"key": ["a", "b", ...]` on one line (for short string vectors).
     pub fn str_array_field(&mut self, key: &str, vs: &[&str]) {
-        self.newline_key(key);
-        self.out.push('[');
-        for (i, v) in vs.iter().enumerate() {
-            if i > 0 {
-                self.out.push_str(", ");
-            }
-            self.out.push('"');
-            escape_into(v, &mut self.out);
-            self.out.push('"');
-        }
-        self.out.push(']');
+        self.inline_array(key, vs, |out, v| {
+            out.push('"');
+            escape_into(v, out);
+            out.push('"');
+        });
     }
 
     /// Terminate the document with a trailing newline and return it.
