@@ -309,6 +309,31 @@ fn main() {
         }));
     }
 
+    // The BFS cell of the `sparse_compute` benchmark workload: a dense K1
+    // alternating with a K2 at a 2,000-cycle compute gap (the Fig. 12
+    // phases), 8k accesses on the 4-chip ring. `sparse_sn_1k` is nearly
+    // all skipped cycles; this cell still ticks through its dense kernel
+    // and the short latency windows of its sparse one, so it follows the
+    // cost of each remaining tick.
+    {
+        let cfg = MachineConfig::experiment_baseline();
+        let mut p = profiles::by_name("BFS").expect("profile");
+        p.kernels[1].compute_gap = 2_000;
+        let params = TraceParams {
+            total_accesses: 8_000,
+            ..TraceParams::standard()
+        };
+        let wl = generate(&cfg, &p, &params);
+        samples.push(measure("sparse_bfs_alt_8k", target, || {
+            SimBuilder::new(cfg.clone())
+                .organization(LlcOrgKind::Sac)
+                .build()
+                .expect("valid machine configuration")
+                .run(black_box(&wl))
+                .unwrap();
+        }));
+    }
+
     // Sweep-runner dispatch overhead on trivial jobs.
     samples.push(measure("sweep_map_64_trivial_jobs", target, || {
         sac_bench::sweep::map(black_box((0u64..64).collect()), |i| i.wrapping_mul(3));

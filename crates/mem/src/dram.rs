@@ -7,7 +7,7 @@
 //! banks (§3.3: "We verified that this is indeed the case for our setup").
 
 use crate::interleave;
-use mcgpu_types::{earliest_event, AccessKind, LineAddr, Pipe, Request};
+use mcgpu_types::{earliest_event, AccessKind, ActiveSet, LineAddr, Pipe, Request};
 
 /// A request queued at a DRAM channel, retaining what the simulator needs to
 /// route the eventual response.
@@ -25,9 +25,17 @@ pub struct DramRequest {
 }
 
 /// One chip's memory partition: a set of independent DRAM channels.
+///
+/// A tick, a pop and a next-event query visit only the channels that are
+/// not [dormant](Pipe::is_dormant), so their cost follows the traffic
+/// rather than the channel count.
 #[derive(Debug, Clone)]
 pub struct MemoryPartition {
     channels: Vec<Pipe<DramRequest>>,
+    /// Channels that may not be dormant: a push adds its channel, a tick
+    /// that leaves a channel dormant removes it, and a restore, throttle
+    /// or channel failure marks every channel. Derived, never serialized.
+    active: ActiveSet,
     /// Channels still accepting traffic; a failed channel's queue is
     /// redistributed and it stops being a PAE target.
     channel_alive: Vec<bool>,
@@ -53,6 +61,7 @@ impl MemoryPartition {
             channels: (0..channels)
                 .map(|_| Pipe::new(channel_gbs, latency, None))
                 .collect(),
+            active: ActiveSet::full(channels),
             channel_alive: vec![true; channels],
             base_channel_gbs: channel_gbs,
             line_size,
@@ -106,6 +115,7 @@ impl MemoryPartition {
                 ch.set_rate(rate);
             }
         }
+        self.wake_all();
     }
 
     /// Fail one channel: it stops being a PAE target and everything queued
@@ -124,6 +134,7 @@ impl MemoryPartition {
         for dreq in self.channels[channel].drain() {
             self.repush(dreq);
         }
+        self.wake_all();
         true
     }
 
@@ -149,6 +160,7 @@ impl MemoryPartition {
         self.channels[ch]
             .try_push(dreq, bytes)
             .expect("unbounded channel queue");
+        self.active.insert(ch);
     }
 
     /// Enqueue a request; the channel is chosen by the PAE hash of the line
@@ -181,9 +193,20 @@ impl MemoryPartition {
 
     /// Advance all channels one cycle.
     pub fn tick(&mut self, now: u64) {
-        for ch in &mut self.channels {
+        let channels = &mut self.channels;
+        self.active.retain(|i| {
+            let ch = &mut channels[i];
             ch.tick(now);
-        }
+            !ch.is_dormant()
+        });
+    }
+
+    /// Mark every channel active, as a restore does. Visiting a dormant
+    /// channel is a no-op, so this never changes results; the
+    /// differential tests call it every cycle to make the partition visit
+    /// every channel.
+    pub fn wake_all(&mut self) {
+        self.active.fill();
     }
 
     /// The next cycle after `now` at which ticking or popping the
@@ -191,7 +214,10 @@ impl MemoryPartition {
     /// its channels, failed ones included (`u64::MAX` when every channel
     /// is empty and saturated).
     pub fn next_event(&self, now: u64) -> u64 {
-        earliest_event(now, self.channels.iter().map(|ch| ch.next_event(now)))
+        earliest_event(
+            now,
+            self.active.iter().map(|i| self.channels[i].next_event(now)),
+        )
     }
 
     /// Pop all requests whose DRAM access completed this cycle. Writeback
@@ -206,8 +232,8 @@ impl MemoryPartition {
     /// caller-owned buffer — the per-cycle simulator loop reuses one
     /// scratch `Vec` instead of allocating each cycle.
     pub fn pop_ready_into(&mut self, now: u64, out: &mut Vec<DramRequest>) {
-        for ch in &mut self.channels {
-            while let Some(d) = ch.pop_ready(now) {
+        for i in self.active.iter() {
+            while let Some(d) = self.channels[i].pop_ready(now) {
                 if d.request.id == mcgpu_types::RequestId(u64::MAX) {
                     continue; // completed writeback
                 }
@@ -238,7 +264,7 @@ impl MemoryPartition {
 
     /// Whether all channels are idle.
     pub fn is_empty(&self) -> bool {
-        self.channels.iter().all(|c| c.is_empty())
+        self.active.iter().all(|i| self.channels[i].is_empty())
     }
 
     /// Reads served so far.
@@ -285,7 +311,7 @@ impl MemoryPartition {
 
     /// Overwrite this partition's state from a payload saved by
     /// [`MemoryPartition::save`]. The partition must have been constructed
-    /// with the same channel count.
+    /// with the same channel count. Every channel starts active.
     ///
     /// # Errors
     /// Returns a decode error on truncated input or a channel-count
@@ -321,6 +347,7 @@ impl MemoryPartition {
         self.served_reads = d.get_u64()?;
         self.served_writes = d.get_u64()?;
         self.accepted_bytes = d.get_u64()?;
+        self.wake_all();
         Ok(())
     }
 }

@@ -1,6 +1,6 @@
 //! Output-queued crossbar with a bisection-bandwidth cap.
 
-use mcgpu_types::{earliest_event, BandwidthBudget, Pipe};
+use mcgpu_types::{earliest_event, ActiveSet, BandwidthBudget, Pipe};
 
 /// An output-queued crossbar: every output port is a bandwidth- and
 /// latency-limited FIFO, and a chip-wide bisection budget caps the total
@@ -10,9 +10,16 @@ use mcgpu_types::{earliest_event, BandwidthBudget, Pipe};
 /// crossbar: internal contention shows up as the bisection cap, per-output
 /// contention as the port queues. See the [crate docs](crate) for an
 /// example.
+///
+/// Ticks, pops of every port and next-event queries visit only the ports
+/// that are not [dormant](Pipe::is_dormant), so their cost follows the
+/// traffic rather than the port count.
 #[derive(Debug, Clone)]
 pub struct Crossbar<T> {
     outputs: Vec<Pipe<T>>,
+    /// Ports that may not be dormant: a push adds its port, a tick that
+    /// leaves a port dormant removes it. Derived, never serialized.
+    active: ActiveSet,
     bisection: BandwidthBudget,
     injected_bytes: u64,
     rejected: u64,
@@ -37,6 +44,7 @@ impl<T> Crossbar<T> {
             outputs: (0..ports)
                 .map(|_| Pipe::new(port_gbs, latency, Some(queue_depth)))
                 .collect(),
+            active: ActiveSet::full(ports),
             bisection: BandwidthBudget::new(bisection_gbs),
             injected_bytes: 0,
             rejected: 0,
@@ -67,6 +75,7 @@ impl<T> Crossbar<T> {
             return Err(item);
         }
         self.injected_bytes += bytes;
+        self.active.insert(port);
         self.outputs[port].try_push(item, bytes) // cannot happen: can_push checked
     }
 
@@ -79,14 +88,42 @@ impl<T> Crossbar<T> {
     /// Advance one cycle.
     pub fn tick(&mut self, now: u64) {
         self.bisection.refill();
-        for out in &mut self.outputs {
+        let outputs = &mut self.outputs;
+        self.active.retain(|port| {
+            let out = &mut outputs[port];
             out.tick(now);
-        }
+            !out.is_dormant()
+        });
     }
 
     /// Pop the next delivered packet at output `port`, if any.
     pub fn pop_ready(&mut self, port: usize, now: u64) -> Option<T> {
         self.outputs[port].pop_ready(now)
+    }
+
+    /// Pop every delivered packet, port by port in port order, onto `out`:
+    /// what [`pop_ready`](Crossbar::pop_ready) on every port until it
+    /// returns `None` would yield, visiting only the active ports.
+    pub fn pop_all_ready_into(&mut self, now: u64, out: &mut Vec<T>) {
+        for port in self.active.iter() {
+            out.extend(std::iter::from_fn(|| self.outputs[port].pop_ready(now)));
+        }
+    }
+
+    /// The lowest port at or after `from` that is not known to be dormant:
+    /// walking from port 0 visits every port [`pop_ready`] can deliver
+    /// from, in port order. Every other port pops nothing.
+    ///
+    /// [`pop_ready`]: Crossbar::pop_ready
+    pub fn next_active_port(&self, from: usize) -> Option<usize> {
+        self.active.next_from(from)
+    }
+
+    /// Mark every port active, as a restore does. Visiting a dormant port
+    /// is a no-op, so this never changes results; the differential tests
+    /// call it every cycle to make the crossbar visit every port.
+    pub fn wake_all(&mut self) {
+        self.active.fill();
     }
 
     /// Total packets currently inside the crossbar.
@@ -96,7 +133,7 @@ impl<T> Crossbar<T> {
 
     /// Whether the crossbar holds no packets.
     pub fn is_empty(&self) -> bool {
-        self.outputs.iter().all(|o| o.is_empty())
+        self.active.iter().all(|port| self.outputs[port].is_empty())
     }
 
     /// Total bytes accepted since construction.
@@ -117,7 +154,12 @@ impl<T> Crossbar<T> {
         if !self.bisection.refill_is_noop() {
             return now + 1;
         }
-        earliest_event(now, self.outputs.iter().map(|out| out.next_event(now)))
+        earliest_event(
+            now,
+            self.active
+                .iter()
+                .map(|port| self.outputs[port].next_event(now)),
+        )
     }
 
     /// Drain all packets (LLC reconfiguration drains in-flight traffic).
@@ -142,7 +184,7 @@ impl<T> Crossbar<T> {
     }
 
     /// Deserialize a crossbar saved by [`Crossbar::save_with`], decoding
-    /// each packet with `f`.
+    /// each packet with `f`. Every port starts active.
     ///
     /// # Errors
     /// Returns a decode error on truncated or malformed input.
@@ -156,6 +198,7 @@ impl<T> Crossbar<T> {
             outputs.push(Pipe::load_with(d, &mut f)?);
         }
         Ok(Crossbar {
+            active: ActiveSet::full(outputs.len()),
             outputs,
             bisection: BandwidthBudget::load(d)?,
             injected_bytes: d.get_u64()?,

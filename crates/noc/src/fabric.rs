@@ -9,7 +9,10 @@
 //! routed once, from the table, onto the transit backlog of the link it
 //! leaves by; [`tick`] feeds each link from its backlog until the link's
 //! queue is full, so a tick costs O(links + packets moved) however deep
-//! the backlog. On the paper's ring (Table 3: 12 bidirectional
+//! the backlog. Ticks and next-event queries visit only the links that
+//! hold traffic or are still refilling their budget (an [`ActiveSet`] over
+//! the links in chip-major, slot-minor order), so an idle fabric costs
+//! nothing per cycle. On the paper's ring (Table 3: 12 bidirectional
 //! NVLink-class links in total, 3 per adjacent pair, 96 GB/s per
 //! direction per pair) this reproduces the original hard-wired ring
 //! fabric bit-for-bit: slot 0 is clockwise, slot 1 counter-clockwise, and
@@ -20,7 +23,7 @@
 //! [`tick`]: FabricNetwork::tick
 
 use crate::topology::{build_topology, Topology};
-use mcgpu_types::{earliest_event, ChipId, MachineConfig, Pipe};
+use mcgpu_types::{earliest_event, ActiveSet, ChipId, MachineConfig, Pipe};
 use std::collections::VecDeque;
 
 /// A packet travelling on the fabric towards `dest`.
@@ -96,6 +99,16 @@ pub struct FabricNetwork<T> {
     /// and leave by `slot` next, waiting for room in that link's queue,
     /// in arrival order.
     backlog: Vec<Vec<VecDeque<Transit<T>>>>,
+    /// `(chip, slot)` of each link, numbered chip-major, slot-minor.
+    link_ends: Vec<(usize, usize)>,
+    /// The number of the first link of each chip in `link_ends`.
+    first_link: Vec<usize>,
+    /// Links whose pipe may not be [dormant](Pipe::is_dormant) or whose
+    /// backlog holds packets: a send or a transit arrival adds its link, a
+    /// tick that leaves a link dormant with an empty backlog removes it,
+    /// and a restore or a link fault marks every link. Derived, never
+    /// serialized.
+    active: ActiveSet,
     /// Transit packets at each chip with no live route, in arrival order.
     /// Links never recover, so they wait here (conserved) until the
     /// engine's watchdog declares the machine wedged.
@@ -131,6 +144,19 @@ impl<T> FabricNetwork<T> {
             .iter()
             .map(|l| l.iter().map(|_| VecDeque::new()).collect())
             .collect();
+        let link_ends: Vec<(usize, usize)> = links
+            .iter()
+            .enumerate()
+            .flat_map(|(chip, l)| (0..l.len()).map(move |slot| (chip, slot)))
+            .collect();
+        let first_link = links
+            .iter()
+            .scan(0, |next, l| {
+                let first = *next;
+                *next += l.len();
+                Some(first)
+            })
+            .collect();
         let mut fabric = FabricNetwork {
             chips: n,
             topo,
@@ -138,6 +164,9 @@ impl<T> FabricNetwork<T> {
             alive,
             routes: vec![vec![None; n]; n],
             backlog,
+            active: ActiveSet::full(link_ends.len()),
+            link_ends,
+            first_link,
             stalled: (0..n).map(|_| Vec::new()).collect(),
             next_seq: 0,
             arrived: (0..n).map(|_| Vec::new()).collect(),
@@ -161,9 +190,20 @@ impl<T> FabricNetwork<T> {
     /// by, or on the stalled list when it has no live route.
     fn place(&mut self, chip: usize, entry: Transit<T>) {
         match self.routes[chip][entry.1.dest.index()] {
-            Some(slot) => self.backlog[chip][slot].push_back(entry),
+            Some(slot) => {
+                self.backlog[chip][slot].push_back(entry);
+                self.active.insert(self.first_link[chip] + slot);
+            }
             None => self.stalled[chip].push(entry),
         }
+    }
+
+    /// Mark every link active, as a restore or a link fault does. Visiting
+    /// an idle link is a no-op, so this never changes results; the
+    /// differential tests call it every cycle to make the fabric visit
+    /// every link.
+    pub fn wake_all(&mut self) {
+        self.active.fill();
     }
 
     /// Take a packet into transit at `chip`, after every packet already
@@ -216,6 +256,7 @@ impl<T> FabricNetwork<T> {
         let s_ba = self.slot_towards(b, a);
         self.links[a.index()][s_ab].set_rate(rate);
         self.links[b.index()][s_ba].set_rate(rate);
+        self.wake_all();
     }
 
     /// Fail the adjacency `a <-> b` in both directions. Packets queued or
@@ -246,6 +287,7 @@ impl<T> FabricNetwork<T> {
                 self.enter_transit(chip, pkt);
             }
         }
+        self.wake_all();
     }
 
     /// Whether the adjacency `a <-> b` is alive (in the `a -> b` direction;
@@ -293,6 +335,7 @@ impl<T> FabricNetwork<T> {
             .map(|()| {
                 self.bytes_sent += bytes;
                 self.sent_from[from.index()] += bytes;
+                self.active.insert(self.first_link[from.index()] + slot);
             })
             .map_err(|pkt| SendError::Full(pkt.payload))
     }
@@ -307,13 +350,13 @@ impl<T> FabricNetwork<T> {
     /// link traffic, and land completed hops.
     pub fn tick(&mut self, now: u64) {
         // Transit packets go first so they get this cycle's bandwidth,
-        // oldest first, until the link's queue is full.
-        for (pipe, backlog) in self
-            .links
-            .iter_mut()
-            .flatten()
-            .zip(self.backlog.iter_mut().flatten())
-        {
+        // oldest first, until the link's queue is full. A link left idle
+        // has nothing to land either.
+        let (links, backlogs, ends) = (&mut self.links, &mut self.backlog, &self.link_ends);
+        self.active.retain(|link| {
+            let (chip, slot) = ends[link];
+            let pipe = &mut links[chip][slot];
+            let backlog = &mut backlogs[chip][slot];
             while pipe.can_push() {
                 let Some((_, pkt)) = backlog.pop_front() else {
                     break;
@@ -324,18 +367,20 @@ impl<T> FabricNetwork<T> {
                 }
             }
             pipe.tick(now);
-        }
+            !pipe.is_dormant() || !backlog.is_empty()
+        });
         // Land completed hops: deliver, or route onward from the table.
-        for chip in 0..self.chips {
-            for slot in 0..self.links[chip].len() {
-                let next = self.topo.neighbors(ChipId(chip as u8))[slot];
-                while let Some(pkt) = self.links[chip][slot].pop_ready(now) {
-                    if pkt.dest == next {
-                        self.delivered += 1;
-                        self.arrived[next.index()].push(pkt);
-                    } else {
-                        self.enter_transit(next.index(), pkt);
-                    }
+        let mut from = 0;
+        while let Some(link) = self.active.next_from(from) {
+            from = link + 1;
+            let (chip, slot) = self.link_ends[link];
+            let next = self.topo.neighbors(ChipId(chip as u8))[slot];
+            while let Some(pkt) = self.links[chip][slot].pop_ready(now) {
+                if pkt.dest == next {
+                    self.delivered += 1;
+                    self.arrived[next.index()].push(pkt);
+                } else {
+                    self.enter_transit(next.index(), pkt);
                 }
             }
         }
@@ -364,8 +409,10 @@ impl<T> FabricNetwork<T> {
     pub fn is_empty(&self) -> bool {
         self.arrived.iter().all(Vec::is_empty)
             && self.stalled.iter().all(Vec::is_empty)
-            && self.backlog.iter().flatten().all(VecDeque::is_empty)
-            && self.links.iter().flatten().all(Pipe::is_empty)
+            && self.active.iter().all(|link| {
+                let (chip, slot) = self.link_ends[link];
+                self.backlog[chip][slot].is_empty() && self.links[chip][slot].is_empty()
+            })
     }
 
     /// The next cycle after `now` at which ticking the fabric or popping
@@ -376,14 +423,19 @@ impl<T> FabricNetwork<T> {
     /// events: they never move on their own, only a
     /// [`fail_link`](FabricNetwork::fail_link) re-routes them.
     pub fn next_event(&self, now: u64) -> u64 {
-        if self.arrived.iter().any(|a| !a.is_empty())
-            || self.backlog.iter().flatten().any(|q| !q.is_empty())
-        {
+        if self.arrived.iter().any(|a| !a.is_empty()) {
             return now + 1;
         }
         earliest_event(
             now,
-            self.links.iter().flatten().map(|link| link.next_event(now)),
+            self.active.iter().map(|link| {
+                let (chip, slot) = self.link_ends[link];
+                if self.backlog[chip][slot].is_empty() {
+                    self.links[chip][slot].next_event(now)
+                } else {
+                    now + 1
+                }
+            }),
         )
     }
 
@@ -477,7 +529,7 @@ impl<T> FabricNetwork<T> {
     /// [`FabricNetwork::save_with`], decoding each payload with `f`. The
     /// fabric must have been constructed for the same machine (the slot
     /// count per chip is structural and is not re-validated here beyond
-    /// the chip count).
+    /// the chip count). Every link starts active.
     ///
     /// # Errors
     /// Returns a decode error on truncated input or a chip-count mismatch.
@@ -536,6 +588,7 @@ impl<T> FabricNetwork<T> {
                 self.enter_transit(chip, pkt);
             }
         }
+        self.wake_all();
         Ok(())
     }
 }

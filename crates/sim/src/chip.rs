@@ -6,7 +6,7 @@ use crate::packet::{FabricPayload, ReqEnvelope, RspEnvelope};
 use mcgpu_cache::{CacheConfig, SetAssocCache};
 use mcgpu_mem::MemoryPartition;
 use mcgpu_noc::Crossbar;
-use mcgpu_types::{earliest_event, AccessKind, ChipId, ClusterId, MachineConfig, Pipe};
+use mcgpu_types::{earliest_event, AccessKind, ActiveSet, ChipId, ClusterId, MachineConfig, Pipe};
 use std::collections::VecDeque;
 
 /// Queue depth of each crossbar output port and the ring egress.
@@ -164,6 +164,12 @@ impl LlcSlice {
 }
 
 /// One GPU chip of the multi-chip package.
+///
+/// Its slice service pipes, fabric egress and memory bypass are pushed
+/// only through [`push_to_slice`](Chip::push_to_slice),
+/// [`push_egress`](Chip::push_egress) and
+/// [`push_bypass`](Chip::push_bypass), which keep track of which of them
+/// may act: the engine's per-cycle loops visit only those.
 #[derive(Debug)]
 pub struct Chip {
     /// This chip's id.
@@ -190,6 +196,15 @@ pub struct Chip {
     pub pending_rsp: VecDeque<RspEnvelope>,
     /// SM-side bypass path: ring → memory controller (Fig. 6, path 4).
     pub bypass_to_mem: Pipe<ReqEnvelope>,
+    /// Slices whose service pipe is not [dormant](Pipe::is_dormant): a
+    /// push adds the slice, a visit that leaves the pipe dormant removes
+    /// it, and a restore marks every slice. Derived, never serialized,
+    /// like the two flags below.
+    pub(crate) active_slices: ActiveSet,
+    /// Whether `fabric_egress` may be non-dormant.
+    pub(crate) egress_active: bool,
+    /// Whether `bypass_to_mem` may be non-dormant.
+    pub(crate) bypass_active: bool,
 }
 
 impl Chip {
@@ -235,7 +250,62 @@ impl Chip {
             pending_req: VecDeque::new(),
             pending_rsp: VecDeque::new(),
             bypass_to_mem: Pipe::latency_only(8),
+            active_slices: ActiveSet::full(cfg.slices_per_chip),
+            egress_active: true,
+            bypass_active: true,
         }
+    }
+
+    /// Queue `env` at slice `s`'s service pipe, charged
+    /// [`LlcSlice::charge_bytes`].
+    ///
+    /// # Panics
+    /// Panics when the pipe's queue is full: the caller checks `can_push`.
+    pub(crate) fn push_to_slice(&mut self, s: usize, env: ReqEnvelope) {
+        let charge = self.slices[s].charge_bytes(&env);
+        self.slices[s]
+            .service
+            .try_push(env, charge)
+            .expect("caller checked can_push");
+        self.active_slices.insert(s);
+    }
+
+    /// Queue `payload` of `bytes` on the fabric egress pipe.
+    ///
+    /// # Errors
+    /// Returns the payload when the egress queue is full.
+    pub(crate) fn push_egress(
+        &mut self,
+        payload: FabricPayload,
+        bytes: u64,
+    ) -> Result<(), FabricPayload> {
+        self.fabric_egress.try_push(payload, bytes)?;
+        self.egress_active = true;
+        Ok(())
+    }
+
+    /// Queue a request that arrived over the fabric on the bypass path to
+    /// memory.
+    pub(crate) fn push_bypass(&mut self, env: ReqEnvelope) {
+        let bytes = env.wire_bytes();
+        self.bypass_to_mem
+            .try_push(env, bytes)
+            .expect("bypass pipe is unbounded");
+        self.bypass_active = true;
+    }
+
+    /// Mark every pipe on the chip active (slice services, egress, bypass,
+    /// crossbar ports, DRAM channels), as a restore does. Visiting a
+    /// dormant pipe is a no-op, so this never changes results; the
+    /// differential tests call it every cycle to make the engine visit
+    /// everything.
+    pub(crate) fn wake_all(&mut self) {
+        self.active_slices.fill();
+        self.egress_active = true;
+        self.bypass_active = true;
+        self.xbar_req.wake_all();
+        self.xbar_rsp.wake_all();
+        self.memory.wake_all();
     }
 
     /// Whether every queue, pipe, network and memory channel on this chip
@@ -272,14 +342,29 @@ impl Chip {
         }
         // Memory and the response side first: on sparse phases they are
         // the likeliest to act next cycle, which ends the scan early.
+        fn pipe_event<T>(active: bool, pipe: &Pipe<T>, now: u64) -> u64 {
+            if active {
+                pipe.next_event(now)
+            } else {
+                u64::MAX
+            }
+        }
         earliest_event(
             now,
             std::iter::once_with(|| self.memory.next_event(now))
-                .chain(std::iter::once_with(|| self.fabric_egress.next_event(now)))
+                .chain(std::iter::once_with(|| {
+                    pipe_event(self.egress_active, &self.fabric_egress, now)
+                }))
                 .chain(std::iter::once_with(|| self.xbar_rsp.next_event(now)))
-                .chain(self.slices.iter().map(|s| s.service.next_event(now)))
+                .chain(
+                    self.active_slices
+                        .iter()
+                        .map(|s| self.slices[s].service.next_event(now)),
+                )
                 .chain(std::iter::once_with(|| self.xbar_req.next_event(now)))
-                .chain(std::iter::once_with(|| self.bypass_to_mem.next_event(now))),
+                .chain(std::iter::once_with(|| {
+                    pipe_event(self.bypass_active, &self.bypass_to_mem, now)
+                })),
         )
     }
 
@@ -352,9 +437,9 @@ impl Chip {
         self.bypass_to_mem.save_with(e, |e, env| env.save(e));
     }
 
-    /// Restore state saved by [`Chip::save`] into this chip. The caller
-    /// must have re-attached the in-progress kernel's traces to the
-    /// clusters first.
+    /// Restore state saved by [`Chip::save`] into this chip, with every
+    /// pipe active. The caller must have re-attached the in-progress
+    /// kernel's traces to the clusters first.
     ///
     /// # Errors
     /// Returns a decode error on truncated or malformed input, or when the
@@ -408,6 +493,7 @@ impl Chip {
             self.pending_rsp.push_back(RspEnvelope::load(d)?);
         }
         self.bypass_to_mem = Pipe::load_with(d, ReqEnvelope::load)?;
+        self.wake_all();
         Ok(())
     }
 }

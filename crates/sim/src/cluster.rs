@@ -119,6 +119,14 @@ pub struct Cluster {
     /// An access that missed the L1 but whose request could not be injected
     /// (backpressure); retried before the trace advances.
     deferred: Option<MemAccess>,
+    /// Stalled on a full MSHR file by a read that missed the L1 tag array
+    /// and has no entry to merge onto. Until a response arrives, every
+    /// retry repeats that plain miss and nothing else, so the engine stops
+    /// visiting the cluster and replays the retries in bulk
+    /// ([`replay_idle`](Cluster::replay_idle)). Derived from the L1 and
+    /// MSHR state, never serialized: a restored cluster is visited once
+    /// and parks again.
+    parked: bool,
     reads_done: u64,
     writes_issued: u64,
 }
@@ -142,6 +150,7 @@ impl Cluster {
             mshr_limit: cfg.mshrs_per_cluster,
             mshrs: MshrFile::with_capacity(cfg.mshrs_per_cluster),
             deferred: None,
+            parked: false,
             reads_done: 0,
             writes_issued: 0,
         }
@@ -163,6 +172,7 @@ impl Cluster {
         self.gap_remaining = 0;
         self.compute_gap = compute_gap;
         self.deferred = None;
+        self.parked = false;
     }
 
     /// The sector of `access` if the machine uses sectored caches.
@@ -194,7 +204,8 @@ impl Cluster {
         let sector = self.sector_of(&acc);
         match acc.kind {
             AccessKind::Read => {
-                match self.l1.lookup(line, sector, false) {
+                let outcome = self.l1.lookup(line, sector, false);
+                match outcome {
                     LookupOutcome::Hit => {
                         self.cursor += 1;
                         self.reads_done += 1;
@@ -212,7 +223,10 @@ impl Cluster {
                             return Some((acc, false));
                         }
                         if self.mshrs.len() >= self.mshr_limit {
-                            return None; // stall: no MSHR free
+                            // Stall: no MSHR free. A sector miss moved the
+                            // line's LRU stamp, so only a plain miss parks.
+                            self.parked = outcome == LookupOutcome::Miss;
+                            return None;
                         }
                         self.mshrs.allocate(line.index());
                         self.cursor += 1;
@@ -241,8 +255,10 @@ impl Cluster {
     }
 
     /// A read response for `access` arrived: fill the L1 and complete all
-    /// merged accesses. Returns the number of accesses completed.
+    /// merged accesses, which unparks the cluster. Returns the number of
+    /// accesses completed.
     pub fn complete_read(&mut self, access: &MemAccess) -> u32 {
+        self.parked = false;
         let line = access.addr.line(self.line_size);
         let sector = self.sector_of(access);
         self.l1.fill(line, sector, DataHome::Local, false);
@@ -286,17 +302,27 @@ impl Cluster {
         self.deferred.is_some()
     }
 
-    /// Next-event skip: account for `k` issue opportunities during which
-    /// this cluster would only have decremented its compute gap. Replicates
-    /// exactly what `k` consecutive [`issue`](Cluster::issue) calls do when
-    /// each returns `None` in the gap branch — the caller guarantees `k`
-    /// never runs past the point where the cluster would have issued (a
+    /// Whether the cluster is parked on a full MSHR file (see
+    /// [`issue`](Cluster::issue)): only a response can let it issue again.
+    pub(crate) fn parked(&self) -> bool {
+        self.parked
+    }
+
+    /// Account for `k` [`issue`](Cluster::issue) calls that each return
+    /// `None` without issuing: a parked cluster repeats its missing L1
+    /// lookup `k` times ([`SetAssocCache::repeat_misses`]); any other
+    /// cluster decrements its compute gap `k` times. The caller guarantees
+    /// `k` never runs past the call at which the cluster would issue (a
     /// consumed stream's gap simply drains to zero and stays there, as it
-    /// does in the stepped loop).
-    pub fn skip_gap(&mut self, k: u64) {
-        self.gap_remaining = self
-            .gap_remaining
-            .saturating_sub(u32::try_from(k).unwrap_or(u32::MAX));
+    /// does when every call is made).
+    pub(crate) fn replay_idle(&mut self, k: u64) {
+        if self.parked {
+            self.l1.repeat_misses(k);
+        } else {
+            self.gap_remaining = self
+                .gap_remaining
+                .saturating_sub(u32::try_from(k).unwrap_or(u32::MAX));
+        }
     }
 
     /// Writes issued into the memory system.
@@ -361,6 +387,7 @@ impl Cluster {
         } else {
             None
         };
+        self.parked = false;
         self.reads_done = d.get_u64()?;
         self.writes_issued = d.get_u64()?;
         Ok(())

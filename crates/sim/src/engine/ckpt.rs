@@ -24,7 +24,11 @@
 //!   restore under *different* limits is a feature (e.g. extending the
 //!   budget of a run that hit its cycle limit);
 //! * per-cycle scratch buffers and spare-entry pools — allocation reuse
-//!   only, no simulation-visible state.
+//!   only, no simulation-visible state;
+//! * the active sets (which clusters, pipes and links the engine visits)
+//!   and the running per-cluster sums — derived state that restore
+//!   rebuilds. Every lazy cluster counter is settled before a snapshot is
+//!   taken, so the bytes are those of stepping every cycle.
 //!
 //! Snapshots are framed by [`mcgpu_types::ckpt`] (magic, version,
 //! length, FNV-1a checksum) and written atomically via
@@ -101,7 +105,8 @@ impl Simulator {
 
     /// Serialize the complete live machine state into a `mcgpu-ckpt-v1`
     /// payload (unframed; [`Simulator::write_checkpoint`] adds framing
-    /// and durability). Read-only with respect to simulation state.
+    /// and durability). Read-only with respect to simulation state; every
+    /// cluster counter is settled whenever [`Simulator::run`] returns.
     pub fn checkpoint(&self, wl: &Workload) -> Vec<u8> {
         self.checkpoint_payload(workload_fingerprint(wl))
     }
@@ -329,8 +334,10 @@ impl Simulator {
 
         // The cache partition split was restored with the slices; do NOT
         // reapply the policy's split (a mid-epoch Dynamic adjustment or a
-        // mid-switch SAC would be clobbered). Arm the resume cursor and
-        // align the periodic-write clock with the uninterrupted run's.
+        // mid-switch SAC would be clobbered). Rebuild the issue schedule,
+        // arm the resume cursor and align the periodic-write clock with
+        // the uninterrupted run's.
+        self.sched.rebuild(&self.chips);
         self.resume_kernel = Some(kernel_index);
         self.wl_fingerprint = Some(snap_wl);
         self.last_ckpt_cycle = self.cycle;
@@ -371,6 +378,7 @@ impl Simulator {
         let wl_fp = self.wl_fingerprint.ok_or_else(|| SimError::Checkpoint {
             detail: "workload fingerprint missing at periodic checkpoint".to_string(),
         })?;
+        self.sched.settle_all(&mut self.chips);
         let payload = self.checkpoint_payload(wl_fp);
         write_snapshot(&path, &payload).map_err(|e| SimError::Checkpoint {
             detail: format!("writing {}: {e}", path.display()),

@@ -253,7 +253,7 @@ impl Simulator {
             .iter()
             .map(|c| c.memory.served_reads() + c.memory.served_writes())
             .sum();
-        self.cluster_reads_total()
+        self.sched.reads()
             + self.writes_done
             + self.fabric.delivered()
             + self.fabric.bytes_sent()

@@ -14,7 +14,9 @@
 //! * `faults` — scheduled hardware-fault application and the degraded-EAB
 //!   refresh;
 //! * `skip` — next-event skipping: the run loop jumps the clock over
-//!   every cycle in which nothing can move.
+//!   every cycle in which nothing can move;
+//! * `schedule` — active-set stepping on the issue side: the clusters an
+//!   issue phase visits, and running values for the per-cycle sums.
 //!
 //! Everything that varies *by LLC organization* — routing, fills, way
 //! splits, boundary actions, reconfiguration — lives behind
@@ -28,6 +30,7 @@ mod ckpt;
 mod coherence;
 mod diagnostics;
 mod faults;
+mod schedule;
 mod skip;
 mod tick;
 #[cfg(test)]
@@ -39,10 +42,9 @@ pub use diagnostics::{
 };
 
 use crate::chip::Chip;
-use crate::cluster::Cluster;
 use crate::obs::{ChipSample, MachineSnapshot, ObsReport, Observer};
 use crate::org::{self, LlcOrgPolicy, Pause, RouteMode};
-use crate::packet::FabricPayload;
+use crate::packet::{FabricPayload, RspEnvelope};
 use crate::stats::{KernelStats, RunStats};
 use coherence::SharerDirectory;
 use mcgpu_mem::{DramRequest, PageTable};
@@ -50,6 +52,7 @@ use mcgpu_noc::FabricNetwork;
 use mcgpu_trace::Workload;
 use mcgpu_types::{ChipId, ConfigError, FaultPlan, LlcOrgKind, MachineConfig, ObsConfig};
 use sac::SacConfig;
+use schedule::ClusterSchedule;
 
 /// Builder for a [`Simulator`].
 ///
@@ -235,11 +238,16 @@ pub struct Simulator {
     /// Request-conservation audit cadence in cycles (`0` = disabled).
     audit_period: u64,
 
-    // --- next-event skipping ---
-    /// Step every cycle instead of skipping to the next event: the
-    /// reference the crate's differential tests compare the skipping
-    /// engine against. Never set outside those tests.
-    stepping: bool,
+    // --- next-event skipping and active sets ---
+    /// Which clusters the issue phase visits, and the running per-cluster
+    /// sums (derived, never serialized).
+    sched: ClusterSchedule,
+    /// The reference the crate's differential tests compare the engine
+    /// against: step every cycle instead of skipping to the next event,
+    /// make every cluster due in every issue phase and every datapath
+    /// member active in every tick, so each tick visits everything. Never
+    /// set outside those tests.
+    reference: bool,
     /// Number of clock jumps performed (diagnostic only; never serialized
     /// into stats, observability reports, or checkpoints).
     skip_jumps: u64,
@@ -288,6 +296,8 @@ pub struct Simulator {
     fabric_scratch: Vec<FabricPayload>,
     /// DRAM completions being processed this cycle.
     dram_scratch: Vec<DramRequest>,
+    /// Responses being delivered to clusters this cycle.
+    rsp_scratch: Vec<RspEnvelope>,
 }
 
 impl Simulator {
@@ -311,6 +321,7 @@ impl Simulator {
             .then(|| Box::new(Observer::new(obs, cfg.chips)));
         let chips: Vec<Chip> = ChipId::all(cfg.chips).map(|c| Chip::new(&cfg, c)).collect();
         let fabric = FabricNetwork::new(&cfg, 32);
+        let sched = ClusterSchedule::new(&chips);
 
         let mut sim = Simulator {
             page_table: PageTable::new(cfg.page_size),
@@ -331,7 +342,8 @@ impl Simulator {
             link_factor: vec![1.0; cfg.num_links()],
             dram_factor: vec![1.0; cfg.chips],
             audit_period,
-            stepping: false,
+            sched,
+            reference: false,
             skip_jumps: 0,
             skipped_cycles: 0,
             ckpt_path,
@@ -352,6 +364,7 @@ impl Simulator {
             kernels: Vec::new(),
             fabric_scratch: Vec::new(),
             dram_scratch: Vec::new(),
+            rsp_scratch: Vec::new(),
             cfg,
         };
         sim.apply_partitioning();
@@ -418,6 +431,15 @@ impl Simulator {
     /// # Errors
     /// [`SimError::CycleLimit`] if the run exceeds the cycle budget.
     pub fn run(&mut self, wl: &Workload) -> Result<RunStats, SimError> {
+        let outcome = self.run_kernels(wl);
+        // Whatever stopped the run, leave every counter as stepping would
+        // have: the caller may checkpoint or read statistics next.
+        self.sched.settle_all(&mut self.chips);
+        outcome?;
+        Ok(self.collect_stats())
+    }
+
+    fn run_kernels(&mut self, wl: &Workload) -> Result<(), SimError> {
         if self.ckpt_interval != 0 && self.wl_fingerprint.is_none() {
             self.wl_fingerprint = Some(workload_fingerprint(wl));
         }
@@ -450,9 +472,10 @@ impl Simulator {
                         cluster.load_kernel(kernel.per_cluster[idx].clone(), gap);
                     }
                 }
+                self.sched.rebuild(&self.chips);
                 self.kernel_index = ki;
                 self.kernel_start_cycle = self.cycle;
-                self.work_before = self.cluster_reads_total() + self.writes_done;
+                self.work_before = self.sched.reads() + self.writes_done;
 
                 let (now, ring_bytes, mem_bytes) =
                     (self.cycle, self.fabric.bytes_sent(), self.mem_bytes_total());
@@ -463,7 +486,7 @@ impl Simulator {
 
             // Execute until the kernel completes.
             while !self.kernel_done() {
-                if !self.stepping {
+                if !self.reference {
                     self.skip_to_next_event();
                 }
                 self.tick(true);
@@ -488,7 +511,7 @@ impl Simulator {
                     .find(|r| r.start_cycle >= kernel_start_cycle)
                     .map(|r| r.mode)
             });
-            let accesses = self.cluster_reads_total() + self.writes_done - work_before;
+            let accesses = self.sched.reads() + self.writes_done - work_before;
             self.kernels.push(KernelStats {
                 index: ki,
                 cycles: self.cycle - kernel_start_cycle,
@@ -500,39 +523,15 @@ impl Simulator {
                 o.note_kernel(ki, kernel_start_cycle, end, accesses);
             }
         }
-        Ok(self.collect_stats())
+        Ok(())
     }
 
     fn kernel_done(&self) -> bool {
-        self.in_flight == 0
-            && self.pause == Pause::Running
-            && self
-                .chips
-                .iter()
-                .all(|c| c.clusters.iter().all(Cluster::done))
+        self.in_flight == 0 && self.pause == Pause::Running && self.sched.unfinished() == 0
     }
 
     fn machine_quiescent(&self) -> bool {
         self.in_flight == 0 && self.fabric.is_empty() && self.chips.iter().all(Chip::is_quiescent)
-    }
-
-    /// Number of clusters still executing their current kernel stream.
-    fn active_clusters(&self) -> usize {
-        self.chips
-            .iter()
-            .flat_map(|c| c.clusters.iter())
-            .filter(|cl| !cl.done())
-            .count()
-    }
-
-    /// Reads completed, summed over every cluster (includes L1 hits and
-    /// MSHR-merged accesses, which never produce a network response).
-    fn cluster_reads_total(&self) -> u64 {
-        self.chips
-            .iter()
-            .flat_map(|c| c.clusters.iter())
-            .map(Cluster::reads_done)
-            .sum()
     }
 
     fn mem_bytes_total(&self) -> u64 {
@@ -547,7 +546,7 @@ impl Simulator {
 
     /// Capture the machine's cumulative counters and instantaneous state
     /// for the observability timeline. Read-only; called on the epoch grid
-    /// and once at run end.
+    /// and once at run end, each time with every cluster settled.
     fn machine_snapshot(&self) -> MachineSnapshot {
         let mut l1 = mcgpu_cache::CacheStats::default();
         let mut llc = mcgpu_cache::CacheStats::default();
@@ -581,10 +580,10 @@ impl Simulator {
             .collect();
         MachineSnapshot {
             cycle: self.cycle,
-            reads: self.cluster_reads_total(),
+            reads: self.sched.reads(),
             writes: self.writes_done,
             in_flight: self.in_flight,
-            active_clusters: self.active_clusters() as u64,
+            active_clusters: self.sched.unfinished() as u64,
             ring_bytes: self.fabric.bytes_sent(),
             ring_delivered: self.fabric.delivered(),
             noc_bytes: self
@@ -683,7 +682,7 @@ impl Simulator {
         RunStats {
             organization: self.policy.kind(),
             cycles: self.cycle,
-            reads: self.cluster_reads_total(),
+            reads: self.sched.reads(),
             writes: self.writes_done,
             l1,
             llc,

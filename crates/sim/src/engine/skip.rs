@@ -21,9 +21,12 @@
 //! * **Clusters** — an eligible cluster (within the CTA wave-lead bound)
 //!   with stream left issues when its gap countdown expires, or at once
 //!   when it holds a deferred access. A cluster that has consumed its
-//!   stream only waits for responses, which are datapath events. Every
-//!   eligible cluster still drains its gap counter, which is checkpointed
-//!   state, so the jump replays the decrements in bulk.
+//!   stream, or is parked on a full MSHR file, only waits for responses,
+//!   which are datapath events. The issue schedule knows the earliest of
+//!   these without a scan. Every eligible cluster still drains its gap
+//!   counter, and a parked one still counts its L1 retries, both
+//!   checkpointed state: the jump adds the skipped issue phases to the
+//!   schedule's count, and each cluster replays them when next settled.
 //! * **Fault plan** — the next scheduled hardware fault.
 //! * **Policy** — [`LlcOrgPolicy::next_policy_event`] bounds when the
 //!   organization's `on_cycle` hook can next act (SAC profiling deadlines,
@@ -66,35 +69,10 @@ fn next_on_grid(now: u64, period: u64, phase: u64) -> u64 {
 }
 
 impl Simulator {
-    /// The earliest cycle after `now` at which a cluster within
-    /// `lead_cap` (the wave-lead bound of `issue_phase`) issues. A
-    /// cluster's progress moves only when it issues and its completion
-    /// only when a response arrives, both events of the scan, so the
-    /// bound and the eligible set are frozen for a whole jump.
-    fn next_issue_event(&self, now: u64, lead_cap: usize) -> u64 {
-        earliest_event(
-            now,
-            self.chips
-                .iter()
-                .flat_map(|ch| ch.clusters.iter())
-                .filter(|cl| cl.progress() <= lead_cap)
-                .map(|cl| {
-                    if cl.has_deferred() {
-                        // A deferred access re-issues on the very next tick.
-                        now + 1
-                    } else if cl.progress() < cl.stream_len() {
-                        now + u64::from(cl.gap_remaining()) + 1
-                    } else {
-                        u64::MAX
-                    }
-                }),
-        )
-    }
-
     /// Jump the clock to one cycle before the earliest next event when
-    /// that lies more than one cycle ahead, replaying the skipped cycles'
-    /// cluster gap countdowns and occupancy samples. Called from the main
-    /// run loop before each tick.
+    /// that lies more than one cycle ahead, counting the skipped issue
+    /// phases and replaying the skipped occupancy samples. Called from the
+    /// main run loop before each tick.
     pub(super) fn skip_to_next_event(&mut self) {
         // A paused machine is draining for SAC, which counts overhead
         // every cycle.
@@ -117,8 +95,11 @@ impl Simulator {
         if event <= soon {
             return;
         }
-        let lead_cap = self.lead_cap();
-        event = event.min(self.next_issue_event(now, lead_cap));
+        // The wave-lead bound and the due clusters are frozen for the
+        // whole jump: a cluster's progress moves only when it issues and
+        // its completion only when a response arrives, both events here.
+        self.sched.refresh(&mut self.chips, false);
+        event = event.min(self.sched.next_issue_event(now));
 
         // Scheduled hardware faults.
         if let Some(due) = self.fault_plan.next_due() {
@@ -158,14 +139,7 @@ impl Simulator {
         }
         let last = event - 1;
         let jumped = last - now;
-        // Replay the per-tick gap decrements the skipped `issue_phase`
-        // calls would have performed. Saturating matches the stepped loop:
-        // a consumed stream's counter floors at zero and stays there.
-        for cl in self.chips.iter_mut().flat_map(|ch| ch.clusters.iter_mut()) {
-            if cl.progress() <= lead_cap {
-                cl.skip_gap(jumped);
-            }
-        }
+        self.sched.skip_phases(jumped);
         self.sample_occupancy(last / OCC_SAMPLE_PERIOD - now / OCC_SAMPLE_PERIOD);
         self.cycle = last;
         self.skip_jumps += 1;

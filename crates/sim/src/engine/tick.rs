@@ -1,10 +1,15 @@
 //! The per-cycle datapath pipeline: issue, request crossbars, LLC slices,
 //! the memory bypass, DRAM partitions, response delivery, the inter-chip
-//! ring, and the per-cycle policy hook.
+//! fabric, and the per-cycle policy hook.
+//!
+//! Each phase visits only the members that can act: the clusters the
+//! issue schedule marks due, and the crossbar ports, slice service pipes,
+//! DRAM channels, bypass and egress pipes and fabric links in their
+//! owners' active sets, always in ascending index order (DESIGN.md,
+//! "Active sets").
 
 use super::Simulator;
 use crate::chip::Chip;
-use crate::cluster::Cluster;
 use crate::org::{EpochCtx, Pause, RouteMode};
 use crate::packet::{FabricPayload, FillAction, ReqEnvelope, ReqStage, RspEnvelope};
 use mcgpu_cache::{DataHome, LookupOutcome};
@@ -15,9 +20,6 @@ use mcgpu_types::{
 
 /// Fabric egress queue bound (requests waiting to leave the chip).
 const PENDING_FABRIC_LIMIT: usize = 64;
-/// Maximum instructions a cluster may run ahead of the slowest cluster
-/// (one CTA wave of the distributed CTA scheduler).
-const CTA_WAVE_LEAD: usize = 384;
 /// LLC occupancy sampling period in cycles (Fig. 9).
 pub(super) const OCC_SAMPLE_PERIOD: u64 = 256;
 
@@ -36,6 +38,12 @@ impl Simulator {
     pub(super) fn tick(&mut self, allow_issue: bool) {
         self.cycle += 1;
         let now = self.cycle;
+        if self.reference {
+            for chip in &mut self.chips {
+                chip.wake_all();
+            }
+            self.fabric.wake_all();
+        }
         self.apply_due_faults(now);
         let issuing = allow_issue && self.pause == Pause::Running;
 
@@ -45,7 +53,7 @@ impl Simulator {
 
         // Request network.
         for c in 0..self.chips.len() {
-            // Ring-delivered requests re-enter the crossbar.
+            // Fabric-delivered requests re-enter the crossbar.
             while let Some(env) = self.chips[c].pending_req.front().copied() {
                 let port = self.slice_of(env.req.access.addr.line(self.cfg.line_size));
                 let bytes = env.wire_bytes();
@@ -54,46 +62,46 @@ impl Simulator {
                 }
                 self.chips[c].pending_req.pop_front();
             }
-            self.chips[c].xbar_req.tick(now);
-            for port in 0..self.cfg.slices_per_chip {
-                loop {
-                    if !self.chips[c].slices[port].service.can_push() {
+            let chip = &mut self.chips[c];
+            chip.xbar_req.tick(now);
+            let mut from = 0;
+            while let Some(port) = chip.xbar_req.next_active_port(from) {
+                from = port + 1;
+                while chip.slices[port].service.can_push() {
+                    let Some(env) = chip.xbar_req.pop_ready(port, now) else {
                         break;
-                    }
-                    match self.chips[c].xbar_req.pop_ready(port, now) {
-                        Some(env) => {
-                            let charge = self.chips[c].slices[port].charge_bytes(&env);
-                            self.chips[c].slices[port]
-                                .service
-                                .try_push(env, charge)
-                                .expect("can_push checked");
-                        }
-                        None => break,
-                    }
+                    };
+                    chip.push_to_slice(port, env);
                 }
             }
         }
 
         // LLC slices.
         for c in 0..self.chips.len() {
-            for s in 0..self.cfg.slices_per_chip {
+            let mut from = 0;
+            while let Some(s) = self.chips[c].active_slices.next_from(from) {
+                from = s + 1;
                 self.chips[c].slices[s].service.tick(now);
                 while let Some(env) = self.chips[c].slices[s].service.pop_ready(now) {
                     self.process_at_slice(c, s, env);
+                }
+                if self.chips[c].slices[s].service.is_dormant() {
+                    self.chips[c].active_slices.remove(s);
                 }
             }
         }
 
         // Bypass path into memory (SM-side remote misses).
-        for c in 0..self.chips.len() {
-            self.chips[c].bypass_to_mem.tick(now);
-            while let Some(env) = self.chips[c].bypass_to_mem.pop_ready(now) {
-                self.chips[c].memory.push(DramRequest {
+        for chip in self.chips.iter_mut().filter(|chip| chip.bypass_active) {
+            chip.bypass_to_mem.tick(now);
+            while let Some(env) = chip.bypass_to_mem.pop_ready(now) {
+                chip.memory.push(DramRequest {
                     request: env.req,
                     from_local_slice: false,
                     slice: None,
                 });
             }
+            chip.bypass_active = !chip.bypass_to_mem.is_dormant();
         }
 
         // Memory partitions.
@@ -118,11 +126,14 @@ impl Simulator {
                 self.chips[c].pending_rsp.pop_front();
             }
             self.chips[c].xbar_rsp.tick(now);
-            for port in 0..self.cfg.clusters_per_chip {
-                while let Some(env) = self.chips[c].xbar_rsp.pop_ready(port, now) {
-                    self.deliver_response(c, env);
-                }
+            let mut delivered = std::mem::take(&mut self.rsp_scratch);
+            self.chips[c]
+                .xbar_rsp
+                .pop_all_ready_into(now, &mut delivered);
+            for env in delivered.drain(..) {
+                self.deliver_response(c, env);
             }
+            self.rsp_scratch = delivered;
         }
 
         // Inter-chip fabric.
@@ -140,6 +151,7 @@ impl Simulator {
             .as_deref()
             .is_some_and(|o| now.is_multiple_of(o.epoch_window()));
         if obs_due {
+            self.sched.settle_all(&mut self.chips);
             let snap = self.machine_snapshot();
             if let Some(o) = self.obs.as_deref_mut() {
                 o.sample_epoch(&snap);
@@ -147,20 +159,12 @@ impl Simulator {
         }
     }
 
-    /// The progress bound of the wave-lead filter: only clusters at or
-    /// below it reach `issue()` this cycle.
-    pub(super) fn lead_cap(&self) -> usize {
-        self.chips
-            .iter()
-            .flat_map(|ch| ch.clusters.iter())
-            .filter(|cl| !cl.done())
-            .map(Cluster::progress)
-            .min()
-            .unwrap_or(0)
-            + CTA_WAVE_LEAD
-    }
-
     fn issue_phase(&mut self) {
+        self.sched.refresh(&mut self.chips, self.reference);
+        if self.reference {
+            self.sched.assert_running_values(&self.chips);
+        }
+        self.sched.begin_phase();
         let mode = self.route_mode();
         let profiling = self.policy.sac().is_some_and(|s| s.is_profiling());
         let n_clusters = self.cfg.clusters_per_chip;
@@ -173,96 +177,106 @@ impl Simulator {
         // cluster may run further ahead of the slowest cluster than one
         // wave of CTAs. This bounds the drift between the clusters' shared
         // working-set phases (and the end-of-kernel straggler tail), as the
-        // hardware CTA scheduler does.
-        let lead_cap = self.lead_cap();
+        // hardware CTA scheduler does. The schedule leaves clusters beyond
+        // the bound out of the due set.
         for c in 0..self.chips.len() {
-            let chip_id = ChipId(c as u8);
-            for i in 0..n_clusters {
-                let cl = (i + rotation) % n_clusters;
-                if self.chips[c].clusters[cl].progress() > lead_cap {
-                    continue;
-                }
-                let Some((acc, needs_request)) = self.chips[c].clusters[cl].issue() else {
-                    continue;
-                };
-                let line = acc.addr.line(self.cfg.line_size);
-                let home = self
-                    .page_table
-                    .home_of(acc.addr.page(self.cfg.page_size), chip_id);
-                if !needs_request {
-                    // Cluster-MSHR merge: a real L1 miss (observable by the
-                    // profiling counters) that needs no new network request.
-                    // It completes with the in-flight fill, so it counts as
-                    // a memory-side hit for the profiled hit rate.
-                    if profiling {
-                        let sector = self.sector_of(&acc);
-                        let slice = self.slice_of(line);
-                        let spc = self.cfg.slices_per_chip;
-                        let sac = self.policy.sac_mut().expect("profiling implies sac");
-                        sac.collector_mut().observe_request(
-                            chip_id,
-                            home,
-                            line,
-                            sector,
-                            home.index() * spc + slice,
-                            c * spc + slice,
-                        );
-                        sac.collector_mut().observe_memside_llc(true);
-                    }
-                    continue;
-                }
-                let req = Request {
-                    id: RequestId(self.next_id),
-                    origin: self.chips[c].clusters[cl].id(),
-                    access: acc,
-                    home,
-                };
-                let slice = self.slice_of(line);
-                let (port_chip, stage) = match mode {
-                    RouteMode::MemorySide => (home, ReqStage::ToHomeSlice),
-                    RouteMode::SmSide => (chip_id, ReqStage::ToLocalSlice),
-                    RouteMode::Tiered if home == chip_id => (chip_id, ReqStage::ToHomeSlice),
-                    RouteMode::Tiered => (chip_id, ReqStage::ToLocalSlice),
-                };
-                let env = ReqEnvelope { req, stage };
-                let injected = if port_chip == chip_id {
-                    self.chips[c]
-                        .xbar_req
-                        .try_push(slice, env, env.wire_bytes())
-                        .is_ok()
-                } else if self.chips[c].pending_fabric.len() < PENDING_FABRIC_LIMIT {
-                    self.chips[c]
-                        .pending_fabric
-                        .push_back(FabricPayload::Req(env));
-                    true
-                } else {
-                    false
-                };
-                if injected {
-                    self.next_id += 1;
-                    self.in_flight += 1;
-                    self.max_in_flight = self.max_in_flight.max(self.in_flight);
-                    let now = self.cycle;
-                    if let Some(o) = self.obs.as_deref_mut() {
-                        o.note_issue(now);
-                    }
-                    if profiling {
-                        let sector = self.sector_of(&acc);
-                        let spc = self.cfg.slices_per_chip;
-                        let sac = self.policy.sac_mut().expect("profiling implies sac");
-                        sac.collector_mut().observe_request(
-                            chip_id,
-                            home,
-                            line,
-                            sector,
-                            home.index() * spc + slice,
-                            c * spc + slice,
-                        );
-                    }
-                } else {
-                    self.chips[c].clusters[cl].defer(acc);
+            for (lo, hi) in [(rotation, n_clusters), (0, rotation)] {
+                let mut from = lo;
+                while let Some(cl) = self.sched.next_ready(c, from).filter(|&cl| cl < hi) {
+                    from = cl + 1;
+                    let f = c * n_clusters + cl;
+                    let reads = self.sched.before_visit(f, &mut self.chips[c].clusters[cl]);
+                    self.issue_cluster(c, cl, mode, profiling);
+                    self.sched
+                        .after_visit(f, &self.chips[c].clusters[cl], reads);
                 }
             }
+        }
+    }
+
+    /// Let cluster `cl` of chip `c` issue, and inject the request its L1
+    /// miss produced, or defer it under backpressure.
+    fn issue_cluster(&mut self, c: usize, cl: usize, mode: RouteMode, profiling: bool) {
+        let chip_id = ChipId(c as u8);
+        let Some((acc, needs_request)) = self.chips[c].clusters[cl].issue() else {
+            return;
+        };
+        let line = acc.addr.line(self.cfg.line_size);
+        let home = self
+            .page_table
+            .home_of(acc.addr.page(self.cfg.page_size), chip_id);
+        if !needs_request {
+            // Cluster-MSHR merge: a real L1 miss (observable by the
+            // profiling counters) that needs no new network request.
+            // It completes with the in-flight fill, so it counts as
+            // a memory-side hit for the profiled hit rate.
+            if profiling {
+                let sector = self.sector_of(&acc);
+                let slice = self.slice_of(line);
+                let spc = self.cfg.slices_per_chip;
+                let sac = self.policy.sac_mut().expect("profiling implies sac");
+                sac.collector_mut().observe_request(
+                    chip_id,
+                    home,
+                    line,
+                    sector,
+                    home.index() * spc + slice,
+                    c * spc + slice,
+                );
+                sac.collector_mut().observe_memside_llc(true);
+            }
+            return;
+        }
+        let req = Request {
+            id: RequestId(self.next_id),
+            origin: self.chips[c].clusters[cl].id(),
+            access: acc,
+            home,
+        };
+        let slice = self.slice_of(line);
+        let (port_chip, stage) = match mode {
+            RouteMode::MemorySide => (home, ReqStage::ToHomeSlice),
+            RouteMode::SmSide => (chip_id, ReqStage::ToLocalSlice),
+            RouteMode::Tiered if home == chip_id => (chip_id, ReqStage::ToHomeSlice),
+            RouteMode::Tiered => (chip_id, ReqStage::ToLocalSlice),
+        };
+        let env = ReqEnvelope { req, stage };
+        let injected = if port_chip == chip_id {
+            self.chips[c]
+                .xbar_req
+                .try_push(slice, env, env.wire_bytes())
+                .is_ok()
+        } else if self.chips[c].pending_fabric.len() < PENDING_FABRIC_LIMIT {
+            self.chips[c]
+                .pending_fabric
+                .push_back(FabricPayload::Req(env));
+            true
+        } else {
+            false
+        };
+        if injected {
+            self.next_id += 1;
+            self.in_flight += 1;
+            self.max_in_flight = self.max_in_flight.max(self.in_flight);
+            let now = self.cycle;
+            if let Some(o) = self.obs.as_deref_mut() {
+                o.note_issue(now);
+            }
+            if profiling {
+                let sector = self.sector_of(&acc);
+                let spc = self.cfg.slices_per_chip;
+                let sac = self.policy.sac_mut().expect("profiling implies sac");
+                sac.collector_mut().observe_request(
+                    chip_id,
+                    home,
+                    line,
+                    sector,
+                    home.index() * spc + slice,
+                    c * spc + slice,
+                );
+            }
+        } else {
+            self.chips[c].clusters[cl].defer(acc);
         }
     }
 
@@ -590,7 +604,11 @@ impl Simulator {
     fn deliver_response(&mut self, c: usize, env: RspEnvelope) {
         debug_assert_eq!(env.rsp.dest.chip.index(), c);
         let cl = env.rsp.dest.index as usize;
-        self.chips[c].clusters[cl].complete_read(&env.rsp.access);
+        let f = c * self.cfg.clusters_per_chip + cl;
+        let cluster = &mut self.chips[c].clusters[cl];
+        let was_parked = self.sched.before_response(f, cluster);
+        let merged = cluster.complete_read(&env.rsp.access);
+        self.sched.after_response(f, cluster, merged, was_parked);
         let idx = ResponseOrigin::ALL
             .iter()
             .position(|&o| o == env.rsp.origin)
@@ -635,10 +653,13 @@ impl Simulator {
             while let Some(p) = self.chips[c].pending_fabric.front() {
                 let bytes = p.wire_bytes(line_size);
                 let p = *p;
-                if self.chips[c].fabric_egress.try_push(p, bytes).is_err() {
+                if self.chips[c].push_egress(p, bytes).is_err() {
                     break;
                 }
                 self.chips[c].pending_fabric.pop_front();
+            }
+            if !self.chips[c].egress_active {
+                continue;
             }
             self.chips[c].fabric_egress.tick(now);
             while self.chips[c].fabric_retry.is_none() {
@@ -651,6 +672,7 @@ impl Simulator {
                     self.chips[c].fabric_retry = Some(e.into_payload());
                 }
             }
+            self.chips[c].egress_active = !self.chips[c].fabric_egress.is_dormant();
         }
 
         self.fabric.tick(now);
@@ -664,13 +686,7 @@ impl Simulator {
                 match p {
                     FabricPayload::Req(env) => match env.stage {
                         ReqStage::ToHomeSlice => self.chips[c].pending_req.push_back(env),
-                        ReqStage::ToHomeMemBypass => {
-                            let bytes = env.wire_bytes();
-                            self.chips[c]
-                                .bypass_to_mem
-                                .try_push(env, bytes)
-                                .expect("bypass pipe is unbounded");
-                        }
+                        ReqStage::ToHomeMemBypass => self.chips[c].push_bypass(env),
                         ReqStage::ToLocalSlice => {
                             unreachable!("local-slice requests never ride the ring")
                         }
@@ -731,17 +747,10 @@ impl Simulator {
             let chips = &self.chips;
             let fabric = &self.fabric;
             let in_flight = self.in_flight;
-            let writes_done = self.writes_done;
+            let work = self.sched.reads() + self.writes_done;
             let quiescent =
                 move || in_flight == 0 && fabric.is_empty() && chips.iter().all(Chip::is_quiescent);
-            let work_done = move || {
-                chips
-                    .iter()
-                    .flat_map(|c| c.clusters.iter())
-                    .map(Cluster::reads_done)
-                    .sum::<u64>()
-                    + writes_done
-            };
+            let work_done = move || work;
             let ctx = EpochCtx {
                 now,
                 ring_bytes,

@@ -1,16 +1,22 @@
-//! Differential proof of next-event skipping against the stepping
-//! reference.
+//! Differential proof of next-event skipping and active-set stepping
+//! against the visit-everything reference.
 //!
-//! Skipping is the engine's only run path, so its contract is checked
-//! here, inside the crate, against a private reference that steps every
-//! cycle (the `stepping` field). Across organizations, coherence schemes,
-//! topologies, chip counts, fault plans and compute gaps from dense to
-//! long enough to open latency windows with requests in flight, both
-//! engines must publish the same bytes: canonical `RunStats` JSON, the
-//! trace-level observability report with an epoch window off the
-//! 256-cycle occupancy grid, its trace, and `Simulator::checkpoint` at a
-//! mid-run cut — and a run resumed from that cut must still match the
-//! uninterrupted reference.
+//! Skipping and active sets are the engine's only run path, so their
+//! contract is checked here, inside the crate, against a private
+//! reference (the `reference` field) that steps every cycle and forces
+//! every active set full: every cluster is due in every issue phase and
+//! every crossbar port, slice pipe, DRAM channel, bypass and egress pipe
+//! and fabric link is visited in every tick. Across organizations,
+//! coherence schemes, topologies, chip counts, fault plans and compute
+//! gaps from dense to long enough to open latency windows with requests
+//! in flight, both engines must publish the same bytes: canonical
+//! `RunStats` JSON, the trace-level observability report with an epoch
+//! window off the 256-cycle occupancy grid, its trace, and
+//! `Simulator::checkpoint` at a mid-run cut — and a run resumed from that
+//! cut must still match the uninterrupted reference. Dedicated cases fill
+//! the MSHR files so clusters park, make the CTA wave-lead bound freeze
+//! clusters, and cut checkpoints while clusters are parked, when their
+//! lazily replayed counters must be settled.
 //!
 //! There is deliberately **no** `UPDATE_GOLDEN` path here: if the
 //! skipping engine drifts from the stepping reference, the skipping engine
@@ -54,12 +60,13 @@ fn accesses_for(gap: u32) -> usize {
     }
 }
 
-/// A traced simulator on the skipping engine or the stepping reference.
+/// A traced simulator on the skipping engine or the visit-everything
+/// reference.
 fn build(
     cfg: &MachineConfig,
     org: LlcOrgKind,
     plan: &FaultPlan,
-    stepping: bool,
+    reference: bool,
     max_cycles: Option<u64>,
 ) -> Simulator {
     let mut b = SimBuilder::new(cfg.clone())
@@ -70,7 +77,7 @@ fn build(
         b = b.max_cycles(max);
     }
     let mut sim = b.build().expect("valid machine configuration");
-    sim.stepping = stepping;
+    sim.reference = reference;
     sim
 }
 
@@ -107,7 +114,7 @@ fn assert_same_bytes(what: &str, reference: &[u8], skipping: &[u8]) {
         String::from_utf8_lossy(&b[at.saturating_sub(60)..(at + 60).min(b.len())]).into_owned()
     };
     panic!(
-        "{what} differs at byte {at} (lengths {} vs {}):\n  stepping: {}\n  skipping: {}",
+        "{what} differs at byte {at} (lengths {} vs {}):\n  reference: {}\n  engine:    {}",
         reference.len(),
         skipping.len(),
         window(reference),
@@ -234,32 +241,152 @@ proptest! {
         };
         let (reference, _) = run_to_end(build(&cfg, org, &plan, true, None), &wl);
         let cut = 1 + (reference.cycles as f64 * cut_frac) as u64;
+        cut_and_resume(&cfg, org, &plan, &wl, &reference, cut);
+    }
 
-        // The budget is checked in the kernel loop only, so a cut inside
-        // the last kernel-boundary drain lets both engines finish.
-        let mut stops = Vec::new();
-        for stepping in [true, false] {
-            let mut sim = build(&cfg, org, &plan, stepping, Some(cut));
-            let finished = match sim.run(&wl) {
-                Ok(_) => true,
-                Err(SimError::CycleLimit { .. }) => false,
-                Err(e) => panic!("unexpected abort at cut {cut}: {e}"),
-            };
-            stops.push((finished, sim.cycle(), sim.checkpoint(&wl)));
-        }
-        prop_assert_eq!(
-            (stops[0].0, stops[0].1),
-            (stops[1].0, stops[1].1),
-            "the engines stopped differently at cut {}", cut
-        );
-        assert_same_bytes("checkpoint at the cut", &stops[0].2, &stops[1].2);
-        if !stops[1].0 {
-            let mut resumed = build(&cfg, org, &plan, false, None);
-            resumed.restore(&stops[1].2, &wl).expect("snapshot restores");
-            let (resumed, _) = run_to_end(resumed, &wl);
-            assert_same(&reference, &resumed);
+    /// Dense traffic into small MSHR files: clusters park on a full file
+    /// (and, on sectored caches, stall on sector misses, which do not
+    /// park) for most of the run, and both engines still publish the same
+    /// bytes.
+    #[test]
+    fn full_mshr_files_park_clusters_and_match(
+        org_idx in 0usize..LlcOrgKind::ALL.len(),
+        bench_idx in 0usize..16,
+        mshrs_pick in 0usize..3,
+        sectored in any::<bool>(),
+        gap in 0u32..2,
+    ) {
+        let mut cfg = MachineConfig::experiment_baseline();
+        cfg.mshrs_per_cluster = [2, 4, 8][mshrs_pick];
+        cfg.sectored = sectored;
+        let org = LlcOrgKind::ALL[org_idx];
+        let wl = workload(&cfg, profiles::all_profiles()[bench_idx].name, gap, 6_000);
+        let plan = FaultPlan::none();
+        let (reference, _) = run_to_end(build(&cfg, org, &plan, true, None), &wl);
+        let (engine, sim) = run_to_end(build(&cfg, org, &plan, false, None), &wl);
+        assert_same(&reference, &engine);
+        prop_assert!(sim.sched.parks > 0, "no cluster ever parked");
+    }
+
+    /// A cut while clusters are parked: their skipped retries are counted
+    /// lazily, so the snapshot is right only if the run settles them
+    /// before it returns. The cut is the first cycle on a 37-cycle stride
+    /// from a random point of the run at which a cluster is parked, so
+    /// the case cannot silently stop covering one.
+    #[test]
+    fn checkpoints_cut_while_clusters_are_parked_match(
+        org_idx in 0usize..LlcOrgKind::ALL.len(),
+        bench_idx in 0usize..16,
+        cut_frac in 0.05f64..0.9,
+    ) {
+        let mut cfg = MachineConfig::experiment_baseline();
+        cfg.mshrs_per_cluster = 4;
+        let org = LlcOrgKind::ALL[org_idx];
+        let wl = workload(&cfg, profiles::all_profiles()[bench_idx].name, 0, 6_000);
+        let plan = FaultPlan::none();
+        let (reference, _) = run_to_end(build(&cfg, org, &plan, true, None), &wl);
+        let start = 1 + (reference.cycles as f64 * cut_frac) as u64;
+        let parked_at = |cut: u64| {
+            let mut sim = build(&cfg, org, &plan, false, Some(cut));
+            sim.run(&wl).is_err()
+                && sim
+                    .chips()
+                    .iter()
+                    .flat_map(|chip| &chip.clusters)
+                    .any(|cl| cl.parked())
+        };
+        let cut = (start..reference.cycles)
+            .step_by(37)
+            .chain((1..start).step_by(37))
+            .find(|&cut| parked_at(cut))
+            .expect("some cut finds a parked cluster");
+        cut_and_resume(&cfg, org, &plan, &wl, &reference, cut);
+    }
+
+    /// The CTA wave-lead bound binds: a quarter of the clusters run a
+    /// stream of L1 hits on one line while the rest miss into small MSHR
+    /// files, so the hit streams race a wave ahead and freeze until the
+    /// slowest cluster catches up. Both engines publish the same bytes,
+    /// and a cut anywhere in the run resumes identically.
+    #[test]
+    fn wave_lead_bound_freezes_clusters_and_matches(
+        org_idx in 0usize..LlcOrgKind::ALL.len(),
+        bench_idx in 0usize..16,
+        gap in 0u32..2,
+        cut_frac in 0.02f64..0.98,
+    ) {
+        let mut cfg = MachineConfig::experiment_baseline();
+        cfg.mshrs_per_cluster = 4;
+        let org = LlcOrgKind::ALL[org_idx];
+        let wl = racing_workload(&cfg, profiles::all_profiles()[bench_idx].name, gap);
+        let plan = FaultPlan::none();
+        let (reference, _) = run_to_end(build(&cfg, org, &plan, true, None), &wl);
+        let (engine, sim) = run_to_end(build(&cfg, org, &plan, false, None), &wl);
+        assert_same(&reference, &engine);
+        prop_assert!(sim.sched.freezes > 0, "the wave-lead bound never bound");
+        let cut = 1 + (reference.cycles as f64 * cut_frac) as u64;
+        cut_and_resume(&cfg, org, &plan, &wl, &reference, cut);
+    }
+}
+
+/// Cut the reference and the engine at cycle `cut` and require equal
+/// checkpoint bytes; then restore the engine's snapshot into a fresh
+/// simulator, finish, and require the bytes the uninterrupted reference
+/// published.
+fn cut_and_resume(
+    cfg: &MachineConfig,
+    org: LlcOrgKind,
+    plan: &FaultPlan,
+    wl: &Workload,
+    reference: &Published,
+    cut: u64,
+) {
+    // The budget is checked in the kernel loop only, so a cut inside the
+    // last kernel-boundary drain lets both engines finish.
+    let mut stops = Vec::new();
+    for is_reference in [true, false] {
+        let mut sim = build(cfg, org, plan, is_reference, Some(cut));
+        let finished = match sim.run(wl) {
+            Ok(_) => true,
+            Err(SimError::CycleLimit { .. }) => false,
+            Err(e) => panic!("unexpected abort at cut {cut}: {e}"),
+        };
+        let bytes = sim.checkpoint(wl);
+        stops.push((finished, sim, bytes));
+    }
+    let (engine_finished, engine, engine_bytes) = stops.pop().expect("engine run");
+    let (reference_finished, reference_sim, reference_bytes) = stops.pop().expect("reference run");
+    assert_eq!(
+        (reference_finished, reference_sim.cycle()),
+        (engine_finished, engine.cycle()),
+        "the engines stopped differently at cut {cut}"
+    );
+    assert_same_bytes("checkpoint at the cut", &reference_bytes, &engine_bytes);
+    if !engine_finished {
+        let mut resumed = build(cfg, org, plan, false, None);
+        resumed
+            .restore(&engine_bytes, wl)
+            .expect("snapshot restores");
+        let (resumed, _) = run_to_end(resumed, wl);
+        assert_same(reference, &resumed);
+    }
+}
+
+/// `bench` at compute gap `gap` with every fourth cluster's stream in
+/// every kernel replaced by 1,500 reads of one line of its own stream:
+/// after the first miss those merge or hit in the L1, one per issue
+/// phase, so the cluster outruns the others by more than one CTA wave.
+fn racing_workload(cfg: &MachineConfig, bench: &str, gap: u32) -> Workload {
+    let mut wl = workload(cfg, bench, gap, 6_000);
+    for kernel in &mut wl.kernels {
+        for stream in kernel.per_cluster.iter_mut().step_by(4) {
+            if let Some(&first) = stream.first() {
+                let hot = mcgpu_types::MemAccess::read(first.addr);
+                *stream = std::iter::repeat_n(hot, 1_500).collect();
+            }
         }
     }
+    wl
 }
 
 /// Vacuity guard: on SN with every kernel at a 2000-cycle gap the
@@ -319,7 +446,7 @@ fn deadlock_fires_at_the_stepped_cycle() {
             .watchdog_window(window)
             .build()
             .expect("valid machine configuration");
-        sim.stepping = stepping;
+        sim.reference = stepping;
         match sim.run(&wl).expect_err("a partitioned ring must deadlock") {
             SimError::Deadlock {
                 cycle, window: w, ..

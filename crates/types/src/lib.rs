@@ -20,6 +20,7 @@
 //! assert_eq!(a.line(cfg.line_size).index(), 0x1_0040 / 128);
 //! ```
 
+pub mod active;
 pub mod addr;
 pub mod budget;
 pub mod ckpt;
@@ -35,6 +36,7 @@ pub mod obs;
 pub mod packet;
 pub mod pipe;
 
+pub use active::ActiveSet;
 pub use addr::{Address, LineAddr, PageAddr, SectorId};
 pub use budget::BandwidthBudget;
 pub use ckpt::{CkptError, CkptResult, Dec, Enc};

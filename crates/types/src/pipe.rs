@@ -154,11 +154,12 @@ impl<T> Pipe<T> {
     /// The next cycle after `now` at which this pipe can change state or
     /// hand out an item: `now + 1` while items wait for bandwidth or the
     /// budget is still refilling, the head's ready cycle when only
-    /// in-flight items remain, and `u64::MAX` when the pipe is empty and
-    /// its budget saturated. For every cycle strictly between `now` and
-    /// the returned one, [`tick`](Pipe::tick) leaves the state bit-for-bit
-    /// unchanged and [`pop_ready`](Pipe::pop_ready) returns `None` — the
-    /// per-pipe contract behind the engine's next-event skipping.
+    /// in-flight items remain, and `u64::MAX` when the pipe is
+    /// [dormant](Pipe::is_dormant). For every cycle strictly between `now`
+    /// and the returned one, [`tick`](Pipe::tick) leaves the state
+    /// bit-for-bit unchanged and [`pop_ready`](Pipe::pop_ready) returns
+    /// `None` — the per-pipe contract behind the engine's next-event
+    /// skipping.
     #[inline]
     pub fn next_event(&self, now: u64) -> u64 {
         if !self.waiting.is_empty() || !self.budget.refill_is_noop() {
@@ -167,6 +168,16 @@ impl<T> Pipe<T> {
         self.in_flight
             .front()
             .map_or(u64::MAX, |&(ready, _)| ready.max(now + 1))
+    }
+
+    /// Whether the pipe is empty and its budget saturated: every
+    /// [`tick`](Pipe::tick) and [`pop_ready`](Pipe::pop_ready) is a no-op
+    /// until a push or a [`set_rate`](Pipe::set_rate), and
+    /// [`next_event`](Pipe::next_event) reports `u64::MAX`. Owners of many
+    /// pipes skip their dormant ones ([`ActiveSet`](crate::ActiveSet)).
+    #[inline]
+    pub fn is_dormant(&self) -> bool {
+        self.in_flight.is_empty() && self.waiting.is_empty() && self.budget.refill_is_noop()
     }
 
     /// Serialize the full pipe state (budget, latency, capacity, both
@@ -303,6 +314,7 @@ mod tests {
                 }
                 let event = p.next_event(now);
                 prop_assert!(event > now);
+                prop_assert_eq!(p.is_dormant(), event == u64::MAX);
                 let before = bytes(&p);
                 let horizon = event.min(now + 2_000);
                 for t in now + 1..horizon {
