@@ -3,11 +3,10 @@
 //! scaled machine the transient covers more of the window, so the default
 //! is stretched (see `SacConfig::for_machine`).
 
-use mcgpu_sim::SimBuilder;
 use mcgpu_trace::{generate, profiles, Workload};
 use mcgpu_types::LlcOrgKind;
 use sac::SacConfig;
-use sac_bench::sweep;
+use sac_bench::{collect_outcomes, exit_on_quarantine, sweep, Attempt, SimCell};
 use std::sync::Arc;
 
 const SUBSET: [&str; 4] = ["SN", "RN", "SRAD", "LUD"];
@@ -29,23 +28,23 @@ fn main() {
     // Each (benchmark, window) cell runs isolated with bounded retries: a
     // failing variant is quarantined and reported without discarding the
     // rest of the ablation grid.
-    let outcomes = sweep::map_isolated(jobs.clone(), |&(b, window), attempt| {
-        let mut scaled = cfg.clone();
-        scaled.watchdog_cycles = sweep::escalate_budget(scaled.watchdog_cycles, attempt);
-        let mut builder = SimBuilder::new(scaled);
-        builder = match window {
-            None => builder.organization(LlcOrgKind::MemorySide),
-            Some(profile_window) => builder.organization(LlcOrgKind::Sac).sac_config(SacConfig {
-                profile_window,
-                ..SacConfig::for_machine(&cfg)
-            }),
+    let outcomes = sweep::map_isolated(jobs.clone(), |&(b, window), n| {
+        let cell = match window {
+            None => SimCell::new(&cfg, &workloads[b], LlcOrgKind::MemorySide),
+            Some(profile_window) => SimCell {
+                sac: Some(SacConfig {
+                    profile_window,
+                    ..SacConfig::for_machine(&cfg)
+                }),
+                ..SimCell::new(&cfg, &workloads[b], LlcOrgKind::Sac)
+            },
         };
-        Ok(builder.build()?.run(&workloads[b])?)
+        cell.attempt(Attempt::cycle(n))
     });
-    let stats = sac_bench::exit_on_cell_failures(outcomes, |i| {
+    let stats = exit_on_quarantine(collect_outcomes(outcomes, |i| {
         let (b, window) = jobs[i];
         format!("{}/window={:?}", SUBSET[b], window)
-    });
+    }));
 
     let per_bench = WINDOWS.len() + 1;
     println!(

@@ -2,11 +2,10 @@
 //! the sensitivity analysis for space). Sweeps θ and reports SAC's speedup
 //! and decisions on a mixed subset.
 
-use mcgpu_sim::SimBuilder;
 use mcgpu_trace::{generate, profiles, Workload};
 use mcgpu_types::LlcOrgKind;
 use sac::SacConfig;
-use sac_bench::sweep;
+use sac_bench::{collect_outcomes, exit_on_quarantine, sweep, Attempt, SimCell};
 use std::sync::Arc;
 
 const SUBSET: [&str; 4] = ["SN", "CFD", "SRAD", "GEMM"];
@@ -29,22 +28,20 @@ fn main() {
     // Each (benchmark, theta) cell runs isolated with bounded retries: a
     // failing variant is quarantined and reported without discarding the
     // rest of the ablation grid.
-    let outcomes = sweep::map_isolated(jobs.clone(), |&(b, theta), attempt| {
-        let mut scaled = cfg.clone();
-        scaled.watchdog_cycles = sweep::escalate_budget(scaled.watchdog_cycles, attempt);
-        let mut builder = SimBuilder::new(scaled);
-        builder = match theta {
-            None => builder.organization(LlcOrgKind::MemorySide),
-            Some(theta) => builder
-                .organization(LlcOrgKind::Sac)
-                .sac_config(SacConfig { theta, ..base_sac }),
+    let outcomes = sweep::map_isolated(jobs.clone(), |&(b, theta), n| {
+        let cell = match theta {
+            None => SimCell::new(&cfg, &workloads[b], LlcOrgKind::MemorySide),
+            Some(theta) => SimCell {
+                sac: Some(SacConfig { theta, ..base_sac }),
+                ..SimCell::new(&cfg, &workloads[b], LlcOrgKind::Sac)
+            },
         };
-        Ok(builder.build()?.run(&workloads[b])?)
+        cell.attempt(Attempt::cycle(n))
     });
-    let stats = sac_bench::exit_on_cell_failures(outcomes, |i| {
+    let stats = exit_on_quarantine(collect_outcomes(outcomes, |i| {
         let (b, theta) = jobs[i];
         format!("{}/theta={:?}", SUBSET[b], theta)
-    });
+    }));
 
     let per_bench = THETAS.len() + 1;
     println!("{:6} {:>6} | {:>8} | modes", "bench", "theta", "speedup");

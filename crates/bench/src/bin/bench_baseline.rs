@@ -26,6 +26,7 @@ use mcgpu_types::json::CanonicalWriter;
 use mcgpu_types::{ChipId, LineAddr, LlcOrgKind, MachineConfig, TopologyKind};
 use sac::eab::{ArchBandwidth, EabInputs, EabModel};
 use sac::Crd;
+use sac_bench::arg_value;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -86,26 +87,9 @@ fn measure(name: &'static str, target: Duration, mut f: impl FnMut()) -> Sample 
     s
 }
 
-fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    for (i, a) in args.iter().enumerate() {
-        if a == name {
-            return args.get(i + 1).cloned();
-        }
-        if let Some(v) = a.strip_prefix(&format!("{name}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
-
 fn main() {
     let out = arg_value("--out").unwrap_or_else(|| "BENCH_sac.json".to_string());
-    let target = Duration::from_millis(
-        arg_value("--target-ms")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(200),
-    );
+    let target = Duration::from_millis(arg_value("--target-ms").unwrap_or(200));
     eprintln!(
         "perf baseline (target {} ms per bench):",
         target.as_millis()
@@ -373,10 +357,8 @@ fn main() {
     });
     eprintln!("  wrote {out}");
 
-    if let Some(baseline) = arg_value("--check") {
-        let tolerance = arg_value("--tolerance")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0.20);
+    if let Some(baseline) = arg_value::<String>("--check") {
+        let tolerance = arg_value("--tolerance").unwrap_or(0.20);
         std::process::exit(check_against(&samples, &baseline, tolerance));
     }
 }

@@ -16,20 +16,7 @@
 //! `EXPERIMENTS.md`.
 
 use mcgpu_types::ExpectationSet;
-use sac_bench::{crossval, figcheck};
-
-fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    for (i, a) in args.iter().enumerate() {
-        if a == name {
-            return args.get(i + 1).cloned();
-        }
-        if let Some(v) = a.strip_prefix(&format!("{name}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
+use sac_bench::{arg_value, crossval, figcheck};
 
 fn main() {
     let path =
@@ -50,7 +37,7 @@ fn main() {
     let metrics = crossval::crossval_metrics(&rows);
     let report = figcheck::evaluate(&set, &metrics, "golden");
     print!("{}", figcheck::scorecard(&report));
-    if let Some(out) = arg_value("--report") {
+    if let Some(out) = arg_value::<String>("--report") {
         std::fs::write(&out, report.to_canonical_json()).unwrap_or_else(|e| {
             eprintln!("cannot write {out}: {e}");
             std::process::exit(1);

@@ -14,20 +14,13 @@
 use mcgpu_types::{LlcOrgKind, ObsConfig};
 use sac_bench::figdata::{emit, Fig12Data};
 use sac_bench::{
-    exit_on_quarantine, experiment_config, run_benchmark, run_one_observed, trace_params,
-    SweepOptions,
+    arg_value, exit_on_quarantine, experiment_config, run_benchmark, run_one_observed,
+    trace_params, SweepOptions,
 };
-
-fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
 
 fn print_timeline(cfg: &mcgpu_types::MachineConfig, p: &mcgpu_trace::BenchmarkProfile) {
     let mut obs = ObsConfig::metrics();
-    if let Some(w) = arg_value("--obs-window").and_then(|v| v.parse().ok()) {
+    if let Some(w) = arg_value("--obs-window") {
         obs = obs.with_epoch_window(w);
     }
     let wl = mcgpu_trace::generate(cfg, p, &trace_params());

@@ -24,20 +24,7 @@
 
 use mcgpu_types::ExpectationSet;
 use sac_bench::figdata::{emit, Fig15Data};
-use sac_bench::{figcheck, SweepOptions};
-
-fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    for (i, a) in args.iter().enumerate() {
-        if a == name {
-            return args.get(i + 1).cloned();
-        }
-        if let Some(v) = a.strip_prefix(&format!("{name}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
+use sac_bench::{arg_value, figcheck, SweepOptions};
 
 fn main() {
     let path = arg_value("--expectations")
@@ -67,7 +54,7 @@ fn main() {
     let report = figcheck::evaluate(&set, &metrics, volume);
     println!();
     print!("{}", figcheck::scorecard(&report));
-    if let Some(out) = arg_value("--report") {
+    if let Some(out) = arg_value::<String>("--report") {
         std::fs::write(&out, report.to_canonical_json()).unwrap_or_else(|e| {
             eprintln!("cannot write {out}: {e}");
             std::process::exit(1);

@@ -14,22 +14,9 @@
 
 use mcgpu_types::{ExpectationSet, LlcOrgKind};
 use sac_bench::{
-    exit_on_quarantine, experiment_config, figcheck, quick_mode, run_suite, trace_params,
-    SweepOptions,
+    arg_value, exit_on_quarantine, experiment_config, figcheck, quick_mode, run_suite,
+    trace_params, SweepOptions,
 };
-
-fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    for (i, a) in args.iter().enumerate() {
-        if a == name {
-            return args.get(i + 1).cloned();
-        }
-        if let Some(v) = a.strip_prefix(&format!("{name}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
 
 fn main() {
     let path =
@@ -54,7 +41,7 @@ fn main() {
     let volume = if quick_mode() { "quick" } else { "standard" };
     let report = figcheck::evaluate(&set, &metrics, volume);
     print!("{}", figcheck::scorecard(&report));
-    if let Some(out) = arg_value("--report") {
+    if let Some(out) = arg_value::<String>("--report") {
         std::fs::write(&out, report.to_canonical_json()).unwrap_or_else(|e| {
             eprintln!("cannot write {out}: {e}");
             std::process::exit(1);

@@ -8,10 +8,12 @@
 //! ```
 //!
 //! Runs the 8 golden cases (shared with `tests/golden.rs`) as isolated,
-//! journaled sweep cells and writes each case's canonical stats JSON to
+//! journaled sweep cells through the same runner as the figure sweeps
+//! (`sac_bench::golden::run_sweep`), on the cycle engine that produced
+//! the snapshots, and writes each case's canonical stats JSON to
 //! `DIR/<name>.json` (default `results/golden_sweep/`). `--stall-ms N`
-//! sleeps N ms at the start of each non-replayed cell so a test harness
-//! can reliably SIGKILL the process mid-sweep; the stall only delays
+//! sleeps N ms before each cell attempt that runs, so a test harness can
+//! reliably SIGKILL the process mid-sweep; the stall only delays
 //! execution and cannot change any result. After a kill, re-running with
 //! `--resume` on the same journal replays the finished cells byte-
 //! identically and executes only the rest, so the final output directory
@@ -30,62 +32,39 @@
 //! process exits 3. A subsequent `--resume` run must continue every cell
 //! mid-cycle and reproduce the golden snapshots byte for byte.
 
-use sac_bench::golden::{suite, Case};
-use sac_bench::{state, sweep, CellOutcome, Journal, JournalRecord, RecordOutcome, SweepOptions};
+use mcgpu_types::EngineMode;
+use sac_bench::golden::{run_sweep, suite};
+use sac_bench::{arg_value, exit_on_quarantine, state, sweep, SweepOptions};
 use std::path::PathBuf;
-use std::sync::Mutex;
-
-fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
+use std::time::Duration;
 
 fn main() {
-    let opts = SweepOptions::from_args();
-    if let Some((dir, _)) = opts.ckpt() {
-        std::fs::create_dir_all(dir).expect("create checkpoint state directory");
-    }
-    let out_dir =
-        PathBuf::from(arg_value("--out").unwrap_or_else(|| "results/golden_sweep".to_string()));
-    let stall = std::time::Duration::from_millis(
-        arg_value("--stall-ms")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0),
+    let opts = SweepOptions {
+        mode: EngineMode::Cycle,
+        ..SweepOptions::from_args()
+    };
+    let Some(journal) = opts.resume.clone().or_else(|| opts.journal.clone()) else {
+        eprintln!("usage: golden_sweep (--journal PATH | --resume PATH) [--out DIR]");
+        std::process::exit(2);
+    };
+    let out_dir = arg_value("--out").unwrap_or_else(|| PathBuf::from("results/golden_sweep"));
+    let stall = Duration::from_millis(arg_value("--stall-ms").unwrap_or(0));
+    let cases = suite();
+    eprintln!(
+        "golden sweep: {} cells on {} thread(s), journal {}",
+        cases.len(),
+        sweep::jobs(),
+        journal.display()
     );
 
-    let journal: Mutex<Journal> = match (&opts.resume, &opts.journal) {
-        (Some(path), _) => Mutex::new(
-            Journal::open(path)
-                .unwrap_or_else(|e| panic!("cannot open journal {}: {e}", path.display())),
-        ),
-        (None, Some(path)) => Mutex::new(
-            Journal::create(path)
-                .unwrap_or_else(|e| panic!("cannot create journal {}: {e}", path.display())),
-        ),
-        (None, None) => {
-            eprintln!("usage: golden_sweep (--journal PATH | --resume PATH) [--out DIR]");
-            std::process::exit(2);
-        }
-    };
-    {
-        let j = journal.lock().expect("journal lock");
-        eprintln!(
-            "golden sweep: 8 cells on {} thread(s), journal {} ({} recorded)",
-            sweep::jobs(),
-            j.path().display(),
-            j.records().len()
-        );
-    }
-
-    if let Some(cut) = arg_value("--ckpt-cut").and_then(|v| v.parse::<u64>().ok()) {
+    if let Some(cut) = arg_value::<u64>("--ckpt-cut") {
         let Some((dir, interval)) = opts.ckpt() else {
             eprintln!("--ckpt-cut requires --state-dir DIR");
             std::process::exit(2);
         };
+        std::fs::create_dir_all(dir).expect("create checkpoint state directory");
         let mut interrupted = 0usize;
-        for c in suite() {
+        for c in &cases {
             let snap = state::cell_snapshot_path(dir, c.name, c.config_hash());
             match c.interrupt_at(&snap, interval, cut) {
                 Ok(true) => {
@@ -101,98 +80,15 @@ fn main() {
         }
         eprintln!(
             "crash drill: {interrupted} cell(s) snapshotted mid-cycle; resume with --resume {}",
-            journal.lock().expect("journal lock").path().display()
+            journal.display()
         );
         std::process::exit(3);
     }
 
-    let outcomes: Vec<(&'static str, CellOutcome<String>)> = sweep::map(suite(), |c: Case| {
-        let hash = c.config_hash();
-        let desc = c.config_desc();
-        let replayed = journal
-            .lock()
-            .expect("journal lock")
-            .lookup_verified(c.name, hash, &desc)
-            .and_then(|r| match &r.outcome {
-                RecordOutcome::Completed { stats_json } => Some(stats_json.clone()),
-                RecordOutcome::Quarantined { .. } => None,
-            });
-        if let Some(json) = replayed {
-            eprintln!("  replayed {}", c.name);
-            return (
-                c.name,
-                CellOutcome {
-                    attempts: 0,
-                    result: Ok(json),
-                },
-            );
-        }
-        if !stall.is_zero() {
-            std::thread::sleep(stall);
-        }
-        let snapshot = opts
-            .ckpt()
-            .map(|(dir, interval)| (state::cell_snapshot_path(dir, c.name, hash), interval));
-        let out = sweep::run_cell(|_attempt| {
-            c.try_run_ckpt(snapshot.as_ref().map(|(p, i)| (p.as_path(), *i)))
-        });
-        // Any terminal outcome supersedes the cell's snapshot.
-        if let Some((p, _)) = &snapshot {
-            let _ = std::fs::remove_file(p);
-        }
-        let outcome = match &out.result {
-            Ok(json) => RecordOutcome::Completed {
-                stats_json: json.clone(),
-            },
-            Err(e) => RecordOutcome::Quarantined {
-                kind: e.kind().to_string(),
-                error: e.to_string(),
-            },
-        };
-        journal
-            .lock()
-            .expect("journal lock")
-            .append(JournalRecord {
-                cell: c.name.to_string(),
-                config_hash: hash,
-                config: Some(desc),
-                mode: None,
-                attempts: out.attempts,
-                outcome,
-            })
-            .expect("write run journal");
-        match &out.result {
-            Ok(_) => eprintln!("  finished {}", c.name),
-            Err(e) => eprintln!("  QUARANTINED {}: {e}", c.name),
-        }
-        (c.name, out)
-    });
-
+    let stats = exit_on_quarantine(run_sweep(&cases, &opts, stall));
     std::fs::create_dir_all(&out_dir).expect("create output directory");
-    let mut failed = 0usize;
-    for (name, out) in &outcomes {
-        match &out.result {
-            Ok(json) => {
-                std::fs::write(out_dir.join(format!("{name}.json")), json)
-                    .expect("write stats file");
-            }
-            Err(e) => {
-                eprintln!("{name}: {e}");
-                failed += 1;
-            }
-        }
+    for (c, json) in cases.iter().zip(&stats) {
+        std::fs::write(out_dir.join(format!("{}.json", c.name)), json).expect("write stats file");
     }
-    if failed > 0 {
-        eprintln!(
-            "{failed} of {} cells quarantined; re-run with --resume {} to retry them",
-            outcomes.len(),
-            journal.lock().expect("journal lock").path().display()
-        );
-        std::process::exit(1);
-    }
-    eprintln!(
-        "all {} cells written to {}",
-        outcomes.len(),
-        out_dir.display()
-    );
+    eprintln!("all {} cells written to {}", stats.len(), out_dir.display());
 }

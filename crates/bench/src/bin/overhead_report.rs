@@ -3,14 +3,14 @@
 //! with the chip count (the scale-out axis), and the NoC area/power
 //! comparison (SM-side two-NoC vs memory-side vs SAC bypassing).
 //!
-//! Runs through the sweep machinery, so `--journal PATH` / `--resume PATH`
-//! / `--jobs N` work exactly as they do for the figure harnesses.
+//! The report is closed-form text rendered in microseconds, so it is
+//! printed directly; the sweep flags (`--journal`, `--resume`, `--jobs`)
+//! are ignored.
 
 use mcgpu_noc::NocPhysical;
 use mcgpu_types::MachineConfig;
 use sac::overhead::HardwareOverhead;
 use sac::Crd;
-use sac_bench::{exit_on_quarantine, run_report_sections, ReportSection, SweepOptions};
 use std::fmt::Write as _;
 
 fn render_storage() -> String {
@@ -96,25 +96,10 @@ fn render_noc() -> String {
 }
 
 fn main() {
-    let opts = SweepOptions::from_args();
-    let sections = [
-        ReportSection {
-            name: "sac-storage",
-            inputs: "HardwareOverhead::paper_conventional|paper_sectored".to_string(),
-            render: render_storage,
-        },
-        ReportSection {
-            name: "crd-scaling",
-            inputs: "Crd::for_chips(4|8|16, 128, conventional|sectored)".to_string(),
-            render: render_crd_scaling,
-        },
-        ReportSection {
-            name: "noc-physical",
-            inputs: format!("{:?}", MachineConfig::paper_baseline()),
-            render: render_noc,
-        },
-    ];
-    for text in exit_on_quarantine(run_report_sections("overhead_report", &sections, &opts)) {
-        print!("{text}");
-    }
+    print!(
+        "{}{}{}",
+        render_storage(),
+        render_crd_scaling(),
+        render_noc()
+    );
 }

@@ -19,7 +19,7 @@
 use mcgpu_trace::{generate, profiles, TraceParams, Workload};
 use mcgpu_types::LlcOrgKind;
 use sac_bench::resilience::{run_grid, scenarios, Outcome};
-use sac_bench::{exit_on_cell_failures, sweep, try_run_one};
+use sac_bench::{collect_outcomes, exit_on_quarantine, sweep, Attempt, SimCell};
 use std::sync::Arc;
 
 const SUBSET: [&str; 4] = ["SN", "BS", "SRAD", "GEMM"];
@@ -63,16 +63,16 @@ fn main() {
     // Workloads and their fault-free baselines fan out per benchmark; the
     // (scenario x organization) grid of each benchmark then fans out via
     // `run_grid`.
-    let outcomes = sweep::map_isolated(SUBSET.to_vec(), |name, attempt| {
+    let outcomes = sweep::map_isolated(SUBSET.to_vec(), |name, n| {
         let profile = profiles::by_name(name).expect("profile");
         let wl = generate(&cfg, &profile, &params);
-        let mut scaled = cfg.clone();
-        scaled.watchdog_cycles = sweep::escalate_budget(scaled.watchdog_cycles, attempt);
-        let stats = try_run_one(&scaled, &wl, LlcOrgKind::MemorySide)?;
+        let stats = SimCell::new(&cfg, &wl, LlcOrgKind::MemorySide).attempt(Attempt::cycle(n))?;
         Ok((Arc::new(wl), stats.reads + stats.writes))
     });
     let baselines: Vec<(Arc<Workload>, u64)> =
-        exit_on_cell_failures(outcomes, |i| format!("{}/baseline", SUBSET[i]));
+        exit_on_quarantine(collect_outcomes(outcomes, |i| {
+            format!("{}/baseline", SUBSET[i])
+        }));
 
     let mut sac_beats_baselines_somewhere = false;
     for (name, (wl, expected)) in SUBSET.iter().zip(&baselines) {

@@ -60,16 +60,10 @@ use mcgpu_sim::SimBuilder;
 use mcgpu_trace::{generate, profiles, TraceParams};
 use mcgpu_types::{CoherenceKind, EngineMode, LlcOrgKind, ObsConfig, ResponseOrigin, TopologyKind};
 use sac_bench::{
-    exit_on_quarantine, run_benchmark, state, Journal, SweepOptions, DEFAULT_CKPT_INTERVAL,
+    arg_value, exit_on_quarantine, run_benchmark, state, Journal, SweepOptions,
+    DEFAULT_CKPT_INTERVAL,
 };
 use std::path::Path;
-
-fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
 
 fn main() {
     if std::env::args().any(|a| a == "--list-orgs") {
@@ -87,11 +81,11 @@ fn main() {
         return;
     }
     if std::env::args().any(|a| a == "--gc-state") {
-        let Some(dir) = arg_value("--state-dir") else {
+        let Some(dir) = arg_value::<String>("--state-dir") else {
             eprintln!("--gc-state needs --state-dir DIR");
             std::process::exit(2);
         };
-        let journal = arg_value("--resume")
+        let journal = arg_value::<String>("--resume")
             .or_else(|| arg_value("--journal"))
             .map(|p| {
                 Journal::open(&p).unwrap_or_else(|e| {
@@ -110,7 +104,7 @@ fn main() {
         return;
     }
     let bench = arg_value("--bench").unwrap_or_else(|| "BFS".to_string());
-    let org = match arg_value("--org").as_deref() {
+    let org = match arg_value::<String>("--org").as_deref() {
         None => Some(LlcOrgKind::MemorySide),
         Some("all") => None,
         Some(other) => match mcgpu_sim::org::org_by_token(other) {
@@ -135,12 +129,12 @@ fn main() {
     if std::env::args().any(|a| a == "--sectored") {
         cfg.sectored = true;
     }
-    if let Some(n) = arg_value("--watchdog-cycles").and_then(|v| v.parse().ok()) {
+    if let Some(n) = arg_value("--watchdog-cycles") {
         // Validated by MachineConfig::validate() when the simulator is
         // built; 0 is rejected there with a typed ConfigError.
         cfg.watchdog_cycles = n;
     }
-    if let Some(v) = arg_value("--chips") {
+    if let Some(v) = arg_value::<String>("--chips") {
         match v.parse::<usize>() {
             Ok(n) => cfg.chips = n,
             Err(_) => {
@@ -149,7 +143,7 @@ fn main() {
             }
         }
     }
-    if let Some(v) = arg_value("--topology") {
+    if let Some(v) = arg_value::<String>("--topology") {
         match TopologyKind::from_label(&v) {
             Some(k) => cfg.topology = k,
             None => {
@@ -164,10 +158,10 @@ fn main() {
         std::process::exit(2);
     }
     let mut params = TraceParams::standard();
-    if let Some(n) = arg_value("--accesses").and_then(|v| v.parse().ok()) {
+    if let Some(n) = arg_value("--accesses") {
         params.total_accesses = n;
     }
-    if let Some(x) = arg_value("--input-scale").and_then(|v| v.parse().ok()) {
+    if let Some(x) = arg_value("--input-scale") {
         params = params.with_input_scale(x);
     }
 
@@ -183,12 +177,12 @@ fn main() {
     };
     let opts = SweepOptions::from_args();
 
-    let trace_out = arg_value("--trace-out");
-    let obs_out = arg_value("--obs-out");
+    let trace_out = arg_value::<String>("--trace-out");
+    let obs_out = arg_value::<String>("--obs-out");
     let obs_requested =
         std::env::args().any(|a| a == "--obs") || obs_out.is_some() || trace_out.is_some();
-    let ckpt_path = arg_value("--checkpoint");
-    let restore_path = arg_value("--restore");
+    let ckpt_path = arg_value::<String>("--checkpoint");
+    let restore_path = arg_value::<String>("--restore");
 
     // The fast tier has no cycles, so there is nothing to observe, trace,
     // checkpoint or restore — reject the combination up front instead of
@@ -259,11 +253,10 @@ fn main() {
             } else {
                 ObsConfig::off()
             };
-            if let Some(w) = arg_value("--obs-window").and_then(|v| v.parse().ok()) {
+            if let Some(w) = arg_value("--obs-window") {
                 obs = obs.with_epoch_window(w);
             }
             let interval = arg_value("--checkpoint-interval")
-                .and_then(|v| v.parse().ok())
                 .filter(|&n| n > 0)
                 .unwrap_or(DEFAULT_CKPT_INTERVAL);
             let wl = generate(&cfg, &profile, &params);

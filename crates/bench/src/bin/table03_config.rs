@@ -1,11 +1,11 @@
 //! Regenerates Table 3: the simulated baseline configuration, at paper
 //! scale and at the experiment scale used by the figure harnesses.
 //!
-//! Runs through the sweep machinery, so `--journal PATH` / `--resume PATH`
-//! / `--jobs N` work exactly as they do for the figure harnesses.
+//! The table is closed-form text rendered in microseconds, so it is
+//! printed directly; the sweep flags (`--journal`, `--resume`, `--jobs`)
+//! are ignored.
 
 use mcgpu_types::MachineConfig;
-use sac_bench::{exit_on_quarantine, run_report_sections, ReportSection, SweepOptions};
 use std::fmt::Write as _;
 
 fn render_cfg(label: &str, c: &MachineConfig) -> String {
@@ -81,25 +81,15 @@ fn render_cfg(label: &str, c: &MachineConfig) -> String {
 }
 
 fn main() {
-    let opts = SweepOptions::from_args();
-    let sections = [
-        ReportSection {
-            name: "paper-baseline",
-            inputs: format!("{:?}", MachineConfig::paper_baseline()),
-            render: || render_cfg("Table 3 (paper baseline)", &MachineConfig::paper_baseline()),
-        },
-        ReportSection {
-            name: "experiment-baseline",
-            inputs: format!("{:?}", sac_bench::experiment_config()),
-            render: || {
-                render_cfg(
-                    "Experiment baseline (scaled; all ratios preserved)",
-                    &sac_bench::experiment_config(),
-                )
-            },
-        },
-    ];
-    for text in exit_on_quarantine(run_report_sections("table03_config", &sections, &opts)) {
-        print!("{text}");
-    }
+    print!(
+        "{}",
+        render_cfg("Table 3 (paper baseline)", &MachineConfig::paper_baseline())
+    );
+    print!(
+        "{}",
+        render_cfg(
+            "Experiment baseline (scaled; all ratios preserved)",
+            &sac_bench::experiment_config(),
+        )
+    );
 }

@@ -7,7 +7,7 @@
 
 use mcgpu_trace::{analysis, generate, profiles};
 use sac_bench::figdata::{emit, Table4Data};
-use sac_bench::sweep;
+use sac_bench::{collect_outcomes, exit_on_quarantine, sweep};
 
 fn main() {
     let cfg = sac_bench::experiment_config();
@@ -19,8 +19,8 @@ fn main() {
         let wl = generate(&cfg, p, &params);
         Ok((p.clone(), analysis::characterize(&cfg, &wl)))
     });
-    let rows = sac_bench::exit_on_cell_failures(outcomes, |i| {
+    let rows = exit_on_quarantine(collect_outcomes(outcomes, |i| {
         profiles::all_profiles()[i].name.to_string()
-    });
+    }));
     emit(&Table4Data::compute(&rows));
 }

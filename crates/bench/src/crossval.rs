@@ -20,7 +20,6 @@
 use crate::figcheck::Metrics;
 use crate::{fastmode, golden, sweep};
 use mcgpu_sim::RunStats;
-use mcgpu_trace::{generate, profiles};
 use mcgpu_types::CrossvalField;
 
 /// One golden case measured under both engines.
@@ -74,10 +73,8 @@ impl CrossvalRow {
 pub fn crossval_rows() -> Vec<CrossvalRow> {
     let cases = golden::suite();
     sweep::map(cases.into_iter().collect(), |c| {
-        let cfg = c.config();
-        let profile = profiles::by_name(c.bench).expect("known benchmark");
-        let wl = generate(&cfg, &profile, &golden::Case::params());
-        let cycle = crate::try_run_one(&cfg, &wl, c.org).expect("golden case completes");
+        let (cfg, wl) = c.inputs();
+        let cycle = crate::run_one(&cfg, &wl, c.org);
         let fast = fastmode::run_fast(&cfg, &wl, c.org);
         CrossvalRow {
             case: c.name,

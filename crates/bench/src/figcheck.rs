@@ -15,7 +15,7 @@
 use crate::figdata::{Fig08Data, Fig09Data, Fig10Data, Fig11Data, Fig15Data, Table4Data};
 use crate::{golden, sweep, BenchRows};
 use mcgpu_sim::RunStats;
-use mcgpu_trace::{analysis, generate, profiles};
+use mcgpu_trace::analysis;
 use mcgpu_types::{
     Check, CrossvalField, ExpectationSet, Finding, LlcOrgKind, MachineConfig, Metric, Report,
     ResponseOrigin, Severity, Verdict,
@@ -302,10 +302,8 @@ pub fn golden_metrics_with_jobs(jobs: usize) -> Metrics {
 fn golden_metrics_on(jobs: Option<usize>) -> Metrics {
     let cases = golden::suite();
     let run = |c: &golden::Case| {
-        let cfg = c.config();
-        let profile = profiles::by_name(c.bench).expect("known benchmark");
-        let wl = generate(&cfg, &profile, &golden::Case::params());
-        crate::try_run_one(&cfg, &wl, c.org).expect("golden case completes")
+        let (cfg, wl) = c.inputs();
+        crate::run_one(&cfg, &wl, c.org)
     };
     let stats: Vec<RunStats> = match jobs {
         Some(n) => sweep::map_with_jobs(n, cases.iter().collect(), run),

@@ -53,25 +53,11 @@ pub trait FigData {
     }
 }
 
-/// `--json PATH` (or `--json=PATH`) from the process arguments.
-pub fn json_path_arg() -> Option<PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    for (i, a) in args.iter().enumerate() {
-        if a == "--json" {
-            return args.get(i + 1).map(PathBuf::from);
-        }
-        if let Some(v) = a.strip_prefix("--json=") {
-            return Some(PathBuf::from(v));
-        }
-    }
-    None
-}
-
 /// Print a figure's rendered text to stdout and, when `--json PATH` was
 /// passed, write its canonical JSON document to `PATH`.
 pub fn emit(data: &impl FigData) {
     print!("{}", data.render());
-    if let Some(path) = json_path_arg() {
+    if let Some(path) = crate::arg_value::<PathBuf>("--json") {
         std::fs::write(&path, data.to_canonical_json()).unwrap_or_else(|e| {
             eprintln!("cannot write {}: {e}", path.display());
             std::process::exit(1);
@@ -893,7 +879,7 @@ impl Fig13Data {
     /// pool as isolated cells; a quarantined cell exits the process with
     /// the standard report (this is a binary-support path).
     pub fn collect(cfg: &MachineConfig, base: &TraceParams) -> Fig13Data {
-        use crate::{exit_on_cell_failures, try_run_one};
+        use crate::{collect_outcomes, Attempt, SimCell};
         use mcgpu_trace::{generate, Workload};
         use std::sync::Arc;
 
@@ -922,16 +908,14 @@ impl Fig13Data {
         let pairs: Vec<(usize, LlcOrgKind)> = (0..combos.len())
             .flat_map(|i| ORGS.iter().map(move |&org| (i, org)))
             .collect();
-        let outcomes = sweep::map_isolated(pairs.clone(), |&(i, org), attempt| {
-            let mut scaled = cfg.clone();
-            scaled.watchdog_cycles = sweep::escalate_budget(scaled.watchdog_cycles, attempt);
-            try_run_one(&scaled, &workloads[i], org)
+        let outcomes = sweep::map_isolated(pairs.clone(), |&(i, org), n| {
+            SimCell::new(cfg, &workloads[i], org).attempt(Attempt::cycle(n))
         });
-        let stats = exit_on_cell_failures(outcomes, |k| {
+        let stats = exit_on_quarantine(collect_outcomes(outcomes, |k| {
             let (i, org) = pairs[k];
             let (name, scale) = combos[i];
             format!("{name}@x{scale}/{}", org.label())
-        });
+        }));
         let row = |i: usize| &stats[i * ORGS.len()..(i + 1) * ORGS.len()];
 
         let mut groups = Vec::new();

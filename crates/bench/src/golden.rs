@@ -3,10 +3,12 @@
 //! kill/resume job drives. One definition of the cases guarantees the
 //! journaled sweep reproduces exactly the snapshots the test checks.
 
-use mcgpu_sim::{SimBuilder, SimError};
-use mcgpu_trace::{generate, profiles, TraceParams};
+use crate::{sweep, Attempt, CellError, CellKey, SimCell, SweepFailure, SweepOptions};
+use mcgpu_sim::{RunStats, SimBuilder, SimError};
+use mcgpu_trace::{generate, profiles, TraceParams, Workload};
 use mcgpu_types::{CoherenceKind, LlcOrgKind, MachineConfig};
 use std::path::Path;
+use std::time::Duration;
 
 /// One golden case: a machine variant, a benchmark, and an organization.
 pub struct Case {
@@ -75,6 +77,15 @@ impl Case {
         }
     }
 
+    /// The machine and the generated workload this case runs. Every
+    /// caller builds a golden case's inputs here.
+    pub fn inputs(&self) -> (MachineConfig, Workload) {
+        let cfg = self.config();
+        let profile = profiles::by_name(self.bench).expect("known benchmark");
+        let wl = generate(&cfg, &profile, &Self::params());
+        (cfg, wl)
+    }
+
     /// Run the case and serialize its stats to canonical JSON.
     ///
     /// # Panics
@@ -86,50 +97,11 @@ impl Case {
     /// Run the case, returning typed errors instead of panicking.
     ///
     /// # Errors
-    /// [`crate::CellError`] on any simulation failure.
-    pub fn try_run(&self) -> Result<String, crate::CellError> {
-        self.try_run_ckpt(None)
-    }
-
-    /// Like [`Case::try_run`], but with optional mid-cell checkpointing:
-    /// `snapshot` names the cell's snapshot file and the checkpoint
-    /// cadence in cycles. An existing valid snapshot resumes the run
-    /// mid-cycle; a missing, stale or corrupt one falls back to a full
-    /// run from cycle 0 (byte-identical either way).
-    ///
-    /// # Errors
-    /// [`crate::CellError`] on any simulation failure.
-    pub fn try_run_ckpt(&self, snapshot: Option<(&Path, u64)>) -> Result<String, crate::CellError> {
-        let cfg = self.config();
-        let profile = profiles::by_name(self.bench).expect("known benchmark");
-        let wl = generate(&cfg, &profile, &Self::params());
-        let Some((path, interval)) = snapshot else {
-            return Ok(crate::try_run_one(&cfg, &wl, self.org)?.to_canonical_json());
-        };
-        let build = || {
-            SimBuilder::new(cfg.clone())
-                .organization(self.org)
-                .checkpoint_to(path, interval)
-                .build()
-        };
-        let mut sim = build()?;
-        if path.exists() {
-            match sim.restore_from_file(path, &wl) {
-                Ok(()) => eprintln!(
-                    "  resumed {} from checkpoint at cycle {}",
-                    self.name,
-                    sim.cycle()
-                ),
-                Err(e) => {
-                    eprintln!(
-                        "  discarding unusable checkpoint for {} ({e}); running from cycle 0",
-                        self.name
-                    );
-                    sim = build()?;
-                }
-            }
-        }
-        Ok(sim.run(&wl)?.to_canonical_json())
+    /// [`CellError`] on any simulation failure.
+    pub fn try_run(&self) -> Result<String, CellError> {
+        let (cfg, wl) = self.inputs();
+        let stats = SimCell::new(&cfg, &wl, self.org).attempt(Attempt::cycle(0))?;
+        Ok(stats.to_canonical_json())
     }
 
     /// Crash-drill helper: run the case only to cycle `cut` and snapshot
@@ -139,17 +111,10 @@ impl Case {
     /// `false` if the case finished before reaching it.
     ///
     /// # Errors
-    /// [`crate::CellError`] on any simulation or snapshot-write failure.
-    pub fn interrupt_at(
-        &self,
-        path: &Path,
-        interval: u64,
-        cut: u64,
-    ) -> Result<bool, crate::CellError> {
-        let cfg = self.config();
-        let profile = profiles::by_name(self.bench).expect("known benchmark");
-        let wl = generate(&cfg, &profile, &Self::params());
-        let mut sim = SimBuilder::new(cfg.clone())
+    /// [`CellError`] on any simulation or snapshot-write failure.
+    pub fn interrupt_at(&self, path: &Path, interval: u64, cut: u64) -> Result<bool, CellError> {
+        let (cfg, wl) = self.inputs();
+        let mut sim = SimBuilder::new(cfg)
             .organization(self.org)
             .checkpoint_to(path, interval)
             .max_cycles(cut)
@@ -174,4 +139,36 @@ impl Case {
     pub fn config_desc(&self) -> String {
         crate::cell_config_desc(&self.config(), &Self::params(), self.bench, self.org)
     }
+}
+
+/// Run `cases` as journaled sweep cells through the shared runner
+/// ([`crate::run_journaled`]), returning each case's canonical stats JSON
+/// in input order. This is the `golden_sweep` binary's sweep. `stall`
+/// sleeps before every attempt that runs, which gives a kill/resume drill
+/// a window to interrupt the sweep; it cannot change any result.
+///
+/// # Errors
+/// [`SweepFailure`] listing every quarantined case.
+pub fn run_sweep(
+    cases: &[Case],
+    opts: &SweepOptions,
+    stall: Duration,
+) -> Result<Vec<String>, SweepFailure> {
+    let inputs = sweep::map(cases.iter().collect(), Case::inputs);
+    let cells = cases
+        .iter()
+        .zip(&inputs)
+        .map(|(c, (cfg, wl))| {
+            let key = CellKey {
+                name: c.name.to_string(),
+                desc: c.config_desc(),
+            };
+            (key, SimCell::new(cfg, wl, c.org))
+        })
+        .collect();
+    let stats = crate::run_journaled(cells, opts, |cell, a| {
+        std::thread::sleep(stall);
+        cell.attempt(a)
+    })?;
+    Ok(stats.iter().map(RunStats::to_canonical_json).collect())
 }

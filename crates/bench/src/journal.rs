@@ -29,12 +29,9 @@ use std::path::{Path, PathBuf};
 /// How a journaled cell ended.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RecordOutcome {
-    /// The cell completed; its payload is stored verbatim — the canonical
-    /// stats JSON for simulation cells, the rendered text for report
-    /// sections.
+    /// The cell completed; its canonical stats JSON is stored verbatim.
     Completed {
-        /// Output of [`RunStats::to_canonical_json`] (simulation cells) or
-        /// the section's rendered text (report-section cells).
+        /// Output of [`RunStats::to_canonical_json`].
         stats_json: String,
     },
     /// The cell exhausted its retries (or failed non-retryably).
@@ -61,8 +58,8 @@ pub struct JournalRecord {
     pub config: Option<String>,
     /// Engine-mode token the cell ran under (`"cycle"` or `"fast"`), so a
     /// `--resume` refuses to mix fidelities within one journal. `None` on
-    /// records written before the two-tier engine (and on non-simulation
-    /// records such as report sections), which count as cycle mode.
+    /// records written before every sweep stamped its mode (older figure
+    /// and golden-sweep journals), which count as cycle mode.
     pub mode: Option<String>,
     /// Attempts executed before this outcome.
     pub attempts: u32,
@@ -165,16 +162,6 @@ impl JournalRecord {
                 .map(Some)
                 .map_err(JournalError::from),
             RecordOutcome::Quarantined { .. } => Ok(None),
-        }
-    }
-
-    /// The recorded payload verbatim, if this cell completed. For cells
-    /// that are not simulation runs (e.g. report sections), this is the
-    /// accessor to use instead of [`JournalRecord::stats`].
-    pub fn payload(&self) -> Option<&str> {
-        match &self.outcome {
-            RecordOutcome::Completed { stats_json } => Some(stats_json),
-            RecordOutcome::Quarantined { .. } => None,
         }
     }
 }

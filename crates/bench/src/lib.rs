@@ -26,6 +26,7 @@
 use mcgpu_sim::{ObsReport, RunStats, SimBuilder};
 use mcgpu_trace::{generate, profiles, BenchmarkProfile, TraceParams, Workload};
 use mcgpu_types::{EngineMode, LlcOrgKind, MachineConfig, ObsConfig};
+use sac::SacConfig;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -75,6 +76,22 @@ pub fn trace_params() -> TraceParams {
 /// Whether `--quick` was passed on the command line.
 pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")
+}
+
+/// The value of the command-line flag `name`, given as `name VALUE` or
+/// `name=VALUE`: the first occurrence, in argument order, whose value
+/// parses as `T`. Every binary reads its flags through this one reader.
+pub fn arg_value<T: std::str::FromStr>(name: &str) -> Option<T> {
+    let args: Vec<String> = std::env::args().collect();
+    let prefix = format!("{name}=");
+    args.iter().enumerate().find_map(|(i, a)| {
+        let v = if a == name {
+            args.get(i + 1)?.as_str()
+        } else {
+            a.strip_prefix(&prefix)?
+        };
+        v.parse().ok()
+    })
 }
 
 /// Validate an `--mode` token against the engine-mode registry, exiting
@@ -129,29 +146,16 @@ impl SweepOptions {
     }
 
     /// Parse `--journal PATH` / `--resume PATH` / `--state-dir PATH` /
-    /// `--checkpoint-interval N` (or `--flag=VALUE`) from the process
-    /// arguments.
+    /// `--checkpoint-interval N` / `--mode M` (or `--flag=VALUE`) from the
+    /// process arguments.
     pub fn from_args() -> SweepOptions {
-        fn value(name: &str) -> Option<String> {
-            let args: Vec<String> = std::env::args().collect();
-            for (i, a) in args.iter().enumerate() {
-                if a == name {
-                    return args.get(i + 1).cloned();
-                }
-                if let Some(v) = a.strip_prefix(&format!("{name}=")) {
-                    return Some(v.to_string());
-                }
-            }
-            None
-        }
         SweepOptions {
-            journal: value("--journal").map(PathBuf::from),
-            resume: value("--resume").map(PathBuf::from),
-            state_dir: value("--state-dir").map(PathBuf::from),
-            ckpt_interval: value("--checkpoint-interval")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0),
-            mode: value("--mode").map_or(EngineMode::Cycle, |v| parse_mode_or_exit(&v)),
+            journal: arg_value("--journal"),
+            resume: arg_value("--resume"),
+            state_dir: arg_value("--state-dir"),
+            ckpt_interval: arg_value("--checkpoint-interval").unwrap_or(0),
+            mode: arg_value::<String>("--mode")
+                .map_or(EngineMode::Cycle, |v| parse_mode_or_exit(&v)),
         }
     }
 
@@ -192,7 +196,10 @@ impl SweepOptions {
     ///
     /// Journal I/O failures abort the process: they are environment
     /// errors (full disk, bad path), not cell outcomes, and silently
-    /// dropping durability would defeat the journal's purpose.
+    /// dropping durability would defeat the journal's purpose. So does a
+    /// resumed journal recorded in another engine mode: a journal holds
+    /// results of exactly one fidelity, and mixing cycle-accurate and
+    /// estimated cells in one result set must never happen silently.
     fn open_journal(&self) -> Option<Mutex<Journal>> {
         if let Some(path) = &self.resume {
             let j = Journal::open(path)
@@ -202,6 +209,20 @@ impl SweepOptions {
                 path.display(),
                 j.records().len()
             );
+            if let Some(r) = j
+                .records()
+                .iter()
+                .find(|r| r.mode_token() != self.mode.token())
+            {
+                panic!(
+                    "cannot resume journal in `{}` mode: cell `{}` was recorded in `{}` mode; \
+                     re-run with --mode {} or start a fresh journal",
+                    self.mode.token(),
+                    r.cell,
+                    r.mode_token(),
+                    r.mode_token(),
+                );
+            }
             Some(Mutex::new(j))
         } else if let Some(path) = &self.journal {
             let j = Journal::create(path)
@@ -271,13 +292,16 @@ pub fn exit_on_quarantine<T>(result: Result<T, SweepFailure>) -> T {
     })
 }
 
-/// Collapse [`sweep::map_isolated`] outcomes in a binary: if any cell is
-/// quarantined, print the full report (naming cell `i` via `name(i)`) and
-/// exit non-zero; otherwise return the results in input order.
-pub fn exit_on_cell_failures<R>(
+/// Collapse per-cell outcomes, in input order, into their results, or
+/// into the [`SweepFailure`] naming every quarantined cell (`name(i)`
+/// names cell `i`). Every sweep builds its quarantine report here.
+///
+/// # Errors
+/// [`SweepFailure`] when any cell is quarantined.
+pub fn collect_outcomes<R>(
     outcomes: Vec<CellOutcome<R>>,
     name: impl Fn(usize) -> String,
-) -> Vec<R> {
+) -> Result<Vec<R>, SweepFailure> {
     let quarantined: Vec<CellFailure> = outcomes
         .iter()
         .enumerate()
@@ -290,19 +314,15 @@ pub fn exit_on_cell_failures<R>(
         })
         .collect();
     if !quarantined.is_empty() {
-        eprintln!(
-            "{}",
-            SweepFailure {
-                completed: outcomes.len() - quarantined.len(),
-                quarantined,
-            }
-        );
-        std::process::exit(1);
+        return Err(SweepFailure {
+            completed: outcomes.len() - quarantined.len(),
+            quarantined,
+        });
     }
-    outcomes
+    Ok(outcomes
         .into_iter()
         .map(|o| o.result.expect("quarantine handled above"))
-        .collect()
+        .collect())
 }
 
 /// Results of one benchmark under every requested organization.
@@ -337,247 +357,206 @@ impl BenchRows {
     }
 }
 
-/// Run one `(workload, organization)` simulation, returning typed errors
-/// instead of panicking — the unit of work every crash-safe sweep fans out.
-///
-/// # Errors
-/// [`CellError::Sim`] for configuration rejections and runtime aborts
-/// (cycle limit, deadlock, invariant violation).
-pub fn try_run_one(
-    cfg: &MachineConfig,
-    workload: &Workload,
-    org: LlcOrgKind,
-) -> Result<RunStats, CellError> {
-    try_run_cell(cfg, workload, org, EngineMode::Cycle)
+/// One simulation cell: a workload under one LLC organization on one
+/// machine, the unit of work every sweep fans out.
+#[derive(Debug, Clone, Copy)]
+pub struct SimCell<'a> {
+    /// The machine.
+    pub cfg: &'a MachineConfig,
+    /// The workload, shared read-only by every cell that runs it.
+    pub workload: &'a Workload,
+    /// The LLC organization.
+    pub org: LlcOrgKind,
+    /// SAC parameters for the cycle engine (the θ and profiling-window
+    /// ablations); `None` derives them from `cfg`. Fast mode ignores it.
+    pub sac: Option<SacConfig>,
 }
 
-/// [`try_run_one`] with the engine tier selected explicitly: cycle-accurate
-/// simulation or the analytic fast estimator.
-///
-/// # Errors
-/// [`CellError::Sim`] for configuration rejections and runtime aborts;
-/// fast-mode evaluation cannot abort.
-pub fn try_run_cell(
-    cfg: &MachineConfig,
-    workload: &Workload,
-    org: LlcOrgKind,
-    mode: EngineMode,
-) -> Result<RunStats, CellError> {
-    match mode {
-        EngineMode::Fast => Ok(fastmode::run_fast(cfg, workload, org)),
-        EngineMode::Cycle => Ok(SimBuilder::new(cfg.clone())
-            .organization(org)
-            .build()?
-            .run(workload)?),
+/// Which attempt of a cell to run, and how.
+#[derive(Debug, Clone, Copy)]
+pub struct Attempt<'p> {
+    /// 0-based position in the cell's retry sequence; the attempt runs
+    /// with the watchdog window scaled by `2^n`.
+    pub n: u32,
+    /// The engine tier.
+    pub mode: EngineMode,
+    /// The cell's snapshot file and checkpoint cadence in cycles, or
+    /// `None` for no mid-cell checkpointing.
+    pub snapshot: Option<(&'p Path, u64)>,
+}
+
+impl Attempt<'static> {
+    /// Attempt `n` on the cycle engine without checkpointing, as the
+    /// sweeps that keep no journal ([`sweep::map_isolated`]) run it.
+    pub fn cycle(n: u32) -> Self {
+        Attempt {
+            n,
+            mode: EngineMode::Cycle,
+            snapshot: None,
+        }
     }
 }
 
-/// Run one `(workload, organization)` simulation.
-///
-/// # Panics
-/// Panics on any simulation error; use [`try_run_one`] in sweeps.
-pub fn run_one(cfg: &MachineConfig, workload: &Workload, org: LlcOrgKind) -> RunStats {
-    try_run_one(cfg, workload, org).unwrap_or_else(|e| panic!("{}/{org}: {e}", workload.name))
+impl<'a> SimCell<'a> {
+    /// The cell running `workload` under `org` on `cfg`, with the SAC
+    /// parameters derived from `cfg`.
+    pub fn new(cfg: &'a MachineConfig, workload: &'a Workload, org: LlcOrgKind) -> Self {
+        SimCell {
+            cfg,
+            workload,
+            org,
+            sac: None,
+        }
+    }
+
+    /// Run one attempt of this cell, returning typed errors instead of
+    /// panicking. Every sweep runs its simulations through this function.
+    ///
+    /// Deterministic backoff: attempt `n` runs with the watchdog window
+    /// scaled by `2^n` ([`sweep::escalate_budget`]), so a slow-but-live run
+    /// clears a spurious deadlock trip while a true deadlock still fails
+    /// every attempt identically. No wall-clock scheduling is involved, so
+    /// results remain a pure function of the inputs. Fast mode has no
+    /// cycles, so there is nothing to watchdog, checkpoint or escalate.
+    ///
+    /// With a snapshot set, the attempt periodically snapshots its full
+    /// engine state to that path and, if a snapshot from an identically
+    /// configured interrupted attempt is already there, resumes from it
+    /// mid-kernel at the snapshot's exact cycle. Any restore failure
+    /// (missing, torn, corrupt or differently configured snapshot,
+    /// including one written under a different attempt's escalated
+    /// watchdog) falls back to a full run from cycle 0; restore-then-run
+    /// is byte-identical to the uninterrupted run, so the fallback is a
+    /// cost, never a correctness, decision.
+    ///
+    /// # Errors
+    /// [`CellError::Sim`] for configuration rejections and runtime aborts
+    /// (cycle limit, deadlock, invariant violation, checkpoint write).
+    pub fn attempt(&self, a: Attempt<'_>) -> Result<RunStats, CellError> {
+        if a.mode == EngineMode::Fast {
+            return Ok(fastmode::run_fast(self.cfg, self.workload, self.org));
+        }
+        let mut cfg = self.cfg.clone();
+        cfg.watchdog_cycles = sweep::escalate_budget(cfg.watchdog_cycles, a.n);
+        let build = || {
+            let mut b = SimBuilder::new(cfg.clone()).organization(self.org);
+            if let Some(sac) = self.sac {
+                b = b.sac_config(sac);
+            }
+            if let Some((path, interval)) = a.snapshot {
+                b = b.checkpoint_to(path, interval);
+            }
+            b.build()
+        };
+        let mut sim = build()?;
+        if let Some((path, _)) = a.snapshot.filter(|(p, _)| p.exists()) {
+            let cell = format!("{}/{}", self.workload.name, self.org);
+            match sim.restore_from_file(path, self.workload) {
+                Ok(()) => eprintln!("  resumed {cell} from checkpoint at cycle {}", sim.cycle()),
+                Err(e) => {
+                    eprintln!(
+                        "  discarding unusable checkpoint for {cell} ({e}); running from cycle 0"
+                    );
+                    // A failed restore may have partially overwritten the
+                    // simulator; rebuild rather than trust it.
+                    sim = build()?;
+                }
+            }
+        }
+        Ok(sim.run(self.workload)?)
+    }
 }
 
-/// Like [`try_run_one`], but with the observability layer configured by
+/// Run one `(workload, organization)` simulation on the cycle engine.
+///
+/// # Panics
+/// Panics on any simulation error; sweeps run [`SimCell::attempt`].
+pub fn run_one(cfg: &MachineConfig, workload: &Workload, org: LlcOrgKind) -> RunStats {
+    SimCell::new(cfg, workload, org)
+        .attempt(Attempt::cycle(0))
+        .unwrap_or_else(|e| panic!("{}/{org}: {e}", workload.name))
+}
+
+/// Like [`run_one`], but with the observability layer configured by
 /// `obs`: the returned [`ObsReport`] carries the run's latency histograms,
 /// epoch timeline, and (at the trace level) the Chrome-trace JSON. The
 /// report is `None` when `obs` is off. The [`RunStats`] are byte-identical
 /// to an unobserved run at any level — the observer is strictly read-only.
 ///
-/// # Errors
-/// [`CellError::Sim`] for configuration rejections and runtime aborts.
-pub fn try_run_one_observed(
-    cfg: &MachineConfig,
-    workload: &Workload,
-    org: LlcOrgKind,
-    obs: ObsConfig,
-) -> Result<(RunStats, Option<ObsReport>), CellError> {
-    let mut sim = SimBuilder::new(cfg.clone())
-        .organization(org)
-        .observability(obs)
-        .build()?;
-    let stats = sim.run(workload)?;
-    Ok((stats, sim.take_obs_report()))
-}
-
-/// Run one observed `(workload, organization)` simulation.
-///
 /// # Panics
-/// Panics on any simulation error; use [`try_run_one_observed`] in sweeps.
+/// Panics on any simulation error.
 pub fn run_one_observed(
     cfg: &MachineConfig,
     workload: &Workload,
     org: LlcOrgKind,
     obs: ObsConfig,
 ) -> (RunStats, Option<ObsReport>) {
-    try_run_one_observed(cfg, workload, org, obs)
-        .unwrap_or_else(|e| panic!("{}/{org}: {e}", workload.name))
-}
-
-/// One isolated attempt of a sweep cell. Deterministic backoff: attempt
-/// `n` runs with the watchdog window scaled by `2^n`, so a slow-but-live
-/// run clears a spurious deadlock trip while a true deadlock still fails
-/// every attempt identically. No wall-clock scheduling is involved, so
-/// results remain a pure function of the inputs.
-///
-/// With `ckpt` set, the attempt periodically snapshots its full engine
-/// state to the given path and — if a snapshot from an identically
-/// configured interrupted attempt is already there — resumes from it
-/// mid-kernel at the snapshot's exact cycle. Any restore failure
-/// (missing, torn, corrupt or differently configured snapshot, including
-/// one written under a different attempt's escalated watchdog) falls
-/// back to a full run from cycle 0; restore-then-run is byte-identical
-/// to the uninterrupted run, so the fallback is a cost, never a
-/// correctness, decision.
-fn run_cell_attempt(
-    cfg: &MachineConfig,
-    workload: &Workload,
-    org: LlcOrgKind,
-    attempt: u32,
-    ckpt: Option<(&Path, u64)>,
-    mode: EngineMode,
-) -> Result<RunStats, CellError> {
-    if mode == EngineMode::Fast {
-        // No cycles: nothing to watchdog, checkpoint, or escalate.
-        return Ok(fastmode::run_fast(cfg, workload, org));
-    }
-    let mut c = cfg.clone();
-    c.watchdog_cycles = sweep::escalate_budget(c.watchdog_cycles, attempt);
-    let Some((path, interval)) = ckpt else {
-        return try_run_cell(&c, workload, org, mode);
-    };
-    let build = || {
-        SimBuilder::new(c.clone())
+    let run = || -> Result<_, CellError> {
+        let mut sim = SimBuilder::new(cfg.clone())
             .organization(org)
-            .checkpoint_to(path, interval)
-            .build()
+            .observability(obs)
+            .build()?;
+        let stats = sim.run(workload)?;
+        Ok((stats, sim.take_obs_report()))
     };
-    let mut sim = build()?;
-    if path.exists() {
-        match sim.restore_from_file(path, workload) {
-            Ok(()) => eprintln!(
-                "  resumed {}/{org} from checkpoint at cycle {}",
-                workload.name,
-                sim.cycle()
-            ),
-            Err(e) => {
-                eprintln!(
-                    "  discarding unusable checkpoint for {}/{org} ({e}); running from cycle 0",
-                    workload.name
-                );
-                // A failed restore may have partially overwritten the
-                // simulator; rebuild rather than trust it.
-                sim = build()?;
-            }
-        }
-    }
-    Ok(sim.run(workload)?)
+    run().unwrap_or_else(|e| panic!("{}/{org}: {e}", workload.name))
 }
 
-/// Run one benchmark under the given organizations on `cfg`, fanning the
-/// per-organization runs out over the sweep pool.
-///
-/// # Errors
-/// [`SweepFailure`] listing every quarantined cell; sibling cells still
-/// completed (and were journaled, if `opts` enables journaling).
-pub fn run_benchmark(
-    cfg: &MachineConfig,
-    profile: &BenchmarkProfile,
-    params: &TraceParams,
-    orgs: &[LlcOrgKind],
-    opts: &SweepOptions,
-) -> Result<BenchRows, SweepFailure> {
-    let mut rows = run_profiles(cfg, std::slice::from_ref(profile), params, orgs, opts)?;
-    Ok(rows.pop().expect("one profile yields one row"))
+/// The journal identity of one sweep cell.
+#[derive(Debug, Clone)]
+pub struct CellKey {
+    /// Cell name, unique within one sweep (`"SN/SAC"`, `"sn_memside"`).
+    pub name: String,
+    /// Canonical description of the cell's inputs ([`cell_config_desc`]).
+    /// Its FNV-1a-64 hash keys the journal record and the snapshot file;
+    /// the description itself guards replays against hash collisions.
+    pub desc: String,
 }
 
-/// Run the full 16-benchmark suite under the given organizations on the
-/// sweep pool: trace generation fans out per benchmark, then every
-/// (benchmark × organization) simulation fans out independently. Results
-/// are collected in input order, so the rows are identical to the serial
-/// loop's for any `--jobs` value.
+/// Run `cells` as isolated, journaled sweep cells on the sweep pool and
+/// return their stats in input order. This is the one journaled cell
+/// runner: the figure sweeps ([`run_profiles`]) and the golden sweep
+/// ([`golden::run_sweep`]) both call it, and `attempt(cell, a)` runs one
+/// attempt of a cell (normally [`SimCell::attempt`]).
+///
+/// For each cell, with journaling enabled (see [`SweepOptions`]): a
+/// completed record with a matching key replays without re-running; a
+/// quarantined record seeds the attempt counter, so a resume continues
+/// the budget escalation where the interrupted run stopped instead of
+/// restarting it from zero. Otherwise the cell runs with bounded retries
+/// ([`sweep::run_cell_from`]), checkpointing to its snapshot file when
+/// `opts` sets a state directory; any terminal outcome deletes the
+/// snapshot and is appended to the journal the moment the cell finishes.
+/// Fast-mode cells get a distinct key, so a fast journal can never replay
+/// into a cycle sweep (or vice versa); cycle-mode keys are unchanged, so
+/// existing journals stay valid.
 ///
 /// # Errors
-/// [`SweepFailure`] listing every quarantined cell.
-pub fn run_suite(
-    cfg: &MachineConfig,
-    params: &TraceParams,
-    orgs: &[LlcOrgKind],
-    opts: &SweepOptions,
-) -> Result<Vec<BenchRows>, SweepFailure> {
-    run_profiles(cfg, &profiles::all_profiles(), params, orgs, opts)
-}
-
-/// [`run_suite`] over an explicit benchmark subset.
+/// [`SweepFailure`] listing every quarantined cell; every sibling still
+/// completed and was journaled.
 ///
-/// Every (benchmark × organization) cell runs isolated with bounded
-/// retries (see [`sweep::run_cell`]); with journaling enabled, each cell's
-/// outcome is persisted the moment it finishes, and cells recorded as
-/// completed by a matching earlier run are replayed instead of re-run.
-///
-/// # Errors
-/// [`SweepFailure`] listing every quarantined cell.
-pub fn run_profiles(
-    cfg: &MachineConfig,
-    profs: &[BenchmarkProfile],
-    params: &TraceParams,
-    orgs: &[LlcOrgKind],
+/// # Panics
+/// On journal I/O failures, and when resuming a journal recorded in
+/// another engine mode.
+pub fn run_journaled<C: Send>(
+    cells: Vec<(CellKey, C)>,
     opts: &SweepOptions,
-) -> Result<Vec<BenchRows>, SweepFailure> {
-    eprintln!(
-        "  sweep: {} benchmarks x {} organizations on {} thread(s)",
-        profs.len(),
-        orgs.len(),
-        sweep::jobs()
-    );
+    attempt: impl Fn(&C, Attempt<'_>) -> Result<RunStats, CellError> + Sync,
+) -> Result<Vec<RunStats>, SweepFailure> {
     let journal = opts.open_journal();
-    // A journal records results of exactly one fidelity. Refuse to resume
-    // in a different mode instead of silently mixing cycle-accurate and
-    // estimated cells in one result set.
-    if let Some(j) = &journal {
-        let guard = j.lock().expect("journal lock");
-        if let Some(r) = guard
-            .records()
-            .iter()
-            .find(|r| r.mode_token() != opts.mode.token())
-        {
-            panic!(
-                "cannot resume journal in `{}` mode: cell `{}` was recorded in `{}` mode; \
-                 re-run with --mode {} or start a fresh journal",
-                opts.mode.token(),
-                r.cell,
-                r.mode_token(),
-                r.mode_token(),
-            );
-        }
-    }
     let ckpt = opts.ckpt();
     if let Some((dir, _)) = ckpt {
         std::fs::create_dir_all(dir)
             .unwrap_or_else(|e| panic!("cannot create state dir {}: {e}", dir.display()));
     }
-    let workloads: Vec<Arc<Workload>> =
-        sweep::map(profs.to_vec(), |p| Arc::new(generate(cfg, &p, params)));
-    let pairs: Vec<(usize, LlcOrgKind)> = (0..profs.len())
-        .flat_map(|pi| orgs.iter().map(move |&org| (pi, org)))
-        .collect();
-    let outcomes = sweep::map(pairs, |(pi, org)| {
-        let name = format!("{}/{}", profs[pi].name, org.label());
-        // Fast-mode cells get a distinct identity so a fast journal can
-        // never replay into a cycle sweep (or vice versa); cycle-mode
-        // descs are unchanged so existing journals stay valid.
-        let mut desc = cell_config_desc(cfg, params, profs[pi].name, org);
+    let names: Vec<String> = cells.iter().map(|(k, _)| k.name.clone()).collect();
+    let outcomes = sweep::map(cells, |(key, cell)| {
+        let CellKey { name, mut desc } = key;
         if opts.mode != EngineMode::Cycle {
             desc.push_str("|mode:");
             desc.push_str(opts.mode.token());
         }
         let hash = journal::fnv1a_64(desc.as_bytes());
-        // A prior journal record either replays (completed) or seeds the
-        // attempt counter (quarantined), so a resume continues the budget
-        // escalation where the interrupted run stopped instead of
-        // restarting it from zero.
         let mut prior_attempts = 0;
         if let Some(j) = &journal {
             let guard = j.lock().expect("journal lock");
@@ -586,13 +565,10 @@ pub fn run_profiles(
                     RecordOutcome::Completed { .. } => {
                         if let Ok(Some(stats)) = r.stats() {
                             eprintln!("  replayed {name} from journal");
-                            return (
-                                name,
-                                CellOutcome {
-                                    attempts: 0,
-                                    result: Ok(stats),
-                                },
-                            );
+                            return CellOutcome {
+                                attempts: 0,
+                                result: Ok(stats),
+                            };
                         }
                     }
                     RecordOutcome::Quarantined { .. } => {
@@ -604,14 +580,14 @@ pub fn run_profiles(
         }
         let snapshot =
             ckpt.map(|(dir, interval)| (state::cell_snapshot_path(dir, &name, hash), interval));
-        let out = sweep::run_cell_from(prior_attempts, |attempt| {
-            run_cell_attempt(
-                cfg,
-                &workloads[pi],
-                org,
-                attempt,
-                snapshot.as_ref().map(|(p, i)| (p.as_path(), *i)),
-                opts.mode,
+        let out = sweep::run_cell_from(prior_attempts, |n| {
+            attempt(
+                &cell,
+                Attempt {
+                    n,
+                    mode: opts.mode,
+                    snapshot: snapshot.as_ref().map(|(p, i)| (p.as_path(), *i)),
+                },
             )
         });
         // A terminal outcome supersedes the cell's snapshot: a completed
@@ -650,29 +626,80 @@ pub fn run_profiles(
                 out.attempts
             ),
         }
-        (name, out)
+        out
     });
+    collect_outcomes(outcomes, |i| names[i].clone())
+}
 
-    let quarantined: Vec<CellFailure> = outcomes
+/// Run one benchmark under the given organizations on `cfg`, fanning the
+/// per-organization runs out over the sweep pool.
+///
+/// # Errors
+/// [`SweepFailure`] listing every quarantined cell; sibling cells still
+/// completed (and were journaled, if `opts` enables journaling).
+pub fn run_benchmark(
+    cfg: &MachineConfig,
+    profile: &BenchmarkProfile,
+    params: &TraceParams,
+    orgs: &[LlcOrgKind],
+    opts: &SweepOptions,
+) -> Result<BenchRows, SweepFailure> {
+    let mut rows = run_profiles(cfg, std::slice::from_ref(profile), params, orgs, opts)?;
+    Ok(rows.pop().expect("one profile yields one row"))
+}
+
+/// Run the full 16-benchmark suite under the given organizations on the
+/// sweep pool: trace generation fans out per benchmark, then every
+/// (benchmark × organization) simulation fans out independently. Results
+/// are collected in input order, so the rows are identical to the serial
+/// loop's for any `--jobs` value.
+///
+/// # Errors
+/// [`SweepFailure`] listing every quarantined cell.
+pub fn run_suite(
+    cfg: &MachineConfig,
+    params: &TraceParams,
+    orgs: &[LlcOrgKind],
+    opts: &SweepOptions,
+) -> Result<Vec<BenchRows>, SweepFailure> {
+    run_profiles(cfg, &profiles::all_profiles(), params, orgs, opts)
+}
+
+/// [`run_suite`] over an explicit benchmark subset: every (benchmark ×
+/// organization) cell, named `"BENCH/organization"`, runs through
+/// [`run_journaled`].
+///
+/// # Errors
+/// [`SweepFailure`] listing every quarantined cell.
+pub fn run_profiles(
+    cfg: &MachineConfig,
+    profs: &[BenchmarkProfile],
+    params: &TraceParams,
+    orgs: &[LlcOrgKind],
+    opts: &SweepOptions,
+) -> Result<Vec<BenchRows>, SweepFailure> {
+    eprintln!(
+        "  sweep: {} benchmarks x {} organizations on {} thread(s)",
+        profs.len(),
+        orgs.len(),
+        sweep::jobs()
+    );
+    let workloads: Vec<Arc<Workload>> =
+        sweep::map(profs.to_vec(), |p| Arc::new(generate(cfg, &p, params)));
+    let cells = profs
         .iter()
-        .filter_map(|(name, out)| {
-            out.result.as_ref().err().map(|e| CellFailure {
-                cell: name.clone(),
-                attempts: out.attempts,
-                error: e.clone(),
+        .zip(&workloads)
+        .flat_map(|(p, wl)| {
+            orgs.iter().map(move |&org| {
+                let key = CellKey {
+                    name: format!("{}/{}", p.name, org.label()),
+                    desc: cell_config_desc(cfg, params, p.name, org),
+                };
+                (key, SimCell::new(cfg, wl, org))
             })
         })
         .collect();
-    if !quarantined.is_empty() {
-        return Err(SweepFailure {
-            completed: outcomes.len() - quarantined.len(),
-            quarantined,
-        });
-    }
-
-    let mut stats = outcomes
-        .into_iter()
-        .map(|(_, out)| out.result.expect("quarantine handled above"));
+    let mut stats = run_journaled(cells, opts, SimCell::attempt)?.into_iter();
     Ok(profs
         .iter()
         .zip(&workloads)
@@ -681,109 +708,9 @@ pub fn run_profiles(
             workload: Arc::clone(wl),
             runs: orgs
                 .iter()
-                .map(|&org| (org, stats.next().expect("one result per pair")))
+                .map(|&org| (org, stats.next().expect("one result per cell")))
                 .collect(),
         })
-        .collect())
-}
-
-/// One independently rendered section of a report binary (e.g. a table or
-/// a model dump), runnable as a sweep cell so report binaries get the same
-/// isolation, retry, and journal/resume machinery as simulation sweeps.
-#[derive(Debug, Clone)]
-pub struct ReportSection {
-    /// Stable section name; the journal cell is `"{report}/{name}"`.
-    pub name: &'static str,
-    /// Debug dump of everything that determines the rendered text. It is
-    /// hashed into the journal key, so a section whose inputs changed is
-    /// re-rendered instead of replayed from a stale record.
-    pub inputs: String,
-    /// Render the section to the exact text the binary should print.
-    pub render: fn() -> String,
-}
-
-/// Render every section of `report` through the sweep machinery and return
-/// the rendered texts in input order.
-///
-/// Each section runs isolated with bounded retries (see
-/// [`sweep::run_cell`]); with journaling enabled the rendered text is
-/// persisted verbatim the moment a section finishes, and sections recorded
-/// by a matching earlier run are replayed instead of re-rendered.
-///
-/// # Errors
-/// [`SweepFailure`] listing every quarantined section.
-pub fn run_report_sections(
-    report: &str,
-    sections: &[ReportSection],
-    opts: &SweepOptions,
-) -> Result<Vec<String>, SweepFailure> {
-    let journal = opts.open_journal();
-    let outcomes = sweep::map(sections.to_vec(), |s| {
-        let name = format!("{report}/{}", s.name);
-        let desc = format!("{report}|{}|{}", s.name, s.inputs);
-        let hash = journal::fnv1a_64(desc.as_bytes());
-        if let Some(j) = &journal {
-            let replay = j
-                .lock()
-                .expect("journal lock")
-                .lookup_verified(&name, hash, &desc)
-                .and_then(|r| r.payload().map(str::to_string));
-            if let Some(text) = replay {
-                eprintln!("  replayed {name} from journal");
-                return (
-                    name,
-                    CellOutcome {
-                        attempts: 0,
-                        result: Ok(text),
-                    },
-                );
-            }
-        }
-        let out = sweep::run_cell(|_| Ok((s.render)()));
-        if let Some(j) = &journal {
-            let outcome = match &out.result {
-                Ok(text) => RecordOutcome::Completed {
-                    stats_json: text.clone(),
-                },
-                Err(e) => RecordOutcome::Quarantined {
-                    kind: e.kind().to_string(),
-                    error: e.to_string(),
-                },
-            };
-            j.lock()
-                .expect("journal lock")
-                .append(JournalRecord {
-                    cell: name.clone(),
-                    config_hash: hash,
-                    config: Some(desc),
-                    mode: None,
-                    attempts: out.attempts,
-                    outcome,
-                })
-                .expect("write run journal");
-        }
-        (name, out)
-    });
-
-    let quarantined: Vec<CellFailure> = outcomes
-        .iter()
-        .filter_map(|(name, out)| {
-            out.result.as_ref().err().map(|e| CellFailure {
-                cell: name.clone(),
-                attempts: out.attempts,
-                error: e.clone(),
-            })
-        })
-        .collect();
-    if !quarantined.is_empty() {
-        return Err(SweepFailure {
-            completed: outcomes.len() - quarantined.len(),
-            quarantined,
-        });
-    }
-    Ok(outcomes
-        .into_iter()
-        .map(|(_, out)| out.result.expect("quarantine handled above"))
         .collect())
 }
 
@@ -874,69 +801,6 @@ mod tests {
             2,
             "replayed cells are not re-journaled"
         );
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn report_sections_record_and_replay() {
-        let path =
-            std::env::temp_dir().join(format!("sac-bench-report-{}.jsonl", std::process::id()));
-        let sections = [
-            ReportSection {
-                name: "alpha",
-                inputs: "v1".to_string(),
-                render: || "alpha text\n".to_string(),
-            },
-            ReportSection {
-                name: "beta",
-                inputs: "v1".to_string(),
-                render: || "beta text\n".to_string(),
-            },
-        ];
-
-        let fresh = run_report_sections(
-            "demo",
-            &sections,
-            &SweepOptions {
-                journal: Some(path.clone()),
-                ..SweepOptions::none()
-            },
-        )
-        .unwrap();
-        assert_eq!(fresh, vec!["alpha text\n", "beta text\n"]);
-        let j = Journal::open(&path).unwrap();
-        assert_eq!(j.records().len(), 2, "one record per section");
-        assert_eq!(j.records()[0].payload(), Some("alpha text\n"));
-
-        // A resume replays both sections verbatim without re-rendering.
-        let resumed = run_report_sections(
-            "demo",
-            &sections,
-            &SweepOptions {
-                resume: Some(path.clone()),
-                ..SweepOptions::none()
-            },
-        )
-        .unwrap();
-        assert_eq!(resumed, fresh);
-        assert_eq!(Journal::open(&path).unwrap().records().len(), 2);
-
-        // Changed inputs invalidate the stale record and re-render.
-        let changed = [ReportSection {
-            name: "alpha",
-            inputs: "v2".to_string(),
-            render: || "alpha v2\n".to_string(),
-        }];
-        let rerun = run_report_sections(
-            "demo",
-            &changed,
-            &SweepOptions {
-                resume: Some(path.clone()),
-                ..SweepOptions::none()
-            },
-        )
-        .unwrap();
-        assert_eq!(rerun, vec!["alpha v2\n"]);
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -23,22 +23,12 @@ use std::sync::OnceLock;
 /// Thread count requested via `--jobs`/`MCGPU_JOBS`, or `None` to fall
 /// through to the rayon default (`RAYON_NUM_THREADS` / available CPUs).
 pub fn configured_jobs() -> Option<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    for (i, a) in args.iter().enumerate() {
-        if a == "--jobs" {
-            if let Some(n) = args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-                return Some(n.max(1));
-            }
-        }
-        if let Some(v) = a.strip_prefix("--jobs=") {
-            if let Ok(n) = v.parse::<usize>() {
-                return Some(n.max(1));
-            }
-        }
-    }
-    std::env::var("MCGPU_JOBS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
+    crate::arg_value::<usize>("--jobs")
+        .or_else(|| {
+            std::env::var("MCGPU_JOBS")
+                .ok()
+                .and_then(|v| v.parse::<usize>().ok())
+        })
         .map(|n| n.max(1))
 }
 

@@ -8,16 +8,19 @@
 //! snapshot; a corrupt snapshot falls back to a full run instead of
 //! failing the cell; and a `--resume` of a quarantined cell continues the
 //! journaled attempt/backoff sequence instead of restarting it from
-//! zero, whatever kind the quarantine record carries.
+//! zero, whatever kind the quarantine record carries, in the figure
+//! sweeps and the golden sweep alike.
 
 use mcgpu_sim::{SimBuilder, SimError, Simulator};
 use mcgpu_trace::{generate, profiles, TraceParams, Workload};
 use mcgpu_types::{LlcOrgKind, MachineConfig, ObsConfig};
 use sac_bench::journal::{cell_config_desc, fnv1a_64};
 use sac_bench::{
-    experiment_config, run_benchmark, state, Journal, JournalRecord, RecordOutcome, SweepOptions,
+    experiment_config, golden, run_benchmark, state, Journal, JournalRecord, RecordOutcome,
+    SweepOptions,
 };
 use std::path::PathBuf;
+use std::time::Duration;
 
 fn tdir(name: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("sac-ckpt-sweep-{name}-{}", std::process::id()));
@@ -122,55 +125,84 @@ fn resume_continues_attempt_counts_for_quarantined_cells() {
     let cfg = experiment_config();
     let p = profiles::by_name("SN").unwrap();
     let orgk = LlcOrgKind::MemorySide;
-    let fresh = run_benchmark(&cfg, &p, &test_params(), &[orgk], &SweepOptions::none()).unwrap();
-    let name = format!("{}/{}", p.name, orgk.label());
-    let desc = cell_config_desc(&cfg, &test_params(), p.name, orgk);
-    let hash = fnv1a_64(desc.as_bytes());
-
-    // Seed a journal that says this cell was quarantined after 2 attempts
-    // (as an interrupted earlier sweep would have recorded). `cancelled`
-    // is no longer emitted, but older journals carry it; the kind is an
-    // opaque string, so such a record resumes like any other.
-    for kind in ["deadlock", "cancelled"] {
-        let dir = tdir(&format!("attempts-{kind}"));
-        let jpath = dir.join("journal.jsonl");
-        let mut j = Journal::create(&jpath).unwrap();
-        j.append(JournalRecord {
-            cell: name.clone(),
-            config_hash: hash,
-            config: Some(desc.clone()),
-            mode: None,
-            attempts: 2,
-            outcome: RecordOutcome::Quarantined {
-                kind: kind.to_string(),
-                error: "seeded by test".to_string(),
-            },
-        })
+    let figure_sweep = |opts: &SweepOptions| {
+        run_benchmark(&cfg, &p, &test_params(), &[orgk], opts)
+            .unwrap()
+            .stats(orgk)
+            .to_canonical_json()
+    };
+    let case = golden::suite()
+        .into_iter()
+        .find(|c| c.name == "sn_memside")
         .unwrap();
-        drop(j);
+    let golden_sweep = |opts: &SweepOptions| {
+        golden::run_sweep(std::slice::from_ref(&case), opts, Duration::ZERO)
+            .unwrap()
+            .remove(0)
+    };
+    // Each input: cell name, input description, the sweep entry point it
+    // resumes through (`run_benchmark` for the figure sweeps,
+    // `golden::run_sweep` for `golden_sweep`), and its uninterrupted result.
+    type Sweep<'a> = &'a dyn Fn(&SweepOptions) -> String;
+    let inputs: [(String, String, Sweep, String); 2] = [
+        (
+            format!("{}/{}", p.name, orgk.label()),
+            cell_config_desc(&cfg, &test_params(), p.name, orgk),
+            &figure_sweep,
+            figure_sweep(&SweepOptions::none()),
+        ),
+        (
+            case.name.to_string(),
+            case.config_desc(),
+            &golden_sweep,
+            case.run(),
+        ),
+    ];
 
-        let opts = SweepOptions {
-            resume: Some(jpath.clone()),
-            ..SweepOptions::none()
-        };
-        let resumed = run_benchmark(&cfg, &p, &test_params(), &[orgk], &opts).unwrap();
-        // The watchdog window only decides when to abort, never what a
-        // completing run computes, so the escalated retry stays identical.
-        assert_eq!(
-            resumed.stats(orgk).to_canonical_json(),
-            fresh.stats(orgk).to_canonical_json(),
-            "{kind}"
-        );
-        let back = Journal::open(&jpath).unwrap();
-        let rec = back.lookup(&name, hash).expect("the retry was journaled");
-        assert!(
-            matches!(rec.outcome, RecordOutcome::Completed { .. }),
-            "{kind}"
-        );
-        assert_eq!(
-            rec.attempts, 3,
-            "{kind}: 2 journaled attempts + 1 fresh attempt: escalation resumed, not reset"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
+    for (name, desc, sweep, fresh) in &inputs {
+        let hash = fnv1a_64(desc.as_bytes());
+        // Seed a journal that says this cell was quarantined after 2
+        // attempts (as an interrupted earlier sweep would have recorded).
+        // `cancelled` is no longer emitted, but older journals carry it;
+        // the kind is an opaque string, so such a record resumes like any
+        // other.
+        for kind in ["deadlock", "cancelled"] {
+            let dir = tdir(&format!("attempts-{kind}-{}", fnv1a_64(name.as_bytes())));
+            let jpath = dir.join("journal.jsonl");
+            let mut j = Journal::create(&jpath).unwrap();
+            j.append(JournalRecord {
+                cell: name.clone(),
+                config_hash: hash,
+                config: Some(desc.clone()),
+                mode: None,
+                attempts: 2,
+                outcome: RecordOutcome::Quarantined {
+                    kind: kind.to_string(),
+                    error: "seeded by test".to_string(),
+                },
+            })
+            .unwrap();
+            drop(j);
+
+            let opts = SweepOptions {
+                resume: Some(jpath.clone()),
+                ..SweepOptions::none()
+            };
+            // The watchdog window only decides when to abort, never what
+            // a completing run computes, so the escalated retry stays
+            // identical.
+            assert_eq!(&sweep(&opts), fresh, "{name}/{kind}");
+            let back = Journal::open(&jpath).unwrap();
+            let rec = back.lookup(name, hash).expect("the retry was journaled");
+            assert!(
+                matches!(rec.outcome, RecordOutcome::Completed { .. }),
+                "{name}/{kind}"
+            );
+            assert_eq!(
+                rec.attempts, 3,
+                "{name}/{kind}: 2 journaled attempts + 1 fresh attempt: escalation resumed, not reset"
+            );
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }

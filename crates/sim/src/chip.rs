@@ -166,10 +166,9 @@ impl LlcSlice {
 /// One GPU chip of the multi-chip package.
 ///
 /// Its slice service pipes, fabric egress and memory bypass are pushed
-/// only through [`push_to_slice`](Chip::push_to_slice),
-/// [`push_egress`](Chip::push_egress) and
-/// [`push_bypass`](Chip::push_bypass), which keep track of which of them
-/// may act: the engine's per-cycle loops visit only those.
+/// only through the crate-private `push_to_slice`, `push_egress` and
+/// `push_bypass`, which keep track of which of them may act: the
+/// engine's per-cycle loops visit only those.
 #[derive(Debug)]
 pub struct Chip {
     /// This chip's id.

@@ -64,9 +64,7 @@ pub struct SimBuilder {
     org: LlcOrgKind,
     sac_cfg: SacConfig,
     max_cycles: u64,
-    dynamic_epoch: u64,
     fault_plan: FaultPlan,
-    watchdog_window: u64,
     audit_period: u64,
     obs: ObsConfig,
     ckpt_path: Option<std::path::PathBuf>,
@@ -80,21 +78,18 @@ const AUDIT_PERIOD_DEFAULT: u64 = 4096;
 
 impl SimBuilder {
     /// Start from a machine configuration. The forward-progress watchdog
-    /// window defaults to the configuration's `watchdog_cycles` (generous
-    /// against every legitimate stall in the model, the longest being a
-    /// full SAC drain of a saturated machine, yet far shorter than the
-    /// cycle budget).
+    /// window is the configuration's `watchdog_cycles` (generous against
+    /// every legitimate stall in the model, the longest being a full SAC
+    /// drain of a saturated machine, yet far shorter than the cycle
+    /// budget).
     pub fn new(cfg: MachineConfig) -> Self {
         let sac_cfg = SacConfig::for_machine(&cfg);
-        let watchdog_window = cfg.watchdog_cycles;
         SimBuilder {
             cfg,
             org: LlcOrgKind::MemorySide,
             sac_cfg,
             max_cycles: 50_000_000,
-            dynamic_epoch: 8192,
             fault_plan: FaultPlan::none(),
-            watchdog_window,
             audit_period: if cfg!(debug_assertions) {
                 AUDIT_PERIOD_DEFAULT
             } else {
@@ -124,23 +119,9 @@ impl SimBuilder {
         self
     }
 
-    /// Override the Dynamic LLC's adjustment epoch.
-    pub fn dynamic_epoch(mut self, cycles: u64) -> Self {
-        self.dynamic_epoch = cycles;
-        self
-    }
-
     /// Inject the given fault schedule during the run.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = plan;
-        self
-    }
-
-    /// Override the forward-progress watchdog window: the run aborts with
-    /// [`SimError::Deadlock`] when no request retires for this many
-    /// consecutive cycles. `u64::MAX` disables the watchdog.
-    pub fn watchdog_window(mut self, cycles: u64) -> Self {
-        self.watchdog_window = cycles;
         self
     }
 
@@ -189,12 +170,7 @@ impl SimBuilder {
         self.cfg.validate()?;
         self.fault_plan.validate(&self.cfg)?;
         self.obs.validate()?;
-        if self.watchdog_window == 0 {
-            return Err(ConfigError::new(
-                "watchdog window must be positive (use u64::MAX to disable)",
-            ));
-        }
-        let policy = org::build_policy(self.org, &self.cfg, self.sac_cfg, self.dynamic_epoch)?;
+        let policy = org::build_policy(self.org, &self.cfg, self.sac_cfg)?;
         Ok(Simulator::new(self, policy))
     }
 }
@@ -307,9 +283,7 @@ impl Simulator {
             org: _,
             sac_cfg: _,
             max_cycles,
-            dynamic_epoch: _,
             fault_plan,
-            watchdog_window,
             audit_period,
             obs,
             ckpt_path,
@@ -336,7 +310,7 @@ impl Simulator {
             policy,
             directory: SharerDirectory::default(),
             fault_plan,
-            watchdog_window,
+            watchdog_window: cfg.watchdog_cycles,
             watchdog_sig: 0,
             watchdog_cycle: 0,
             link_factor: vec![1.0; cfg.num_links()],

@@ -416,7 +416,7 @@ fn sparse_phases_skip_most_cycles_and_match() {
 /// deadline in, so it may never jump past it.
 #[test]
 fn deadlock_fires_at_the_stepped_cycle() {
-    let cfg = MachineConfig::experiment_baseline();
+    let mut cfg = MachineConfig::experiment_baseline();
     let params = TraceParams {
         total_accesses: 20_000,
         ..TraceParams::quick()
@@ -439,11 +439,11 @@ fn deadlock_fires_at_the_stepped_cycle() {
         },
     ]);
     let window = 25_000;
+    cfg.watchdog_cycles = window;
     let run = |stepping: bool| {
         let mut sim = SimBuilder::new(cfg.clone())
             .organization(LlcOrgKind::MemorySide)
             .fault_plan(partition.clone())
-            .watchdog_window(window)
             .build()
             .expect("valid machine configuration");
         sim.reference = stepping;

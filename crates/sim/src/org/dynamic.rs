@@ -17,20 +17,24 @@ pub struct DynamicPolicy {
     ctl: DynamicCtl,
 }
 
+/// Cycles between two re-balancings of the Dynamic LLC's way split.
+const DYNAMIC_EPOCH_CYCLES: u64 = 8192;
+
 impl DynamicPolicy {
-    /// Create the dynamic-split policy, re-evaluating every `epoch_cycles`.
+    /// Create the dynamic-split policy, re-evaluating the split every
+    /// 8,192 cycles.
     ///
     /// # Errors
     /// [`ConfigError`] when the LLC has fewer than 2 ways (both pools need
     /// at least one way).
-    pub fn new(ctx: &PolicyCtx, epoch_cycles: u64) -> Result<Self, ConfigError> {
+    pub fn new(ctx: &PolicyCtx) -> Result<Self, ConfigError> {
         if ctx.llc_assoc < 2 {
             return Err(ConfigError::new(
                 "way-partitioned organizations need an LLC with at least 2 ways",
             ));
         }
         Ok(DynamicPolicy {
-            ctl: DynamicCtl::new(ctx.llc_assoc, epoch_cycles),
+            ctl: DynamicCtl::new(ctx.llc_assoc, DYNAMIC_EPOCH_CYCLES),
         })
     }
 }

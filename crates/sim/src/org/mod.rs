@@ -314,14 +314,13 @@ pub fn build_policy(
     kind: LlcOrgKind,
     cfg: &MachineConfig,
     sac_cfg: SacConfig,
-    dynamic_epoch: u64,
 ) -> Result<Box<dyn LlcOrgPolicy>, ConfigError> {
     let ctx = cfg.policy_ctx();
     Ok(match kind {
         LlcOrgKind::MemorySide => Box::new(MemorySidePolicy::new()),
         LlcOrgKind::SmSide => Box::new(SmSidePolicy::new()),
         LlcOrgKind::StaticHalf => Box::new(StaticHalfPolicy::new(&ctx)?),
-        LlcOrgKind::Dynamic => Box::new(DynamicPolicy::new(&ctx, dynamic_epoch)?),
+        LlcOrgKind::Dynamic => Box::new(DynamicPolicy::new(&ctx)?),
         LlcOrgKind::Sac => Box::new(SacPolicy::new(cfg, sac_cfg)),
     })
 }
@@ -353,8 +352,8 @@ mod tests {
         cfg.llc_assoc = 1;
         let sac_cfg = SacConfig::for_machine(&cfg);
         for kind in [LlcOrgKind::StaticHalf, LlcOrgKind::Dynamic] {
-            assert!(build_policy(kind, &cfg, sac_cfg, 8192).is_err());
+            assert!(build_policy(kind, &cfg, sac_cfg).is_err());
         }
-        assert!(build_policy(LlcOrgKind::MemorySide, &cfg, sac_cfg, 8192).is_ok());
+        assert!(build_policy(LlcOrgKind::MemorySide, &cfg, sac_cfg).is_ok());
     }
 }

@@ -118,10 +118,13 @@ fn run_under_plan(org: LlcOrgKind, m: usize, events: Vec<FaultEvent>) {
     let plan = FaultPlan::new(events);
     plan.validate(cfg)
         .expect("strategy only builds valid plans");
-    let result = SimBuilder::new(cfg.clone())
+    let cfg = MachineConfig {
+        watchdog_cycles: 60_000,
+        ..cfg.clone()
+    };
+    let result = SimBuilder::new(cfg)
         .organization(org)
         .fault_plan(plan)
-        .watchdog_window(60_000)
         .max_cycles(5_000_000)
         .build()
         .expect("valid machine configuration")

@@ -54,7 +54,7 @@ fn decision_table_is_stable() {
         for coherence in [CoherenceKind::Software, CoherenceKind::Hardware] {
             let mut cell = cfg.clone();
             cell.coherence = coherence;
-            let policy = org::build_policy(kind, &cell, SacConfig::for_machine(&cell), 8192)
+            let policy = org::build_policy(kind, &cell, SacConfig::for_machine(&cell))
                 .expect("every organization builds on the paper baseline");
             actual.push(row(policy.as_ref(), coherence));
         }

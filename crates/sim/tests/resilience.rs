@@ -42,13 +42,13 @@ fn wedged_machine_deadlocks_with_snapshot_far_before_max_cycles() {
     // are partitioned, remote requests can never be delivered, and no
     // reroute exists. The watchdog must abort with a diagnostic snapshot
     // long before the 50M-cycle budget.
-    let cfg = MachineConfig::experiment_baseline();
+    let mut cfg = MachineConfig::experiment_baseline();
     let wl = generate(&cfg, &profiles::by_name("SN").unwrap(), &params(40_000));
     let window = 25_000;
+    cfg.watchdog_cycles = window;
     let err = SimBuilder::new(cfg)
         .organization(LlcOrgKind::MemorySide)
         .fault_plan(FaultPlan::new(vec![link(2_000, 0, 1), link(2_000, 2, 3)]))
-        .watchdog_window(window)
         .build()
         .expect("valid machine configuration")
         .run(&wl)

@@ -1,19 +1,21 @@
 //! Crash-safe sweep integration tests.
 //!
-//! Covers the ISSUE-3 durability contract end to end with the same
-//! machinery the figure harnesses use: per-cell isolation (a panicking or
-//! deadlocked cell never poisons siblings), deterministic bounded retries
-//! with quarantine, and the resumable JSONL run journal — including that a
-//! `--resume` from a truncated journal reproduces byte-identical canonical
-//! stats while re-executing only the missing or quarantined cells.
+//! Covers the durability contract end to end with the same machinery the
+//! figure harnesses use: per-cell isolation (a panicking or deadlocked
+//! cell never poisons siblings), deterministic bounded retries with
+//! quarantine and watchdog escalation, and the resumable JSONL run
+//! journal — including that a `--resume` from a truncated journal
+//! reproduces byte-identical canonical stats while re-executing only the
+//! missing or quarantined cells.
 
-use mcgpu_sim::{DeadlockSnapshot, SimError};
+use mcgpu_sim::{DeadlockSnapshot, RunStats, SimError};
 use mcgpu_trace::{profiles, TraceParams};
 use mcgpu_types::LlcOrgKind;
 use proptest::prelude::*;
 use sac_bench::sweep::{self, CellError, MAX_ATTEMPTS};
 use sac_bench::{
-    cell_config_hash, run_profiles, Journal, JournalRecord, RecordOutcome, SweepOptions,
+    cell_config_hash, run_benchmark, run_journaled, run_profiles, CellKey, Journal, RecordOutcome,
+    SweepOptions,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -83,64 +85,63 @@ proptest! {
     }
 }
 
-/// A journaled sweep with an injected panicking cell: siblings complete,
-/// the failure lands in the journal as a typed record, and a resume
-/// re-executes only the failed cell.
+/// Stats to stand in for a simulation result: a committed golden
+/// snapshot with its cycle count replaced, so every cell is distinct.
+fn stats_with_cycles(cycles: u64) -> RunStats {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/sn_memside.json");
+    let mut stats = RunStats::from_canonical_json(&std::fs::read_to_string(path).unwrap())
+        .expect("committed snapshot parses");
+    stats.cycles = cycles;
+    stats
+}
+
+/// A journaled sweep with an injected panicking cell, driven through the
+/// shared journaled cell runner: siblings complete, the failure lands in
+/// the journal as a typed record, and a resume re-executes only the
+/// failed cell, continuing its attempt count.
 #[test]
 fn resume_reruns_only_the_failed_cell() {
     let path = tmp_path("rerun-failed");
-    let cells: Vec<&str> = vec!["a", "b", "c", "d"];
     let executions = AtomicUsize::new(0);
-    let run_pass = |journal_path: &PathBuf, create: bool, panic_on: Option<&str>| {
-        let mut journal = if create {
-            Journal::create(journal_path).unwrap()
-        } else {
-            Journal::open(journal_path).unwrap()
-        };
-        // Same replay-or-run-then-record sequence `run_profiles` uses,
-        // serial so the journal handle needs no lock.
-        for cell in &cells {
-            let hash = sac_bench::journal::fnv1a_64(cell.as_bytes());
-            if let Some(r) = journal.lookup(cell, hash) {
-                if matches!(r.outcome, RecordOutcome::Completed { .. }) {
-                    continue;
+    let run_pass = |opts: SweepOptions, panic_on: Option<&str>| {
+        let cells = ["a", "b", "c", "d"]
+            .into_iter()
+            .zip(0u64..)
+            .map(|(name, cycles)| {
+                let key = CellKey {
+                    name: name.to_string(),
+                    desc: name.to_string(),
+                };
+                (key, (name, cycles))
+            })
+            .collect();
+        quiet_panics(|| {
+            run_journaled(cells, &opts, |&(name, cycles), _| {
+                executions.fetch_add(1, Ordering::Relaxed);
+                if Some(name) == panic_on {
+                    panic!("injected panic in {name}");
                 }
-            }
-            executions.fetch_add(1, Ordering::Relaxed);
-            let out = quiet_panics(|| {
-                sweep::run_cell(|_| {
-                    if Some(*cell) == panic_on {
-                        panic!("injected panic in {cell}");
-                    }
-                    Ok(format!("stats for {cell}"))
-                })
-            });
-            let outcome = match &out.result {
-                Ok(s) => RecordOutcome::Completed {
-                    stats_json: s.clone(),
-                },
-                Err(e) => RecordOutcome::Quarantined {
-                    kind: e.kind().to_string(),
-                    error: e.to_string(),
-                },
-            };
-            journal
-                .append(JournalRecord {
-                    cell: cell.to_string(),
-                    config_hash: hash,
-                    config: Some(cell.to_string()),
-                    mode: None,
-                    attempts: out.attempts,
-                    outcome,
-                })
-                .unwrap();
-        }
+                Ok(stats_with_cycles(cycles))
+            })
+        })
     };
 
     // First pass: cell "c" panics; the other three complete and are
-    // journaled alongside the typed failure record.
-    run_pass(&path, true, Some("c"));
+    // journaled alongside the typed failure record, and the sweep reports
+    // exactly the failed cell.
+    let failure = run_pass(
+        SweepOptions {
+            journal: Some(path.clone()),
+            ..SweepOptions::none()
+        },
+        Some("c"),
+    )
+    .expect_err("a panicking cell is quarantined");
     assert_eq!(executions.load(Ordering::Relaxed), 4);
+    assert_eq!(failure.completed, 3);
+    assert_eq!(failure.quarantined.len(), 1);
+    assert_eq!(failure.quarantined[0].cell, "c");
+    assert_eq!(failure.quarantined[0].attempts, 1, "panics are not retried");
     let j = Journal::open(&path).unwrap();
     assert_eq!(j.records().len(), 4, "every cell outcome is journaled");
     let failed = j
@@ -157,21 +158,87 @@ fn resume_reruns_only_the_failed_cell() {
     // Resume: only the quarantined cell re-executes, and its new completed
     // record supersedes the quarantine.
     executions.store(0, Ordering::Relaxed);
-    run_pass(&path, false, None);
+    let stats = run_pass(
+        SweepOptions {
+            resume: Some(path.clone()),
+            ..SweepOptions::none()
+        },
+        None,
+    )
+    .expect("the resumed sweep completes");
     assert_eq!(
         executions.load(Ordering::Relaxed),
         1,
         "resume re-executes only the failed cell"
     );
+    let cycles: Vec<u64> = stats.iter().map(|s| s.cycles).collect();
+    assert_eq!(cycles, [0, 1, 2, 3], "replayed and re-run cells, in order");
     let j = Journal::open(&path).unwrap();
+    let rec = j.lookup("c", sac_bench::journal::fnv1a_64(b"c")).unwrap();
     assert_eq!(
-        j.lookup("c", sac_bench::journal::fnv1a_64(b"c"))
-            .unwrap()
-            .outcome,
+        rec.outcome,
         RecordOutcome::Completed {
-            stats_json: "stats for c".to_string(),
+            stats_json: stats_with_cycles(2).to_canonical_json(),
         }
     );
+    assert_eq!(rec.attempts, 2, "the resume continues the attempt count");
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// Retry escalation through a real simulation: SN memory-side trips a
+/// 50-cycle watchdog on its first two attempts, clears the 200-cycle
+/// window of the third, and the escalated run's canonical stats are
+/// byte-identical to an unwatched run's — the window decides only when
+/// to abort, never what a completing run computes. A 20-cycle window
+/// still trips at 80 cycles, so that cell is quarantined after
+/// `MAX_ATTEMPTS`.
+#[test]
+fn retry_escalation_clears_a_tight_watchdog() {
+    let params = TraceParams {
+        total_accesses: 20_000,
+        ..TraceParams::standard()
+    };
+    let p = profiles::by_name("SN").unwrap();
+    let org = LlcOrgKind::MemorySide;
+    let with_window = |watchdog_cycles: u64| {
+        let mut cfg = sac_bench::experiment_config();
+        cfg.watchdog_cycles = watchdog_cycles;
+        cfg
+    };
+    let unwatched = run_benchmark(
+        &with_window(u64::MAX),
+        &p,
+        &params,
+        &[org],
+        &SweepOptions::none(),
+    )
+    .expect("an unwatched run completes");
+
+    let path = tmp_path("escalation");
+    let opts = SweepOptions {
+        journal: Some(path.clone()),
+        ..SweepOptions::none()
+    };
+    let escalated = run_benchmark(&with_window(50), &p, &params, &[org], &opts)
+        .expect("escalation clears the watchdog without quarantining the cell");
+    assert_eq!(
+        escalated.stats(org).to_canonical_json(),
+        unwatched.stats(org).to_canonical_json()
+    );
+    let j = Journal::open(&path).unwrap();
+    assert_eq!(j.records().len(), 1);
+    assert_eq!(j.records()[0].attempts, 3, "completed on the third attempt");
+    assert!(matches!(
+        j.records()[0].outcome,
+        RecordOutcome::Completed { .. }
+    ));
+
+    let failure = run_benchmark(&with_window(20), &p, &params, &[org], &opts)
+        .err()
+        .expect("a 20-cycle window trips on every attempt");
+    assert_eq!(failure.quarantined.len(), 1);
+    assert_eq!(failure.quarantined[0].attempts, MAX_ATTEMPTS);
+    assert_eq!(failure.quarantined[0].error.kind(), "deadlock");
     std::fs::remove_file(&path).unwrap();
 }
 

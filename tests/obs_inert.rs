@@ -10,7 +10,6 @@
 //! observer leaked into the simulation and the observer is what must be
 //! fixed, never the snapshots.
 
-use mcgpu_trace::{generate, profiles};
 use mcgpu_types::{LlcOrgKind, ObsConfig};
 use sac_bench::golden::{suite, Case};
 use sac_bench::{run_one_observed, sweep};
@@ -25,9 +24,7 @@ fn golden_dir() -> PathBuf {
 /// Run a golden case with the given observability config, returning the
 /// stats JSON and the report.
 fn run_case_observed(c: &Case, obs: ObsConfig) -> (String, Option<mcgpu_sim::ObsReport>) {
-    let cfg = c.config();
-    let profile = profiles::by_name(c.bench).expect("known benchmark");
-    let wl = generate(&cfg, &profile, &Case::params());
+    let (cfg, wl) = c.inputs();
     let (stats, report) = run_one_observed(&cfg, &wl, c.org, obs);
     (stats.to_canonical_json(), report)
 }
@@ -94,9 +91,7 @@ fn observed_histograms_are_consistent_with_run_stats() {
     // The histograms count exactly the retired read responses: one
     // recording per responses_by_origin increment, split the same way.
     let case = suite().into_iter().find(|c| c.name == "sn_sac").unwrap();
-    let cfg = case.config();
-    let profile = profiles::by_name(case.bench).expect("known benchmark");
-    let wl = generate(&cfg, &profile, &Case::params());
+    let (cfg, wl) = case.inputs();
     let (stats, report) = run_one_observed(&cfg, &wl, case.org, ObsConfig::metrics());
     let report = report.expect("observability was enabled");
     for (i, origin) in mcgpu_types::ResponseOrigin::ALL.into_iter().enumerate() {
