@@ -4,7 +4,6 @@
 //! ```text
 //! golden_sweep (--journal PATH | --resume PATH) [--out DIR]
 //!              [--stall-ms N] [--jobs N]
-//!              [--state-dir DIR] [--checkpoint-interval N]
 //! ```
 //!
 //! Runs the 8 golden cases (shared with `tests/golden.rs`) as isolated,
@@ -16,25 +15,13 @@
 //! reliably SIGKILL the process mid-sweep; the stall only delays
 //! execution and cannot change any result. After a kill, re-running with
 //! `--resume` on the same journal replays the finished cells byte-
-//! identically and executes only the rest, so the final output directory
-//! diffs clean against `tests/golden/`.
-//!
-//! With `--state-dir DIR`, every running cell additionally snapshots its
-//! full simulator state to `DIR` every `--checkpoint-interval` cycles
-//! (default 65536), so a SIGKILLed sweep resumes interrupted cells
-//! *mid-cycle* from their latest snapshot instead of from cycle 0 —
-//! still byte-identical to an uninterrupted run.
-//!
-//! `--ckpt-cut N` (requires `--state-dir`) is the deterministic crash
-//! drill: every cell is interrupted at cycle N and snapshotted, leaving
-//! exactly the on-disk state a SIGKILL between two periodic checkpoints
-//! would — nothing journaled, one snapshot per interrupted cell — and the
-//! process exits 3. A subsequent `--resume` run must continue every cell
-//! mid-cycle and reproduce the golden snapshots byte for byte.
+//! identically and executes only the rest (an interrupted cell re-runs
+//! from cycle 0), so the final output directory diffs clean against
+//! `tests/golden/`.
 
 use mcgpu_types::EngineMode;
 use sac_bench::golden::{run_sweep, suite};
-use sac_bench::{arg_value, exit_on_quarantine, state, sweep, SweepOptions};
+use sac_bench::{arg_value, exit_on_quarantine, sweep, SweepOptions};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -56,34 +43,6 @@ fn main() {
         sweep::jobs(),
         journal.display()
     );
-
-    if let Some(cut) = arg_value::<u64>("--ckpt-cut") {
-        let Some((dir, interval)) = opts.ckpt() else {
-            eprintln!("--ckpt-cut requires --state-dir DIR");
-            std::process::exit(2);
-        };
-        std::fs::create_dir_all(dir).expect("create checkpoint state directory");
-        let mut interrupted = 0usize;
-        for c in &cases {
-            let snap = state::cell_snapshot_path(dir, c.name, c.config_hash());
-            match c.interrupt_at(&snap, interval, cut) {
-                Ok(true) => {
-                    eprintln!("  interrupted {} at cycle {cut}", c.name);
-                    interrupted += 1;
-                }
-                Ok(false) => eprintln!("  {} finished before cycle {cut}; no snapshot", c.name),
-                Err(e) => {
-                    eprintln!("  FAILED interrupting {}: {e}", c.name);
-                    std::process::exit(1);
-                }
-            }
-        }
-        eprintln!(
-            "crash drill: {interrupted} cell(s) snapshotted mid-cycle; resume with --resume {}",
-            journal.display()
-        );
-        std::process::exit(3);
-    }
 
     let stats = exit_on_quarantine(run_sweep(&cases, &opts, stall));
     std::fs::create_dir_all(&out_dir).expect("create output directory");

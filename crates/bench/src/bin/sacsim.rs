@@ -7,8 +7,6 @@
 //!        [--mode cycle|fast] [--list-modes]
 //!        [--watchdog-cycles N] [--journal PATH] [--resume PATH]
 //!        [--obs] [--obs-window N] [--obs-out PATH] [--trace-out PATH]
-//!        [--checkpoint PATH] [--restore PATH] [--checkpoint-interval N]
-//!        [--state-dir DIR] [--gc-state [--dry-run]]
 //! ```
 //!
 //! ORG is any token or label from the LLC-organization registry
@@ -26,16 +24,16 @@
 //! Engine tier: `--mode cycle` (default) simulates every cycle, jumping
 //! the clock over cycles in which nothing can move; `--mode fast`
 //! evaluates cells with the analytic locality estimator instead (no cycle
-//! simulation, so `--obs*`, `--trace-out`, `--checkpoint`, `--restore` and
-//! `--state-dir` are rejected with it). `--list-modes` prints the
-//! registry.
+//! simulation, so `--obs*` and `--trace-out` are rejected with it).
+//! `--list-modes` prints the registry.
 //!
 //! Robustness knobs: `--watchdog-cycles N` sets the forward-progress
 //! watchdog window (`MCGPU_WATCHDOG_CYCLES` works too; `18446744073709551615`
 //! = `u64::MAX` disables it). `--journal PATH` records every finished cell
 //! to an append-only JSONL run journal; after an interruption,
 //! `--resume PATH` replays completed cells byte-identically and re-runs
-//! only missing or quarantined ones.
+//! only missing or quarantined ones. The cell is the unit of recovery: an
+//! interrupted cell re-runs from cycle 0.
 //!
 //! Observability (single organization only; strictly read-only, so the
 //! printed statistics stay byte-identical): `--obs` records latency
@@ -44,26 +42,11 @@
 //! observability JSON, and `--trace-out PATH` writes a Chrome `trace_event`
 //! JSON (load in `chrome://tracing` or Perfetto). `--obs-out`/`--trace-out`
 //! imply `--obs`; `--trace-out` raises the level to `trace`.
-//!
-//! Checkpoint/restore (single organization only): `--checkpoint PATH`
-//! snapshots the full engine state to PATH every `--checkpoint-interval`
-//! cycles (default 65536) and once more if the run aborts (watchdog,
-//! cycle limit), so the budget can be extended across invocations;
-//! `--restore PATH` resumes a run mid-cycle from a snapshot —
-//! byte-identical output to the uninterrupted run. For sweeps,
-//! `--state-dir DIR` checkpoints every cell under DIR and resumes
-//! interrupted cells automatically; `--gc-state` (with `--state-dir`,
-//! optionally `--resume JOURNAL` and `--dry-run`) reclaims superseded
-//! snapshots, torn files and orphaned tmps instead of running anything.
 
 use mcgpu_sim::SimBuilder;
 use mcgpu_trace::{generate, profiles, TraceParams};
 use mcgpu_types::{CoherenceKind, EngineMode, LlcOrgKind, ObsConfig, ResponseOrigin, TopologyKind};
-use sac_bench::{
-    arg_value, exit_on_quarantine, run_benchmark, state, Journal, SweepOptions,
-    DEFAULT_CKPT_INTERVAL,
-};
-use std::path::Path;
+use sac_bench::{arg_value, exit_on_quarantine, run_benchmark, SweepOptions};
 
 fn main() {
     if std::env::args().any(|a| a == "--list-orgs") {
@@ -77,29 +60,6 @@ fn main() {
         println!("{:8} summary", "token");
         for d in &mcgpu_types::ENGINE_MODES {
             println!("{:8} {}", d.token, d.summary);
-        }
-        return;
-    }
-    if std::env::args().any(|a| a == "--gc-state") {
-        let Some(dir) = arg_value::<String>("--state-dir") else {
-            eprintln!("--gc-state needs --state-dir DIR");
-            std::process::exit(2);
-        };
-        let journal = arg_value::<String>("--resume")
-            .or_else(|| arg_value("--journal"))
-            .map(|p| {
-                Journal::open(&p).unwrap_or_else(|e| {
-                    eprintln!("cannot open journal {p}: {e}");
-                    std::process::exit(2);
-                })
-            });
-        let dry_run = std::env::args().any(|a| a == "--dry-run");
-        match state::gc_state(Path::new(&dir), journal.as_ref(), dry_run) {
-            Ok(report) => print!("{}", report.render()),
-            Err(e) => {
-                eprintln!("gc-state failed: {e}");
-                std::process::exit(1);
-            }
         }
         return;
     }
@@ -181,30 +141,18 @@ fn main() {
     let obs_out = arg_value::<String>("--obs-out");
     let obs_requested =
         std::env::args().any(|a| a == "--obs") || obs_out.is_some() || trace_out.is_some();
-    let ckpt_path = arg_value::<String>("--checkpoint");
-    let restore_path = arg_value::<String>("--restore");
 
-    // The fast tier has no cycles, so there is nothing to observe, trace,
-    // checkpoint or restore — reject the combination up front instead of
-    // silently running the wrong engine.
-    if opts.mode == EngineMode::Fast {
-        if obs_requested {
-            eprintln!("--mode fast has no cycle engine to observe; drop --obs/--obs-out/--trace-out or use --mode cycle");
-            std::process::exit(2);
-        }
-        if ckpt_path.is_some() || restore_path.is_some() || opts.state_dir.is_some() {
-            eprintln!("--mode fast runs have no mid-run state; drop --checkpoint/--restore/--state-dir or use --mode cycle");
-            std::process::exit(2);
-        }
+    // The fast tier has no cycles, so there is nothing to observe or
+    // trace — reject the combination up front instead of silently running
+    // the wrong engine.
+    if opts.mode == EngineMode::Fast && obs_requested {
+        eprintln!("--mode fast has no cycle engine to observe; drop --obs/--obs-out/--trace-out or use --mode cycle");
+        std::process::exit(2);
     }
 
     let Some(org) = org else {
         if obs_requested {
             eprintln!("--obs/--obs-out/--trace-out need a single --org, not `all`");
-            std::process::exit(2);
-        }
-        if ckpt_path.is_some() || restore_path.is_some() {
-            eprintln!("--checkpoint/--restore need a single --org, not `all` (use --state-dir for sweeps)");
             std::process::exit(2);
         }
         // --org all: fan every organization out over the sweep pool and
@@ -242,71 +190,37 @@ fn main() {
         }
         return;
     };
-    let (stats, report, total_accesses) =
-        if obs_requested || ckpt_path.is_some() || restore_path.is_some() {
-            // Direct single-simulator path: observability and/or explicit
-            // checkpoint/restore of this one run.
-            let mut obs = if trace_out.is_some() {
-                ObsConfig::trace()
-            } else if obs_requested {
-                ObsConfig::metrics()
-            } else {
-                ObsConfig::off()
-            };
-            if let Some(w) = arg_value("--obs-window") {
-                obs = obs.with_epoch_window(w);
-            }
-            let interval = arg_value("--checkpoint-interval")
-                .filter(|&n| n > 0)
-                .unwrap_or(DEFAULT_CKPT_INTERVAL);
-            let wl = generate(&cfg, &profile, &params);
-            let total = wl.total_accesses();
-            let mut b = SimBuilder::new(cfg.clone())
-                .organization(org)
-                .observability(obs);
-            if let Some(p) = &ckpt_path {
-                b = b.checkpoint_to(p, interval);
-            }
-            let mut sim = b.build().unwrap_or_else(|e| {
+    let (stats, report, total_accesses) = if obs_requested {
+        // Direct single-simulator path: observe this one run.
+        let mut obs = if trace_out.is_some() {
+            ObsConfig::trace()
+        } else {
+            ObsConfig::metrics()
+        };
+        if let Some(w) = arg_value("--obs-window") {
+            obs = obs.with_epoch_window(w);
+        }
+        let wl = generate(&cfg, &profile, &params);
+        let total = wl.total_accesses();
+        let mut sim = SimBuilder::new(cfg.clone())
+            .organization(org)
+            .observability(obs)
+            .build()
+            .unwrap_or_else(|e| {
                 eprintln!("{bench}/{org}: {e}");
                 std::process::exit(1);
             });
-            if let Some(p) = &restore_path {
-                // An explicit --restore failing is a user error, not a
-                // fall-back situation: fail loudly instead of silently
-                // re-running from cycle 0.
-                sim.restore_from_file(Path::new(p), &wl)
-                    .unwrap_or_else(|e| {
-                        eprintln!("cannot restore {p}: {e}");
-                        std::process::exit(1);
-                    });
-                eprintln!("restored {p}; resuming at cycle {}", sim.cycle());
-            }
-            let stats = match sim.run(&wl) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("{bench}/{org}: {e}");
-                    // Leave a resume point behind an aborted budget (cycle
-                    // limit, watchdog): `--restore` continues this exact run.
-                    if let Some(p) = &ckpt_path {
-                        match sim.write_checkpoint(Path::new(p), &wl) {
-                            Ok(()) => eprintln!(
-                                "wrote checkpoint {p} at cycle {}; resume with --restore {p}",
-                                sim.cycle()
-                            ),
-                            Err(we) => eprintln!("cannot write checkpoint {p}: {we}"),
-                        }
-                    }
-                    std::process::exit(1);
-                }
-            };
-            let report = sim.take_obs_report();
-            (stats, report, total)
-        } else {
-            let rows = exit_on_quarantine(run_benchmark(&cfg, &profile, &params, &[org], &opts));
-            let total = rows.workload.total_accesses();
-            (rows.stats(org).clone(), None, total)
-        };
+        let stats = sim.run(&wl).unwrap_or_else(|e| {
+            eprintln!("{bench}/{org}: {e}");
+            std::process::exit(1);
+        });
+        let report = sim.take_obs_report();
+        (stats, report, total)
+    } else {
+        let rows = exit_on_quarantine(run_benchmark(&cfg, &profile, &params, &[org], &opts));
+        let total = rows.workload.total_accesses();
+        (rows.stats(org).clone(), None, total)
+    };
     let stats = &stats;
     if let Some(r) = &report {
         if let Some(path) = &obs_out {

@@ -4,10 +4,9 @@
 //! journaled sweep reproduces exactly the snapshots the test checks.
 
 use crate::{sweep, Attempt, CellError, CellKey, SimCell, SweepFailure, SweepOptions};
-use mcgpu_sim::{RunStats, SimBuilder, SimError};
+use mcgpu_sim::RunStats;
 use mcgpu_trace::{generate, profiles, TraceParams, Workload};
 use mcgpu_types::{CoherenceKind, LlcOrgKind, MachineConfig};
-use std::path::Path;
 use std::time::Duration;
 
 /// One golden case: a machine variant, a benchmark, and an organization.
@@ -104,38 +103,9 @@ impl Case {
         Ok(stats.to_canonical_json())
     }
 
-    /// Crash-drill helper: run the case only to cycle `cut` and snapshot
-    /// the interrupted simulator to `path` — exactly the on-disk state a
-    /// SIGKILL between two periodic checkpoints leaves behind. Returns
-    /// `true` if the cut interrupted the run (and the snapshot exists),
-    /// `false` if the case finished before reaching it.
-    ///
-    /// # Errors
-    /// [`CellError`] on any simulation or snapshot-write failure.
-    pub fn interrupt_at(&self, path: &Path, interval: u64, cut: u64) -> Result<bool, CellError> {
-        let (cfg, wl) = self.inputs();
-        let mut sim = SimBuilder::new(cfg)
-            .organization(self.org)
-            .checkpoint_to(path, interval)
-            .max_cycles(cut)
-            .build()?;
-        match sim.run(&wl) {
-            Err(SimError::CycleLimit { .. }) => {
-                sim.write_checkpoint(path, &wl)?;
-                Ok(true)
-            }
-            Ok(_) => Ok(false),
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    /// Journal key for this case (see [`crate::cell_config_hash`]).
-    pub fn config_hash(&self) -> u64 {
-        crate::cell_config_hash(&self.config(), &Self::params(), self.bench, self.org)
-    }
-
-    /// Full canonical configuration description whose hash is
-    /// [`Case::config_hash`]; stored in the journal as the collision guard.
+    /// Full canonical configuration description; its hash keys the case's
+    /// journal record and the description is stored as the collision
+    /// guard (see [`crate::cell_config_hash`]).
     pub fn config_desc(&self) -> String {
         crate::cell_config_desc(&self.config(), &Self::params(), self.bench, self.org)
     }

@@ -22,12 +22,14 @@
 //! record every finished cell in an append-only JSONL [`journal`], and
 //! `--resume results/run.jsonl` after an interruption to replay completed
 //! cells byte-identically and re-execute only missing or quarantined ones.
+//! The cell is the unit of recovery: a cell interrupted mid-run re-runs
+//! from cycle 0, which costs at most a few seconds at this scale.
 
 use mcgpu_sim::{ObsReport, RunStats, SimBuilder};
 use mcgpu_trace::{generate, profiles, BenchmarkProfile, TraceParams, Workload};
 use mcgpu_types::{EngineMode, LlcOrgKind, MachineConfig, ObsConfig};
 use sac::SacConfig;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 pub mod crossval;
@@ -37,7 +39,6 @@ pub mod figdata;
 pub mod golden;
 pub mod journal;
 pub mod resilience;
-pub mod state;
 pub mod sweep;
 
 pub use journal::{cell_config_desc, cell_config_hash, Journal, JournalRecord, RecordOutcome};
@@ -107,11 +108,6 @@ pub fn parse_mode_or_exit(token: &str) -> EngineMode {
     })
 }
 
-/// Default mid-cell checkpoint cadence in simulated cycles; the engine
-/// quantizes writes to its coarse checkpoint grid of the same period, so
-/// this is also the finest cadence it honours.
-pub const DEFAULT_CKPT_INTERVAL: u64 = 65_536;
-
 /// Journal/resume options for a sweep, normally parsed from the command
 /// line with [`SweepOptions::from_args`].
 #[derive(Debug, Default)]
@@ -121,17 +117,6 @@ pub struct SweepOptions {
     /// Load this journal, replay its completed cells, re-run the rest, and
     /// keep recording to the same path. Takes precedence over `journal`.
     pub resume: Option<PathBuf>,
-    /// Directory for mid-cell engine checkpoints. When set, every cell
-    /// periodically snapshots its full simulator state here and a resumed
-    /// (or crashed-and-restarted) sweep continues interrupted cells from
-    /// their latest valid snapshot instead of from cycle 0; a missing,
-    /// stale or corrupt snapshot silently falls back to a full re-run.
-    /// `None` (the default) disables checkpointing entirely — no file is
-    /// ever written and every output stays byte-identical.
-    pub state_dir: Option<PathBuf>,
-    /// Checkpoint cadence in cycles; `0` means [`DEFAULT_CKPT_INTERVAL`].
-    /// Ignored unless `state_dir` is set.
-    pub ckpt_interval: u64,
     /// How cells are evaluated: cycle-stepped simulation (the default) or
     /// the analytic fast estimator (see [`fastmode`]). Journal records are
     /// stamped with the mode, and a `--resume` in a different mode is
@@ -145,33 +130,15 @@ impl SweepOptions {
         SweepOptions::default()
     }
 
-    /// Parse `--journal PATH` / `--resume PATH` / `--state-dir PATH` /
-    /// `--checkpoint-interval N` / `--mode M` (or `--flag=VALUE`) from the
-    /// process arguments.
+    /// Parse `--journal PATH` / `--resume PATH` / `--mode M` (or
+    /// `--flag=VALUE`) from the process arguments.
     pub fn from_args() -> SweepOptions {
         SweepOptions {
             journal: arg_value("--journal"),
             resume: arg_value("--resume"),
-            state_dir: arg_value("--state-dir"),
-            ckpt_interval: arg_value("--checkpoint-interval").unwrap_or(0),
             mode: arg_value::<String>("--mode")
                 .map_or(EngineMode::Cycle, |v| parse_mode_or_exit(&v)),
         }
-    }
-
-    /// The effective (state directory, checkpoint interval) pair, or
-    /// `None` when mid-cell checkpointing is off.
-    pub fn ckpt(&self) -> Option<(&Path, u64)> {
-        self.state_dir.as_deref().map(|d| {
-            (
-                d,
-                if self.ckpt_interval == 0 {
-                    DEFAULT_CKPT_INTERVAL
-                } else {
-                    self.ckpt_interval
-                },
-            )
-        })
     }
 
     /// Adapt for binaries that run *several* sweeps in sequence: a fresh
@@ -374,25 +341,21 @@ pub struct SimCell<'a> {
 
 /// Which attempt of a cell to run, and how.
 #[derive(Debug, Clone, Copy)]
-pub struct Attempt<'p> {
+pub struct Attempt {
     /// 0-based position in the cell's retry sequence; the attempt runs
     /// with the watchdog window scaled by `2^n`.
     pub n: u32,
     /// The engine tier.
     pub mode: EngineMode,
-    /// The cell's snapshot file and checkpoint cadence in cycles, or
-    /// `None` for no mid-cell checkpointing.
-    pub snapshot: Option<(&'p Path, u64)>,
 }
 
-impl Attempt<'static> {
-    /// Attempt `n` on the cycle engine without checkpointing, as the
-    /// sweeps that keep no journal ([`sweep::map_isolated`]) run it.
+impl Attempt {
+    /// Attempt `n` on the cycle engine, as the sweeps that keep no journal
+    /// ([`sweep::map_isolated`]) run it.
     pub fn cycle(n: u32) -> Self {
         Attempt {
             n,
             mode: EngineMode::Cycle,
-            snapshot: None,
         }
     }
 }
@@ -417,53 +380,22 @@ impl<'a> SimCell<'a> {
     /// clears a spurious deadlock trip while a true deadlock still fails
     /// every attempt identically. No wall-clock scheduling is involved, so
     /// results remain a pure function of the inputs. Fast mode has no
-    /// cycles, so there is nothing to watchdog, checkpoint or escalate.
-    ///
-    /// With a snapshot set, the attempt periodically snapshots its full
-    /// engine state to that path and, if a snapshot from an identically
-    /// configured interrupted attempt is already there, resumes from it
-    /// mid-kernel at the snapshot's exact cycle. Any restore failure
-    /// (missing, torn, corrupt or differently configured snapshot,
-    /// including one written under a different attempt's escalated
-    /// watchdog) falls back to a full run from cycle 0; restore-then-run
-    /// is byte-identical to the uninterrupted run, so the fallback is a
-    /// cost, never a correctness, decision.
+    /// cycles, so there is nothing to watchdog or escalate.
     ///
     /// # Errors
     /// [`CellError::Sim`] for configuration rejections and runtime aborts
-    /// (cycle limit, deadlock, invariant violation, checkpoint write).
-    pub fn attempt(&self, a: Attempt<'_>) -> Result<RunStats, CellError> {
+    /// (cycle limit, deadlock, invariant violation).
+    pub fn attempt(&self, a: Attempt) -> Result<RunStats, CellError> {
         if a.mode == EngineMode::Fast {
             return Ok(fastmode::run_fast(self.cfg, self.workload, self.org));
         }
         let mut cfg = self.cfg.clone();
         cfg.watchdog_cycles = sweep::escalate_budget(cfg.watchdog_cycles, a.n);
-        let build = || {
-            let mut b = SimBuilder::new(cfg.clone()).organization(self.org);
-            if let Some(sac) = self.sac {
-                b = b.sac_config(sac);
-            }
-            if let Some((path, interval)) = a.snapshot {
-                b = b.checkpoint_to(path, interval);
-            }
-            b.build()
-        };
-        let mut sim = build()?;
-        if let Some((path, _)) = a.snapshot.filter(|(p, _)| p.exists()) {
-            let cell = format!("{}/{}", self.workload.name, self.org);
-            match sim.restore_from_file(path, self.workload) {
-                Ok(()) => eprintln!("  resumed {cell} from checkpoint at cycle {}", sim.cycle()),
-                Err(e) => {
-                    eprintln!(
-                        "  discarding unusable checkpoint for {cell} ({e}); running from cycle 0"
-                    );
-                    // A failed restore may have partially overwritten the
-                    // simulator; rebuild rather than trust it.
-                    sim = build()?;
-                }
-            }
+        let mut b = SimBuilder::new(cfg).organization(self.org);
+        if let Some(sac) = self.sac {
+            b = b.sac_config(sac);
         }
-        Ok(sim.run(self.workload)?)
+        Ok(b.build()?.run(self.workload)?)
     }
 }
 
@@ -508,8 +440,8 @@ pub struct CellKey {
     /// Cell name, unique within one sweep (`"SN/SAC"`, `"sn_memside"`).
     pub name: String,
     /// Canonical description of the cell's inputs ([`cell_config_desc`]).
-    /// Its FNV-1a-64 hash keys the journal record and the snapshot file;
-    /// the description itself guards replays against hash collisions.
+    /// Its FNV-1a-64 hash keys the journal record; the description itself
+    /// guards replays against hash collisions.
     pub desc: String,
 }
 
@@ -524,9 +456,8 @@ pub struct CellKey {
 /// quarantined record seeds the attempt counter, so a resume continues
 /// the budget escalation where the interrupted run stopped instead of
 /// restarting it from zero. Otherwise the cell runs with bounded retries
-/// ([`sweep::run_cell_from`]), checkpointing to its snapshot file when
-/// `opts` sets a state directory; any terminal outcome deletes the
-/// snapshot and is appended to the journal the moment the cell finishes.
+/// ([`sweep::run_cell_from`]), and its terminal outcome is appended to the
+/// journal the moment the cell finishes.
 /// Fast-mode cells get a distinct key, so a fast journal can never replay
 /// into a cycle sweep (or vice versa); cycle-mode keys are unchanged, so
 /// existing journals stay valid.
@@ -541,14 +472,9 @@ pub struct CellKey {
 pub fn run_journaled<C: Send>(
     cells: Vec<(CellKey, C)>,
     opts: &SweepOptions,
-    attempt: impl Fn(&C, Attempt<'_>) -> Result<RunStats, CellError> + Sync,
+    attempt: impl Fn(&C, Attempt) -> Result<RunStats, CellError> + Sync,
 ) -> Result<Vec<RunStats>, SweepFailure> {
     let journal = opts.open_journal();
-    let ckpt = opts.ckpt();
-    if let Some((dir, _)) = ckpt {
-        std::fs::create_dir_all(dir)
-            .unwrap_or_else(|e| panic!("cannot create state dir {}: {e}", dir.display()));
-    }
     let names: Vec<String> = cells.iter().map(|(k, _)| k.name.clone()).collect();
     let outcomes = sweep::map(cells, |(key, cell)| {
         let CellKey { name, mut desc } = key;
@@ -578,25 +504,9 @@ pub fn run_journaled<C: Send>(
                 }
             }
         }
-        let snapshot =
-            ckpt.map(|(dir, interval)| (state::cell_snapshot_path(dir, &name, hash), interval));
         let out = sweep::run_cell_from(prior_attempts, |n| {
-            attempt(
-                &cell,
-                Attempt {
-                    n,
-                    mode: opts.mode,
-                    snapshot: snapshot.as_ref().map(|(p, i)| (p.as_path(), *i)),
-                },
-            )
+            attempt(&cell, Attempt { n, mode: opts.mode })
         });
-        // A terminal outcome supersedes the cell's snapshot: a completed
-        // cell replays from the journal and a quarantined one re-runs
-        // under a different escalated budget, so the snapshot can never
-        // be consumed again (`state::gc_state` reaps any we miss here).
-        if let Some((p, _)) = &snapshot {
-            let _ = std::fs::remove_file(p);
-        }
         if let Some(j) = &journal {
             let outcome = match &out.result {
                 Ok(stats) => RecordOutcome::Completed {

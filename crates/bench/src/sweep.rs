@@ -101,8 +101,8 @@ impl CellError {
     /// Cycle-limit and watchdog-deadlock aborts are budget trips — a
     /// slow-but-live run clears them with a bigger budget, and a true
     /// deadlock fails them again deterministically. Panics, configuration
-    /// rejections, invariant violations and checkpoint failures are not;
-    /// retrying the same deterministic run cannot change the outcome.
+    /// rejections and invariant violations are not; retrying the same
+    /// deterministic run cannot change the outcome.
     pub fn retryable(&self) -> bool {
         matches!(
             self,
@@ -118,7 +118,6 @@ impl CellError {
             CellError::Sim(SimError::Deadlock { .. }) => "deadlock",
             CellError::Sim(SimError::InvariantViolation { .. }) => "invariant-violation",
             CellError::Sim(SimError::Config(_)) => "config",
-            CellError::Sim(SimError::Checkpoint { .. }) => "checkpoint",
         }
     }
 }

@@ -153,7 +153,7 @@ pub struct SetAssocCache {
     stats: CacheStats,
     /// Valid lines by data home `(local, remote)`, kept in step with the
     /// ways so [`occupancy_by_home`](SetAssocCache::occupancy_by_home) is
-    /// O(1). Derived state: not serialized, recounted on restore.
+    /// O(1). Derived state.
     valid: (usize, usize),
 }
 
@@ -453,6 +453,7 @@ impl SetAssocCache {
     }
 
     /// Count the valid lines by data home with a full scan of the ways.
+    #[cfg(test)]
     fn recount_valid(&self) -> (usize, usize) {
         let mut counts = (0, 0);
         for way in self.sets.iter().flatten().filter(|w| w.valid) {
@@ -462,91 +463,6 @@ impl SetAssocCache {
             }
         }
         counts
-    }
-
-    /// Serialize the full dynamic state (every way's tag/valid/dirty/home/
-    /// sector bits/LRU stamp, the LRU clock, partition and stats) into a
-    /// checkpoint payload. Geometry is *not* serialized — the restoring
-    /// side rebuilds the cache from the same [`CacheConfig`] and
-    /// [`SetAssocCache::load_into`] checks the shapes agree.
-    pub fn save(&self, e: &mut mcgpu_types::Enc) {
-        e.put_usize(self.sets.len());
-        e.put_usize(self.cfg.assoc);
-        e.put_u64(self.clock);
-        match self.local_ways {
-            None => e.put_bool(false),
-            Some(l) => {
-                e.put_bool(true);
-                e.put_usize(l);
-            }
-        }
-        let s = &self.stats;
-        for v in [
-            s.accesses,
-            s.hits,
-            s.misses,
-            s.sector_misses,
-            s.fills,
-            s.evictions,
-            s.fill_rejections,
-        ] {
-            e.put_u64(v);
-        }
-        for way in self.sets.iter().flat_map(|s| s.iter()) {
-            e.put_u64(way.tag);
-            e.put_bool(way.valid);
-            e.put_bool(way.dirty);
-            e.put_bool(matches!(way.home, DataHome::Remote));
-            e.put_u8(way.sectors);
-            e.put_u64(way.stamp);
-        }
-    }
-
-    /// Overwrite this cache's dynamic state from a payload saved by
-    /// [`SetAssocCache::save`]. The cache must have been constructed with
-    /// the same geometry as the saved one.
-    ///
-    /// # Errors
-    /// Returns a decode error on truncated input or a geometry mismatch.
-    pub fn load_into(&mut self, d: &mut mcgpu_types::Dec<'_>) -> mcgpu_types::CkptResult<()> {
-        let sets = d.get_usize()?;
-        let assoc = d.get_usize()?;
-        if sets != self.sets.len() || assoc != self.cfg.assoc {
-            return Err(mcgpu_types::CkptError::Decode(format!(
-                "cache geometry mismatch: snapshot {sets}x{assoc}, live {}x{}",
-                self.sets.len(),
-                self.cfg.assoc
-            )));
-        }
-        self.clock = d.get_u64()?;
-        self.local_ways = if d.get_bool()? {
-            Some(d.get_usize()?)
-        } else {
-            None
-        };
-        self.stats = CacheStats {
-            accesses: d.get_u64()?,
-            hits: d.get_u64()?,
-            misses: d.get_u64()?,
-            sector_misses: d.get_u64()?,
-            fills: d.get_u64()?,
-            evictions: d.get_u64()?,
-            fill_rejections: d.get_u64()?,
-        };
-        for way in self.sets.iter_mut().flat_map(|s| s.iter_mut()) {
-            way.tag = d.get_u64()?;
-            way.valid = d.get_bool()?;
-            way.dirty = d.get_bool()?;
-            way.home = if d.get_bool()? {
-                DataHome::Remote
-            } else {
-                DataHome::Local
-            };
-            way.sectors = d.get_u8()?;
-            way.stamp = d.get_u64()?;
-        }
-        self.valid = self.recount_valid();
-        Ok(())
     }
 }
 
@@ -725,8 +641,6 @@ mod tests {
         FlushHome(bool),
         WritebackAllDirty,
         SetPartition(Option<usize>),
-        Save,
-        Load,
     }
 
     fn op() -> impl Strategy<Value = Op> {
@@ -741,8 +655,6 @@ mod tests {
             any::<bool>().prop_map(Op::FlushHome),
             Just(Op::WritebackAllDirty),
             prop_oneof![Just(None), (0usize..=4).prop_map(Some)].prop_map(Op::SetPartition),
-            Just(Op::Save),
-            Just(Op::Load),
         ]
     }
 
@@ -751,8 +663,7 @@ mod tests {
 
         /// The O(1) occupancy counters equal a full scan of the ways after
         /// every operation, on conventional and sectored caches, through
-        /// sector fills into resident lines, zero-way-pool rejections and
-        /// checkpoint restores.
+        /// sector fills into resident lines and zero-way-pool rejections.
         #[test]
         fn occupancy_counters_equal_a_recount(
             sectored in any::<bool>(),
@@ -763,8 +674,7 @@ mod tests {
             if sectored {
                 geometry = geometry.with_sectors(4);
             }
-            let mut c = SetAssocCache::new(geometry.clone());
-            let mut saved: Option<Vec<u8>> = None;
+            let mut c = SetAssocCache::new(geometry);
             let home = |remote: bool| if remote { DataHome::Remote } else { DataHome::Local };
             for op in &ops {
                 match *op {
@@ -788,21 +698,6 @@ mod tests {
                     }
                     Op::SetPartition(Some(ways)) => c.set_partition(ways),
                     Op::SetPartition(None) => c.clear_partition(),
-                    Op::Save => {
-                        let mut e = mcgpu_types::Enc::new();
-                        c.save(&mut e);
-                        saved = Some(e.into_bytes());
-                    }
-                    Op::Load => {
-                        if let Some(bytes) = &saved {
-                            // Restore into a cache that holds other lines.
-                            let mut fresh = SetAssocCache::new(geometry.clone());
-                            fresh.fill(LineAddr(1), None, DataHome::Remote, false);
-                            let mut d = mcgpu_types::Dec::new(bytes);
-                            fresh.load_into(&mut d).expect("saved cache restores");
-                            c = fresh;
-                        }
-                    }
                 }
                 prop_assert_eq!(c.occupancy_by_home(), c.recount_valid(), "after {:?}", op);
                 prop_assert_eq!(c.len(), c.recount_valid().0 + c.recount_valid().1);

@@ -84,55 +84,6 @@ impl PageTable {
         self.homes.clear();
         self.pages_per_chip.clear();
     }
-
-    /// Serialize the page table into a checkpoint payload. Mappings are
-    /// written in sorted page order so the same table always encodes to
-    /// the same bytes (hash-map iteration order is not deterministic).
-    pub fn save(&self, e: &mut mcgpu_types::Enc) {
-        e.put_u64(self.page_size);
-        let mut entries: Vec<(PageAddr, ChipId)> =
-            self.homes.iter().map(|(&p, &c)| (p, c)).collect();
-        entries.sort_by_key(|&(p, _)| p);
-        e.put_seq_len(entries.len());
-        for (page, chip) in entries {
-            e.put_u64(page.0);
-            e.put_u8(chip.0);
-        }
-        e.put_seq_len(self.pages_per_chip.len());
-        for &n in &self.pages_per_chip {
-            e.put_u64(n);
-        }
-    }
-
-    /// Deserialize a page table saved by [`PageTable::save`].
-    ///
-    /// # Errors
-    /// Returns a decode error on truncated or malformed input.
-    pub fn load(d: &mut mcgpu_types::Dec<'_>) -> mcgpu_types::CkptResult<Self> {
-        let page_size = d.get_u64()?;
-        if !page_size.is_power_of_two() {
-            return Err(mcgpu_types::CkptError::Decode(format!(
-                "page size {page_size} is not a power of two"
-            )));
-        }
-        let n = d.get_seq_len()?;
-        let mut homes = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let page = PageAddr(d.get_u64()?);
-            let chip = ChipId(d.get_u8()?);
-            homes.insert(page, chip);
-        }
-        let n = d.get_seq_len()?;
-        let mut pages_per_chip = Vec::with_capacity(n);
-        for _ in 0..n {
-            pages_per_chip.push(d.get_u64()?);
-        }
-        Ok(PageTable {
-            page_size,
-            homes,
-            pages_per_chip,
-        })
-    }
 }
 
 #[cfg(test)]

@@ -4,8 +4,8 @@
 //! neighbor-slot) of the configured [`Topology`] and forwards multi-hop
 //! packets hop by hop. Routing is a pure function of link liveness, so
 //! the fabric tabulates it as a next-hop table `routes[from][dest]`,
-//! rebuilt only when liveness changes (construction, [`fail_link`],
-//! checkpoint restore). A packet that lands at an intermediate chip is
+//! rebuilt only when liveness changes (construction and [`fail_link`]).
+//! A packet that lands at an intermediate chip is
 //! routed once, from the table, onto the transit backlog of the link it
 //! leaves by; [`tick`] feeds each link from its backlog until the link's
 //! queue is full, so a tick costs O(links + packets moved) however deep
@@ -37,7 +37,7 @@ struct FabricPacket<T> {
 /// A packet waiting at an intermediate chip, tagged with its arrival
 /// sequence number there. A chip's transit packets are spread over one
 /// backlog per outgoing link plus a stalled list; the numbers recover
-/// their single arrival order for re-routing and checkpoints.
+/// their single arrival order for re-routing after a link fault.
 type Transit<T> = (u64, FabricPacket<T>);
 
 /// Why [`FabricNetwork::try_send`] returned the payload to the caller.
@@ -106,8 +106,7 @@ pub struct FabricNetwork<T> {
     /// Links whose pipe may not be [dormant](Pipe::is_dormant) or whose
     /// backlog holds packets: a send or a transit arrival adds its link, a
     /// tick that leaves a link dormant with an empty backlog removes it,
-    /// and a restore or a link fault marks every link. Derived, never
-    /// serialized.
+    /// and a link fault marks every link. Derived state.
     active: ActiveSet,
     /// Transit packets at each chip with no live route, in arrival order.
     /// Links never recover, so they wait here (conserved) until the
@@ -198,7 +197,7 @@ impl<T> FabricNetwork<T> {
         }
     }
 
-    /// Mark every link active, as a restore or a link fault does. Visiting
+    /// Mark every link active, as a link fault does. Visiting
     /// an idle link is a no-op, so this never changes results; the
     /// differential tests call it every cycle to make the fabric visit
     /// every link.
@@ -217,17 +216,6 @@ impl<T> FabricNetwork<T> {
     /// Transit packets waiting at `chip`.
     fn transit_len(&self, chip: usize) -> usize {
         self.backlog[chip].iter().map(VecDeque::len).sum::<usize>() + self.stalled[chip].len()
-    }
-
-    /// `chip`'s transit packets in arrival order.
-    fn transit_in_order(&self, chip: usize) -> Vec<&Transit<T>> {
-        let mut all: Vec<&Transit<T>> = self.backlog[chip]
-            .iter()
-            .flatten()
-            .chain(&self.stalled[chip])
-            .collect();
-        all.sort_unstable_by_key(|&&(seq, _)| seq);
-        all
     }
 
     /// The outgoing slot at `a` of the adjacency `a <-> b` (the first slot
@@ -484,112 +472,6 @@ impl<T> FabricNetwork<T> {
     /// Bytes injected so far by `chip` (observability tap).
     pub fn bytes_sent_from(&self, chip: ChipId) -> u64 {
         self.sent_from[chip.index()]
-    }
-
-    /// Serialize the full fabric state (link pipes with queued and
-    /// in-flight packets, link liveness, transit and arrival buffers,
-    /// counters) into a checkpoint payload, encoding each payload with
-    /// `f`. Each chip's transit packets are written as one list in
-    /// arrival order. The topology and route table are not serialized —
-    /// the restoring side rebuilds them from the same [`MachineConfig`]
-    /// (the checkpoint config fingerprint guarantees it matches) and the
-    /// restored liveness.
-    pub fn save_with(
-        &self,
-        e: &mut mcgpu_types::Enc,
-        mut f: impl FnMut(&mut mcgpu_types::Enc, &T),
-    ) {
-        let mut put_pkt = |e: &mut mcgpu_types::Enc, pkt: &FabricPacket<T>| {
-            e.put_u8(pkt.dest.0);
-            e.put_u64(pkt.bytes);
-            f(e, &pkt.payload);
-        };
-        e.put_seq_len(self.chips);
-        for chip in 0..self.chips {
-            for slot in 0..self.links[chip].len() {
-                self.links[chip][slot].save_with(e, &mut put_pkt);
-                e.put_bool(self.alive[chip][slot]);
-            }
-            let transit = self.transit_in_order(chip);
-            e.put_seq_len(transit.len());
-            for (_, pkt) in transit {
-                put_pkt(e, pkt);
-            }
-            e.put_seq_len(self.arrived[chip].len());
-            for pkt in &self.arrived[chip] {
-                put_pkt(e, pkt);
-            }
-            e.put_u64(self.sent_from[chip]);
-        }
-        e.put_u64(self.delivered);
-        e.put_u64(self.bytes_sent);
-    }
-
-    /// Overwrite this fabric's dynamic state from a payload saved by
-    /// [`FabricNetwork::save_with`], decoding each payload with `f`. The
-    /// fabric must have been constructed for the same machine (the slot
-    /// count per chip is structural and is not re-validated here beyond
-    /// the chip count). Every link starts active.
-    ///
-    /// # Errors
-    /// Returns a decode error on truncated input or a chip-count mismatch.
-    pub fn load_into(
-        &mut self,
-        d: &mut mcgpu_types::Dec<'_>,
-        mut f: impl FnMut(&mut mcgpu_types::Dec<'_>) -> mcgpu_types::CkptResult<T>,
-    ) -> mcgpu_types::CkptResult<()> {
-        let chips = d.get_seq_len()?;
-        if chips != self.chips {
-            return Err(mcgpu_types::CkptError::Decode(format!(
-                "fabric chip count mismatch: snapshot {chips}, live {}",
-                self.chips
-            )));
-        }
-        let mut get_pkt =
-            |d: &mut mcgpu_types::Dec<'_>| -> mcgpu_types::CkptResult<FabricPacket<T>> {
-                let dest = ChipId(d.get_u8()?);
-                let bytes = d.get_u64()?;
-                let payload = f(d)?;
-                Ok(FabricPacket {
-                    dest,
-                    bytes,
-                    payload,
-                })
-            };
-        // Transit packets are routed only once every chip's liveness is
-        // back.
-        let mut transit = Vec::with_capacity(chips);
-        for chip in 0..chips {
-            for slot in 0..self.links[chip].len() {
-                self.links[chip][slot] = Pipe::load_with(d, &mut get_pkt)?;
-                self.alive[chip][slot] = d.get_bool()?;
-            }
-            let n = d.get_seq_len()?;
-            let mut waiting = Vec::with_capacity(n);
-            for _ in 0..n {
-                waiting.push(get_pkt(d)?);
-            }
-            transit.push(waiting);
-            let n = d.get_seq_len()?;
-            self.arrived[chip].clear();
-            for _ in 0..n {
-                let pkt = get_pkt(d)?;
-                self.arrived[chip].push(pkt);
-            }
-            self.sent_from[chip] = d.get_u64()?;
-        }
-        self.delivered = d.get_u64()?;
-        self.bytes_sent = d.get_u64()?;
-        self.rebuild_routes();
-        for (chip, waiting) in transit.into_iter().enumerate() {
-            self.stalled[chip].clear();
-            self.backlog[chip].iter_mut().for_each(VecDeque::clear);
-            for pkt in waiting {
-                self.enter_transit(chip, pkt);
-            }
-        }
-        self.wake_all();
-        Ok(())
     }
 }
 

@@ -7,8 +7,9 @@
 //! ship: [`Ring`] (bit-exact reproduction of the original hard-wired
 //! 4-chip ring, Table 3), [`FullyConnected`], and [`Mesh2D`]. The
 //! structural facts (who neighbors whom, canonical link lists) come from
-//! [`MachineConfig`] so every layer — fault validation, checkpoint link
-//! factors, this fabric — agrees on the same graph.
+//! [`MachineConfig`] so every layer — fault validation, the engine's
+//! degraded-link bandwidth factors, this fabric — agrees on the same
+//! graph.
 
 use mcgpu_types::{ChipId, MachineConfig, TopologyKind};
 

@@ -9,15 +9,16 @@
 //! links, with random link failures (including partitions that strand
 //! packets) and degradations mid-run. Every cycle, per-chip
 //! arrivals, `try_send` outcomes, `len`, `chip_load` and `next_event`
-//! must agree. At random cycles the checkpoint bytes must agree, and the
-//! fabric is swapped for one restored from those bytes, which must save
-//! back to the same bytes and keep agreeing from then on. At other random
-//! cycles injection pauses up to the reported next event: ticking and
-//! popping every cycle before it must deliver nothing and leave the
-//! checkpoint bytes unchanged, so `next_event` is never late.
+//! must agree, and at random cycles so must `count_matching`. At other
+//! random cycles injection pauses up to the reported next event: ticking
+//! and popping every cycle before it must deliver nothing and leave `len`
+//! and every `chip_load` unchanged, so `next_event` is never late. Each
+//! scenario ends by ticking both until nothing can move (every packet
+//! delivered or stranded by a partition), comparing every arrival, then
+//! the packets left and the counters.
 
 use mcgpu_noc::{build_topology, FabricNetwork, SendError, Topology};
-use mcgpu_types::{ChipId, Dec, Enc, MachineConfig, Pipe, TopologyKind};
+use mcgpu_types::{ChipId, MachineConfig, Pipe, TopologyKind};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -202,48 +203,11 @@ impl Reference {
             .filter(|p| pred(p.payload))
             .count()
     }
-
-    fn save(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        let put_pkt = |e: &mut Enc, p: &Packet| {
-            e.put_u8(p.dest.0);
-            e.put_u64(p.bytes);
-            e.put_u32(p.payload);
-        };
-        e.put_seq_len(self.chips);
-        for chip in 0..self.chips {
-            for slot in 0..self.links[chip].len() {
-                self.links[chip][slot].save_with(&mut e, put_pkt);
-                e.put_bool(self.alive[chip][slot]);
-            }
-            for list in [&self.transit[chip], &self.arrived[chip]] {
-                e.put_seq_len(list.len());
-                for p in list {
-                    put_pkt(&mut e, p);
-                }
-            }
-            e.put_u64(self.sent_from[chip]);
-        }
-        e.put_u64(self.delivered);
-        e.put_u64(self.bytes_sent);
-        e.into_bytes()
-    }
 }
 
-fn save(fabric: &FabricNetwork<u32>) -> Vec<u8> {
-    let mut e = Enc::new();
-    fabric.save_with(&mut e, |e, &p| e.put_u32(p));
-    e.into_bytes()
-}
-
-fn restore(cfg: &MachineConfig, queue_depth: usize, bytes: &[u8]) -> FabricNetwork<u32> {
-    let mut fabric = FabricNetwork::new(cfg, queue_depth);
-    let mut d = Dec::new(bytes);
-    fabric
-        .load_into(&mut d, |d| d.get_u32())
-        .expect("fabric state decodes");
-    d.finish().expect("fabric state consumed exactly");
-    fabric
+/// Every chip's `chip_load`, in chip order.
+fn chip_loads(fabric: &FabricNetwork<u32>, chips: usize) -> Vec<usize> {
+    ChipId::all(chips).map(|c| fabric.chip_load(c)).collect()
 }
 
 fn topology_kind() -> impl Strategy<Value = TopologyKind> {
@@ -342,7 +306,7 @@ fn lockstep(kind: TopologyKind, chips: usize, seed: u64) {
         );
         if rng.gen_bool(0.02) {
             // A quiet stretch up to the reported event: nothing may move.
-            let before = save(&fabric);
+            let before = chip_loads(&fabric, chips);
             let end = event.min(total_cycles);
             while now + 1 < end {
                 now += 1;
@@ -357,11 +321,15 @@ fn lockstep(kind: TopologyKind, chips: usize, seed: u64) {
                 }
                 assert_eq!(
                     before,
-                    save(&fabric),
-                    "state moved at cycle {now}, before event {event}"
+                    chip_loads(&fabric, chips),
+                    "packets moved between chips at cycle {now}, before event {event}"
                 );
             }
-            assert_eq!(reference.save(), before, "quiet stretch ending at {now}");
+            assert_eq!(
+                reference.len(),
+                fabric.len(),
+                "quiet stretch ending at {now}"
+            );
         }
         if rng.gen_bool(0.01) {
             let modulus = rng.gen_range(2..5u32);
@@ -370,14 +338,54 @@ fn lockstep(kind: TopologyKind, chips: usize, seed: u64) {
                 fabric.count_matching(|&p| p % modulus == 0),
                 "count_matching at cycle {now}"
             );
-            let bytes = reference.save();
-            assert_eq!(bytes, save(&fabric), "checkpoint bytes at cycle {now}");
-            fabric = restore(&cfg, queue_depth, &bytes);
-            assert_eq!(bytes, save(&fabric), "restore round trip at cycle {now}");
         }
         now += 1;
     }
-    assert_eq!(reference.save(), save(&fabric), "final checkpoint bytes");
+    // Drain: tick both until nothing can move, comparing every arrival.
+    while fabric.next_event(now - 1) != u64::MAX {
+        assert!(now < total_cycles + 1_000_000, "not drained by cycle {now}");
+        reference.tick(now);
+        fabric.tick(now);
+        for chip in ChipId::all(chips) {
+            assert_eq!(
+                reference.pop_arrivals(chip),
+                fabric.pop_arrivals(chip, now),
+                "drain arrivals at {chip:?}, cycle {now}"
+            );
+        }
+        assert_eq!(
+            reference.next_event(now),
+            fabric.next_event(now),
+            "drain next_event at cycle {now}"
+        );
+        now += 1;
+    }
+    assert_eq!(
+        ChipId::all(chips)
+            .map(|c| reference.chip_load(c))
+            .collect::<Vec<_>>(),
+        chip_loads(&fabric, chips),
+        "stranded packets after the drain"
+    );
+    assert_eq!(
+        reference.count_matching(|_| true),
+        fabric.count_matching(|_| true)
+    );
+    assert_eq!(
+        (
+            reference.delivered,
+            reference.bytes_sent,
+            &reference.sent_from
+        ),
+        (
+            fabric.delivered(),
+            fabric.bytes_sent(),
+            &ChipId::all(chips)
+                .map(|c| fabric.bytes_sent_from(c))
+                .collect::<Vec<_>>()
+        ),
+        "counters after the drain"
+    );
 }
 
 proptest! {
@@ -429,8 +437,17 @@ fn partition_strands_packets_identically() {
             fabric.tick(now);
             for chip in ChipId::all(8) {
                 assert_eq!(reference.pop_arrivals(chip), fabric.pop_arrivals(chip, now));
+                assert_eq!(
+                    reference.chip_load(chip),
+                    fabric.chip_load(chip),
+                    "{kind}: chip_load of {chip:?} at cycle {now}"
+                );
             }
-            assert_eq!(reference.save(), save(&fabric), "{kind} at cycle {now}");
+            assert_eq!(
+                reference.next_event(now),
+                fabric.next_event(now),
+                "{kind} at cycle {now}"
+            );
         }
         assert!(!fabric.is_empty(), "{kind}: the partition stranded nothing");
         assert_eq!(reference.len(), fabric.len());

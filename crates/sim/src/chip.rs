@@ -78,43 +78,10 @@ impl PendingFetches {
         self.table.is_empty()
     }
 
-    /// Serialize the outstanding fetches, in table order, into a checkpoint
-    /// payload. The recycled spare pool is allocation-only state and is not
-    /// saved.
-    pub fn save(&self, e: &mut mcgpu_types::Enc) {
-        e.put_seq_len(self.table.len());
-        for (line, waiters) in self.table.entries() {
-            e.put_u64(*line);
-            e.put_seq_len(waiters.len());
-            for w in waiters {
-                w.save(e);
-            }
-        }
-    }
-
-    /// Restore state saved by [`PendingFetches::save`], in its saved order.
-    ///
-    /// # Errors
-    /// Returns a decode error on truncated or malformed input, or when the
-    /// snapshot lists a line twice.
-    pub fn load_into(&mut self, d: &mut mcgpu_types::Dec<'_>) -> mcgpu_types::CkptResult<()> {
-        let n = d.get_seq_len()?;
-        self.table.clear();
-        for _ in 0..n {
-            let line = d.get_u64()?;
-            let m = d.get_seq_len()?;
-            let mut waiters = self.spare.pop().unwrap_or_default();
-            waiters.reserve(m);
-            for _ in 0..m {
-                waiters.push(ReqEnvelope::load(d)?);
-            }
-            if !self.table.insert(line, waiters) {
-                return Err(mcgpu_types::CkptError::Decode(format!(
-                    "slice snapshot lists a pending fetch for line {line:#x} twice"
-                )));
-            }
-        }
-        Ok(())
+    /// The outstanding fetches in table order.
+    #[cfg(test)]
+    pub(crate) fn entries(&self) -> &[(u64, Vec<ReqEnvelope>)] {
+        self.table.entries()
     }
 }
 
@@ -196,9 +163,8 @@ pub struct Chip {
     /// SM-side bypass path: ring → memory controller (Fig. 6, path 4).
     pub bypass_to_mem: Pipe<ReqEnvelope>,
     /// Slices whose service pipe is not [dormant](Pipe::is_dormant): a
-    /// push adds the slice, a visit that leaves the pipe dormant removes
-    /// it, and a restore marks every slice. Derived, never serialized,
-    /// like the two flags below.
+    /// push adds the slice and a visit that leaves the pipe dormant removes
+    /// it. Derived state, like the two flags below.
     pub(crate) active_slices: ActiveSet,
     /// Whether `fabric_egress` may be non-dormant.
     pub(crate) egress_active: bool,
@@ -294,10 +260,9 @@ impl Chip {
     }
 
     /// Mark every pipe on the chip active (slice services, egress, bypass,
-    /// crossbar ports, DRAM channels), as a restore does. Visiting a
-    /// dormant pipe is a no-op, so this never changes results; the
-    /// differential tests call it every cycle to make the engine visit
-    /// everything.
+    /// crossbar ports, DRAM channels). Visiting a dormant pipe is a no-op,
+    /// so this never changes results; the differential tests call it every
+    /// cycle to make the engine visit everything.
     pub(crate) fn wake_all(&mut self) {
         self.active_slices.fill();
         self.egress_active = true;
@@ -398,103 +363,6 @@ impl Chip {
         }
         (local, remote, cap)
     }
-
-    /// Serialize the chip's full live state (clusters, crossbars, slices,
-    /// memory partition, ring-side queues) into a checkpoint payload.
-    pub fn save(&self, e: &mut mcgpu_types::Enc) {
-        e.put_seq_len(self.clusters.len());
-        for cl in &self.clusters {
-            cl.save(e);
-        }
-        self.xbar_req.save_with(e, |e, env| env.save(e));
-        self.xbar_rsp.save_with(e, |e, env| env.save(e));
-        e.put_seq_len(self.slices.len());
-        for s in &self.slices {
-            s.cache.save(e);
-            s.service.save_with(e, |e, env| env.save(e));
-            s.pending.save(e);
-            e.put_bool(s.disabled);
-        }
-        self.memory.save(e);
-        self.fabric_egress.save_with(e, |e, p| p.save(e));
-        e.put_seq_len(self.pending_fabric.len());
-        for p in &self.pending_fabric {
-            p.save(e);
-        }
-        e.put_bool(self.fabric_retry.is_some());
-        if let Some(p) = &self.fabric_retry {
-            p.save(e);
-        }
-        e.put_seq_len(self.pending_req.len());
-        for env in &self.pending_req {
-            env.save(e);
-        }
-        e.put_seq_len(self.pending_rsp.len());
-        for env in &self.pending_rsp {
-            env.save(e);
-        }
-        self.bypass_to_mem.save_with(e, |e, env| env.save(e));
-    }
-
-    /// Restore state saved by [`Chip::save`] into this chip, with every
-    /// pipe active. The caller must have re-attached the in-progress
-    /// kernel's traces to the clusters first.
-    ///
-    /// # Errors
-    /// Returns a decode error on truncated or malformed input, or when the
-    /// snapshot's geometry (cluster/slice counts) does not match this chip.
-    pub fn load_into(&mut self, d: &mut mcgpu_types::Dec<'_>) -> mcgpu_types::CkptResult<()> {
-        let n = d.get_seq_len()?;
-        if n != self.clusters.len() {
-            return Err(mcgpu_types::CkptError::Decode(format!(
-                "snapshot has {n} clusters, chip has {}",
-                self.clusters.len()
-            )));
-        }
-        for cl in &mut self.clusters {
-            cl.load_into(d)?;
-        }
-        self.xbar_req = mcgpu_noc::Crossbar::load_with(d, ReqEnvelope::load)?;
-        self.xbar_rsp = mcgpu_noc::Crossbar::load_with(d, RspEnvelope::load)?;
-        let n = d.get_seq_len()?;
-        if n != self.slices.len() {
-            return Err(mcgpu_types::CkptError::Decode(format!(
-                "snapshot has {n} LLC slices, chip has {}",
-                self.slices.len()
-            )));
-        }
-        for s in &mut self.slices {
-            s.cache.load_into(d)?;
-            s.service = Pipe::load_with(d, ReqEnvelope::load)?;
-            s.pending.load_into(d)?;
-            s.disabled = d.get_bool()?;
-        }
-        self.memory.load_into(d)?;
-        self.fabric_egress = Pipe::load_with(d, FabricPayload::load)?;
-        let n = d.get_seq_len()?;
-        self.pending_fabric.clear();
-        for _ in 0..n {
-            self.pending_fabric.push_back(FabricPayload::load(d)?);
-        }
-        self.fabric_retry = if d.get_bool()? {
-            Some(FabricPayload::load(d)?)
-        } else {
-            None
-        };
-        let n = d.get_seq_len()?;
-        self.pending_req.clear();
-        for _ in 0..n {
-            self.pending_req.push_back(ReqEnvelope::load(d)?);
-        }
-        let n = d.get_seq_len()?;
-        self.pending_rsp.clear();
-        for _ in 0..n {
-            self.pending_rsp.push_back(RspEnvelope::load(d)?);
-        }
-        self.bypass_to_mem = Pipe::load_with(d, ReqEnvelope::load)?;
-        self.wake_all();
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -511,29 +379,6 @@ mod tests {
         assert_eq!(chip.xbar_req.ports(), cfg.slices_per_chip);
         assert_eq!(chip.xbar_rsp.ports(), cfg.clusters_per_chip);
         assert!(chip.is_quiescent());
-    }
-
-    #[test]
-    fn restore_rejects_a_pending_fetch_listed_twice() {
-        let load = |p: &mut PendingFetches, lines: &[u64]| {
-            let mut e = mcgpu_types::Enc::new();
-            e.put_seq_len(lines.len());
-            for &line in lines {
-                e.put_u64(line);
-                e.put_seq_len(0);
-            }
-            p.load_into(&mut mcgpu_types::Dec::new(&e.into_bytes()))
-        };
-        let mut pending = PendingFetches::default();
-        load(&mut pending, &[0x15, 0x2a]).expect("distinct lines load");
-        assert!(pending.contains(0x15) && pending.contains(0x2a));
-
-        // The second entry would never complete: one fill takes one entry.
-        let err = load(&mut pending, &[0x2a, 0x15, 0x2a]).unwrap_err();
-        assert!(
-            matches!(&err, mcgpu_types::CkptError::Decode(m) if m.contains("0x2a")),
-            "got {err}"
-        );
     }
 
     #[test]

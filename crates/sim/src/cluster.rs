@@ -61,42 +61,10 @@ impl MshrFile {
         self.table.is_empty()
     }
 
-    /// Serialize the entries, in table order, into a checkpoint payload.
-    pub(crate) fn save(&self, e: &mut mcgpu_types::Enc) {
-        e.put_seq_len(self.table.len());
-        for &(line, merged) in self.table.entries() {
-            e.put_u64(line);
-            e.put_u32(merged);
-        }
-    }
-
-    /// Restore entries saved by [`MshrFile::save`], in their saved order.
-    ///
-    /// # Errors
-    /// Returns a decode error on truncated input, on more than `limit`
-    /// entries, or on a line listed twice.
-    pub(crate) fn load_into(
-        &mut self,
-        d: &mut mcgpu_types::Dec<'_>,
-        limit: usize,
-    ) -> mcgpu_types::CkptResult<()> {
-        let n = d.get_seq_len()?;
-        if n > limit {
-            return Err(mcgpu_types::CkptError::Decode(format!(
-                "cluster snapshot has {n} MSHR entries, the limit is {limit}"
-            )));
-        }
-        self.table.clear();
-        for _ in 0..n {
-            let line = d.get_u64()?;
-            let merged = d.get_u32()?;
-            if !self.table.insert(line, merged) {
-                return Err(mcgpu_types::CkptError::Decode(format!(
-                    "cluster snapshot lists MSHR line {line:#x} twice"
-                )));
-            }
-        }
-        Ok(())
+    /// The entries in table order.
+    #[cfg(test)]
+    pub(crate) fn entries(&self) -> &[(u64, u32)] {
+        self.table.entries()
     }
 }
 
@@ -124,8 +92,7 @@ pub struct Cluster {
     /// retry repeats that plain miss and nothing else, so the engine stops
     /// visiting the cluster and replays the retries in bulk
     /// ([`replay_idle`](Cluster::replay_idle)). Derived from the L1 and
-    /// MSHR state, never serialized: a restored cluster is visited once
-    /// and parks again.
+    /// MSHR state.
     parked: bool,
     reads_done: u64,
     writes_issued: u64,
@@ -341,57 +308,6 @@ impl Cluster {
     pub fn l1_stats(&self) -> &mcgpu_cache::CacheStats {
         self.l1.stats()
     }
-
-    /// Serialize the cluster's live state (L1 contents, trace cursor,
-    /// MSHRs, pacing) into a checkpoint payload. The trace itself is not
-    /// serialized — restore re-attaches it from the workload.
-    pub fn save(&self, e: &mut mcgpu_types::Enc) {
-        self.l1.save(e);
-        e.put_usize(self.cursor);
-        e.put_u32(self.gap_remaining);
-        e.put_u32(self.compute_gap);
-        self.mshrs.save(e);
-        e.put_bool(self.deferred.is_some());
-        if let Some(acc) = &self.deferred {
-            e.put_access(acc);
-        }
-        e.put_u64(self.reads_done);
-        e.put_u64(self.writes_issued);
-    }
-
-    /// Restore state saved by [`Cluster::save`] into this cluster. The
-    /// caller must have re-attached the in-progress kernel's trace (via
-    /// [`Cluster::load_kernel`]) first — the saved cursor is validated
-    /// against the attached stream.
-    ///
-    /// # Errors
-    /// Returns a decode error on truncated or malformed input, when the
-    /// saved cursor runs past the attached trace, or when the saved MSHR
-    /// file lists a line twice or holds more than `mshrs_per_cluster`
-    /// entries.
-    pub fn load_into(&mut self, d: &mut mcgpu_types::Dec<'_>) -> mcgpu_types::CkptResult<()> {
-        self.l1.load_into(d)?;
-        let cursor = d.get_usize()?;
-        if cursor > self.trace.len() {
-            return Err(mcgpu_types::CkptError::Decode(format!(
-                "cluster cursor {cursor} exceeds attached trace length {}",
-                self.trace.len()
-            )));
-        }
-        self.cursor = cursor;
-        self.gap_remaining = d.get_u32()?;
-        self.compute_gap = d.get_u32()?;
-        self.mshrs.load_into(d, self.mshr_limit)?;
-        self.deferred = if d.get_bool()? {
-            Some(d.get_access()?)
-        } else {
-            None
-        };
-        self.parked = false;
-        self.reads_done = d.get_u64()?;
-        self.writes_issued = d.get_u64()?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -481,50 +397,6 @@ mod tests {
         assert_eq!(a, again);
         assert!(needs);
         assert!(!c.done());
-    }
-
-    /// A snapshot of `c` with an empty stream position and an MSHR file
-    /// listing `lines`, one merged access each.
-    fn snapshot_with_mshrs(c: &Cluster, lines: &[u64]) -> Vec<u8> {
-        let mut e = mcgpu_types::Enc::new();
-        c.l1.save(&mut e);
-        e.put_usize(0);
-        e.put_u32(0);
-        e.put_u32(0);
-        e.put_seq_len(lines.len());
-        for &line in lines {
-            e.put_u64(line);
-            e.put_u32(1);
-        }
-        e.put_bool(false);
-        e.put_u64(0);
-        e.put_u64(0);
-        e.into_bytes()
-    }
-
-    #[test]
-    fn restore_rejects_a_duplicate_or_overfull_mshr_file() {
-        let mut cfg = cfg();
-        cfg.mshrs_per_cluster = 2;
-        let mut c = Cluster::new(&cfg, ClusterId::new(ChipId(0), 0));
-        let load = |c: &mut Cluster, lines: &[u64]| {
-            let snapshot = snapshot_with_mshrs(c, lines);
-            c.load_into(&mut mcgpu_types::Dec::new(&snapshot))
-        };
-        load(&mut c, &[0x2a, 0x2b]).expect("a full file of distinct lines loads");
-        assert_eq!(c.outstanding(), 2);
-
-        // A line listed twice would leave an entry no response retires.
-        let err = load(&mut c, &[0x2a, 0x2a]).unwrap_err();
-        assert!(
-            matches!(&err, mcgpu_types::CkptError::Decode(m) if m.contains("0x2a")),
-            "got {err}"
-        );
-        let err = load(&mut c, &[1, 2, 3]).unwrap_err();
-        assert!(
-            matches!(&err, mcgpu_types::CkptError::Decode(m) if m.contains("3 MSHR entries")),
-            "got {err}"
-        );
     }
 
     #[test]

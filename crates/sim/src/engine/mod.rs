@@ -26,7 +26,6 @@
 #![deny(missing_docs)]
 
 mod boundary;
-mod ckpt;
 mod coherence;
 mod diagnostics;
 mod faults;
@@ -36,7 +35,6 @@ mod tick;
 #[cfg(test)]
 mod two_tier_diff;
 
-pub use ckpt::workload_fingerprint;
 pub use diagnostics::{
     ChipConservation, ChipSnapshot, ConservationReport, DeadlockSnapshot, SimError,
 };
@@ -67,8 +65,6 @@ pub struct SimBuilder {
     fault_plan: FaultPlan,
     audit_period: u64,
     obs: ObsConfig,
-    ckpt_path: Option<std::path::PathBuf>,
-    ckpt_interval: u64,
 }
 
 /// Request-conservation audit cadence in debug builds. Release builds
@@ -96,8 +92,6 @@ impl SimBuilder {
                 0
             },
             obs: ObsConfig::off(),
-            ckpt_path: None,
-            ckpt_interval: 0,
         }
     }
 
@@ -131,21 +125,6 @@ impl SimBuilder {
     /// changes simulation results — only whether corruption is detected.
     pub fn conservation_audit(mut self, period: u64) -> Self {
         self.audit_period = period;
-        self
-    }
-
-    /// Write a `mcgpu-ckpt-v1` engine snapshot to `path` roughly every
-    /// `interval` cycles (`0` disables checkpointing, the default). Writes
-    /// land on the engine's coarse 65,536-cycle checkpoint grid, so the
-    /// effective period is `interval` rounded up to that grid. Snapshot
-    /// writing is strictly read-only with respect to simulation state:
-    /// runs with checkpointing enabled are byte-identical to runs without.
-    /// Each write replaces the previous snapshot atomically
-    /// (write-tmp → fsync → rename), so a crash mid-write leaves the prior
-    /// snapshot readable.
-    pub fn checkpoint_to(mut self, path: impl Into<std::path::PathBuf>, interval: u64) -> Self {
-        self.ckpt_path = Some(path.into());
-        self.ckpt_interval = interval;
         self
     }
 
@@ -216,7 +195,7 @@ pub struct Simulator {
 
     // --- next-event skipping and active sets ---
     /// Which clusters the issue phase visits, and the running per-cluster
-    /// sums (derived, never serialized).
+    /// sums (derived state).
     sched: ClusterSchedule,
     /// The reference the crate's differential tests compare the engine
     /// against: step every cycle instead of skipping to the next event,
@@ -224,32 +203,11 @@ pub struct Simulator {
     /// member active in every tick, so each tick visits everything. Never
     /// set outside those tests.
     reference: bool,
-    /// Number of clock jumps performed (diagnostic only; never serialized
-    /// into stats, observability reports, or checkpoints).
+    /// Number of clock jumps performed (diagnostic only; never part of
+    /// stats or observability reports).
     skip_jumps: u64,
     /// Total cycles elided by clock jumps (diagnostic only).
     skipped_cycles: u64,
-
-    // --- checkpointing ---
-    /// Where periodic snapshots are written (`None` = checkpointing off).
-    ckpt_path: Option<std::path::PathBuf>,
-    /// Requested snapshot period in cycles (`0` = off); writes land on the
-    /// coarse checkpoint grid.
-    ckpt_interval: u64,
-    /// Cycle of the last snapshot written (or the restore point).
-    last_ckpt_cycle: u64,
-    /// Cached workload fingerprint for periodic snapshot stamping
-    /// (computed once per run when checkpointing is enabled).
-    wl_fingerprint: Option<u64>,
-    /// Index of the kernel currently executing (a resume cursor).
-    kernel_index: usize,
-    /// Cycle the current kernel started at.
-    kernel_start_cycle: u64,
-    /// Completed work count when the current kernel started.
-    work_before: u64,
-    /// Set by [`Simulator::restore`]: the next `run` continues kernel
-    /// `resume_kernel` mid-stream instead of starting from kernel 0.
-    resume_kernel: Option<usize>,
 
     // --- observability ---
     /// Read-only run observer (`None` when observability is off, which is
@@ -286,8 +244,6 @@ impl Simulator {
             fault_plan,
             audit_period,
             obs,
-            ckpt_path,
-            ckpt_interval,
         } = b;
         let obs = obs
             .level
@@ -320,14 +276,6 @@ impl Simulator {
             reference: false,
             skip_jumps: 0,
             skipped_cycles: 0,
-            ckpt_path,
-            ckpt_interval,
-            last_ckpt_cycle: 0,
-            wl_fingerprint: None,
-            kernel_index: 0,
-            kernel_start_cycle: 0,
-            work_before: 0,
-            resume_kernel: None,
             obs,
             writes_done: 0,
             responses_by_origin: [0; 4],
@@ -357,8 +305,8 @@ impl Simulator {
 
     /// Number of times the engine jumped its clock over cycles in which
     /// nothing could move. Diagnostic only: skip accounting never appears
-    /// in [`RunStats`], observability reports, or checkpoints, which are
-    /// byte-identical to stepping every cycle.
+    /// in [`RunStats`] or observability reports, which are byte-identical
+    /// to stepping every cycle.
     pub fn skip_jumps(&self) -> u64 {
         self.skip_jumps
     }
@@ -367,12 +315,6 @@ impl Simulator {
     /// [`Simulator::skip_jumps`].
     pub fn skipped_cycles(&self) -> u64 {
         self.skipped_cycles
-    }
-
-    /// The chips, for the crate's own tests.
-    #[cfg(test)]
-    pub(crate) fn chips(&self) -> &[Chip] {
-        &self.chips
     }
 
     /// Apply (or clear) the policy's way split on every LLC slice.
@@ -407,56 +349,39 @@ impl Simulator {
     pub fn run(&mut self, wl: &Workload) -> Result<RunStats, SimError> {
         let outcome = self.run_kernels(wl);
         // Whatever stopped the run, leave every counter as stepping would
-        // have: the caller may checkpoint or read statistics next.
+        // have: the caller may read statistics next.
         self.sched.settle_all(&mut self.chips);
         outcome?;
         Ok(self.collect_stats())
     }
 
     fn run_kernels(&mut self, wl: &Workload) -> Result<(), SimError> {
-        if self.ckpt_interval != 0 && self.wl_fingerprint.is_none() {
-            self.wl_fingerprint = Some(workload_fingerprint(wl));
-        }
-        // A restore armed the resume cursor: skip everything the snapshot
-        // already contains (page seeding, completed kernels, the
-        // in-progress kernel's stream loading and `begin_kernel`).
-        let resume_at = self.resume_kernel.take();
-        if resume_at.is_none() {
-            // Pre-seed page placement from the workload layout (host-to-device
-            // transfers touch the data before kernel 0). This keeps placement
-            // identical across LLC organizations; pages outside the layout (none
-            // in generated workloads) still fall back to first-touch.
-            for p in 0..wl.layout.total_pages() {
-                let page = mcgpu_types::PageAddr(p);
-                if let Some(home) = wl.layout.natural_home(page) {
-                    self.page_table.home_of(page, home);
-                }
+        // Pre-seed page placement from the workload layout (host-to-device
+        // transfers touch the data before kernel 0). This keeps placement
+        // identical across LLC organizations; pages outside the layout (none
+        // in generated workloads) still fall back to first-touch.
+        for p in 0..wl.layout.total_pages() {
+            let page = mcgpu_types::PageAddr(p);
+            if let Some(home) = wl.layout.natural_home(page) {
+                self.page_table.home_of(page, home);
             }
         }
         for (ki, kernel) in wl.kernels.iter().enumerate() {
-            if resume_at.is_some_and(|r| ki < r) {
-                continue;
-            }
-            if resume_at != Some(ki) {
-                // Load the kernel's streams.
-                let gap = kernel.behavior.compute_gap;
-                for (flat, chip) in self.chips.iter_mut().enumerate() {
-                    for (ci, cluster) in chip.clusters.iter_mut().enumerate() {
-                        let idx = flat * self.cfg.clusters_per_chip + ci;
-                        cluster.load_kernel(kernel.per_cluster[idx].clone(), gap);
-                    }
+            // Load the kernel's streams.
+            let gap = kernel.behavior.compute_gap;
+            for (flat, chip) in self.chips.iter_mut().enumerate() {
+                for (ci, cluster) in chip.clusters.iter_mut().enumerate() {
+                    let idx = flat * self.cfg.clusters_per_chip + ci;
+                    cluster.load_kernel(kernel.per_cluster[idx].clone(), gap);
                 }
-                self.sched.rebuild(&self.chips);
-                self.kernel_index = ki;
-                self.kernel_start_cycle = self.cycle;
-                self.work_before = self.sched.reads() + self.writes_done;
-
-                let (now, ring_bytes, mem_bytes) =
-                    (self.cycle, self.fabric.bytes_sent(), self.mem_bytes_total());
-                self.policy.begin_kernel(now, ring_bytes, mem_bytes);
             }
-            let kernel_start_cycle = self.kernel_start_cycle;
-            let work_before = self.work_before;
+            self.sched.rebuild(&self.chips);
+            let kernel_start_cycle = self.cycle;
+            let work_before = self.sched.reads() + self.writes_done;
+
+            let (now, ring_bytes, mem_bytes) =
+                (self.cycle, self.fabric.bytes_sent(), self.mem_bytes_total());
+            self.policy.begin_kernel(now, ring_bytes, mem_bytes);
 
             // Execute until the kernel completes.
             while !self.kernel_done() {
@@ -465,7 +390,6 @@ impl Simulator {
                 }
                 self.tick(true);
                 self.check_progress()?;
-                self.maybe_checkpoint()?;
                 if self.cycle >= self.max_cycles {
                     return Err(SimError::CycleLimit {
                         limit: self.max_cycles,

@@ -12,8 +12,8 @@
 //! skipped) and replays each cluster's missed calls from that count, with
 //! [`Cluster::replay_idle`], when the cluster is next visited, when a
 //! response unparks it, or when the engine [settles](ClusterSchedule::settle_all)
-//! every cluster before anything reads their counters: a checkpoint, an
-//! observability snapshot, the end of a run.
+//! every cluster before anything reads their counters: an observability
+//! snapshot, the end of a run.
 //!
 //! The CTA wave-lead bound excludes clusters more than one wave ahead of
 //! the slowest unfinished one; an excluded cluster is *frozen* and its
@@ -23,8 +23,8 @@
 //! issued, and thaws when the bound reaches its progress. The bound comes
 //! from a running minimum, not a scan.
 //!
-//! Everything here is derived state, rebuilt from the clusters at kernel
-//! launch and restore and never serialized.
+//! Everything here is derived state, rebuilt from the clusters at each
+//! kernel launch.
 
 use crate::chip::Chip;
 use crate::cluster::Cluster;
@@ -137,7 +137,7 @@ impl ClusterSchedule {
     }
 
     /// Derive the whole schedule from the clusters, all counters settled:
-    /// at construction, at each kernel launch and after a restore.
+    /// at construction and at each kernel launch.
     pub(super) fn rebuild(&mut self, chips: &[Chip]) {
         self.ready.iter_mut().for_each(ActiveSet::clear);
         self.timers.clear();

@@ -8,10 +8,10 @@
 //! few requests in flight, each only ageing inside a fixed-latency pipe.
 //!
 //! The contract is *byte identity*: a skipping run produces the same
-//! [`RunStats`](crate::stats::RunStats), the same observability report,
-//! and the same checkpoint bytes at the same cut points as stepping every
-//! cycle. The scan therefore stops at every cycle where the stepped loop
-//! does anything at all, however small:
+//! [`RunStats`](crate::stats::RunStats) and the same observability report
+//! as stepping every cycle, and stops at the same cycle when a budget cuts
+//! it short. The scan therefore stops at every cycle where the stepped
+//! loop does anything at all, however small:
 //!
 //! * **Datapath** — [`Chip::next_event`](crate::chip::Chip::next_event) and
 //!   [`FabricNetwork::next_event`](mcgpu_noc::FabricNetwork::next_event),
@@ -25,7 +25,7 @@
 //!   which are datapath events. The issue schedule knows the earliest of
 //!   these without a scan. Every eligible cluster still drains its gap
 //!   counter, and a parked one still counts its L1 retries, both
-//!   checkpointed state: the jump adds the skipped issue phases to the
+//!   simulation state: the jump adds the skipped issue phases to the
 //!   schedule's count, and each cluster replays them when next settled.
 //! * **Fault plan** — the next scheduled hardware fault.
 //! * **Policy** — [`LlcOrgPolicy::next_policy_event`] bounds when the
@@ -33,8 +33,7 @@
 //!   divergence-monitor expiry, Dynamic epoch boundaries), assuming no
 //!   datapath event until then.
 //! * **Sampling grid** — the observability epoch window.
-//! * **Guard grids** — the coarse checkpoint grid
-//!   ([`Simulator::CKPT_GRID_PERIOD`]) and the conservation-audit period.
+//! * **Guard grid** — the conservation-audit period.
 //! * **Watchdog** — the forward-progress deadline, so a wedged machine
 //!   reports [`SimError::Deadlock`](super::SimError::Deadlock) at exactly
 //!   the stepped cycle.
@@ -57,15 +56,13 @@ use super::Simulator;
 use crate::org::Pause;
 use mcgpu_types::earliest_event;
 
-/// Smallest cycle strictly greater than `now` congruent to `phase`
-/// modulo `period`. Returns `u64::MAX` for a zero period (no such grid).
-fn next_on_grid(now: u64, period: u64, phase: u64) -> u64 {
+/// Smallest multiple of `period` strictly greater than `now`. Returns
+/// `u64::MAX` for a zero period (no such grid).
+fn next_on_grid(now: u64, period: u64) -> u64 {
     if period == 0 {
         return u64::MAX;
     }
-    let r = now % period;
-    let delta = (phase + period - r - 1) % period + 1;
-    now.saturating_add(delta)
+    now.saturating_add(period - now % period)
 }
 
 impl Simulator {
@@ -111,15 +108,12 @@ impl Simulator {
 
         // Sampling grid: observability epochs.
         if let Some(o) = self.obs.as_deref() {
-            event = event.min(next_on_grid(now, o.epoch_window(), 0));
+            event = event.min(next_on_grid(now, o.epoch_window()));
         }
 
-        // Guard grids: checkpoint writes and the conservation audit.
-        if self.ckpt_interval != 0 {
-            event = event.min(next_on_grid(now, Self::CKPT_GRID_PERIOD, 1));
-        }
+        // Guard grid: the conservation audit.
         if self.audit_period != 0 {
-            event = event.min(next_on_grid(now, self.audit_period, 0));
+            event = event.min(next_on_grid(now, self.audit_period));
         }
 
         // The forward-progress watchdog: the stepped loop aborts with
@@ -154,15 +148,12 @@ mod tests {
     #[test]
     fn grid_arithmetic() {
         // Next multiple of 256 strictly after `now`.
-        assert_eq!(next_on_grid(0, 256, 0), 256);
-        assert_eq!(next_on_grid(255, 256, 0), 256);
-        assert_eq!(next_on_grid(256, 256, 0), 512);
-        // Next cycle == 1 (mod 65_536) strictly after `now`.
-        assert_eq!(next_on_grid(0, 65_536, 1), 1);
-        assert_eq!(next_on_grid(1, 65_536, 1), 65_537);
-        assert_eq!(next_on_grid(2, 65_536, 1), 65_537);
-        assert_eq!(next_on_grid(65_536, 65_536, 1), 65_537);
+        assert_eq!(next_on_grid(0, 256), 256);
+        assert_eq!(next_on_grid(255, 256), 256);
+        assert_eq!(next_on_grid(256, 256), 512);
+        // Saturates instead of overflowing.
+        assert_eq!(next_on_grid(u64::MAX - 1, 256), u64::MAX);
         // Degenerate period.
-        assert_eq!(next_on_grid(7, 0, 0), u64::MAX);
+        assert_eq!(next_on_grid(7, 0), u64::MAX);
     }
 }

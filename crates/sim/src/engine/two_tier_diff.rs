@@ -11,12 +11,11 @@
 //! gaps from dense to long enough to open latency windows with requests
 //! in flight, both engines must publish the same bytes: canonical
 //! `RunStats` JSON, the trace-level observability report with an epoch
-//! window off the 256-cycle occupancy grid, its trace, and
-//! `Simulator::checkpoint` at a mid-run cut — and a run resumed from that
-//! cut must still match the uninterrupted reference. Dedicated cases fill
-//! the MSHR files so clusters park, make the CTA wave-lead bound freeze
-//! clusters, and cut checkpoints while clusters are parked, when their
-//! lazily replayed counters must be settled.
+//! window off the 256-cycle occupancy grid, and its trace. Built with the
+//! same cycle budget (`max_cycles`), both must stop at the same cycle,
+//! finished or not, and publish the same bytes there: the skip scan may
+//! never jump past the budget. Dedicated cases fill the MSHR files so
+//! clusters park and make the CTA wave-lead bound freeze clusters.
 //!
 //! There is deliberately **no** `UPDATE_GOLDEN` path here: if the
 //! skipping engine drifts from the stepping reference, the skipping engine
@@ -218,12 +217,10 @@ proptest! {
         }
     }
 
-    /// Mid-run interruption composes with skipping: cut both engines at
-    /// the same cycle and their checkpoint bytes agree; restore the
-    /// skipping engine's snapshot into a fresh simulator and finish, and
-    /// it still publishes the uninterrupted reference's bytes.
+    /// A cycle budget composes with skipping: cut both engines at the
+    /// same budget and they stop at the same cycle with the same bytes.
     #[test]
-    fn checkpoints_match_at_the_cut_and_resume_identically(
+    fn budget_cuts_stop_both_engines_at_the_same_cycle(
         org_idx in 0usize..LlcOrgKind::ALL.len(),
         bench_idx in 0usize..16,
         gap_idx in 0usize..GAPS.len(),
@@ -241,7 +238,7 @@ proptest! {
         };
         let (reference, _) = run_to_end(build(&cfg, org, &plan, true, None), &wl);
         let cut = 1 + (reference.cycles as f64 * cut_frac) as u64;
-        cut_and_resume(&cfg, org, &plan, &wl, &reference, cut);
+        cut_agrees(&cfg, org, &plan, &wl, cut);
     }
 
     /// Dense traffic into small MSHR files: clusters park on a full file
@@ -268,46 +265,11 @@ proptest! {
         prop_assert!(sim.sched.parks > 0, "no cluster ever parked");
     }
 
-    /// A cut while clusters are parked: their skipped retries are counted
-    /// lazily, so the snapshot is right only if the run settles them
-    /// before it returns. The cut is the first cycle on a 37-cycle stride
-    /// from a random point of the run at which a cluster is parked, so
-    /// the case cannot silently stop covering one.
-    #[test]
-    fn checkpoints_cut_while_clusters_are_parked_match(
-        org_idx in 0usize..LlcOrgKind::ALL.len(),
-        bench_idx in 0usize..16,
-        cut_frac in 0.05f64..0.9,
-    ) {
-        let mut cfg = MachineConfig::experiment_baseline();
-        cfg.mshrs_per_cluster = 4;
-        let org = LlcOrgKind::ALL[org_idx];
-        let wl = workload(&cfg, profiles::all_profiles()[bench_idx].name, 0, 6_000);
-        let plan = FaultPlan::none();
-        let (reference, _) = run_to_end(build(&cfg, org, &plan, true, None), &wl);
-        let start = 1 + (reference.cycles as f64 * cut_frac) as u64;
-        let parked_at = |cut: u64| {
-            let mut sim = build(&cfg, org, &plan, false, Some(cut));
-            sim.run(&wl).is_err()
-                && sim
-                    .chips()
-                    .iter()
-                    .flat_map(|chip| &chip.clusters)
-                    .any(|cl| cl.parked())
-        };
-        let cut = (start..reference.cycles)
-            .step_by(37)
-            .chain((1..start).step_by(37))
-            .find(|&cut| parked_at(cut))
-            .expect("some cut finds a parked cluster");
-        cut_and_resume(&cfg, org, &plan, &wl, &reference, cut);
-    }
-
     /// The CTA wave-lead bound binds: a quarter of the clusters run a
     /// stream of L1 hits on one line while the rest miss into small MSHR
     /// files, so the hit streams race a wave ahead and freeze until the
     /// slowest cluster catches up. Both engines publish the same bytes,
-    /// and a cut anywhere in the run resumes identically.
+    /// and a cut anywhere in the run stops both at the same cycle.
     #[test]
     fn wave_lead_bound_freezes_clusters_and_matches(
         org_idx in 0usize..LlcOrgKind::ALL.len(),
@@ -325,51 +287,34 @@ proptest! {
         assert_same(&reference, &engine);
         prop_assert!(sim.sched.freezes > 0, "the wave-lead bound never bound");
         let cut = 1 + (reference.cycles as f64 * cut_frac) as u64;
-        cut_and_resume(&cfg, org, &plan, &wl, &reference, cut);
+        cut_agrees(&cfg, org, &plan, &wl, cut);
     }
 }
 
-/// Cut the reference and the engine at cycle `cut` and require equal
-/// checkpoint bytes; then restore the engine's snapshot into a fresh
-/// simulator, finish, and require the bytes the uninterrupted reference
-/// published.
-fn cut_and_resume(
-    cfg: &MachineConfig,
-    org: LlcOrgKind,
-    plan: &FaultPlan,
-    wl: &Workload,
-    reference: &Published,
-    cut: u64,
-) {
+/// Run the reference and the engine with the cycle budget `cut`: both
+/// must stop at the same cycle with the same finished flag, and publish
+/// the same bytes there.
+fn cut_agrees(cfg: &MachineConfig, org: LlcOrgKind, plan: &FaultPlan, wl: &Workload, cut: u64) {
     // The budget is checked in the kernel loop only, so a cut inside the
     // last kernel-boundary drain lets both engines finish.
-    let mut stops = Vec::new();
-    for is_reference in [true, false] {
+    let stop = |is_reference: bool| {
         let mut sim = build(cfg, org, plan, is_reference, Some(cut));
         let finished = match sim.run(wl) {
             Ok(_) => true,
             Err(SimError::CycleLimit { .. }) => false,
             Err(e) => panic!("unexpected abort at cut {cut}: {e}"),
         };
-        let bytes = sim.checkpoint(wl);
-        stops.push((finished, sim, bytes));
-    }
-    let (engine_finished, engine, engine_bytes) = stops.pop().expect("engine run");
-    let (reference_finished, reference_sim, reference_bytes) = stops.pop().expect("reference run");
+        let stats = sim.collect_stats();
+        (finished, sim.cycle, publish(&mut sim, &stats))
+    };
+    let (reference_finished, reference_cycle, reference) = stop(true);
+    let (engine_finished, engine_cycle, engine) = stop(false);
     assert_eq!(
-        (reference_finished, reference_sim.cycle()),
-        (engine_finished, engine.cycle()),
+        (reference_finished, reference_cycle),
+        (engine_finished, engine_cycle),
         "the engines stopped differently at cut {cut}"
     );
-    assert_same_bytes("checkpoint at the cut", &reference_bytes, &engine_bytes);
-    if !engine_finished {
-        let mut resumed = build(cfg, org, plan, false, None);
-        resumed
-            .restore(&engine_bytes, wl)
-            .expect("snapshot restores");
-        let (resumed, _) = run_to_end(resumed, wl);
-        assert_same(reference, &resumed);
-    }
+    assert_same(&reference, &engine);
 }
 
 /// `bench` at compute gap `gap` with every fourth cluster's stream in

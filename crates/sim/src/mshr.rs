@@ -7,9 +7,9 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// Outstanding misses keyed by line index. The entries live in a flat
 /// `(line, value)` vector in allocation order, deleted by swap-remove, and
 /// an index maps each line to its slot, so lookup, insertion and removal
-/// are O(1) however full the table runs. The vector's order is the
-/// checkpoint order: [`entries`](MshrTable::entries) hands it to `save`,
-/// so the index changes no snapshot byte.
+/// are O(1) however full the table runs. [`entries`](MshrTable::entries)
+/// lists them in the vector's order, the order the flat-scan table they
+/// replaced kept.
 #[derive(Debug, Default)]
 pub(crate) struct MshrTable<V> {
     entries: Vec<(u64, V)>,
@@ -59,12 +59,6 @@ impl<V> MshrTable<V> {
             self.slots.insert(moved, slot);
         }
         Some(value)
-    }
-
-    /// Remove every entry.
-    pub(crate) fn clear(&mut self) {
-        self.entries.clear();
-        self.slots.clear();
     }
 
     /// The entries in table order.

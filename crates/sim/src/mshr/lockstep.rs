@@ -8,22 +8,12 @@
 //! table in lockstep with its flat copy. Lines come from a small domain,
 //! so merges onto outstanding misses and swap-remove moves happen on most
 //! steps. After every step each return value, `len`, `waiting` and the
-//! checkpoint bytes must agree, and at random steps the indexed table is
-//! replaced by its own `load_into` round trip, which must save back to the
-//! same bytes and keep agreeing from there on.
-//!
-//! At the engine level, a run cut while a cluster's MSHR file is full must
-//! resume byte-identically to the straight run.
+//! entries themselves, in table order, must agree.
 
 use crate::chip::PendingFetches;
 use crate::cluster::MshrFile;
-use crate::engine::{SimBuilder, SimError, Simulator};
 use crate::packet::{ReqEnvelope, ReqStage};
-use mcgpu_trace::{generate, profiles, TraceParams};
-use mcgpu_types::{
-    Address, ChipId, ClusterId, Dec, Enc, LlcOrgKind, MachineConfig, MemAccess, ObsConfig, Request,
-    RequestId,
-};
+use mcgpu_types::{Address, ChipId, ClusterId, MemAccess, Request, RequestId};
 use proptest::prelude::*;
 
 /// The cluster MSHR file before the line index, kept as the reference.
@@ -51,14 +41,6 @@ impl FlatMshrFile {
         match self.entries.iter().position(|(l, _)| *l == line) {
             Some(i) => self.entries.swap_remove(i).1,
             None => 1,
-        }
-    }
-
-    fn save(&self, e: &mut Enc) {
-        e.put_seq_len(self.entries.len());
-        for &(line, merged) in &self.entries {
-            e.put_u64(line);
-            e.put_u32(merged);
         }
     }
 }
@@ -97,23 +79,6 @@ impl FlatPendingFetches {
     fn waiting(&self) -> usize {
         self.entries.iter().map(|(_, w)| w.len()).sum()
     }
-
-    fn save(&self, e: &mut Enc) {
-        e.put_seq_len(self.entries.len());
-        for (line, waiters) in &self.entries {
-            e.put_u64(*line);
-            e.put_seq_len(waiters.len());
-            for w in waiters {
-                w.save(e);
-            }
-        }
-    }
-}
-
-fn bytes(save: impl FnOnce(&mut Enc)) -> Vec<u8> {
-    let mut e = Enc::new();
-    save(&mut e);
-    e.into_bytes()
 }
 
 /// One step of a random sequence: an operation selector and a line drawn
@@ -165,22 +130,13 @@ proptest! {
                         flat.allocate(line);
                     }
                 }
-                8..=14 => {
-                    prop_assert_eq!(indexed.retire(line), flat.retire(line), "retire at step {}", step);
-                }
                 _ => {
-                    let saved = bytes(|e| indexed.save(e));
-                    let mut restored = MshrFile::with_capacity(limit);
-                    let mut d = Dec::new(&saved);
-                    restored.load_into(&mut d, limit).expect("own snapshot loads");
-                    d.finish().expect("snapshot fully consumed");
-                    prop_assert_eq!(bytes(|e| restored.save(e)), saved, "round trip at step {}", step);
-                    indexed = restored;
+                    prop_assert_eq!(indexed.retire(line), flat.retire(line), "retire at step {}", step);
                 }
             }
             prop_assert_eq!(indexed.len(), flat.entries.len(), "len at step {}", step);
             prop_assert_eq!(indexed.is_empty(), flat.entries.is_empty());
-            prop_assert_eq!(bytes(|e| indexed.save(e)), bytes(|e| flat.save(e)), "bytes at step {}", step);
+            prop_assert_eq!(indexed.entries(), &flat.entries[..], "entries at step {}", step);
         }
     }
 
@@ -207,83 +163,17 @@ proptest! {
                         flat.begin(line);
                     }
                 }
-                8..=14 => {
+                _ => {
                     let taken = indexed.take(line);
                     prop_assert_eq!(&taken, &flat.take(line), "take at step {}", step);
                     if let Some(waiters) = taken {
                         indexed.recycle(waiters);
                     }
                 }
-                _ => {
-                    let saved = bytes(|e| indexed.save(e));
-                    let mut restored = PendingFetches::default();
-                    let mut d = Dec::new(&saved);
-                    restored.load_into(&mut d).expect("own snapshot loads");
-                    d.finish().expect("snapshot fully consumed");
-                    prop_assert_eq!(bytes(|e| restored.save(e)), saved, "round trip at step {}", step);
-                    indexed = restored;
-                }
             }
             prop_assert_eq!(indexed.waiting(), flat.waiting(), "waiting at step {}", step);
             prop_assert_eq!(indexed.is_empty(), flat.entries.is_empty());
-            prop_assert_eq!(bytes(|e| indexed.save(e)), bytes(|e| flat.save(e)), "bytes at step {}", step);
+            prop_assert_eq!(indexed.entries(), &flat.entries[..], "entries at step {}", step);
         }
     }
-}
-
-/// A cut taken while a cluster's MSHR file is full restores and resumes
-/// byte-identically to the straight run. NN memory-side fills a third of
-/// the clusters' files to their 256-entry limit by the cut; the cut is
-/// asserted to land on a full file, so the case cannot silently stop
-/// covering one.
-#[test]
-fn restore_with_a_full_mshr_file_matches_the_straight_run() {
-    const CUT: u64 = 1_000;
-    let cfg = MachineConfig::experiment_baseline();
-    let params = TraceParams {
-        total_accesses: 20_000,
-        ..TraceParams::quick()
-    };
-    let wl = generate(&cfg, &profiles::by_name("NN").expect("profile"), &params);
-    let build = |max_cycles: Option<u64>| {
-        let mut b = SimBuilder::new(cfg.clone())
-            .organization(LlcOrgKind::MemorySide)
-            .observability(ObsConfig::trace());
-        if let Some(max) = max_cycles {
-            b = b.max_cycles(max);
-        }
-        b.build().expect("valid machine configuration")
-    };
-    // Run to completion; return the stats and obs report bytes.
-    let finish = |mut sim: Simulator| {
-        let stats = sim.run(&wl).expect("run completes");
-        let obs = sim.take_obs_report().expect("observability is on");
-        (stats.to_canonical_json(), obs.to_canonical_json())
-    };
-    let straight = finish(build(None));
-
-    let mut victim = build(Some(CUT));
-    assert!(
-        matches!(victim.run(&wl), Err(SimError::CycleLimit { .. })),
-        "run finished before the cut"
-    );
-    let full = victim
-        .chips()
-        .iter()
-        .flat_map(|chip| &chip.clusters)
-        .filter(|cl| cl.outstanding() == cfg.mshrs_per_cluster)
-        .count();
-    assert!(full > 0, "no cluster's MSHR file is full at cycle {CUT}");
-    let snapshot = victim.checkpoint(&wl);
-
-    let mut resumed = build(None);
-    resumed.restore(&snapshot, &wl).expect("snapshot restores");
-    assert_eq!(
-        resumed.checkpoint(&wl),
-        snapshot,
-        "restore did not save back to the same bytes"
-    );
-    let (stats, obs) = finish(resumed);
-    assert_eq!(stats, straight.0, "RunStats diverged");
-    assert_eq!(obs, straight.1, "obs report diverged");
 }

@@ -145,35 +145,6 @@ impl LatencyHistogram {
             .map(|(i, &c)| (i, c))
     }
 
-    /// Serialize the histogram into a checkpoint payload.
-    pub fn save(&self, e: &mut mcgpu_types::Enc) {
-        for &c in &self.counts {
-            e.put_u64(c);
-        }
-        e.put_u64(self.count);
-        e.put_u128(self.sum);
-        e.put_u64(self.min);
-        e.put_u64(self.max);
-    }
-
-    /// Deserialize a histogram saved by [`LatencyHistogram::save`].
-    ///
-    /// # Errors
-    /// Returns a decode error on truncated or malformed input.
-    pub fn load(d: &mut mcgpu_types::Dec<'_>) -> mcgpu_types::CkptResult<Self> {
-        let mut counts = [0u64; HIST_BUCKETS];
-        for c in &mut counts {
-            *c = d.get_u64()?;
-        }
-        Ok(LatencyHistogram {
-            counts,
-            count: d.get_u64()?,
-            sum: d.get_u128()?,
-            min: d.get_u64()?,
-            max: d.get_u64()?,
-        })
-    }
-
     /// The `p`-quantile as the upper bound of the bucket containing the
     /// `ceil(p * count)`-th smallest recorded value (`p` clamped to
     /// `[0, 1]`; 0 when empty). Bucket upper bounds make the result

@@ -84,107 +84,9 @@ pub struct ChipSample {
     pub ring_sent_bytes: u64,
 }
 
-impl ChipSample {
-    /// Serialize into a checkpoint payload.
-    pub fn save(&self, e: &mut mcgpu_types::Enc) {
-        e.put_u64(self.dram_served);
-        e.put_u64(self.queue);
-        e.put_u64(self.llc_accesses);
-        e.put_u64(self.llc_hits);
-        e.put_u64(self.ring_sent_bytes);
-    }
+impl ChipSample {}
 
-    /// Deserialize a sample saved by [`ChipSample::save`].
-    ///
-    /// # Errors
-    /// Returns a decode error on truncated or malformed input.
-    pub fn load(d: &mut mcgpu_types::Dec<'_>) -> mcgpu_types::CkptResult<Self> {
-        Ok(ChipSample {
-            dram_served: d.get_u64()?,
-            queue: d.get_u64()?,
-            llc_accesses: d.get_u64()?,
-            llc_hits: d.get_u64()?,
-            ring_sent_bytes: d.get_u64()?,
-        })
-    }
-}
-
-impl MachineSnapshot {
-    /// Serialize into a checkpoint payload.
-    pub fn save(&self, e: &mut mcgpu_types::Enc) {
-        e.put_u64(self.cycle);
-        e.put_u64(self.reads);
-        e.put_u64(self.writes);
-        e.put_u64(self.in_flight);
-        e.put_u64(self.active_clusters);
-        e.put_u64(self.ring_bytes);
-        e.put_u64(self.ring_delivered);
-        e.put_u64(self.noc_bytes);
-        e.put_u64(self.noc_rejected);
-        e.put_u64(self.dram_bytes);
-        e.put_u64(self.dram_reads);
-        e.put_u64(self.dram_writes);
-        e.put_u64(self.dram_queue);
-        e.put_u64(self.slice_queue);
-        e.put_u64(self.llc_accesses);
-        e.put_u64(self.llc_hits);
-        e.put_u64(self.l1_accesses);
-        e.put_u64(self.l1_hits);
-        e.put_str(self.route_mode);
-        e.put_str(self.pause);
-        e.put_str(self.controller);
-        e.put_u64(self.sac_decisions);
-        e.put_u64(self.sac_window_requests);
-        e.put_u64(self.crd_occupied);
-        e.put_u64(self.crd_capacity);
-        e.put_seq_len(self.chips.len());
-        for c in &self.chips {
-            c.save(e);
-        }
-    }
-
-    /// Deserialize a snapshot saved by [`MachineSnapshot::save`]. Label
-    /// fields are interned against the engine's known label vocabulary.
-    ///
-    /// # Errors
-    /// Returns a decode error on truncated or malformed input.
-    pub fn load(d: &mut mcgpu_types::Dec<'_>) -> mcgpu_types::CkptResult<Self> {
-        let mut s = MachineSnapshot {
-            cycle: d.get_u64()?,
-            reads: d.get_u64()?,
-            writes: d.get_u64()?,
-            in_flight: d.get_u64()?,
-            active_clusters: d.get_u64()?,
-            ring_bytes: d.get_u64()?,
-            ring_delivered: d.get_u64()?,
-            noc_bytes: d.get_u64()?,
-            noc_rejected: d.get_u64()?,
-            dram_bytes: d.get_u64()?,
-            dram_reads: d.get_u64()?,
-            dram_writes: d.get_u64()?,
-            dram_queue: d.get_u64()?,
-            slice_queue: d.get_u64()?,
-            llc_accesses: d.get_u64()?,
-            llc_hits: d.get_u64()?,
-            l1_accesses: d.get_u64()?,
-            l1_hits: d.get_u64()?,
-            route_mode: super::intern_label(d.get_str()?),
-            pause: super::intern_label(d.get_str()?),
-            controller: super::intern_label(d.get_str()?),
-            sac_decisions: d.get_u64()?,
-            sac_window_requests: d.get_u64()?,
-            crd_occupied: d.get_u64()?,
-            crd_capacity: d.get_u64()?,
-            chips: Vec::new(),
-        };
-        let n = d.get_seq_len()?;
-        s.chips.reserve(n);
-        for _ in 0..n {
-            s.chips.push(ChipSample::load(d)?);
-        }
-        Ok(s)
-    }
-}
+impl MachineSnapshot {}
 
 /// One row of the epoch timeline: deltas over `[start_cycle, end_cycle)`
 /// plus instantaneous gauges and labels sampled at `end_cycle`.
@@ -260,73 +162,6 @@ impl EpochSample {
     pub fn cycles(&self) -> u64 {
         self.end_cycle.saturating_sub(self.start_cycle)
     }
-
-    /// Serialize into a checkpoint payload.
-    pub fn save(&self, e: &mut mcgpu_types::Enc) {
-        e.put_u64(self.epoch);
-        e.put_u64(self.start_cycle);
-        e.put_u64(self.end_cycle);
-        e.put_u64(self.reads);
-        e.put_u64(self.writes);
-        e.put_u64(self.ring_bytes);
-        e.put_u64(self.ring_delivered);
-        e.put_u64(self.noc_bytes);
-        e.put_u64(self.noc_rejected);
-        e.put_u64(self.dram_bytes);
-        e.put_u64(self.dram_reads);
-        e.put_u64(self.dram_writes);
-        e.put_u64(self.llc_accesses);
-        e.put_u64(self.llc_hits);
-        e.put_u64(self.l1_accesses);
-        e.put_u64(self.l1_hits);
-        e.put_u64(self.in_flight);
-        e.put_u64(self.active_clusters);
-        e.put_u64(self.dram_queue);
-        e.put_u64(self.slice_queue);
-        e.put_u64(self.sac_window_requests);
-        e.put_u64(self.crd_occupied);
-        e.put_u64(self.crd_capacity);
-        e.put_str(self.route_mode);
-        e.put_str(self.pause);
-        e.put_str(self.controller);
-        e.put_u64(self.sac_decisions);
-    }
-
-    /// Deserialize a sample saved by [`EpochSample::save`].
-    ///
-    /// # Errors
-    /// Returns a decode error on truncated or malformed input.
-    pub fn load(d: &mut mcgpu_types::Dec<'_>) -> mcgpu_types::CkptResult<Self> {
-        Ok(EpochSample {
-            epoch: d.get_u64()?,
-            start_cycle: d.get_u64()?,
-            end_cycle: d.get_u64()?,
-            reads: d.get_u64()?,
-            writes: d.get_u64()?,
-            ring_bytes: d.get_u64()?,
-            ring_delivered: d.get_u64()?,
-            noc_bytes: d.get_u64()?,
-            noc_rejected: d.get_u64()?,
-            dram_bytes: d.get_u64()?,
-            dram_reads: d.get_u64()?,
-            dram_writes: d.get_u64()?,
-            llc_accesses: d.get_u64()?,
-            llc_hits: d.get_u64()?,
-            l1_accesses: d.get_u64()?,
-            l1_hits: d.get_u64()?,
-            in_flight: d.get_u64()?,
-            active_clusters: d.get_u64()?,
-            dram_queue: d.get_u64()?,
-            slice_queue: d.get_u64()?,
-            sac_window_requests: d.get_u64()?,
-            crd_occupied: d.get_u64()?,
-            crd_capacity: d.get_u64()?,
-            route_mode: super::intern_label(d.get_str()?),
-            pause: super::intern_label(d.get_str()?),
-            controller: super::intern_label(d.get_str()?),
-            sac_decisions: d.get_u64()?,
-        })
-    }
 }
 
 /// Differences consecutive [`MachineSnapshot`]s into [`EpochSample`] rows.
@@ -396,30 +231,6 @@ impl EpochRecorder {
     /// Consume the recorder, returning the timeline.
     pub fn into_samples(self) -> Vec<EpochSample> {
         self.samples
-    }
-
-    /// Serialize the recorder (baseline snapshot + recorded samples) into a
-    /// checkpoint payload.
-    pub fn save(&self, e: &mut mcgpu_types::Enc) {
-        self.prev.save(e);
-        e.put_seq_len(self.samples.len());
-        for s in &self.samples {
-            s.save(e);
-        }
-    }
-
-    /// Deserialize a recorder saved by [`EpochRecorder::save`].
-    ///
-    /// # Errors
-    /// Returns a decode error on truncated or malformed input.
-    pub fn load(d: &mut mcgpu_types::Dec<'_>) -> mcgpu_types::CkptResult<Self> {
-        let prev = MachineSnapshot::load(d)?;
-        let n = d.get_seq_len()?;
-        let mut samples = Vec::with_capacity(n);
-        for _ in 0..n {
-            samples.push(EpochSample::load(d)?);
-        }
-        Ok(EpochRecorder { prev, samples })
     }
 }
 

@@ -127,15 +127,6 @@ impl LlcOrgPolicy for SacPolicy {
         self.ctl.next_event(now)
     }
 
-    fn save_state(&self, e: &mut mcgpu_types::Enc) {
-        self.ctl.save(e);
-    }
-
-    fn load_state(&mut self, d: &mut mcgpu_types::Dec<'_>) -> mcgpu_types::CkptResult<()> {
-        self.ctl = SacController::load(d)?;
-        Ok(())
-    }
-
     fn controller_state_label(&self) -> Option<&'static str> {
         Some(self.ctl.state_label())
     }

@@ -95,110 +95,6 @@ impl FabricPayload {
     }
 }
 
-// ---------------------------------------------------------------------
-// Checkpoint codecs (`mcgpu-ckpt-v1`).
-// ---------------------------------------------------------------------
-
-use mcgpu_types::{CkptError, CkptResult, Dec, Enc};
-
-impl ReqEnvelope {
-    /// Serialize into a checkpoint payload.
-    pub fn save(&self, e: &mut Enc) {
-        e.put_request(&self.req);
-        e.put_u8(match self.stage {
-            ReqStage::ToLocalSlice => 0,
-            ReqStage::ToHomeSlice => 1,
-            ReqStage::ToHomeMemBypass => 2,
-        });
-    }
-
-    /// Deserialize an envelope saved by [`ReqEnvelope::save`].
-    ///
-    /// # Errors
-    /// Returns a decode error on truncated or malformed input.
-    pub fn load(d: &mut Dec<'_>) -> CkptResult<Self> {
-        let req = d.get_request()?;
-        let stage = match d.get_u8()? {
-            0 => ReqStage::ToLocalSlice,
-            1 => ReqStage::ToHomeSlice,
-            2 => ReqStage::ToHomeMemBypass,
-            t => return Err(CkptError::Decode(format!("unknown request stage {t}"))),
-        };
-        Ok(ReqEnvelope { req, stage })
-    }
-}
-
-impl RspEnvelope {
-    /// Serialize into a checkpoint payload.
-    pub fn save(&self, e: &mut Enc) {
-        e.put_response(&self.rsp);
-        e.put_u8(match self.fill {
-            FillAction::None => 0,
-            FillAction::FillLocalSlice => 1,
-        });
-    }
-
-    /// Deserialize an envelope saved by [`RspEnvelope::save`].
-    ///
-    /// # Errors
-    /// Returns a decode error on truncated or malformed input.
-    pub fn load(d: &mut Dec<'_>) -> CkptResult<Self> {
-        let rsp = d.get_response()?;
-        let fill = match d.get_u8()? {
-            0 => FillAction::None,
-            1 => FillAction::FillLocalSlice,
-            t => return Err(CkptError::Decode(format!("unknown fill action {t}"))),
-        };
-        Ok(RspEnvelope { rsp, fill })
-    }
-}
-
-impl FabricPayload {
-    /// Serialize into a checkpoint payload.
-    pub fn save(&self, e: &mut Enc) {
-        match self {
-            FabricPayload::Req(env) => {
-                e.put_u8(0);
-                env.save(e);
-            }
-            FabricPayload::Rsp(env) => {
-                e.put_u8(1);
-                env.save(e);
-            }
-            FabricPayload::Writeback { line, home } => {
-                e.put_u8(2);
-                e.put_u64(line.0);
-                e.put_u8(home.0);
-            }
-            FabricPayload::Inval { line, target } => {
-                e.put_u8(3);
-                e.put_u64(line.0);
-                e.put_u8(target.0);
-            }
-        }
-    }
-
-    /// Deserialize a payload saved by [`FabricPayload::save`].
-    ///
-    /// # Errors
-    /// Returns a decode error on truncated or malformed input.
-    pub fn load(d: &mut Dec<'_>) -> CkptResult<Self> {
-        Ok(match d.get_u8()? {
-            0 => FabricPayload::Req(ReqEnvelope::load(d)?),
-            1 => FabricPayload::Rsp(RspEnvelope::load(d)?),
-            2 => FabricPayload::Writeback {
-                line: LineAddr(d.get_u64()?),
-                home: ChipId(d.get_u8()?),
-            },
-            3 => FabricPayload::Inval {
-                line: LineAddr(d.get_u64()?),
-                target: ChipId(d.get_u8()?),
-            },
-            t => return Err(CkptError::Decode(format!("unknown ring payload tag {t}"))),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -29,34 +29,6 @@ impl KernelStats {
             self.accesses as f64 / self.cycles as f64
         }
     }
-
-    /// Serialize into a checkpoint payload.
-    pub fn save(&self, e: &mut mcgpu_types::Enc) {
-        e.put_usize(self.index);
-        e.put_u64(self.cycles);
-        e.put_u64(self.accesses);
-        e.put_bool(self.sac_mode.is_some());
-        if let Some(mode) = self.sac_mode {
-            sac::controller::save_mode(e, mode);
-        }
-    }
-
-    /// Deserialize stats saved by [`KernelStats::save`].
-    ///
-    /// # Errors
-    /// Returns a decode error on truncated or malformed input.
-    pub fn load(d: &mut mcgpu_types::Dec<'_>) -> mcgpu_types::CkptResult<Self> {
-        Ok(KernelStats {
-            index: d.get_usize()?,
-            cycles: d.get_u64()?,
-            accesses: d.get_u64()?,
-            sac_mode: if d.get_bool()? {
-                Some(sac::controller::load_mode(d)?)
-            } else {
-                None
-            },
-        })
-    }
 }
 
 /// Complete statistics of one simulated workload run.

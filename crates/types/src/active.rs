@@ -6,10 +6,10 @@
 //! ([`Pipe::is_dormant`](crate::Pipe::is_dormant)). The owner keeps the
 //! indices of its other members in an [`ActiveSet`] and visits only those.
 //! A push adds its member, a tick that leaves the member dormant removes
-//! it, and anything that can wake a member without a push (a restore, a
-//! rate change) marks every member. Walks go in ascending index order, the
+//! it, and anything that can wake a member without a push (a rate change,
+//! a fault) marks every member. Walks go in ascending index order, the
 //! order a loop over every member would take, so arbitration is unchanged.
-//! The set is derived state: it is never serialized.
+//! The set is derived state.
 
 /// A set of member indices in `0..capacity`, kept as a bitset: insert and
 /// remove are O(1) and [`next_from`](ActiveSet::next_from) finds the next

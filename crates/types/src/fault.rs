@@ -142,94 +142,6 @@ impl FaultPlan {
         }
     }
 
-    /// Serialize the full plan (events and cursor) into a checkpoint
-    /// payload, so a restored run neither re-applies past faults nor
-    /// misses future ones.
-    pub fn save(&self, e: &mut crate::ckpt::Enc) {
-        e.put_seq_len(self.events.len());
-        for ev in &self.events {
-            e.put_u64(ev.cycle);
-            match ev.kind {
-                FaultKind::LinkDegrade { a, b, factor } => {
-                    e.put_u8(0);
-                    e.put_u8(a.0);
-                    e.put_u8(b.0);
-                    e.put_f64(factor);
-                }
-                FaultKind::LinkFail { a, b } => {
-                    e.put_u8(1);
-                    e.put_u8(a.0);
-                    e.put_u8(b.0);
-                }
-                FaultKind::DramThrottle { chip, factor } => {
-                    e.put_u8(2);
-                    e.put_u8(chip.0);
-                    e.put_f64(factor);
-                }
-                FaultKind::DramFail { chip, channel } => {
-                    e.put_u8(3);
-                    e.put_u8(chip.0);
-                    e.put_usize(channel);
-                }
-                FaultKind::LlcSliceDisable { chip, slice } => {
-                    e.put_u8(4);
-                    e.put_u8(chip.0);
-                    e.put_usize(slice);
-                }
-            }
-        }
-        e.put_usize(self.cursor);
-    }
-
-    /// Deserialize a plan saved by [`FaultPlan::save`].
-    ///
-    /// # Errors
-    /// Returns a decode error on truncated or malformed input.
-    pub fn load(d: &mut crate::ckpt::Dec<'_>) -> crate::ckpt::CkptResult<Self> {
-        let n = d.get_seq_len()?;
-        let mut events = Vec::with_capacity(n);
-        for _ in 0..n {
-            let cycle = d.get_u64()?;
-            let kind = match d.get_u8()? {
-                0 => FaultKind::LinkDegrade {
-                    a: ChipId(d.get_u8()?),
-                    b: ChipId(d.get_u8()?),
-                    factor: d.get_f64()?,
-                },
-                1 => FaultKind::LinkFail {
-                    a: ChipId(d.get_u8()?),
-                    b: ChipId(d.get_u8()?),
-                },
-                2 => FaultKind::DramThrottle {
-                    chip: ChipId(d.get_u8()?),
-                    factor: d.get_f64()?,
-                },
-                3 => FaultKind::DramFail {
-                    chip: ChipId(d.get_u8()?),
-                    channel: d.get_usize()?,
-                },
-                4 => FaultKind::LlcSliceDisable {
-                    chip: ChipId(d.get_u8()?),
-                    slice: d.get_usize()?,
-                },
-                t => {
-                    return Err(crate::ckpt::CkptError::Decode(format!(
-                        "invalid FaultKind tag {t}"
-                    )));
-                }
-            };
-            events.push(FaultEvent { cycle, kind });
-        }
-        let cursor = d.get_usize()?;
-        if cursor > events.len() {
-            return Err(crate::ckpt::CkptError::Decode(format!(
-                "fault cursor {cursor} beyond {} events",
-                events.len()
-            )));
-        }
-        Ok(FaultPlan { events, cursor })
-    }
-
     /// Check every event against the machine: endpoints must exist,
     /// link endpoints must be adjacent in the configured topology, factors
     /// must lie in `(0, 1)`,

@@ -23,7 +23,6 @@
 pub mod active;
 pub mod addr;
 pub mod budget;
-pub mod ckpt;
 pub mod config;
 pub mod error;
 pub mod expect;
@@ -39,7 +38,6 @@ pub mod pipe;
 pub use active::ActiveSet;
 pub use addr::{Address, LineAddr, PageAddr, SectorId};
 pub use budget::BandwidthBudget;
-pub use ckpt::{CkptError, CkptResult, Dec, Enc};
 pub use config::{
     CoherenceKind, LlcOrgKind, MachineConfig, MemoryInterface, PolicyCtx, ScaleFactor,
     TopologyKind, GB_S,

@@ -4,11 +4,10 @@
 #   1. run the quick-volume suite journaled — the expectation set must pass;
 #   2. replay the journal — the mcgpu-figcheck-v1 report must be
 #      byte-identical;
-#   3. SIGKILL a fresh journaled run mid-sweep — with mid-cell engine
-#      checkpointing on a fine cycle grid, so the kill lands between two
-#      checkpoints of a running cell — resume it (interrupted cells
-#      continue mid-cycle from their snapshots), and require the same
-#      report bytes again;
+#   3. SIGKILL a fresh journaled run mid-sweep — as soon as its journal
+#      holds a record, so the kill lands while cells are still running —
+#      resume it (interrupted cells re-run from cycle 0), and require the
+#      same report bytes again;
 #   4. score a deliberately-impossible `shape` expectation (exit must be 2)
 #      and an impossible `magnitude` expectation (exit must be 0): the gate
 #      fires on shape only.
@@ -44,48 +43,44 @@ if ! cmp -s "$RES/a.json" "$RES/b.json"; then
 fi
 echo "PASS: journal replay reproduced the report byte-identically"
 
-# 3. Kill a fresh checkpointing run mid-sweep — in-flight cells snapshot
-# every 4096 cycles, so the kill lands between two mid-cell checkpoints —
-# then resume: interrupted cells continue mid-cycle from their snapshots
-# and the report must not change by a byte.
+# 3. Kill a fresh run mid-sweep: poll its journal and send SIGKILL as
+# soon as the first cell is recorded, so the kill lands with some cells
+# journaled and the rest unrecorded or running. Then resume: recorded
+# cells replay, the rest re-run from cycle 0, and the report must not
+# change by a byte.
+CELLS=80
 target/release/figcheck --quick --journal "$RES/kill.jsonl" \
-    --state-dir "$RES/state" --checkpoint-interval 4096 \
     --report "$RES/c.json" > /dev/null &
 PID=$!
-sleep 20
+recorded() {
+    if [[ -f "$RES/kill.jsonl" ]]; then wc -l < "$RES/kill.jsonl"; else echo 0; fi
+}
+while (( $(recorded) < 1 )); do
+    if ! kill -0 "$PID" 2>/dev/null; then
+        echo "FAIL: sweep exited before journaling its first cell" >&2
+        exit 1
+    fi
+    sleep 0.05
+done
 kill -9 "$PID" 2>/dev/null
 wait "$PID" 2>/dev/null
-if [[ ! -f "$RES/kill.jsonl" ]]; then
-    echo "FAIL: no journal on disk after SIGKILL" >&2
+RECORDED=$(recorded)
+echo "journal holds $RECORDED of $CELLS record(s) at kill time"
+if (( RECORDED >= CELLS )); then
+    echo "FAIL: the sweep finished before the kill; the drill interrupted nothing" >&2
     exit 1
 fi
-RECORDED=$(wc -l < "$RES/kill.jsonl")
-SNAPS=$(ls "$RES/state"/*.ckpt 2>/dev/null | wc -l)
-echo "journal holds $RECORDED record(s), state dir $SNAPS mid-cell snapshot(s) at kill time"
-if [[ -f "$RES/c.json" ]]; then
-    echo "WARN: sweep finished before the kill; resume path still exercised" >&2
-fi
 target/release/figcheck --quick --resume "$RES/kill.jsonl" \
-    --state-dir "$RES/state" --checkpoint-interval 4096 \
     --report "$RES/c.json" 2> "$RES/resume.log" > /dev/null || {
     cat "$RES/resume.log" >&2
     echo "FAIL: resumed sweep did not complete" >&2
     exit 1
 }
 if ! cmp -s "$RES/a.json" "$RES/c.json"; then
-    echo "FAIL: report differs after SIGKILL + mid-cell resume" >&2
+    echo "FAIL: report differs after SIGKILL + resume" >&2
     exit 1
 fi
-if (( SNAPS > 0 )) && ! grep -q "resumed .* from checkpoint at cycle" "$RES/resume.log"; then
-    echo "FAIL: a snapshot was on disk but no cell resumed from it" >&2
-    exit 1
-fi
-LEFT=$(ls "$RES/state"/*.ckpt 2>/dev/null | wc -l)
-if (( LEFT != 0 )); then
-    echo "FAIL: $LEFT stale snapshot(s) left after the resumed sweep completed" >&2
-    exit 1
-fi
-echo "PASS: SIGKILL + mid-cell resume reproduced the report byte-identically"
+echo "PASS: SIGKILL after $RECORDED of $CELLS cells + resume reproduced the report byte-identically"
 
 # 4a. A shape expectation that cannot hold must gate (exit 2). Scored off
 # the existing journal so no cell is re-simulated.

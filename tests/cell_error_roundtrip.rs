@@ -36,11 +36,6 @@ fn cell_error_strategy() -> impl Strategy<Value = CellError> {
             })
         }),
         any::<u64>().prop_map(|n| {
-            CellError::Sim(SimError::Checkpoint {
-                detail: format!("writing \"snap-{n}.ckpt\": torn\twrite"),
-            })
-        }),
-        any::<u64>().prop_map(|n| {
             CellError::Sim(SimError::Config(mcgpu_types::ConfigError::new(format!(
                 "rejected input {n}"
             ))))

@@ -6,19 +6,22 @@
 //! quarantine and watchdog escalation, and the resumable JSONL run
 //! journal — including that a `--resume` from a truncated journal
 //! reproduces byte-identical canonical stats while re-executing only the
-//! missing or quarantined cells.
+//! missing or quarantined cells, and that a resumed quarantined cell
+//! continues its journaled attempt count.
 
 use mcgpu_sim::{DeadlockSnapshot, RunStats, SimError};
 use mcgpu_trace::{profiles, TraceParams};
 use mcgpu_types::LlcOrgKind;
 use proptest::prelude::*;
+use sac_bench::journal::{cell_config_desc, fnv1a_64};
 use sac_bench::sweep::{self, CellError, MAX_ATTEMPTS};
 use sac_bench::{
-    cell_config_hash, run_benchmark, run_journaled, run_profiles, CellKey, Journal, RecordOutcome,
-    SweepOptions,
+    cell_config_hash, golden, run_benchmark, run_journaled, run_profiles, CellKey, Journal,
+    JournalRecord, RecordOutcome, SweepOptions,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
 
 fn tmp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -314,4 +317,98 @@ fn resume_from_truncated_journal_is_byte_identical() {
         cell_config_hash(&other, &params, "SN", LlcOrgKind::Sac)
     );
     std::fs::remove_file(&path).unwrap();
+}
+
+/// A `--resume` of a quarantined cell continues the journaled
+/// attempt/backoff sequence instead of restarting it from zero, whatever
+/// kind the quarantine record carries, in the figure sweeps and the golden
+/// sweep alike.
+#[test]
+fn resume_continues_attempt_counts_for_quarantined_cells() {
+    let cfg = sac_bench::experiment_config();
+    let params = TraceParams {
+        total_accesses: 12_000,
+        ..TraceParams::quick()
+    };
+    let p = profiles::by_name("SN").unwrap();
+    let orgk = LlcOrgKind::MemorySide;
+    let figure_sweep = |opts: &SweepOptions| {
+        run_benchmark(&cfg, &p, &params, &[orgk], opts)
+            .unwrap()
+            .stats(orgk)
+            .to_canonical_json()
+    };
+    let case = golden::suite()
+        .into_iter()
+        .find(|c| c.name == "sn_memside")
+        .unwrap();
+    let golden_sweep = |opts: &SweepOptions| {
+        golden::run_sweep(std::slice::from_ref(&case), opts, Duration::ZERO)
+            .unwrap()
+            .remove(0)
+    };
+    // Each input: cell name, input description, the sweep entry point it
+    // resumes through (`run_benchmark` for the figure sweeps,
+    // `golden::run_sweep` for `golden_sweep`), and its uninterrupted result.
+    type Sweep<'a> = &'a dyn Fn(&SweepOptions) -> String;
+    let inputs: [(String, String, Sweep, String); 2] = [
+        (
+            format!("{}/{}", p.name, orgk.label()),
+            cell_config_desc(&cfg, &params, p.name, orgk),
+            &figure_sweep,
+            figure_sweep(&SweepOptions::none()),
+        ),
+        (
+            case.name.to_string(),
+            case.config_desc(),
+            &golden_sweep,
+            case.run(),
+        ),
+    ];
+
+    for (name, desc, sweep, fresh) in &inputs {
+        let hash = fnv1a_64(desc.as_bytes());
+        // Seed a journal that says this cell was quarantined after 2
+        // attempts (as an interrupted earlier sweep would have recorded).
+        // `cancelled` and `checkpoint` are no longer emitted, but older
+        // journals carry them; the kind is an opaque string, so such a
+        // record resumes like any other.
+        for kind in ["deadlock", "cancelled", "checkpoint"] {
+            let jpath = tmp_path(&format!("attempts-{kind}-{}", fnv1a_64(name.as_bytes())));
+            let mut j = Journal::create(&jpath).unwrap();
+            j.append(JournalRecord {
+                cell: name.clone(),
+                config_hash: hash,
+                config: Some(desc.clone()),
+                mode: None,
+                attempts: 2,
+                outcome: RecordOutcome::Quarantined {
+                    kind: kind.to_string(),
+                    error: "seeded by test".to_string(),
+                },
+            })
+            .unwrap();
+            drop(j);
+
+            let opts = SweepOptions {
+                resume: Some(jpath.clone()),
+                ..SweepOptions::none()
+            };
+            // The watchdog window only decides when to abort, never what
+            // a completing run computes, so the escalated retry stays
+            // identical.
+            assert_eq!(&sweep(&opts), fresh, "{name}/{kind}");
+            let back = Journal::open(&jpath).unwrap();
+            let rec = back.lookup(name, hash).expect("the retry was journaled");
+            assert!(
+                matches!(rec.outcome, RecordOutcome::Completed { .. }),
+                "{name}/{kind}"
+            );
+            assert_eq!(
+                rec.attempts, 3,
+                "{name}/{kind}: 2 journaled attempts + 1 fresh attempt: escalation resumed, not reset"
+            );
+            std::fs::remove_file(&jpath).unwrap();
+        }
+    }
 }
