@@ -17,15 +17,20 @@
 //! `--resume` on the same journal replays the finished cells byte-
 //! identically and executes only the rest (an interrupted cell re-runs
 //! from cycle 0), so the final output directory diffs clean against
-//! `tests/golden/`.
+//! `tests/golden/`. Any other flag, or a flag value that does not parse,
+//! exits 2.
 
 use mcgpu_types::EngineMode;
 use sac_bench::golden::{run_sweep, suite};
-use sac_bench::{arg_value, exit_on_quarantine, sweep, SweepOptions};
+use sac_bench::{arg_value, exit_on_quarantine, reject_unknown_flags, sweep, SweepOptions};
 use std::path::PathBuf;
 use std::time::Duration;
 
+/// Every flag `golden_sweep` reads; any other exits 2.
+const FLAGS: &[&str] = &["--journal", "--resume", "--out", "--stall-ms", "--jobs"];
+
 fn main() {
+    reject_unknown_flags(FLAGS);
     let opts = SweepOptions {
         mode: EngineMode::Cycle,
         ..SweepOptions::from_args()

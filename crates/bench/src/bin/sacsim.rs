@@ -9,6 +9,8 @@
 //!        [--obs] [--obs-window N] [--obs-out PATH] [--trace-out PATH]
 //! ```
 //!
+//! Any other flag, or a flag value that does not parse, exits 2.
+//!
 //! ORG is any token or label from the LLC-organization registry
 //! (`--list-orgs` prints them), or `all`. Prints the full run statistics;
 //! `--org all` fans every organization out over the sweep pool and prints
@@ -46,9 +48,34 @@
 use mcgpu_sim::SimBuilder;
 use mcgpu_trace::{generate, profiles, TraceParams};
 use mcgpu_types::{CoherenceKind, EngineMode, LlcOrgKind, ObsConfig, ResponseOrigin, TopologyKind};
-use sac_bench::{arg_value, exit_on_quarantine, run_benchmark, SweepOptions};
+use sac_bench::{arg_value, exit_on_quarantine, reject_unknown_flags, run_benchmark, SweepOptions};
+
+/// Every flag `sacsim` reads; any other exits 2.
+const FLAGS: &[&str] = &[
+    "--bench",
+    "--org",
+    "--accesses",
+    "--input-scale",
+    "--chips",
+    "--topology",
+    "--hw-coherence",
+    "--sectored",
+    "--json",
+    "--jobs",
+    "--list-orgs",
+    "--mode",
+    "--list-modes",
+    "--watchdog-cycles",
+    "--journal",
+    "--resume",
+    "--obs",
+    "--obs-window",
+    "--obs-out",
+    "--trace-out",
+];
 
 fn main() {
+    reject_unknown_flags(FLAGS);
     if std::env::args().any(|a| a == "--list-orgs") {
         println!("{:8} {:12} summary", "token", "label");
         for d in &mcgpu_sim::org::REGISTRY {
@@ -94,14 +121,8 @@ fn main() {
         // built; 0 is rejected there with a typed ConfigError.
         cfg.watchdog_cycles = n;
     }
-    if let Some(v) = arg_value::<String>("--chips") {
-        match v.parse::<usize>() {
-            Ok(n) => cfg.chips = n,
-            Err(_) => {
-                eprintln!("--chips needs an unsigned integer, got `{v}`");
-                std::process::exit(2);
-            }
-        }
+    if let Some(n) = arg_value("--chips") {
+        cfg.chips = n;
     }
     if let Some(v) = arg_value::<String>("--topology") {
         match TopologyKind::from_label(&v) {

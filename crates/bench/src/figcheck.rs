@@ -287,28 +287,15 @@ pub fn suite_metrics(cfg: &MachineConfig, rows: &[BenchRows]) -> Metrics {
 /// local fractions and bandwidth shares for all eight cases, plus
 /// speedups and normalized bandwidth totals for the SN trio (the only
 /// golden benchmark run under the memory-side baseline). The eight runs
-/// fan out over the sweep pool.
-pub fn golden_metrics() -> Metrics {
-    golden_metrics_on(None)
-}
-
-/// [`golden_metrics`] on a dedicated pool of `jobs` threads instead of
-/// the process-wide sweep pool. The report determinism tests compare the
-/// 1-thread and N-thread tables byte-for-byte.
-pub fn golden_metrics_with_jobs(jobs: usize) -> Metrics {
-    golden_metrics_on(Some(jobs))
-}
-
-fn golden_metrics_on(jobs: Option<usize>) -> Metrics {
+/// fan out over a dedicated pool of `jobs` threads; the report
+/// determinism tests compare the 1-thread and N-thread tables
+/// byte-for-byte.
+pub fn golden_metrics(jobs: usize) -> Metrics {
     let cases = golden::suite();
-    let run = |c: &golden::Case| {
+    let stats: Vec<RunStats> = sweep::map_with_jobs(jobs, cases.iter().collect(), |c| {
         let (cfg, wl) = c.inputs();
         crate::run_one(&cfg, &wl, c.org)
-    };
-    let stats: Vec<RunStats> = match jobs {
-        Some(n) => sweep::map_with_jobs(n, cases.iter().collect(), run),
-        None => sweep::map(cases.iter().collect(), run),
-    };
+    });
     let sn_mem = cases
         .iter()
         .zip(&stats)
@@ -570,10 +557,26 @@ mod tests {
     }
 
     #[test]
-    fn report_round_trips_through_canonical_json() {
+    fn report_json_holds_the_evaluated_finding() {
+        use mcgpu_types::json::{parse, JsonValue};
         let report = evaluate(&set(ORDERING_SET), &table(), "quick");
-        let doc = report.to_canonical_json();
-        let back = Report::parse(&doc).expect("report parses");
-        assert_eq!(back.to_canonical_json(), doc);
+        let v = parse(&report.to_canonical_json()).expect("report is valid JSON");
+        assert_eq!(v.get("volume").and_then(JsonValue::as_str), Some("quick"));
+        let findings = v.get("findings").and_then(JsonValue::as_array).unwrap();
+        assert_eq!(findings.len(), 1);
+        let f = &findings[0];
+        assert_eq!(
+            f.get("id").and_then(JsonValue::as_str),
+            Some("fig08/RN/sm-beats-mem")
+        );
+        assert_eq!(f.get("verdict").and_then(JsonValue::as_str), Some("pass"));
+        let observed: Vec<f64> = f
+            .get("observed")
+            .and_then(JsonValue::as_array)
+            .unwrap()
+            .iter()
+            .map(|o| o.get("value").and_then(JsonValue::as_f64).unwrap())
+            .collect();
+        assert_eq!(observed, [1.86, 1.0]);
     }
 }

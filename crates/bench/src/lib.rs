@@ -80,19 +80,68 @@ pub fn quick_mode() -> bool {
 }
 
 /// The value of the command-line flag `name`, given as `name VALUE` or
-/// `name=VALUE`: the first occurrence, in argument order, whose value
-/// parses as `T`. Every binary reads its flags through this one reader.
-pub fn arg_value<T: std::str::FromStr>(name: &str) -> Option<T> {
+/// `name=VALUE`, at its first occurrence. Exits with status 2, naming the
+/// flag, when that value is missing or does not parse as `T`. Every
+/// binary reads its flags through this one reader.
+pub fn arg_value<T>(name: &str) -> Option<T>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
     let args: Vec<String> = std::env::args().collect();
-    let prefix = format!("{name}=");
-    args.iter().enumerate().find_map(|(i, a)| {
-        let v = if a == name {
-            args.get(i + 1)?.as_str()
-        } else {
-            a.strip_prefix(&prefix)?
-        };
-        v.parse().ok()
+    flag_value(&args, name).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
     })
+}
+
+/// [`arg_value`] over the argument list `args`: `Ok(None)` when `name` is
+/// absent, and an error naming the flag when the value of its first
+/// occurrence is missing or does not parse.
+fn flag_value<T>(args: &[String], name: &str) -> Result<Option<T>, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    let prefix = format!("{name}=");
+    let Some(i) = args
+        .iter()
+        .position(|a| a == name || a.starts_with(&prefix))
+    else {
+        return Ok(None);
+    };
+    let value = match args[i].strip_prefix(&prefix) {
+        Some(v) => v,
+        None => args
+            .get(i + 1)
+            .ok_or_else(|| format!("{name} needs a value"))?,
+    };
+    value
+        .parse()
+        .map(Some)
+        .map_err(|e| format!("invalid value `{value}` for {name}: {e}"))
+}
+
+/// Exit with status 2 when the command line holds a flag that is not in
+/// `known`, listing the flags that are. A binary that calls this first
+/// never runs with a misspelt or retired flag silently ignored.
+pub fn reject_unknown_flags(known: &[&str]) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(flag) = unknown_flag(&args, known) {
+        eprintln!(
+            "error: unknown flag {flag}; known flags: {}",
+            known.join(" ")
+        );
+        std::process::exit(2);
+    }
+}
+
+/// The first argument of `args` (program name excluded) that is a flag,
+/// `--name` or `--name=VALUE`, whose name is not in `known`.
+fn unknown_flag<'a>(args: &'a [String], known: &[&str]) -> Option<&'a str> {
+    args.iter()
+        .map(|a| a.split_once('=').map_or(a.as_str(), |(flag, _)| flag))
+        .find(|flag| flag.starts_with("--") && !known.contains(flag))
 }
 
 /// Validate an `--mode` token against the engine-mode registry, exiting
@@ -641,6 +690,52 @@ pub fn group_speedup(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn flag_values_parse_at_their_first_occurrence() {
+        let args = argv(&[
+            "sacsim",
+            "--accesses",
+            "15000",
+            "--chips=8",
+            "--accesses",
+            "7",
+        ]);
+        assert_eq!(flag_value::<usize>(&args, "--accesses"), Ok(Some(15_000)));
+        assert_eq!(flag_value::<usize>(&args, "--chips"), Ok(Some(8)));
+        assert_eq!(flag_value::<usize>(&args, "--jobs"), Ok(None));
+        let bad = flag_value::<usize>(&argv(&["sacsim", "--accesses", "15k"]), "--accesses");
+        assert!(bad.unwrap_err().contains("--accesses"));
+        // A bad first value is an error even when a later one parses.
+        let shadowed = argv(&["sacsim", "--chips=four", "--chips", "4"]);
+        assert!(flag_value::<usize>(&shadowed, "--chips").is_err());
+        let missing = flag_value::<String>(&argv(&["sacsim", "--bench"]), "--bench");
+        assert_eq!(missing, Err("--bench needs a value".to_string()));
+    }
+
+    #[test]
+    fn unknown_flags_are_found_by_name() {
+        let known = ["--bench", "--json", "--journal"];
+        let args = argv(&["--bench", "SN", "--json", "--journal=run.jsonl"]);
+        assert_eq!(unknown_flag(&args, &known), None);
+        let args = argv(&[
+            "--bench",
+            "SN",
+            "--checkpoint",
+            "x.ckpt",
+            "--state-dir",
+            "st",
+        ]);
+        assert_eq!(unknown_flag(&args, &known), Some("--checkpoint"));
+        let args = argv(&["--bench", "SN", "--jounral=run.jsonl"]);
+        assert_eq!(unknown_flag(&args, &known), Some("--jounral"));
+        // Values and single-dash tokens are not flags.
+        assert_eq!(unknown_flag(&argv(&["--bench", "-x", "a=b"]), &known), None);
+    }
 
     #[test]
     fn runner_smoke() {

@@ -267,18 +267,6 @@ impl SetAssocCache {
         LookupOutcome::Miss
     }
 
-    /// Account for `k` lookups that miss the tag array, in O(1): exactly
-    /// what `k` calls of [`lookup`](SetAssocCache::lookup) returning
-    /// [`LookupOutcome::Miss`] do. Each advances the LRU clock and counts
-    /// an access and a miss; a miss touches no way. A cluster stalled on a
-    /// full MSHR file repeats the same missing lookup every cycle until a
-    /// response arrives, and replays the repeats in bulk with this.
-    pub fn repeat_misses(&mut self, k: u64) {
-        self.clock += k;
-        self.stats.accesses += k;
-        self.stats.misses += k;
-    }
-
     /// Check residency without touching LRU or stats.
     pub fn probe(&self, line: LineAddr, sector: Option<SectorId>) -> bool {
         let mask = self.sector_mask(sector);

@@ -1,5 +1,10 @@
 //! SM-cluster frontend: trace-driven request generation behind a private
 //! write-through L1 with MSHRs.
+//!
+//! Each access is looked up in the L1 once. A read that misses while the
+//! MSHR file is full holds its miss and retries only the allocation, the
+//! way GPGPU-Sim reports an access that finds no free MSHR as a
+//! reservation failure rather than as another miss.
 
 use crate::mshr::MshrTable;
 use mcgpu_cache::{CacheConfig, DataHome, LookupOutcome, SetAssocCache};
@@ -87,13 +92,11 @@ pub struct Cluster {
     /// An access that missed the L1 but whose request could not be injected
     /// (backpressure); retried before the trace advances.
     deferred: Option<MemAccess>,
-    /// Stalled on a full MSHR file by a read that missed the L1 tag array
-    /// and has no entry to merge onto. Until a response arrives, every
-    /// retry repeats that plain miss and nothing else, so the engine stops
-    /// visiting the cluster and replays the retries in bulk
-    /// ([`replay_idle`](Cluster::replay_idle)). Derived from the L1 and
-    /// MSHR state.
-    parked: bool,
+    /// The read at the cursor missed the L1 (tag or sector) and found the
+    /// MSHR file full with no entry to merge onto. The cluster keeps that
+    /// outcome, as `deferred` keeps a back-pressured access: later calls
+    /// retry only the MSHR allocation, so each access is looked up once.
+    held_miss: bool,
     reads_done: u64,
     writes_issued: u64,
 }
@@ -117,7 +120,7 @@ impl Cluster {
             mshr_limit: cfg.mshrs_per_cluster,
             mshrs: MshrFile::with_capacity(cfg.mshrs_per_cluster),
             deferred: None,
-            parked: false,
+            held_miss: false,
             reads_done: 0,
             writes_issued: 0,
         }
@@ -139,7 +142,7 @@ impl Cluster {
         self.gap_remaining = 0;
         self.compute_gap = compute_gap;
         self.deferred = None;
-        self.parked = false;
+        self.held_miss = false;
     }
 
     /// The sector of `access` if the machine uses sectored caches.
@@ -154,6 +157,9 @@ impl Cluster {
     /// but nothing to send). Returns `None` when the cluster is idle this
     /// cycle (compute gap, L1 hit consumed the instruction, MSHRs
     /// exhausted, or trace finished).
+    ///
+    /// A read that misses while the MSHR file is full is held, not looked
+    /// up again: later calls retry only the allocation.
     ///
     /// The caller must either successfully inject a request for a
     /// needs-request access or give it back via [`defer`](Cluster::defer).
@@ -171,36 +177,41 @@ impl Cluster {
         let sector = self.sector_of(&acc);
         match acc.kind {
             AccessKind::Read => {
-                let outcome = self.l1.lookup(line, sector, false);
-                match outcome {
-                    LookupOutcome::Hit => {
+                if !self.held_miss {
+                    if self.l1.lookup(line, sector, false) == LookupOutcome::Hit {
                         self.cursor += 1;
                         self.reads_done += 1;
                         self.gap_remaining = self.compute_gap;
                         // Zero-gap clusters may hit repeatedly; issue at
                         // most one instruction per `issue` call to model
                         // the issue width.
-                        None
+                        return None;
                     }
-                    LookupOutcome::Miss | LookupOutcome::SectorMiss => {
-                        if self.mshrs.merge(line.index()) {
-                            // Merged into the outstanding miss.
-                            self.cursor += 1;
-                            self.gap_remaining = self.compute_gap;
-                            return Some((acc, false));
-                        }
-                        if self.mshrs.len() >= self.mshr_limit {
-                            // Stall: no MSHR free. A sector miss moved the
-                            // line's LRU stamp, so only a plain miss parks.
-                            self.parked = outcome == LookupOutcome::Miss;
-                            return None;
-                        }
-                        self.mshrs.allocate(line.index());
+                    if self.mshrs.merge(line.index()) {
+                        // Merged into the outstanding miss.
                         self.cursor += 1;
                         self.gap_remaining = self.compute_gap;
-                        Some((acc, true))
+                        return Some((acc, false));
                     }
                 }
+                if self.mshrs.len() >= self.mshr_limit {
+                    // Stall: no MSHR free. Hold the miss until a response
+                    // frees an entry.
+                    self.held_miss = true;
+                    return None;
+                }
+                // Only lines with an MSHR entry are filled, so a held
+                // miss's line cannot have become resident while it waited.
+                debug_assert!(
+                    !(self.held_miss && self.l1.probe(line, sector)),
+                    "held miss on line {:#x} became resident",
+                    line.index()
+                );
+                self.held_miss = false;
+                self.mshrs.allocate(line.index());
+                self.cursor += 1;
+                self.gap_remaining = self.compute_gap;
+                Some((acc, true))
             }
             AccessKind::Write => {
                 // Write-through, no write-allocate: update the line in
@@ -222,10 +233,10 @@ impl Cluster {
     }
 
     /// A read response for `access` arrived: fill the L1 and complete all
-    /// merged accesses, which unparks the cluster. Returns the number of
+    /// merged accesses. A held miss stays held: the freed entry lets its
+    /// next retry allocate without a new lookup. Returns the number of
     /// accesses completed.
     pub fn complete_read(&mut self, access: &MemAccess) -> u32 {
-        self.parked = false;
         let line = access.addr.line(self.line_size);
         let sector = self.sector_of(access);
         self.l1.fill(line, sector, DataHome::Local, false);
@@ -269,27 +280,23 @@ impl Cluster {
         self.deferred.is_some()
     }
 
-    /// Whether the cluster is parked on a full MSHR file (see
-    /// [`issue`](Cluster::issue)): only a response can let it issue again.
+    /// Whether the cluster is parked: it holds a miss and its MSHR file is
+    /// full, so every [`issue`](Cluster::issue) call returns `None` and
+    /// changes nothing until a response frees an entry.
     pub(crate) fn parked(&self) -> bool {
-        self.parked
+        self.held_miss && self.mshrs.len() >= self.mshr_limit
     }
 
     /// Account for `k` [`issue`](Cluster::issue) calls that each return
-    /// `None` without issuing: a parked cluster repeats its missing L1
-    /// lookup `k` times ([`SetAssocCache::repeat_misses`]); any other
-    /// cluster decrements its compute gap `k` times. The caller guarantees
-    /// `k` never runs past the call at which the cluster would issue (a
-    /// consumed stream's gap simply drains to zero and stays there, as it
-    /// does when every call is made).
+    /// `None` without issuing: the compute gap counts down `k` times. The
+    /// caller guarantees `k` never runs past the call at which the cluster
+    /// would issue (a consumed stream's gap simply drains to zero and stays
+    /// there, as it does when every call is made). A parked cluster's gap
+    /// is already zero.
     pub(crate) fn replay_idle(&mut self, k: u64) {
-        if self.parked {
-            self.l1.repeat_misses(k);
-        } else {
-            self.gap_remaining = self
-                .gap_remaining
-                .saturating_sub(u32::try_from(k).unwrap_or(u32::MAX));
-        }
+        self.gap_remaining = self
+            .gap_remaining
+            .saturating_sub(u32::try_from(k).unwrap_or(u32::MAX));
     }
 
     /// Writes issued into the memory system.
@@ -362,9 +369,15 @@ mod tests {
         assert!(c.issue().is_some());
         assert!(c.issue().is_some());
         assert!(c.issue().is_none(), "MSHRs full");
+        assert!(c.parked());
+        // Retries of the held miss never look the L1 up again.
+        assert!(c.issue().is_none());
+        assert_eq!(c.l1_stats().accesses, 3);
         assert!(!c.done());
         c.complete_read(&read(1));
+        assert!(!c.parked(), "a response frees an entry");
         assert!(c.issue().is_some(), "freed MSHR allows the third miss");
+        assert_eq!(c.l1_stats().accesses, 3, "one lookup per access");
     }
 
     #[test]

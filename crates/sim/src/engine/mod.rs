@@ -347,11 +347,7 @@ impl Simulator {
     /// # Errors
     /// [`SimError::CycleLimit`] if the run exceeds the cycle budget.
     pub fn run(&mut self, wl: &Workload) -> Result<RunStats, SimError> {
-        let outcome = self.run_kernels(wl);
-        // Whatever stopped the run, leave every counter as stepping would
-        // have: the caller may read statistics next.
-        self.sched.settle_all(&mut self.chips);
-        outcome?;
+        self.run_kernels(wl)?;
         Ok(self.collect_stats())
     }
 
@@ -444,7 +440,7 @@ impl Simulator {
 
     /// Capture the machine's cumulative counters and instantaneous state
     /// for the observability timeline. Read-only; called on the epoch grid
-    /// and once at run end, each time with every cluster settled.
+    /// and once at run end.
     fn machine_snapshot(&self) -> MachineSnapshot {
         let mut l1 = mcgpu_cache::CacheStats::default();
         let mut llc = mcgpu_cache::CacheStats::default();

@@ -4,16 +4,15 @@
 //!
 //! A cluster has work in an issue phase when it holds a deferred access,
 //! or when its compute gap has run out and it has stream left and is not
-//! parked. Any other cluster's [`Cluster::issue`] call would return `None`
-//! having changed only state the cluster keeps to itself: its gap
-//! countdown, or, when it is [parked](Cluster::parked) on a full MSHR
-//! file, its L1 clock and miss counts. The schedule makes no such call.
-//! It counts issue phases engine-wide (a clock jump adds the phases it
-//! skipped) and replays each cluster's missed calls from that count, with
-//! [`Cluster::replay_idle`], when the cluster is next visited, when a
-//! response unparks it, or when the engine [settles](ClusterSchedule::settle_all)
-//! every cluster before anything reads their counters: an observability
-//! snapshot, the end of a run.
+//! [parked](Cluster::parked) on a full MSHR file. Any other cluster's
+//! [`Cluster::issue`] call would return `None`, changing at most its gap
+//! countdown: a parked cluster's call changes nothing, and only a
+//! response, which makes it due again, lets it issue. The schedule makes
+//! no such call. It counts issue phases engine-wide (a clock jump adds the
+//! phases it skipped) and replays each cluster's missed countdown from
+//! that count, with [`Cluster::replay_idle`], when the cluster is next
+//! visited or frozen. The countdown is the one value replayed lazily; no
+//! statistic reads it.
 //!
 //! The CTA wave-lead bound excludes clusters more than one wave ahead of
 //! the slowest unfinished one; an excluded cluster is *frozen* and its
@@ -196,16 +195,6 @@ impl ClusterSchedule {
         }
     }
 
-    /// Replay every cluster's idle calls through the last phase, so that
-    /// every counter reads as if each call had been made.
-    pub(super) fn settle_all(&mut self, chips: &mut [Chip]) {
-        for f in 0..self.settled.len() {
-            let through = self.phases;
-            let cluster = &mut chips[f / self.per_chip].clusters[f % self.per_chip];
-            self.settle(f, through, cluster);
-        }
-    }
-
     /// Schedule the next visit of unfrozen cluster `f`, whose counters are
     /// settled through the last phase.
     fn reschedule(&mut self, f: usize, cluster: &Cluster) {
@@ -370,18 +359,9 @@ impl ClusterSchedule {
         self.reschedule(f, cluster);
     }
 
-    /// Before a read response reaches cluster `f`: a parked cluster's
-    /// retries up to now happened before the fill. Returns whether it was
-    /// parked.
-    pub(super) fn before_response(&mut self, f: usize, cluster: &mut Cluster) -> bool {
-        let parked = cluster.parked();
-        if parked {
-            self.settle(f, self.phases, cluster);
-        }
-        parked
-    }
-
-    /// After a read response completed `merged` accesses at cluster `f`.
+    /// After a read response completed `merged` accesses at cluster `f`,
+    /// which was parked before it if `was_parked`: the freed MSHR entry
+    /// makes a parked cluster due at the next phase.
     pub(super) fn after_response(
         &mut self,
         f: usize,

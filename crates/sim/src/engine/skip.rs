@@ -24,9 +24,10 @@
 //!   stream, or is parked on a full MSHR file, only waits for responses,
 //!   which are datapath events. The issue schedule knows the earliest of
 //!   these without a scan. Every eligible cluster still drains its gap
-//!   counter, and a parked one still counts its L1 retries, both
-//!   simulation state: the jump adds the skipped issue phases to the
-//!   schedule's count, and each cluster replays them when next settled.
+//!   counter, which is simulation state: the jump adds the skipped issue
+//!   phases to the schedule's count, and each cluster replays its
+//!   countdown when next visited or frozen. A parked cluster's skipped
+//!   calls would have changed nothing.
 //! * **Fault plan** — the next scheduled hardware fault.
 //! * **Policy** — [`LlcOrgPolicy::next_policy_event`] bounds when the
 //!   organization's `on_cycle` hook can next act (SAC profiling deadlines,

@@ -151,7 +151,6 @@ impl Simulator {
             .as_deref()
             .is_some_and(|o| now.is_multiple_of(o.epoch_window()));
         if obs_due {
-            self.sched.settle_all(&mut self.chips);
             let snap = self.machine_snapshot();
             if let Some(o) = self.obs.as_deref_mut() {
                 o.sample_epoch(&snap);
@@ -606,7 +605,7 @@ impl Simulator {
         let cl = env.rsp.dest.index as usize;
         let f = c * self.cfg.clusters_per_chip + cl;
         let cluster = &mut self.chips[c].clusters[cl];
-        let was_parked = self.sched.before_response(f, cluster);
+        let was_parked = cluster.parked();
         let merged = cluster.complete_read(&env.rsp.access);
         self.sched.after_response(f, cluster, merged, was_parked);
         let idx = ResponseOrigin::ALL

@@ -15,7 +15,8 @@
 //! same cycle budget (`max_cycles`), both must stop at the same cycle,
 //! finished or not, and publish the same bytes there: the skip scan may
 //! never jump past the budget. Dedicated cases fill the MSHR files so
-//! clusters park and make the CTA wave-lead bound freeze clusters.
+//! clusters park, checking one L1 lookup per access, and make the CTA
+//! wave-lead bound freeze clusters.
 //!
 //! There is deliberately **no** `UPDATE_GOLDEN` path here: if the
 //! skipping engine drifts from the stepping reference, the skipping engine
@@ -242,9 +243,8 @@ proptest! {
     }
 
     /// Dense traffic into small MSHR files: clusters park on a full file
-    /// (and, on sectored caches, stall on sector misses, which do not
-    /// park) for most of the run, and both engines still publish the same
-    /// bytes.
+    /// for most of the run, both engines still publish the same bytes, and
+    /// each looks every access up in the L1 exactly once.
     #[test]
     fn full_mshr_files_park_clusters_and_match(
         org_idx in 0usize..LlcOrgKind::ALL.len(),
@@ -259,10 +259,13 @@ proptest! {
         let org = LlcOrgKind::ALL[org_idx];
         let wl = workload(&cfg, profiles::all_profiles()[bench_idx].name, gap, 6_000);
         let plan = FaultPlan::none();
-        let (reference, _) = run_to_end(build(&cfg, org, &plan, true, None), &wl);
+        let (reference, reference_sim) = run_to_end(build(&cfg, org, &plan, true, None), &wl);
         let (engine, sim) = run_to_end(build(&cfg, org, &plan, false, None), &wl);
         assert_same(&reference, &engine);
         prop_assert!(sim.sched.parks > 0, "no cluster ever parked");
+        for (what, s) in [("reference", reference_sim.collect_stats()), ("engine", sim.collect_stats())] {
+            prop_assert_eq!(s.l1.accesses, s.reads + s.writes, "{} L1 lookups per access", what);
+        }
     }
 
     /// The CTA wave-lead bound binds: a quarter of the clusters run a

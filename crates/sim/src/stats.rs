@@ -174,6 +174,7 @@ impl RunStats {
             w.bool_field("fallback", r.fallback);
             w.close();
         });
+        w.close();
         w.finish()
     }
 
@@ -189,10 +190,10 @@ impl RunStats {
     /// [`ParseError`] when the text is not valid JSON or a required field is
     /// missing or mistyped.
     pub fn from_canonical_json(text: &str) -> Result<RunStats, ParseError> {
-        // The canonical writer ends the document after the final array
-        // without closing the top-level object (snapshots under
-        // `tests/golden/` are committed in that form, so the writer cannot
-        // change). Accept both the brace-less and the strictly closed form.
+        // Stats written before the writer closed its top-level object end
+        // after the final array, without the brace, and run journals
+        // recorded then still hold that form. Accept it as well as the
+        // closed form, so those journals keep replaying.
         let patched;
         let doc = if text.trim_end().ends_with('}') {
             text
@@ -421,10 +422,22 @@ mod tests {
             fallback: false,
         });
         let json = s.to_canonical_json();
+        assert!(parse(&json).is_ok(), "canonical stats are valid JSON");
         let back = RunStats::from_canonical_json(&json).unwrap();
         assert_eq!(back, s);
         // Bit-exact: re-serializing yields identical bytes.
         assert_eq!(back.to_canonical_json(), json);
+    }
+
+    #[test]
+    fn from_canonical_json_accepts_the_brace_less_form() {
+        // Stats as journals recorded them before the writer closed its
+        // top-level object.
+        let s = stats(7, 9);
+        let json = s.to_canonical_json();
+        let brace_less = format!("{}\n", json.strip_suffix("\n}\n").expect("closed document"));
+        assert!(parse(&brace_less).is_err());
+        assert_eq!(RunStats::from_canonical_json(&brace_less).unwrap(), s);
     }
 
     #[test]

@@ -159,8 +159,8 @@ fn golden_report_thread_independent_and_matches_snapshot() {
         .expect("read expectations/golden_smoke.json");
     let set = ExpectationSet::parse(&set_text).expect("golden_smoke parses");
 
-    let serial = figcheck::evaluate(&set, &figcheck::golden_metrics_with_jobs(1), "golden");
-    let parallel = figcheck::evaluate(&set, &figcheck::golden_metrics_with_jobs(4), "golden");
+    let serial = figcheck::evaluate(&set, &figcheck::golden_metrics(1), "golden");
+    let parallel = figcheck::evaluate(&set, &figcheck::golden_metrics(4), "golden");
     let json = serial.to_canonical_json();
     assert_eq!(
         json,

@@ -3,8 +3,9 @@
 //! Runs a small fixed suite of (benchmark, organization, machine-variant)
 //! simulations through the parallel sweep runner, serializes each
 //! [`mcgpu_sim::RunStats`] to canonical JSON, and compares it byte-for-byte
-//! against the committed snapshot under `tests/golden/`. Any behavioural
-//! drift in the simulator — intended or not — fails here first.
+//! against the committed snapshot under `tests/golden/`, which must also
+//! parse as JSON. Any behavioural drift in the simulator — intended or
+//! not — fails here first.
 //!
 //! The case definitions live in `sac_bench::golden`, shared with the
 //! `golden_sweep` binary the CI kill/resume job drives, so a resumed
@@ -20,7 +21,7 @@
 //! that caused it.
 
 use mcgpu_trace::{generate, profiles, TraceParams};
-use mcgpu_types::{LlcOrgKind, MachineConfig};
+use mcgpu_types::{json, LlcOrgKind, MachineConfig};
 use sac_bench::golden::suite;
 use sac_bench::{run_one, sweep};
 use std::path::PathBuf;
@@ -43,6 +44,9 @@ fn golden_stats_match_committed_snapshots() {
 
     let mut failures = Vec::new();
     for (name, json) in actual {
+        if let Err(e) = json::parse(&json) {
+            failures.push(format!("{name}: snapshot is not valid JSON: {e}"));
+        }
         let path = dir.join(format!("{name}.json"));
         if update {
             std::fs::create_dir_all(&dir).expect("create tests/golden");
