@@ -88,6 +88,7 @@ fn measure(name: &'static str, target: Duration, mut f: impl FnMut()) -> Sample 
 }
 
 fn main() {
+    sac_bench::reject_unknown_flags(&["--jobs", "--out", "--target-ms", "--check", "--tolerance"]);
     let out = arg_value("--out").unwrap_or_else(|| "BENCH_sac.json".to_string());
     let target = Duration::from_millis(arg_value("--target-ms").unwrap_or(200));
     eprintln!(

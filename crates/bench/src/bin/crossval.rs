@@ -19,6 +19,7 @@ use mcgpu_types::ExpectationSet;
 use sac_bench::{arg_value, crossval, figcheck};
 
 fn main() {
+    sac_bench::reject_unknown_flags(&["--jobs", "--expectations", "--report"]);
     let path =
         arg_value("--expectations").unwrap_or_else(|| "expectations/crossval.json".to_string());
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {

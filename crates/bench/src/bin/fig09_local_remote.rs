@@ -9,6 +9,7 @@ use sac_bench::figdata::{emit, Fig09Data};
 use sac_bench::{exit_on_quarantine, experiment_config, run_suite, trace_params, SweepOptions};
 
 fn main() {
+    sac_bench::reject_unknown_flags(sac_bench::FIGURE_FLAGS);
     let cfg = experiment_config();
     let rows = exit_on_quarantine(run_suite(
         &cfg,

@@ -10,6 +10,7 @@ use sac_bench::figdata::{emit, Fig11Data};
 use sac_bench::{exit_on_quarantine, experiment_config, run_suite, trace_params, SweepOptions};
 
 fn main() {
+    sac_bench::reject_unknown_flags(sac_bench::FIGURE_FLAGS);
     let cfg = experiment_config();
     // The SM-side runs fan out over the sweep pool; the working-set
     // analysis then fans out per benchmark, reusing each run's workload

@@ -53,6 +53,9 @@ fn print_timeline(cfg: &mcgpu_types::MachineConfig, p: &mcgpu_trace::BenchmarkPr
 }
 
 fn main() {
+    sac_bench::reject_unknown_flags(
+        &[sac_bench::FIGURE_FLAGS, &["--timeline", "--obs-window"]].concat(),
+    );
     let cfg = experiment_config();
     let p = mcgpu_trace::profiles::by_name("BFS").expect("BFS profile");
     if std::env::args().any(|a| a == "--timeline") {

@@ -11,6 +11,7 @@ use sac_bench::figdata::{emit, Fig14Data};
 use sac_bench::SweepOptions;
 
 fn main() {
+    sac_bench::reject_unknown_flags(sac_bench::FIGURE_FLAGS);
     let base = sac_bench::experiment_config();
     let params = sac_bench::trace_params();
     let opts = SweepOptions::from_args().sequential();

@@ -27,6 +27,9 @@ use sac_bench::figdata::{emit, Fig15Data};
 use sac_bench::{arg_value, figcheck, SweepOptions};
 
 fn main() {
+    sac_bench::reject_unknown_flags(
+        &[sac_bench::FIGURE_FLAGS, &["--expectations", "--report"]].concat(),
+    );
     let path = arg_value("--expectations")
         .unwrap_or_else(|| "expectations/fig15_scaleout.json".to_string());
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {

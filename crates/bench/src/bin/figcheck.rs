@@ -19,6 +19,15 @@ use sac_bench::{
 };
 
 fn main() {
+    sac_bench::reject_unknown_flags(&[
+        "--quick",
+        "--jobs",
+        "--journal",
+        "--resume",
+        "--mode",
+        "--expectations",
+        "--report",
+    ]);
     let path =
         arg_value("--expectations").unwrap_or_else(|| "expectations/sac_isca23.json".to_string());
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {

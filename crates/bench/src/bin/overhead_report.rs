@@ -4,8 +4,7 @@
 //! comparison (SM-side two-NoC vs memory-side vs SAC bypassing).
 //!
 //! The report is closed-form text rendered in microseconds, so it is
-//! printed directly; the sweep flags (`--journal`, `--resume`, `--jobs`)
-//! are ignored.
+//! printed directly. It takes no flags; any flag exits 2.
 
 use mcgpu_noc::NocPhysical;
 use mcgpu_types::MachineConfig;
@@ -96,6 +95,7 @@ fn render_noc() -> String {
 }
 
 fn main() {
+    sac_bench::reject_unknown_flags(&[]);
     print!(
         "{}{}{}",
         render_storage(),

@@ -14,13 +14,16 @@
 //! (scenario × organization) grid fans out over the sweep pool.
 //!
 //! `cargo run --release -p sac-bench --bin resilience_report`
-//! (pass `--quick` for a reduced-volume smoke run).
+//! (pass `--quick` for a reduced-volume smoke run). The report keeps no
+//! journal, so it takes no `--journal`/`--resume`.
 
 use mcgpu_trace::{generate, profiles, TraceParams, Workload};
 use mcgpu_types::LlcOrgKind;
 use sac_bench::resilience::{run_grid, scenarios, Outcome};
-use sac_bench::{collect_outcomes, exit_on_quarantine, sweep, Attempt, SimCell};
-use std::sync::Arc;
+use sac_bench::{
+    cell_config_desc, exit_on_quarantine, reject_unknown_flags, run_journaled, sweep, CellKey,
+    SimCell, SweepOptions,
+};
 
 const SUBSET: [&str; 4] = ["SN", "BS", "SRAD", "GEMM"];
 
@@ -35,6 +38,7 @@ fn short(org: LlcOrgKind) -> &'static str {
 }
 
 fn main() {
+    reject_unknown_flags(&["--quick", "--jobs"]);
     let cfg = sac_bench::experiment_config();
     // Volume is deliberately smaller than the figure harnesses: the report
     // measures fault *response*, and at this working-set size a severe link
@@ -60,22 +64,32 @@ fn main() {
         params.total_accesses
     );
 
-    // Workloads and their fault-free baselines fan out per benchmark; the
-    // (scenario x organization) grid of each benchmark then fans out via
-    // `run_grid`.
-    let outcomes = sweep::map_isolated(SUBSET.to_vec(), |name, n| {
-        let profile = profiles::by_name(name).expect("profile");
-        let wl = generate(&cfg, &profile, &params);
-        let stats = SimCell::new(&cfg, &wl, LlcOrgKind::MemorySide).attempt(Attempt::cycle(n))?;
-        Ok((Arc::new(wl), stats.reads + stats.writes))
+    // Workloads and their fault-free memory-side baselines fan out per
+    // benchmark; the (scenario x organization) grid of each benchmark then
+    // fans out via `run_grid`.
+    let workloads: Vec<Workload> = sweep::map(SUBSET.to_vec(), |name| {
+        generate(&cfg, &profiles::by_name(name).expect("profile"), &params)
     });
-    let baselines: Vec<(Arc<Workload>, u64)> =
-        exit_on_quarantine(collect_outcomes(outcomes, |i| {
-            format!("{}/baseline", SUBSET[i])
-        }));
+    let cells = SUBSET
+        .iter()
+        .zip(&workloads)
+        .map(|(&name, wl)| {
+            let key = CellKey {
+                name: format!("{name}/baseline"),
+                desc: cell_config_desc(&cfg, &params, name, LlcOrgKind::MemorySide),
+            };
+            (key, SimCell::new(&cfg, wl, LlcOrgKind::MemorySide))
+        })
+        .collect();
+    let baselines = exit_on_quarantine(run_journaled(
+        cells,
+        &SweepOptions::none(),
+        SimCell::attempt,
+    ));
 
     let mut sac_beats_baselines_somewhere = false;
-    for (name, (wl, expected)) in SUBSET.iter().zip(&baselines) {
+    for ((name, wl), baseline) in SUBSET.iter().zip(&workloads).zip(&baselines) {
+        let expected = baseline.reads + baseline.writes;
         println!("== {name} ==");
         println!(
             "{:32} {:>10} {:>10} {:>10} {:>10} {:>10}",
@@ -86,7 +100,7 @@ fn main() {
             short(LlcOrgKind::Dynamic),
             short(LlcOrgKind::Sac),
         );
-        let grid = run_grid(&cfg, wl, *expected);
+        let grid = run_grid(&cfg, wl, expected);
         for (sc, outcomes) in scenarios.iter().zip(&grid) {
             let cells: Vec<String> = outcomes
                 .iter()

@@ -2,8 +2,7 @@
 //! scale and at the experiment scale used by the figure harnesses.
 //!
 //! The table is closed-form text rendered in microseconds, so it is
-//! printed directly; the sweep flags (`--journal`, `--resume`, `--jobs`)
-//! are ignored.
+//! printed directly. It takes no flags; any flag exits 2.
 
 use mcgpu_types::MachineConfig;
 use std::fmt::Write as _;
@@ -81,6 +80,7 @@ fn render_cfg(label: &str, c: &MachineConfig) -> String {
 }
 
 fn main() {
+    sac_bench::reject_unknown_flags(&[]);
     print!(
         "{}",
         render_cfg("Table 3 (paper baseline)", &MachineConfig::paper_baseline())

@@ -7,20 +7,18 @@
 
 use mcgpu_trace::{analysis, generate, profiles};
 use sac_bench::figdata::{emit, Table4Data};
-use sac_bench::{collect_outcomes, exit_on_quarantine, sweep};
+use sac_bench::{reject_unknown_flags, sweep};
 
 fn main() {
+    reject_unknown_flags(&["--quick", "--jobs", "--json"]);
     let cfg = sac_bench::experiment_config();
     let params = sac_bench::trace_params();
     // Generation + characterization of the 16 workloads fans out over the
-    // sweep pool as isolated cells; rows come back in suite order and one
-    // bad workload cannot sink the table.
-    let outcomes = sweep::map_isolated(profiles::all_profiles(), |p, _attempt| {
-        let wl = generate(&cfg, p, &params);
-        Ok((p.clone(), analysis::characterize(&cfg, &wl)))
+    // sweep pool; rows come back in suite order. Nothing is simulated.
+    let rows = sweep::map(profiles::all_profiles(), |p| {
+        let wl = generate(&cfg, &p, &params);
+        let ch = analysis::characterize(&cfg, &wl);
+        (p, ch)
     });
-    let rows = exit_on_quarantine(collect_outcomes(outcomes, |i| {
-        profiles::all_profiles()[i].name.to_string()
-    }));
     emit(&Table4Data::compute(&rows));
 }

@@ -18,10 +18,11 @@
 //! always read one set of numbers.
 
 use crate::{
-    exit_on_quarantine, group_speedup, harmonic_mean, run_profiles, sweep, BenchRows, SweepOptions,
+    cell_config_desc, exit_on_quarantine, group_speedup, harmonic_mean, run_journaled,
+    run_profiles, sweep, BenchRows, CellKey, SimCell, SweepOptions,
 };
 use mcgpu_trace::profiles::Preference;
-use mcgpu_trace::{analysis, profiles, TraceParams};
+use mcgpu_trace::{analysis, generate, profiles, TraceParams, Workload};
 use mcgpu_types::json::CanonicalWriter;
 use mcgpu_types::{
     CoherenceKind, LlcOrgKind, MachineConfig, MemoryInterface, ResponseOrigin, TopologyKind,
@@ -68,20 +69,6 @@ pub fn emit(data: &impl FigData) {
 
 fn org_labels() -> Vec<&'static str> {
     LlcOrgKind::ALL.iter().map(|o| o.label()).collect()
-}
-
-fn sac_mode_string(stats: &mcgpu_sim::RunStats) -> String {
-    stats
-        .sac_history
-        .iter()
-        .map(|k| {
-            if k.mode == sac::LlcMode::SmSide {
-                'S'
-            } else {
-                'M'
-            }
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------- fig01
@@ -270,7 +257,7 @@ impl Fig08Data {
                     bench: r.profile.name.to_string(),
                     pref: r.profile.preference.label().to_string(),
                     speedups: LlcOrgKind::ALL.iter().map(|&o| r.speedup(o)).collect(),
-                    sac_modes: sac_mode_string(r.stats(LlcOrgKind::Sac)),
+                    sac_modes: r.stats(LlcOrgKind::Sac).sac_modes(),
                 })
                 .collect(),
             hmeans: [
@@ -875,82 +862,81 @@ pub struct Fig13Data {
 
 impl Fig13Data {
     /// Generate, simulate and collect the full figure. Trace generation
-    /// and every `(workload, organization)` run fan out over the sweep
-    /// pool as isolated cells; a quarantined cell exits the process with
-    /// the standard report (this is a binary-support path).
-    pub fn collect(cfg: &MachineConfig, base: &TraceParams) -> Fig13Data {
-        use crate::{collect_outcomes, Attempt, SimCell};
-        use mcgpu_trace::{generate, Workload};
-        use std::sync::Arc;
-
+    /// fans out over the sweep pool, then every `(input point,
+    /// organization)` cell runs through [`run_journaled`], named
+    /// `"BENCH@xSCALE/organization"` and keyed by its scaled trace
+    /// parameters; a quarantined cell exits the process with the standard
+    /// report (this is a binary-support path).
+    pub fn collect(cfg: &MachineConfig, base: &TraceParams, opts: &SweepOptions) -> Fig13Data {
         const ORGS: [LlcOrgKind; 3] = [LlcOrgKind::MemorySide, LlcOrgKind::SmSide, LlcOrgKind::Sac];
-        let sp = ["RN", "CFD"];
-        let mp = ["SRAD", "GEMM"];
-        let sp_scales: &[f64] = &[8.0, 2.0, 1.0, 0.5, 0.25];
-        let mp_scales: &[f64] = &[4.0, 1.0, 0.25, 1.0 / 16.0, 1.0 / 32.0];
+        let groups: [(&str, [&str; 2], [f64; 5]); 2] = [
+            (
+                "SM-side preferred",
+                ["RN", "CFD"],
+                [8.0, 2.0, 1.0, 0.5, 0.25],
+            ),
+            (
+                "memory-side preferred",
+                ["SRAD", "GEMM"],
+                [4.0, 1.0, 0.25, 1.0 / 16.0, 1.0 / 32.0],
+            ),
+        ];
 
-        let combos: Vec<(&str, f64)> = [(&sp[..], sp_scales), (&mp[..], mp_scales)]
+        let points: Vec<(&str, TraceParams)> = groups
             .iter()
-            .flat_map(|(names, scales)| {
-                names
-                    .iter()
-                    .flat_map(move |&n| scales.iter().map(move |&s| (n, s)))
+            .flat_map(|(_, names, scales)| {
+                names.iter().flat_map(move |&name| {
+                    scales.iter().map(move |&input_scale| {
+                        let params = TraceParams {
+                            input_scale,
+                            ..*base
+                        };
+                        (name, params)
+                    })
+                })
             })
             .collect();
-        let workloads: Vec<Arc<Workload>> = sweep::map(combos.clone(), |(name, scale)| {
-            let p = profiles::by_name(name).expect("profile");
-            let params = TraceParams {
-                input_scale: scale,
-                ..*base
-            };
-            Arc::new(generate(cfg, &p, &params))
+        let workloads: Vec<Workload> = sweep::map(points.clone(), |(name, params)| {
+            generate(cfg, &profiles::by_name(name).expect("profile"), &params)
         });
-        let pairs: Vec<(usize, LlcOrgKind)> = (0..combos.len())
-            .flat_map(|i| ORGS.iter().map(move |&org| (i, org)))
-            .collect();
-        let outcomes = sweep::map_isolated(pairs.clone(), |&(i, org), n| {
-            SimCell::new(cfg, &workloads[i], org).attempt(Attempt::cycle(n))
-        });
-        let stats = exit_on_quarantine(collect_outcomes(outcomes, |k| {
-            let (i, org) = pairs[k];
-            let (name, scale) = combos[i];
-            format!("{name}@x{scale}/{}", org.label())
-        }));
-        let row = |i: usize| &stats[i * ORGS.len()..(i + 1) * ORGS.len()];
-
-        let mut groups = Vec::new();
-        let mut idx = 0;
-        for (names, label) in [
-            (&sp[..], "SM-side preferred"),
-            (&mp[..], "memory-side preferred"),
-        ] {
-            let mut benches = Vec::new();
-            for _ in names {
-                let bench = combos[idx].0.to_string();
-                let mut rows = Vec::new();
-                loop {
-                    let (name, scale) = combos[idx];
-                    let [mem, sm, sac] = row(idx) else {
-                        unreachable!("one stats row per combo")
+        let cells = points
+            .iter()
+            .zip(&workloads)
+            .flat_map(|(&(name, params), wl)| {
+                ORGS.iter().map(move |&org| {
+                    let key = CellKey {
+                        name: format!("{name}@x{}/{}", params.input_scale, org.label()),
+                        desc: cell_config_desc(cfg, &params, name, org),
                     };
-                    rows.push(Fig13Row {
-                        scale,
-                        sm_side: sm.speedup_over(mem),
-                        sac: sac.speedup_over(mem),
-                        sac_modes: sac_mode_string(sac),
-                    });
-                    idx += 1;
-                    if idx == combos.len() || combos[idx].0 != name {
-                        break;
-                    }
-                }
-                benches.push(Fig13Bench { bench, rows });
+                    (key, SimCell::new(cfg, wl, org))
+                })
+            })
+            .collect();
+        let stats = exit_on_quarantine(run_journaled(cells, opts, SimCell::attempt));
+        let mut rows = stats.chunks(ORGS.len()).zip(&points).map(|(run, &(_, p))| {
+            let [mem, sm, sac] = run else {
+                unreachable!("one stats row per input point")
+            };
+            Fig13Row {
+                scale: p.input_scale,
+                sm_side: sm.speedup_over(mem),
+                sac: sac.speedup_over(mem),
+                sac_modes: sac.sac_modes(),
             }
-            groups.push(Fig13Group {
+        });
+        let groups = groups
+            .iter()
+            .map(|(label, names, scales)| Fig13Group {
                 label: label.to_string(),
-                benches,
-            });
-        }
+                benches: names
+                    .iter()
+                    .map(|name| Fig13Bench {
+                        bench: name.to_string(),
+                        rows: rows.by_ref().take(scales.len()).collect(),
+                    })
+                    .collect(),
+            })
+            .collect();
         Fig13Data { groups }
     }
 }

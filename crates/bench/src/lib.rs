@@ -50,13 +50,11 @@ pub use sweep::{CellError, CellOutcome};
 ///
 /// `MCGPU_WATCHDOG_CYCLES` overrides the forward-progress watchdog window
 /// (validated by `MachineConfig::validate()` at build time; `u64::MAX`
-/// disables the watchdog).
+/// disables the watchdog). A value that does not parse exits with status
+/// 2 ([`env_value`]).
 pub fn experiment_config() -> MachineConfig {
     let mut cfg = MachineConfig::experiment_baseline();
-    if let Some(n) = std::env::var("MCGPU_WATCHDOG_CYCLES")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-    {
+    if let Some(n) = env_value("MCGPU_WATCHDOG_CYCLES") {
         cfg.watchdog_cycles = n;
     }
     cfg
@@ -89,10 +87,7 @@ where
     T::Err: std::fmt::Display,
 {
     let args: Vec<String> = std::env::args().collect();
-    flag_value(&args, name).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    })
+    or_exit(flag_value(&args, name))
 }
 
 /// [`arg_value`] over the argument list `args`: `Ok(None)` when `name` is
@@ -116,11 +111,54 @@ where
             .get(i + 1)
             .ok_or_else(|| format!("{name} needs a value"))?,
     };
+    parse_value(name, value).map(Some)
+}
+
+/// The value of the environment variable `name` parsed as `T`, or `None`
+/// when it is unset. Exits with status 2, naming the variable, when it is
+/// set but does not parse, as [`arg_value`] does for flags.
+pub fn env_value<T>(name: &str) -> Option<T>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    let value = std::env::var_os(name)?;
+    Some(or_exit(parse_value(name, &value.to_string_lossy())))
+}
+
+/// Parse `value`, given for the flag or environment variable `name`, into
+/// an error naming both when it does not parse as `T`.
+fn parse_value<T>(name: &str, value: &str) -> Result<T, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
     value
         .parse()
-        .map(Some)
         .map_err(|e| format!("invalid value `{value}` for {name}: {e}"))
 }
+
+/// Unwrap a command-line or environment parse, exiting with status 2 and
+/// the error when it failed.
+fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
+}
+
+/// The flags the figure binaries share: `--quick`, `--jobs`, the journal
+/// flags (`--journal`, `--resume`), `--mode` and `--json`. A binary that
+/// reads more checks this list extended with its own flags; Fig. 13,
+/// which runs the cycle engine only, lists its flags without `--mode`.
+pub const FIGURE_FLAGS: &[&str] = &[
+    "--quick",
+    "--jobs",
+    "--journal",
+    "--resume",
+    "--mode",
+    "--json",
+];
 
 /// Exit with status 2 when the command line holds a flag that is not in
 /// `known`, listing the flags that are. A binary that calls this first
@@ -129,7 +167,7 @@ pub fn reject_unknown_flags(known: &[&str]) {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Some(flag) = unknown_flag(&args, known) {
         eprintln!(
-            "error: unknown flag {flag}; known flags: {}",
+            "error: unknown flag {flag}; known flags: [{}]",
             known.join(" ")
         );
         std::process::exit(2);
@@ -310,11 +348,9 @@ pub fn exit_on_quarantine<T>(result: Result<T, SweepFailure>) -> T {
 
 /// Collapse per-cell outcomes, in input order, into their results, or
 /// into the [`SweepFailure`] naming every quarantined cell (`name(i)`
-/// names cell `i`). Every sweep builds its quarantine report here.
-///
-/// # Errors
-/// [`SweepFailure`] when any cell is quarantined.
-pub fn collect_outcomes<R>(
+/// names cell `i`). [`run_journaled`] builds every sweep's quarantine
+/// report here.
+fn collect_outcomes<R>(
     outcomes: Vec<CellOutcome<R>>,
     name: impl Fn(usize) -> String,
 ) -> Result<Vec<R>, SweepFailure> {
@@ -384,7 +420,8 @@ pub struct SimCell<'a> {
     /// The LLC organization.
     pub org: LlcOrgKind,
     /// SAC parameters for the cycle engine (the θ and profiling-window
-    /// ablations); `None` derives them from `cfg`. Fast mode ignores it.
+    /// ablations, [`run_sac_ablation`]); `None` derives them from `cfg`.
+    /// Fast mode ignores it, so the ablation binaries take no `--mode`.
     pub sac: Option<SacConfig>,
 }
 
@@ -399,8 +436,9 @@ pub struct Attempt {
 }
 
 impl Attempt {
-    /// Attempt `n` on the cycle engine, as the sweeps that keep no journal
-    /// ([`sweep::map_isolated`]) run it.
+    /// Attempt `n` on the cycle engine. Sweeps get their attempts from
+    /// [`run_journaled`]; the single runs outside a sweep ([`run_one`],
+    /// [`golden::Case::try_run`]) call this with `n = 0`.
     pub fn cycle(n: u32) -> Self {
         Attempt {
             n,
@@ -495,9 +533,10 @@ pub struct CellKey {
 }
 
 /// Run `cells` as isolated, journaled sweep cells on the sweep pool and
-/// return their stats in input order. This is the one journaled cell
-/// runner: the figure sweeps ([`run_profiles`]) and the golden sweep
-/// ([`golden::run_sweep`]) both call it, and `attempt(cell, a)` runs one
+/// return their stats in input order. This is the one cell runner: the
+/// figure sweeps ([`run_profiles`], Fig. 13), the ablations
+/// ([`run_sac_ablation`]), the resilience baselines and the golden sweep
+/// ([`golden::run_sweep`]) all call it, and `attempt(cell, a)` runs one
 /// attempt of a cell (normally [`SimCell::attempt`]).
 ///
 /// For each cell, with journaling enabled (see [`SweepOptions`]): a
@@ -673,6 +712,61 @@ pub fn run_profiles(
         .collect())
 }
 
+/// Run SAC under each of `variants` (a label and the SAC parameters to
+/// run with) against the memory-side baseline on every benchmark of
+/// `benches`: the θ and profiling-window ablations. Trace generation fans
+/// out per benchmark, then every cell runs through [`run_journaled`],
+/// named `"BENCH/memory-side"` or `"BENCH/LABEL"`. A SAC cell's key
+/// description appends its `SacConfig` to [`cell_config_desc`], so a
+/// journal never replays one variant into another.
+///
+/// Returns, per benchmark, the baseline's stats and one stats per
+/// variant, in order.
+///
+/// # Errors
+/// [`SweepFailure`] listing every quarantined cell.
+pub fn run_sac_ablation(
+    cfg: &MachineConfig,
+    params: &TraceParams,
+    benches: &[&str],
+    variants: &[(String, SacConfig)],
+    opts: &SweepOptions,
+) -> Result<Vec<(RunStats, Vec<RunStats>)>, SweepFailure> {
+    let workloads: Vec<Workload> = sweep::map(benches.to_vec(), |name| {
+        generate(cfg, &profiles::by_name(name).expect("profile"), params)
+    });
+    let mut cells = Vec::new();
+    for (&bench, wl) in benches.iter().zip(&workloads) {
+        let key = CellKey {
+            name: format!("{bench}/{}", LlcOrgKind::MemorySide.label()),
+            desc: cell_config_desc(cfg, params, bench, LlcOrgKind::MemorySide),
+        };
+        cells.push((key, SimCell::new(cfg, wl, LlcOrgKind::MemorySide)));
+        for (label, sac) in variants {
+            let key = CellKey {
+                name: format!("{bench}/{label}"),
+                desc: format!(
+                    "{}|{sac:?}",
+                    cell_config_desc(cfg, params, bench, LlcOrgKind::Sac)
+                ),
+            };
+            let cell = SimCell {
+                sac: Some(*sac),
+                ..SimCell::new(cfg, wl, LlcOrgKind::Sac)
+            };
+            cells.push((key, cell));
+        }
+    }
+    let mut stats = run_journaled(cells, opts, SimCell::attempt)?.into_iter();
+    Ok(benches
+        .iter()
+        .map(|_| {
+            let baseline = stats.next().expect("one result per cell");
+            (baseline, stats.by_ref().take(variants.len()).collect())
+        })
+        .collect())
+}
+
 /// Harmonic-mean speedup over `rows` filtered by preference (`None` = all).
 pub fn group_speedup(
     rows: &[BenchRows],
@@ -718,6 +812,15 @@ mod tests {
     }
 
     #[test]
+    fn environment_values_parse_or_name_the_variable() {
+        assert_eq!(parse_value::<usize>("MCGPU_JOBS", "3"), Ok(3));
+        let bad = parse_value::<usize>("MCGPU_JOBS", "one").unwrap_err();
+        assert!(bad.contains("MCGPU_JOBS") && bad.contains("`one`"), "{bad}");
+        let window = parse_value::<u64>("MCGPU_WATCHDOG_CYCLES", "1k");
+        assert!(window.unwrap_err().contains("MCGPU_WATCHDOG_CYCLES"));
+    }
+
+    #[test]
     fn unknown_flags_are_found_by_name() {
         let known = ["--bench", "--json", "--journal"];
         let args = argv(&["--bench", "SN", "--json", "--journal=run.jsonl"]);
@@ -735,6 +838,9 @@ mod tests {
         assert_eq!(unknown_flag(&args, &known), Some("--jounral"));
         // Values and single-dash tokens are not flags.
         assert_eq!(unknown_flag(&argv(&["--bench", "-x", "a=b"]), &known), None);
+        // A binary that takes no flags runs without any and rejects all.
+        assert_eq!(unknown_flag(&argv(&[]), &[]), None);
+        assert_eq!(unknown_flag(&argv(&["--quick"]), &[]), Some("--quick"));
     }
 
     #[test]

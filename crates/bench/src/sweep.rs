@@ -9,6 +9,13 @@
 //! of thread count (see `DESIGN.md`, "Sweep runner and the determinism
 //! contract").
 //!
+//! [`map`] is the fan-out primitive; a panic in one item poisons the
+//! whole batch. Cells that produce `RunStats` therefore run through
+//! [`crate::run_journaled`], which gives each cell bounded retries
+//! ([`run_cell_from`]), catches its panics, and records it in the run
+//! journal when one is open; the resilience report's fault runs, which
+//! reduce to `Outcome`s, fan out on [`map`] directly.
+//!
 //! Thread count resolution, highest priority first:
 //!
 //! 1. `--jobs N` (or `--jobs=N`) on the command line,
@@ -16,6 +23,9 @@
 //! 3. the `RAYON_NUM_THREADS` environment variable (vendored-rayon
 //!    default),
 //! 4. the number of available CPUs.
+//!
+//! A `--jobs` or `MCGPU_JOBS` value that does not parse exits with
+//! status 2, naming the flag or variable.
 
 use mcgpu_sim::SimError;
 use std::sync::OnceLock;
@@ -24,11 +34,7 @@ use std::sync::OnceLock;
 /// through to the rayon default (`RAYON_NUM_THREADS` / available CPUs).
 pub fn configured_jobs() -> Option<usize> {
     crate::arg_value::<usize>("--jobs")
-        .or_else(|| {
-            std::env::var("MCGPU_JOBS")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-        })
+        .or_else(|| crate::env_value::<usize>("MCGPU_JOBS"))
         .map(|n| n.max(1))
 }
 
@@ -179,29 +185,26 @@ pub fn escalate_budget(base: u64, attempt: u32) -> u64 {
     base.saturating_mul(1u64.checked_shl(attempt).unwrap_or(u64::MAX))
 }
 
-/// Run one cell in isolation with bounded retries.
+/// Run one cell with bounded retries, continuing an earlier run's
+/// attempt sequence.
 ///
 /// `f(attempt)` executes attempt `attempt` (0-based) and is expected to
-/// scale its own budgets deterministically — e.g. double the cycle budget
-/// or watchdog window per attempt. Backoff is *budget escalation only*:
-/// there is no wall-clock sleep and no randomness, so a sweep's results
-/// stay a pure function of its inputs (the PR 2 determinism contract).
+/// scale its own budgets deterministically, e.g. double the watchdog
+/// window per attempt. Backoff is *budget escalation only*: there is no
+/// wall-clock sleep and no randomness, so a sweep's results stay a pure
+/// function of its inputs.
+///
+/// The first call is `f(prior_attempts)` and up to [`MAX_ATTEMPTS`]
+/// *fresh* attempts execute, so a resumed quarantined cell keeps
+/// escalating its budgets from where the interrupted run stopped instead
+/// of re-running the attempts (and budgets) that already failed; a fresh
+/// cell passes 0. The returned `attempts` is cumulative (prior plus
+/// fresh attempts), which is what the run journal persists so a later
+/// resume continues the same sequence.
 ///
 /// Panics inside `f` are caught and converted to [`CellError::Panic`];
 /// they never propagate to the caller or to sibling cells. Non-retryable
 /// errors (see [`CellError::retryable`]) quarantine the cell immediately.
-pub fn run_cell<R>(f: impl Fn(u32) -> Result<R, CellError>) -> CellOutcome<R> {
-    run_cell_from(0, f)
-}
-
-/// [`run_cell`] continuing an earlier run's attempt sequence: the first
-/// call is `f(prior_attempts)` and up to [`MAX_ATTEMPTS`] *fresh* attempts
-/// execute. A resumed quarantined cell therefore keeps escalating its
-/// budgets from where the interrupted run stopped instead of re-running
-/// the attempts (and budgets) that already failed. The returned
-/// `attempts` is cumulative (`prior_attempts` + fresh attempts), which is
-/// what the run journal persists so a later resume continues the same
-/// sequence.
 pub fn run_cell_from<R>(
     prior_attempts: u32,
     f: impl Fn(u32) -> Result<R, CellError>,
@@ -232,33 +235,6 @@ pub fn run_cell_from<R>(
     }
 }
 
-/// Crash-safe variant of [`map`]: every item runs as an isolated cell
-/// ([`run_cell`]) on the sweep pool, so a panicking or erroring cell yields
-/// its own `Err` slot while every sibling still completes. Output order is
-/// input order.
-pub fn map_isolated<T, R, F>(items: Vec<T>, f: F) -> Vec<CellOutcome<R>>
-where
-    T: Send,
-    R: Send,
-    F: Fn(&T, u32) -> Result<R, CellError> + Sync + Send,
-{
-    // `run_cell` already catches per-attempt panics; the outer `map_catch`
-    // is a second net so that even a panic in the retry bookkeeping turns
-    // into a typed outcome instead of poisoning the batch.
-    pool()
-        .install(|| rayon::map_catch(items, |item| run_cell(|attempt| f(&item, attempt))))
-        .into_iter()
-        .map(|r| {
-            r.unwrap_or_else(|p| CellOutcome {
-                attempts: 1,
-                result: Err(CellError::Panic {
-                    message: p.message().to_string(),
-                }),
-            })
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,7 +254,7 @@ mod tests {
 
     #[test]
     fn run_cell_retries_retryable_errors_with_escalation() {
-        let out = run_cell(|attempt| {
+        let out = run_cell_from(0, |attempt| {
             if attempt < 2 {
                 Err(CellError::Sim(SimError::CycleLimit {
                     limit: 1000 << attempt,
@@ -293,8 +269,9 @@ mod tests {
 
     #[test]
     fn run_cell_quarantines_after_exhausting_retries() {
-        let out: CellOutcome<()> =
-            run_cell(|_| Err(CellError::Sim(SimError::CycleLimit { limit: 7 })));
+        let out: CellOutcome<()> = run_cell_from(0, |_| {
+            Err(CellError::Sim(SimError::CycleLimit { limit: 7 }))
+        });
         assert_eq!(out.attempts, MAX_ATTEMPTS);
         assert_eq!(
             out.result,
@@ -324,7 +301,7 @@ mod tests {
 
     #[test]
     fn run_cell_does_not_retry_panics() {
-        let out: CellOutcome<()> = run_cell(|_| panic!("one-shot failure"));
+        let out: CellOutcome<()> = run_cell_from(0, |_| panic!("one-shot failure"));
         assert_eq!(out.attempts, 1);
         let err = out.result.unwrap_err();
         assert_eq!(err.kind(), "panic");
@@ -352,24 +329,5 @@ mod tests {
         // Normal doubling is untouched.
         assert_eq!(escalate_budget(1000, 0), 1000);
         assert_eq!(escalate_budget(1000, 2), 4000);
-    }
-
-    #[test]
-    fn map_isolated_contains_a_panicking_cell() {
-        let out = map_isolated((0..16).collect::<Vec<u64>>(), |&i, _| {
-            if i == 11 {
-                panic!("cell {i} exploded");
-            }
-            Ok(i * 2)
-        });
-        assert_eq!(out.len(), 16);
-        for (i, cell) in out.iter().enumerate() {
-            if i == 11 {
-                assert!(matches!(&cell.result, Err(CellError::Panic { message })
-                    if message == "cell 11 exploded"));
-            } else {
-                assert_eq!(cell.result, Ok(i as u64 * 2));
-            }
-        }
     }
 }

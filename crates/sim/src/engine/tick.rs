@@ -353,12 +353,6 @@ impl Simulator {
             ReqStage::ToLocalSlice => {
                 debug_assert_eq!(chip_id, requester);
                 let home = env.req.home;
-                let data_home = if home == chip_id {
-                    DataHome::Local
-                } else {
-                    DataHome::Remote
-                };
-                let _ = data_home;
                 if is_write {
                     if hit {
                         self.coherence_on_write(c, line);
@@ -732,11 +726,11 @@ impl Simulator {
     }
 
     /// The per-cycle policy hook: hand the organization's policy the cycle
-    /// context (with lazily computed quiescence/work signals so non-SAC
-    /// organizations pay nothing for them) and apply whatever actions it
-    /// returns, in a fixed order that matches the historical controller
-    /// sequencing: dirty writeback, pause transition, overhead accounting,
-    /// way-split repartition.
+    /// context (with a lazily computed quiescence signal so non-SAC
+    /// organizations never walk the chips for it) and apply whatever
+    /// actions it returns, in a fixed order that matches the historical
+    /// controller sequencing: dirty writeback, pause transition, overhead
+    /// accounting, way-split repartition.
     fn controller_phase(&mut self, now: u64) {
         let ring_bytes = self.fabric.bytes_sent();
         let mem_bytes = self.mem_bytes_total();
@@ -746,16 +740,14 @@ impl Simulator {
             let chips = &self.chips;
             let fabric = &self.fabric;
             let in_flight = self.in_flight;
-            let work = self.sched.reads() + self.writes_done;
             let quiescent =
                 move || in_flight == 0 && fabric.is_empty() && chips.iter().all(Chip::is_quiescent);
-            let work_done = move || work;
             let ctx = EpochCtx {
                 now,
                 ring_bytes,
                 mem_bytes,
                 quiescent: &quiescent,
-                work_done: &work_done,
+                work_done: self.sched.reads() + self.writes_done,
             };
             self.policy.on_cycle(&ctx, self.pause)
         };

@@ -84,10 +84,6 @@ pub struct ChipSample {
     pub ring_sent_bytes: u64,
 }
 
-impl ChipSample {}
-
-impl MachineSnapshot {}
-
 /// One row of the epoch timeline: deltas over `[start_cycle, end_cycle)`
 /// plus instantaneous gauges and labels sampled at `end_cycle`.
 #[derive(Debug, Clone, Default)]

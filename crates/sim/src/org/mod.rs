@@ -113,9 +113,9 @@ impl Pause {
 /// Read-only machine signals a policy may consult from its per-cycle hook
 /// ([`LlcOrgPolicy::on_cycle`]).
 ///
-/// The quiescence and work-done signals are behind closures so the engine
-/// only pays for computing them when a policy actually gates on them (the
-/// SAC drain sequence); the cheap cumulative counters are passed by value.
+/// The quiescence signal is behind a closure so the engine only walks the
+/// chips when a policy actually gates on it (the SAC drain sequence); the
+/// cheap cumulative counters are passed by value.
 pub struct EpochCtx<'a> {
     /// Current cycle.
     pub now: u64,
@@ -127,9 +127,9 @@ pub struct EpochCtx<'a> {
     /// ring, all chip queues drained). Lazy: evaluated only by policies that
     /// gate on drain completion.
     pub quiescent: &'a dyn Fn() -> bool,
-    /// Completed work count (reads + writes machine-wide). Lazy: evaluated
-    /// only by policies that monitor forward progress.
-    pub work_done: &'a dyn Fn() -> u64,
+    /// Completed work count (reads + writes machine-wide), read by
+    /// policies that monitor forward progress.
+    pub work_done: u64,
 }
 
 impl std::fmt::Debug for EpochCtx<'_> {

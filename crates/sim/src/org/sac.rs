@@ -94,7 +94,7 @@ impl LlcOrgPolicy for SacPolicy {
                 // Graceful degradation: feed the divergence monitor the
                 // machine's completed-work count; it requests a drain when
                 // a running SM-side decision stops holding up.
-                if self.ctl.observe_progress(ctx.now, (ctx.work_done)()) {
+                if self.ctl.observe_progress(ctx.now, ctx.work_done) {
                     actions.set_pause = Some(Pause::SacDrain);
                 }
             }

@@ -123,6 +123,21 @@ impl RunStats {
     pub fn llc_miss_rate(&self) -> f64 {
         self.llc.miss_rate()
     }
+
+    /// SAC's per-kernel decisions, one letter per kernel: `S` for
+    /// SM-side, `M` for memory-side (empty for other organizations).
+    pub fn sac_modes(&self) -> String {
+        self.sac_history
+            .iter()
+            .map(|k| {
+                if k.mode == sac::LlcMode::SmSide {
+                    'S'
+                } else {
+                    'M'
+                }
+            })
+            .collect()
+    }
 }
 
 impl RunStats {

@@ -276,22 +276,6 @@ pub enum Metric {
 }
 
 impl Metric {
-    /// Stable metric-kind label used in the JSON forms.
-    pub fn kind_label(&self) -> &'static str {
-        match self {
-            Metric::Speedup { .. } => "speedup",
-            Metric::HmeanSpeedup { .. } => "hmean_speedup",
-            Metric::LocalFraction { .. } => "local_fraction",
-            Metric::BwTotal { .. } => "bw_total",
-            Metric::BwShare { .. } => "bw_share",
-            Metric::WorkingSetMb { .. } => "working_set_mb",
-            Metric::MeasuredMb { .. } => "measured_mb",
-            Metric::ScaleSpeedup { .. } => "scale_speedup",
-            Metric::FabricBytes { .. } => "fabric_bytes",
-            Metric::CrossvalErr { .. } => "crossval_err",
-        }
-    }
-
     /// A compact human-readable identity, used in scorecards and report
     /// detail strings (e.g. `speedup(RN, SM-side)`).
     pub fn describe(&self) -> String {
@@ -475,16 +459,6 @@ pub enum Check {
 }
 
 impl Check {
-    /// Stable check-kind label used in the JSON forms.
-    pub fn kind_label(&self) -> &'static str {
-        match self {
-            Check::Band { .. } => "band",
-            Check::Ordering { .. } => "ordering",
-            Check::RelErr { .. } => "rel_err",
-            Check::Crossover { .. } => "crossover",
-        }
-    }
-
     /// Every metric this check observes, in evaluation order.
     pub fn metrics(&self) -> Vec<&Metric> {
         match self {

@@ -36,24 +36,13 @@ fn main() {
         let mem = run(LlcOrgKind::MemorySide);
         let sm = run(LlcOrgKind::SmSide);
         let sac = run(LlcOrgKind::Sac);
-        let modes: String = sac
-            .sac_history
-            .iter()
-            .map(|k| {
-                if k.mode == sac::LlcMode::SmSide {
-                    'S'
-                } else {
-                    'M'
-                }
-            })
-            .collect();
         println!(
             "{:>7}x {:>10.2} {:>8.2} {:>8.2} | [{}]",
             scale,
             wl.layout.true_bytes() as f64 / (1 << 20) as f64,
             sm.speedup_over(&mem),
             sac.speedup_over(&mem),
-            modes
+            sac.sac_modes()
         );
     }
 }

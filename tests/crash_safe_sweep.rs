@@ -1,9 +1,9 @@
 //! Crash-safe sweep integration tests.
 //!
-//! Covers the durability contract end to end with the same machinery the
-//! figure harnesses use: per-cell isolation (a panicking or deadlocked
-//! cell never poisons siblings), deterministic bounded retries with
-//! quarantine and watchdog escalation, and the resumable JSONL run
+//! Covers the durability contract end to end through the one cell runner
+//! every sweep uses (`run_journaled`): per-cell isolation (a panicking or
+//! deadlocked cell never poisons siblings), deterministic bounded retries
+//! with quarantine and watchdog escalation, and the resumable JSONL run
 //! journal — including that a `--resume` from a truncated journal
 //! reproduces byte-identical canonical stats while re-executing only the
 //! missing or quarantined cells, and that a resumed quarantined cell
@@ -14,7 +14,7 @@ use mcgpu_trace::{profiles, TraceParams};
 use mcgpu_types::LlcOrgKind;
 use proptest::prelude::*;
 use sac_bench::journal::{cell_config_desc, fnv1a_64};
-use sac_bench::sweep::{self, CellError, MAX_ATTEMPTS};
+use sac_bench::sweep::{CellError, MAX_ATTEMPTS};
 use sac_bench::{
     cell_config_hash, golden, run_benchmark, run_journaled, run_profiles, CellKey, Journal,
     JournalRecord, RecordOutcome, SweepOptions,
@@ -42,17 +42,30 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Property: whatever subset of cells is injected to fail — by panic
-    /// or by a typed deadlock — every healthy sibling completes with its
-    /// correct result, and every injected cell is quarantined with the
-    /// matching typed error.
+    /// or by a typed deadlock — the shared journaled runner quarantines
+    /// exactly the injected cells with the matching typed error and
+    /// attempt count, while every healthy sibling completes and its
+    /// journal record replays its own result.
     #[test]
     fn injected_failures_never_poison_siblings(
         faults in proptest::collection::vec(0u8..3, 1..24),
     ) {
-        let cells: Vec<(usize, u8)> = faults.iter().copied().enumerate().collect();
-        let outcomes = quiet_panics(|| {
-            sweep::map_isolated(cells, |&(i, fault), _attempt| match fault {
-                0 => Ok(i * 10),
+        let path = tmp_path("siblings");
+        let opts = SweepOptions {
+            journal: Some(path.clone()),
+            ..SweepOptions::none()
+        };
+        let cells = faults
+            .iter()
+            .enumerate()
+            .map(|(i, &fault)| {
+                let name = format!("cell{i}");
+                (CellKey { name: name.clone(), desc: name }, (i, fault))
+            })
+            .collect();
+        let result = quiet_panics(|| {
+            run_journaled(cells, &opts, |&(i, fault), _| match fault {
+                0 => Ok(stats_with_cycles(i as u64)),
                 1 => panic!("injected panic in cell {i}"),
                 _ => Err(CellError::Sim(SimError::Deadlock {
                     cycle: 1_000,
@@ -61,30 +74,39 @@ proptest! {
                 })),
             })
         });
-        prop_assert_eq!(outcomes.len(), faults.len());
-        for (i, (fault, out)) in faults.iter().zip(&outcomes).enumerate() {
-            match fault {
-                0 => {
-                    prop_assert_eq!(out.result.as_ref().ok(), Some(&(i * 10)));
-                    prop_assert_eq!(out.attempts, 1);
-                }
-                1 => {
-                    // Panics are bugs: quarantined on the first attempt.
-                    prop_assert_eq!(out.attempts, 1);
-                    prop_assert!(matches!(&out.result, Err(CellError::Panic { message })
-                        if *message == format!("injected panic in cell {i}")));
-                }
-                _ => {
-                    // Deadlocks are budget trips: retried with escalating
-                    // budgets, then quarantined.
-                    prop_assert_eq!(out.attempts, MAX_ATTEMPTS);
-                    prop_assert!(matches!(
-                        &out.result,
-                        Err(CellError::Sim(SimError::Deadlock { .. }))
-                    ));
-                }
+        let (completed, quarantined) = match result {
+            Ok(stats) => (stats.len(), Vec::new()),
+            Err(failure) => (failure.completed, failure.quarantined),
+        };
+        let injected: Vec<(usize, u8)> =
+            faults.iter().copied().enumerate().filter(|&(_, f)| f != 0).collect();
+        prop_assert_eq!(completed, faults.len() - injected.len());
+        prop_assert_eq!(quarantined.len(), injected.len());
+        for (q, &(i, fault)) in quarantined.iter().zip(&injected) {
+            prop_assert_eq!(&q.cell, &format!("cell{i}"));
+            if fault == 1 {
+                // Panics are bugs: quarantined on the first attempt.
+                prop_assert_eq!(q.attempts, 1);
+                prop_assert!(matches!(&q.error, CellError::Panic { message }
+                    if *message == format!("injected panic in cell {i}")));
+            } else {
+                // Deadlocks are budget trips: retried with escalating
+                // budgets, then quarantined.
+                prop_assert_eq!(q.attempts, MAX_ATTEMPTS);
+                prop_assert_eq!(q.error.kind(), "deadlock");
             }
         }
+        let j = Journal::open(&path).unwrap();
+        prop_assert_eq!(j.records().len(), faults.len(), "every cell outcome is journaled");
+        for (i, &fault) in faults.iter().enumerate() {
+            let name = format!("cell{i}");
+            let rec = j.lookup(&name, fnv1a_64(name.as_bytes())).expect("journaled");
+            if fault == 0 {
+                prop_assert_eq!(rec.attempts, 1);
+                prop_assert_eq!(rec.stats().unwrap(), Some(stats_with_cycles(i as u64)));
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 }
 
