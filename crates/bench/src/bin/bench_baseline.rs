@@ -16,7 +16,10 @@
 //! - `--check PATH` — after sampling, compare each sample against the
 //!   `mcgpu-bench-v1` document at PATH and exit 1 if any sample both
 //!   sides know regressed by more than `--tolerance` (default 0.20).
-//!   New samples are reported but never gate.
+//!   New samples are reported but never gate. The document's `jobs` must
+//!   equal this run's sweep thread count (`--jobs`/`MCGPU_JOBS`), or the
+//!   check exits 1 without comparing: the sweep samples measure the pool,
+//!   so a baseline taken at another thread count gates on the machine.
 
 use mcgpu_cache::{CacheConfig, DataHome, SetAssocCache};
 use mcgpu_mem::interleave;
@@ -319,6 +322,27 @@ fn main() {
         }));
     }
 
+    // Fast mode at figure volume on the 16-chip mesh: a 150k-access SN
+    // trace profiled and estimated memory-side, the `run_fast` call the
+    // design-space sweeps make once per cell.
+    {
+        let mut cfg = MachineConfig::experiment_baseline();
+        cfg.topology = TopologyKind::Mesh2D;
+        cfg.chips = 16;
+        let params = TraceParams {
+            total_accesses: 150_000,
+            ..TraceParams::standard()
+        };
+        let wl = generate(&cfg, &profiles::by_name("SN").expect("profile"), &params);
+        samples.push(measure("fast_mode_sn_150k_mesh16", target, || {
+            black_box(sac_bench::fastmode::run_fast(
+                black_box(&cfg),
+                &wl,
+                LlcOrgKind::MemorySide,
+            ));
+        }));
+    }
+
     // Sweep-runner dispatch overhead on trivial jobs.
     samples.push(measure("sweep_map_64_trivial_jobs", target, || {
         sac_bench::sweep::map(black_box((0u64..64).collect()), |i| i.wrapping_mul(3));
@@ -382,6 +406,21 @@ fn check_against(samples: &[Sample], baseline_path: &str, tolerance: f64) -> i32
         eprintln!("baseline {baseline_path} has no benches array");
         std::process::exit(1);
     };
+    let jobs = sac_bench::sweep::jobs() as u64;
+    match doc.get("jobs").and_then(|j| j.as_u64()) {
+        Some(base_jobs) if base_jobs == jobs => {}
+        Some(base_jobs) => {
+            eprintln!(
+                "baseline {baseline_path} was sampled at jobs {base_jobs}, this run at jobs \
+                 {jobs}: rerun with MCGPU_JOBS={base_jobs} to compare like with like"
+            );
+            return 1;
+        }
+        None => {
+            eprintln!("baseline {baseline_path} records no jobs; this run is at jobs {jobs}");
+            return 1;
+        }
+    }
     let mut base = std::collections::BTreeMap::new();
     for b in benches {
         if let (Some(name), Some(ns)) = (

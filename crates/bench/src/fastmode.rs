@@ -8,9 +8,10 @@
 //! sweep, journal, figure and figcheck machinery run unchanged in either
 //! mode.
 //!
-//! The profile extraction is organization-independent (one pass per
-//! workload regardless of how many organizations are swept) and fully
-//! deterministic, so fast-mode cells replay byte-identically from a
+//! The profile extraction does not depend on the organization, but
+//! `run_fast` extracts it again on every call, so sweeping five
+//! organizations over one trace profiles that trace five times. It is
+//! fully deterministic, so fast-mode cells replay byte-identically from a
 //! journal exactly like cycle-mode cells.
 //!
 //! # What the fabricated `RunStats` means
@@ -28,45 +29,75 @@
 use mcgpu_cache::CacheStats;
 use mcgpu_sim::stats::{KernelStats, RunStats};
 use mcgpu_trace::Workload;
-use mcgpu_types::{AccessKind, LlcOrgKind, MachineConfig};
+use mcgpu_types::{AccessKind, LineMap, LineSet, LlcOrgKind, MachineConfig, PageAddr};
 use sac::{estimate_cell, KernelProfile, SacConfig};
-use std::collections::HashSet;
+use std::collections::hash_map::Entry;
 
 /// A minimal write-through, no-write-allocate set-associative L1 filter
 /// mirroring the cycle engine's cluster cache geometry: reads fill on
 /// miss, writes touch the line (refreshing recency) but never allocate.
 struct L1Filter {
-    /// Per set: resident line indices, least recently used first.
-    sets: Vec<Vec<u64>>,
+    /// `sets × ways` tags, set by set; within a set, the first `fill[set]`
+    /// slots hold the resident lines, least recently used first.
+    tags: Vec<u64>,
+    fill: Vec<usize>,
     ways: usize,
+    sets: u64,
 }
 
 impl L1Filter {
     fn new(cfg: &MachineConfig) -> Self {
         let lines = (cfg.l1_bytes_per_cluster / cfg.line_size).max(1) as usize;
         let ways = cfg.l1_assoc.clamp(1, lines);
+        let sets = (lines / ways).max(1);
         L1Filter {
-            sets: vec![Vec::with_capacity(ways); (lines / ways).max(1)],
+            tags: vec![0; sets * ways],
+            fill: vec![0; sets],
             ways,
+            sets: sets as u64,
         }
     }
 
     /// Look up `line`; on a read miss, fill it. Returns whether it hit.
     fn access(&mut self, line: u64, kind: AccessKind) -> bool {
-        let set_idx = (line % self.sets.len() as u64) as usize;
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.iter().position(|&l| l == line) {
-            let l = set.remove(pos);
-            set.push(l);
+        let set = (line % self.sets) as usize;
+        let fill = &mut self.fill[set];
+        let tags = &mut self.tags[set * self.ways..(set + 1) * self.ways];
+        let resident = &mut tags[..*fill];
+        if let Some(pos) = resident.iter().position(|&l| l == line) {
+            resident[pos..].rotate_left(1);
             return true;
         }
         if kind == AccessKind::Read {
-            if set.len() == self.ways {
-                set.remove(0);
+            if *fill == self.ways {
+                tags.rotate_left(1);
+                tags[self.ways - 1] = line;
+            } else {
+                tags[*fill] = line;
+                *fill += 1;
             }
-            set.push(line);
         }
         false
+    }
+}
+
+/// Granule → (first, last) kernel index that touched it.
+type KernelSpans = LineMap<(u32, u32)>;
+
+/// Record that kernel `now` touches `granule`. Returns whether an earlier
+/// kernel touched it, and whether this is its first touch in `now`.
+fn touch(spans: &mut KernelSpans, granule: u64, now: u32) -> (bool, bool) {
+    match spans.entry(granule) {
+        Entry::Vacant(e) => {
+            e.insert((now, now));
+            (false, true)
+        }
+        Entry::Occupied(mut e) => {
+            let (first, last) = e.get_mut();
+            let first_this_kernel = *last != now;
+            *last = now;
+            (*first < now, first_this_kernel)
+        }
     }
 }
 
@@ -75,6 +106,13 @@ impl L1Filter {
 /// tracked at granule granularity — a line, or a sector on sectored
 /// machines (touching a new sector of a resident line is a sector miss in
 /// the cycle engine, so it must not look like reuse here).
+///
+/// Each access costs one L1 set probe and, if it reaches the LLC, two hash
+/// operations: one in its home chip's span map, one in the requester's
+/// local span map or remote set. A span map keeps, per granule, the first
+/// and last kernel that touched it, so "touched in an earlier kernel" is
+/// `first < now`, "first touch this kernel" is `last != now`, and the
+/// cumulative footprint is the map's length.
 pub fn profile_workload(cfg: &MachineConfig, wl: &Workload) -> Vec<KernelProfile> {
     let chips = cfg.chips;
     let granule = if cfg.sectored {
@@ -82,16 +120,36 @@ pub fn profile_workload(cfg: &MachineConfig, wl: &Workload) -> Vec<KernelProfile
     } else {
         cfg.line_size
     };
+    // `MachineConfig::validate` makes line and page sizes powers of two,
+    // and sectors divide the line, so granule and page indices are shifts.
+    assert!(
+        granule.is_power_of_two() && cfg.page_size.is_power_of_two(),
+        "granule and page sizes must be powers of two (validate the config)"
+    );
+    let granule_shift = granule.trailing_zeros();
+    let page_shift = cfg.page_size.trailing_zeros();
+    // Each page's natural home; pages beyond the layout have none and are
+    // homed on the requester.
+    let homes: Vec<u8> = (0..wl.layout.total_pages())
+        .map(|p| {
+            wl.layout
+                .natural_home(PageAddr(p))
+                .expect("every page of the layout has a natural home")
+                .0
+        })
+        .collect();
     let mut l1s: Vec<L1Filter> = (0..chips * cfg.clusters_per_chip)
         .map(|_| L1Filter::new(cfg))
         .collect();
-    // Cumulative post-L1 footprints, per home chip and per requester's
-    // locally-homed set, merged at kernel boundaries so that membership
-    // during a kernel reflects "seen in an *earlier* kernel".
-    let mut ever_homed: Vec<HashSet<u64>> = vec![HashSet::new(); chips];
-    let mut ever_local: Vec<HashSet<u64>> = vec![HashSet::new(); chips];
+    // Post-L1 footprints across kernels, per home chip and per requester's
+    // locally-homed granules, and this kernel's remote granules per
+    // requester.
+    let mut homed: Vec<KernelSpans> = vec![KernelSpans::default(); chips];
+    let mut local: Vec<KernelSpans> = vec![KernelSpans::default(); chips];
+    let mut seen_remote: Vec<LineSet> = vec![LineSet::default(); chips];
     let mut out = Vec::with_capacity(wl.kernels.len());
-    for kernel in &wl.kernels {
+    for (now, kernel) in wl.kernels.iter().enumerate() {
+        let now = u32::try_from(now).expect("fewer than 2^32 kernels");
         let mut p = KernelProfile {
             local_accesses: vec![0; chips],
             remote_accesses: vec![0; chips],
@@ -105,16 +163,14 @@ pub fn profile_workload(cfg: &MachineConfig, wl: &Workload) -> Vec<KernelProfile
             cum_distinct_local: vec![0; chips],
             ..KernelProfile::default()
         };
-        let mut seen_local: Vec<HashSet<u64>> = vec![HashSet::new(); chips];
-        let mut seen_remote: Vec<HashSet<u64>> = vec![HashSet::new(); chips];
-        let mut seen_homed: Vec<HashSet<u64>> = vec![HashSet::new(); chips];
+        seen_remote.iter_mut().for_each(LineSet::clear);
         let slots = 1 + u64::from(kernel.behavior.compute_gap);
         for (flat, stream) in kernel.per_cluster.iter().enumerate() {
             let requester = flat / cfg.clusters_per_chip;
             p.issue_cycles = p.issue_cycles.max(stream.len() as u64 * slots);
             let l1 = &mut l1s[flat];
             for acc in stream.iter() {
-                let g = acc.addr.raw() / granule;
+                let g = acc.addr.raw() >> granule_shift;
                 p.l1_accesses += 1;
                 let hit = l1.access(g, acc.kind);
                 if hit {
@@ -126,30 +182,26 @@ pub fn profile_workload(cfg: &MachineConfig, wl: &Workload) -> Vec<KernelProfile
                 if !reaches_llc {
                     continue;
                 }
-                let home = wl
-                    .layout
-                    .natural_home(acc.addr.page(cfg.page_size))
-                    .map_or(requester, |c| c.index());
+                let page = acc.addr.raw() >> page_shift;
+                let home = if page < homes.len() as u64 {
+                    usize::from(homes[page as usize])
+                } else {
+                    requester
+                };
                 if acc.kind == AccessKind::Write {
                     p.writes += 1;
                 } else {
                     p.reads += 1;
                 }
                 p.homed_accesses[home] += 1;
-                if ever_homed[home].contains(&g) {
-                    p.prior_homed[home] += 1;
-                }
-                if seen_homed[home].insert(g) {
-                    p.distinct_homed[home] += 1;
-                }
+                let (prior, first_this_kernel) = touch(&mut homed[home], g, now);
+                p.prior_homed[home] += u64::from(prior);
+                p.distinct_homed[home] += u64::from(first_this_kernel);
                 if home == requester {
                     p.local_accesses[requester] += 1;
-                    if ever_local[requester].contains(&g) {
-                        p.prior_local[requester] += 1;
-                    }
-                    if seen_local[requester].insert(g) {
-                        p.distinct_local[requester] += 1;
-                    }
+                    let (prior, first_this_kernel) = touch(&mut local[requester], g, now);
+                    p.prior_local[requester] += u64::from(prior);
+                    p.distinct_local[requester] += u64::from(first_this_kernel);
                 } else {
                     p.remote_accesses[requester] += 1;
                     if seen_remote[requester].insert(g) {
@@ -159,10 +211,8 @@ pub fn profile_workload(cfg: &MachineConfig, wl: &Workload) -> Vec<KernelProfile
             }
         }
         for c in 0..chips {
-            ever_homed[c].extend(seen_homed[c].iter().copied());
-            ever_local[c].extend(seen_local[c].iter().copied());
-            p.cum_distinct_homed[c] = ever_homed[c].len() as u64;
-            p.cum_distinct_local[c] = ever_local[c].len() as u64;
+            p.cum_distinct_homed[c] = homed[c].len() as u64;
+            p.cum_distinct_local[c] = local[c].len() as u64;
         }
         out.push(p);
     }

@@ -1,8 +1,8 @@
 //! The miss table both MSHR tiers share: the SM cluster's L1 MSHR file
 //! and each LLC slice's pending-fetch table.
 
-use std::collections::hash_map::{Entry, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use mcgpu_types::LineMap;
+use std::collections::hash_map::Entry;
 
 /// Outstanding misses keyed by line index. The entries live in a flat
 /// `(line, value)` vector in allocation order, deleted by swap-remove, and
@@ -13,7 +13,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 #[derive(Debug, Default)]
 pub(crate) struct MshrTable<V> {
     entries: Vec<(u64, V)>,
-    slots: HashMap<u64, usize, BuildHasherDefault<LineHasher>>,
+    slots: LineMap<usize>,
 }
 
 impl<V> MshrTable<V> {
@@ -22,7 +22,7 @@ impl<V> MshrTable<V> {
     pub(crate) fn with_capacity(capacity: usize) -> Self {
         MshrTable {
             entries: Vec::with_capacity(capacity),
-            slots: HashMap::default(),
+            slots: LineMap::default(),
         }
     }
 
@@ -72,34 +72,6 @@ impl<V> MshrTable<V> {
 
     pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-}
-
-/// A multiplicative hasher for line indices: one 64 × 64 → 128-bit
-/// multiply by an odd constant, folded to 64 bits, so both the low bits
-/// (bucket) and the top bits (tag) of the hash depend on every key bit. A
-/// plain multiply would leave the low bits a function of the key's low
-/// bits alone, so lines that differ only above them (strided streams,
-/// page-aligned regions) would share a bucket. The keys come from the
-/// simulated address stream, not from outside input, so the table needs no
-/// defence against crafted collisions.
-#[derive(Default)]
-struct LineHasher(u64);
-
-impl Hasher for LineHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        let product = u128::from(self.0 ^ n) * 0x9e37_79b9_7f4a_7c15;
-        self.0 = (product as u64) ^ ((product >> 64) as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 

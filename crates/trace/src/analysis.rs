@@ -2,8 +2,7 @@
 
 use crate::generate::Workload;
 use crate::layout::SharingClass;
-use mcgpu_types::MachineConfig;
-use std::collections::{HashMap, HashSet};
+use mcgpu_types::{LineMap, LineSet, MachineConfig};
 
 /// Sharing-classified working-set sizes in MB (at machine scale).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -53,18 +52,20 @@ pub struct Table4Row {
 }
 
 /// Measure the sharing character of a workload from its accesses (Table 4).
+/// Sharers are tracked as one bit per chip, which covers the 64 chips
+/// [`MachineConfig::validate`] allows.
 pub fn characterize(cfg: &MachineConfig, wl: &Workload) -> Table4Row {
     let lines_per_page = cfg.page_size / cfg.line_size;
-    let mut line_sharers: HashMap<u64, u8> = HashMap::new();
-    let mut page_sharers: HashMap<u64, u8> = HashMap::new();
+    let mut line_sharers: LineMap<u64> = LineMap::default();
+    let mut page_sharers: LineMap<u64> = LineMap::default();
     let clusters_per_chip = cfg.clusters_per_chip;
     for k in &wl.kernels {
         for (flat, stream) in k.per_cluster.iter().enumerate() {
-            let chip = (flat / clusters_per_chip) as u8;
+            let chip = 1u64 << (flat / clusters_per_chip);
             for a in stream.iter() {
                 let line = a.addr.line(cfg.line_size).index();
-                *line_sharers.entry(line).or_default() |= 1 << chip;
-                *page_sharers.entry(line / lines_per_page).or_default() |= 1 << chip;
+                *line_sharers.entry(line).or_default() |= chip;
+                *page_sharers.entry(line / lines_per_page).or_default() |= chip;
             }
         }
     }
@@ -104,6 +105,7 @@ pub fn working_set_curve(
         .map(|(_, a)| a.addr.line(cfg.line_size).index())
         .collect();
     let line_mb = cfg.line_size as f64 / (1u64 << 20) as f64;
+    let mut seen = LineSet::default();
 
     windows
         .iter()
@@ -112,7 +114,7 @@ pub fn working_set_curve(
             let mut sums = SharingBreakdown::default();
             let mut num_windows = 0usize;
             for chunk in stream.chunks(w) {
-                let mut seen: HashSet<u64> = HashSet::with_capacity(chunk.len());
+                seen.clear();
                 let mut counts = [0u64; 3];
                 for &line in chunk {
                     if seen.insert(line) {
@@ -145,6 +147,7 @@ mod tests {
     use super::*;
     use crate::generate::{generate, TraceParams};
     use crate::profiles;
+    use std::collections::{BTreeSet, HashMap};
 
     fn cfg() -> MachineConfig {
         MachineConfig::experiment_baseline()
@@ -182,6 +185,50 @@ mod tests {
             "BS false-shared {}",
             bs.false_shared_mb
         );
+    }
+
+    #[test]
+    fn characterize_counts_sharers_beyond_eight_chips() {
+        let mut c = cfg();
+        c.chips = 16;
+        let params = TraceParams {
+            total_accesses: 40_000,
+            ..TraceParams::quick()
+        };
+        let wl = generate(&c, &profiles::by_name("SRAD").unwrap(), &params);
+        // Recount with explicit sets of chips.
+        let lines_per_page = c.page_size / c.line_size;
+        let mut line_chips: HashMap<u64, BTreeSet<usize>> = HashMap::new();
+        let mut page_chips: HashMap<u64, BTreeSet<usize>> = HashMap::new();
+        for k in &wl.kernels {
+            for (flat, stream) in k.per_cluster.iter().enumerate() {
+                let chip = flat / c.clusters_per_chip;
+                for a in stream.iter() {
+                    let line = a.addr.line(c.line_size).index();
+                    line_chips.entry(line).or_default().insert(chip);
+                    page_chips
+                        .entry(line / lines_per_page)
+                        .or_default()
+                        .insert(chip);
+                }
+            }
+        }
+        assert!(line_chips
+            .values()
+            .any(|chips| chips.len() >= 2 && chips.iter().any(|&chip| chip >= 8)));
+        let true_lines = line_chips.values().filter(|chips| chips.len() >= 2).count();
+        let false_lines = line_chips
+            .iter()
+            .filter(|(line, chips)| {
+                chips.len() < 2 && page_chips[&(*line / lines_per_page)].len() >= 2
+            })
+            .count();
+        let mb = |lines: usize| {
+            lines as f64 * c.line_size as f64 * c.scale.capacity as f64 / (1u64 << 20) as f64
+        };
+        let row = characterize(&c, &wl);
+        assert_eq!(row.true_shared_mb, mb(true_lines));
+        assert_eq!(row.false_shared_mb, mb(false_lines));
     }
 
     #[test]

@@ -28,6 +28,7 @@ pub mod error;
 pub mod expect;
 pub mod fault;
 pub mod fsio;
+pub mod hash;
 pub mod ids;
 pub mod json;
 pub mod mode;
@@ -48,6 +49,7 @@ pub use expect::{
     EXPECT_SCHEMA, REPORT_SCHEMA,
 };
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
+pub use hash::{LineHasher, LineMap, LineSet};
 pub use ids::{ChannelId, ChipId, ClusterId, SliceId};
 pub use mode::{EngineMode, ModeDescriptor, ENGINE_MODES};
 pub use obs::{ObsConfig, ObsLevel};
