@@ -288,10 +288,12 @@ fn main() {
                 .run(black_box(&wl))
                 .unwrap();
         }));
+        // A clone starts with an empty profile memo, so every iteration
+        // times the profile pass, not a memo hit.
         samples.push(measure("sparse_sn_1k_fast_mode", target, || {
             black_box(sac_bench::fastmode::run_fast(
                 black_box(&cfg),
-                &wl,
+                &wl.clone(),
                 LlcOrgKind::Sac,
             ));
         }));
@@ -323,8 +325,11 @@ fn main() {
     }
 
     // Fast mode at figure volume on the 16-chip mesh: a 150k-access SN
-    // trace profiled and estimated memory-side, the `run_fast` call the
-    // design-space sweeps make once per cell.
+    // trace profiled and estimated memory-side, the first `run_fast` call
+    // a design-space sweep makes on a trace, and then all five
+    // organizations over one trace, as the sweep runs them (one profile
+    // pass, five estimates). Each iteration runs on a fresh clone, whose
+    // profile memo is empty.
     {
         let mut cfg = MachineConfig::experiment_baseline();
         cfg.topology = TopologyKind::Mesh2D;
@@ -337,9 +342,15 @@ fn main() {
         samples.push(measure("fast_mode_sn_150k_mesh16", target, || {
             black_box(sac_bench::fastmode::run_fast(
                 black_box(&cfg),
-                &wl,
+                &wl.clone(),
                 LlcOrgKind::MemorySide,
             ));
+        }));
+        samples.push(measure("fast_mode_sn_150k_mesh16_all_orgs", target, || {
+            let wl = wl.clone();
+            for org in LlcOrgKind::ALL {
+                black_box(sac_bench::fastmode::run_fast(black_box(&cfg), &wl, org));
+            }
         }));
     }
 

@@ -1,8 +1,9 @@
 //! Exactness of fast mode's locality profile against the pass it
 //! replaced.
 //!
-//! `reference_profile` below is a test-only copy of
-//! `fastmode::profile_workload` as it was before the per-chip
+//! `reference_profile` below is a test-only copy of the profile pass
+//! (`mcgpu_trace::analysis::profile_workload`, reached here through the
+//! uncached `fastmode::profile_workload`) as it was before the per-chip
 //! first/last-kernel maps and the flat L1 filter: an L1 kept as one `Vec`
 //! per set, cumulative footprints kept as hash sets merged at each kernel
 //! boundary, and per-kernel sets rebuilt every kernel. The whole
@@ -250,12 +251,7 @@ proptest! {
                 }
             })
             .collect();
-        let wl = Workload {
-            name: "hand-built".to_string(),
-            layout,
-            kernels,
-            profile,
-        };
+        let wl = Workload::new("hand-built".to_string(), layout, kernels, profile);
         prop_assert_eq!(profile_workload(&cfg, &wl), reference_profile(&cfg, &wl));
     }
 }

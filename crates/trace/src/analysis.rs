@@ -1,8 +1,10 @@
-//! Trace analyses regenerating Table 4 and Fig. 11.
+//! Trace analyses: Table 4's sharing character, Fig. 11's working-set
+//! curve, and fast mode's per-kernel locality profile.
 
 use crate::generate::Workload;
 use crate::layout::SharingClass;
-use mcgpu_types::{LineMap, LineSet, MachineConfig};
+use mcgpu_types::{AccessKind, KernelProfile, LineMap, LineSet, MachineConfig, PageAddr};
+use std::collections::hash_map::Entry;
 
 /// Sharing-classified working-set sizes in MB (at machine scale).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -142,6 +144,229 @@ pub fn working_set_curve(
         .collect()
 }
 
+/// The part of a machine that [`profile_workload`] reads: chip and
+/// cluster counts, the L1's sets and ways, and the granule and page sizes
+/// as shifts. It is the key of a workload's memoized profile
+/// ([`Workload::kernel_profiles`]): two machines with equal geometries
+/// give equal profiles, because the pass reads nothing else of the
+/// machine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LocalityGeometry {
+    chips: usize,
+    clusters_per_chip: usize,
+    l1_sets: usize,
+    l1_ways: usize,
+    /// log2 of the reuse granule: a line, or a sector on sectored machines
+    /// (touching a new sector of a resident line is a sector miss in the
+    /// cycle engine, so it must not look like reuse here).
+    granule_shift: u32,
+    page_shift: u32,
+}
+
+impl LocalityGeometry {
+    /// The geometry of `cfg`, with the L1 set count and associativity of
+    /// the cycle engine's cluster caches.
+    ///
+    /// # Panics
+    /// Panics if the granule or page size is not a power of two, which
+    /// [`MachineConfig::validate`] rules out.
+    pub fn of(cfg: &MachineConfig) -> Self {
+        let granule = if cfg.sectored {
+            cfg.line_size / u64::from(cfg.sectors_per_line)
+        } else {
+            cfg.line_size
+        };
+        // `MachineConfig::validate` makes line and page sizes powers of
+        // two, and sectors divide the line, so granule and page indices are
+        // shifts.
+        assert!(
+            granule.is_power_of_two() && cfg.page_size.is_power_of_two(),
+            "granule and page sizes must be powers of two (validate the config)"
+        );
+        let lines = (cfg.l1_bytes_per_cluster / cfg.line_size).max(1) as usize;
+        let ways = cfg.l1_assoc.clamp(1, lines);
+        LocalityGeometry {
+            chips: cfg.chips,
+            clusters_per_chip: cfg.clusters_per_chip,
+            l1_sets: (lines / ways).max(1),
+            l1_ways: ways,
+            granule_shift: granule.trailing_zeros(),
+            page_shift: cfg.page_size.trailing_zeros(),
+        }
+    }
+}
+
+/// A minimal write-through, no-write-allocate set-associative L1 filter
+/// mirroring the cycle engine's cluster cache geometry: reads fill on
+/// miss, writes touch the line (refreshing recency) but never allocate.
+struct L1Filter {
+    /// `sets × ways` tags, set by set; within a set, the first `fill[set]`
+    /// slots hold the resident lines, least recently used first.
+    tags: Vec<u64>,
+    fill: Vec<usize>,
+    ways: usize,
+    sets: u64,
+}
+
+impl L1Filter {
+    fn new(geometry: &LocalityGeometry) -> Self {
+        L1Filter {
+            tags: vec![0; geometry.l1_sets * geometry.l1_ways],
+            fill: vec![0; geometry.l1_sets],
+            ways: geometry.l1_ways,
+            sets: geometry.l1_sets as u64,
+        }
+    }
+
+    /// Look up `line`; on a read miss, fill it. Returns whether it hit.
+    fn access(&mut self, line: u64, kind: AccessKind) -> bool {
+        let set = (line % self.sets) as usize;
+        let fill = &mut self.fill[set];
+        let tags = &mut self.tags[set * self.ways..(set + 1) * self.ways];
+        let resident = &mut tags[..*fill];
+        if let Some(pos) = resident.iter().position(|&l| l == line) {
+            resident[pos..].rotate_left(1);
+            return true;
+        }
+        if kind == AccessKind::Read {
+            if *fill == self.ways {
+                tags.rotate_left(1);
+                tags[self.ways - 1] = line;
+            } else {
+                tags[*fill] = line;
+                *fill += 1;
+            }
+        }
+        false
+    }
+}
+
+/// Granule → (first, last) kernel index that touched it.
+type KernelSpans = LineMap<(u32, u32)>;
+
+/// Record that kernel `now` touches `granule`. Returns whether an earlier
+/// kernel touched it, and whether this is its first touch in `now`.
+fn touch(spans: &mut KernelSpans, granule: u64, now: u32) -> (bool, bool) {
+    match spans.entry(granule) {
+        Entry::Vacant(e) => {
+            e.insert((now, now));
+            (false, true)
+        }
+        Entry::Occupied(mut e) => {
+            let (first, last) = e.get_mut();
+            let first_this_kernel = *last != now;
+            *last = now;
+            (*first < now, first_this_kernel)
+        }
+    }
+}
+
+/// Extract one locality profile per kernel launch: fast mode's input.
+/// L1 contents persist across kernels, matching the cycle engine's private
+/// caches. Reuse is tracked per granule ([`LocalityGeometry`]).
+///
+/// This is the uncached pass; sweeps read the workload's memo through
+/// [`Workload::kernel_profiles`], which runs it once per workload.
+///
+/// Each access costs one L1 set probe and, if it reaches the LLC, two hash
+/// operations: one in its home chip's span map, one in the requester's
+/// local span map or remote set. A span map keeps, per granule, the first
+/// and last kernel that touched it, so "touched in an earlier kernel" is
+/// `first < now`, "first touch this kernel" is `last != now`, and the
+/// cumulative footprint is the map's length.
+pub fn profile_workload(geometry: &LocalityGeometry, wl: &Workload) -> Vec<KernelProfile> {
+    let chips = geometry.chips;
+    // Each page's natural home; pages beyond the layout have none and are
+    // homed on the requester.
+    let homes: Vec<u8> = (0..wl.layout.total_pages())
+        .map(|p| {
+            wl.layout
+                .natural_home(PageAddr(p))
+                .expect("every page of the layout has a natural home")
+                .0
+        })
+        .collect();
+    let mut l1s: Vec<L1Filter> = (0..chips * geometry.clusters_per_chip)
+        .map(|_| L1Filter::new(geometry))
+        .collect();
+    // Post-L1 footprints across kernels, per home chip and per requester's
+    // locally-homed granules, and this kernel's remote granules per
+    // requester.
+    let mut homed: Vec<KernelSpans> = vec![KernelSpans::default(); chips];
+    let mut local: Vec<KernelSpans> = vec![KernelSpans::default(); chips];
+    let mut seen_remote: Vec<LineSet> = vec![LineSet::default(); chips];
+    let mut out = Vec::with_capacity(wl.kernels.len());
+    for (now, kernel) in wl.kernels.iter().enumerate() {
+        let now = u32::try_from(now).expect("fewer than 2^32 kernels");
+        let mut p = KernelProfile {
+            local_accesses: vec![0; chips],
+            remote_accesses: vec![0; chips],
+            distinct_local: vec![0; chips],
+            distinct_remote: vec![0; chips],
+            homed_accesses: vec![0; chips],
+            distinct_homed: vec![0; chips],
+            prior_homed: vec![0; chips],
+            prior_local: vec![0; chips],
+            cum_distinct_homed: vec![0; chips],
+            cum_distinct_local: vec![0; chips],
+            ..KernelProfile::default()
+        };
+        seen_remote.iter_mut().for_each(LineSet::clear);
+        let slots = 1 + u64::from(kernel.behavior.compute_gap);
+        for (flat, stream) in kernel.per_cluster.iter().enumerate() {
+            let requester = flat / geometry.clusters_per_chip;
+            p.issue_cycles = p.issue_cycles.max(stream.len() as u64 * slots);
+            let l1 = &mut l1s[flat];
+            for acc in stream.iter() {
+                let g = acc.addr.raw() >> geometry.granule_shift;
+                p.l1_accesses += 1;
+                let hit = l1.access(g, acc.kind);
+                if hit {
+                    p.l1_hits += 1;
+                }
+                // Post-L1 traffic: read misses and every write (the L1 is
+                // write-through).
+                let reaches_llc = acc.kind == AccessKind::Write || !hit;
+                if !reaches_llc {
+                    continue;
+                }
+                let page = acc.addr.raw() >> geometry.page_shift;
+                let home = if page < homes.len() as u64 {
+                    usize::from(homes[page as usize])
+                } else {
+                    requester
+                };
+                if acc.kind == AccessKind::Write {
+                    p.writes += 1;
+                } else {
+                    p.reads += 1;
+                }
+                p.homed_accesses[home] += 1;
+                let (prior, first_this_kernel) = touch(&mut homed[home], g, now);
+                p.prior_homed[home] += u64::from(prior);
+                p.distinct_homed[home] += u64::from(first_this_kernel);
+                if home == requester {
+                    p.local_accesses[requester] += 1;
+                    let (prior, first_this_kernel) = touch(&mut local[requester], g, now);
+                    p.prior_local[requester] += u64::from(prior);
+                    p.distinct_local[requester] += u64::from(first_this_kernel);
+                } else {
+                    p.remote_accesses[requester] += 1;
+                    if seen_remote[requester].insert(g) {
+                        p.distinct_remote[requester] += 1;
+                    }
+                }
+            }
+        }
+        for c in 0..chips {
+            p.cum_distinct_homed[c] = homed[c].len() as u64;
+            p.cum_distinct_local[c] = local[c].len() as u64;
+        }
+        out.push(p);
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,6 +488,28 @@ mod tests {
             srad_ws.true_mb,
             rn_ws.true_mb
         );
+    }
+
+    #[test]
+    fn profiles_partition_the_post_l1_stream() {
+        let c = cfg();
+        let params = TraceParams {
+            total_accesses: 12_000,
+            ..TraceParams::quick()
+        };
+        let wl = generate(&c, &profiles::by_name("SN").unwrap(), &params);
+        let profs = profile_workload(&LocalityGeometry::of(&c), &wl);
+        assert_eq!(profs.len(), wl.kernels.len());
+        let l1_total: u64 = profs.iter().map(|p| p.l1_accesses).sum();
+        assert_eq!(l1_total, wl.total_accesses() as u64);
+        for p in &profs {
+            let by_requester: u64 =
+                p.local_accesses.iter().sum::<u64>() + p.remote_accesses.iter().sum::<u64>();
+            let by_home: u64 = p.homed_accesses.iter().sum();
+            assert_eq!(by_requester, by_home);
+            assert_eq!(by_requester, p.reads + p.writes);
+            assert!(p.l1_hits + p.reads + p.writes >= p.l1_accesses);
+        }
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! The synthetic trace generator.
 
+use crate::analysis::{profile_workload, LocalityGeometry};
 use crate::layout::AddressLayout;
 use crate::profiles::{BenchmarkProfile, KernelBehavior};
-use mcgpu_types::{AccessKind, ChipId, MachineConfig, MemAccess};
+use mcgpu_types::{AccessKind, ChipId, KernelProfile, MachineConfig, MemAccess};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
+use std::borrow::Cow;
+use std::sync::{Arc, OnceLock};
 
 /// Parameters controlling trace volume and reproducibility.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -79,6 +81,12 @@ impl KernelTrace {
 }
 
 /// A complete generated workload: kernel sequence plus its address layout.
+///
+/// A workload also memoizes fast mode's locality profile
+/// ([`Workload::kernel_profiles`]), so every organization swept over one
+/// trace shares one profile pass. The memo is not invalidated: do not
+/// edit `layout` or `kernels` after `kernel_profiles` has run (edit a
+/// clone instead; a clone starts with an empty memo).
 #[derive(Debug, Clone)]
 pub struct Workload {
     /// Benchmark name.
@@ -89,9 +97,57 @@ pub struct Workload {
     pub kernels: Vec<KernelTrace>,
     /// The profile this workload was generated from.
     pub profile: BenchmarkProfile,
+    locality: LocalityMemo,
+}
+
+/// The first locality profile computed for a workload, with the geometry
+/// it was computed under. Cloning yields an empty memo.
+#[derive(Debug, Default)]
+struct LocalityMemo(OnceLock<(LocalityGeometry, Vec<KernelProfile>)>);
+
+impl Clone for LocalityMemo {
+    fn clone(&self) -> Self {
+        LocalityMemo::default()
+    }
 }
 
 impl Workload {
+    /// A workload of `kernels` over `layout`, with an empty profile memo.
+    pub fn new(
+        name: String,
+        layout: AddressLayout,
+        kernels: Vec<KernelTrace>,
+        profile: BenchmarkProfile,
+    ) -> Self {
+        Workload {
+            name,
+            layout,
+            kernels,
+            profile,
+            locality: LocalityMemo::default(),
+        }
+    }
+
+    /// Fast mode's per-kernel locality profile under `cfg`'s L1 geometry
+    /// ([`profile_workload`]). The first call computes and memoizes it;
+    /// later calls under an equal [`LocalityGeometry`] borrow the memo,
+    /// whatever else of the machine differs (the organization, the LLC,
+    /// the fabric). A call under another geometry computes that profile
+    /// afresh and leaves the memo as it is. Calls racing on the first fill
+    /// wait for one pass rather than each running their own.
+    pub fn kernel_profiles(&self, cfg: &MachineConfig) -> Cow<'_, [KernelProfile]> {
+        let geometry = LocalityGeometry::of(cfg);
+        let (memo_geometry, profiles) = self
+            .locality
+            .0
+            .get_or_init(|| (geometry, profile_workload(&geometry, self)));
+        if *memo_geometry == geometry {
+            Cow::Borrowed(profiles)
+        } else {
+            Cow::Owned(profile_workload(&geometry, self))
+        }
+    }
+
     /// Total accesses across all kernels.
     pub fn total_accesses(&self) -> usize {
         self.kernels.iter().map(|k| k.len()).sum()
@@ -240,12 +296,7 @@ pub fn generate(cfg: &MachineConfig, profile: &BenchmarkProfile, params: &TraceP
         }
     }
 
-    Workload {
-        name: profile.name.to_string(),
-        layout,
-        kernels,
-        profile: profile.clone(),
-    }
+    Workload::new(profile.name.to_string(), layout, kernels, profile.clone())
 }
 
 fn generate_cluster_stream(

@@ -16,7 +16,8 @@
 //! This crate generates per-SM-cluster access streams with exactly those
 //! properties, parameterized per benchmark from Table 4 ([`profiles`]), and
 //! provides the analyses that regenerate Table 4 and Fig. 11 from the
-//! generated traces ([`analysis`]).
+//! generated traces, plus the per-kernel locality profile fast mode prices
+//! ([`analysis`]), which a [`Workload`] memoizes.
 //!
 //! # Example
 //!
@@ -35,7 +36,9 @@ pub mod generate;
 pub mod layout;
 pub mod profiles;
 
-pub use analysis::{characterize, working_set_curve, SharingBreakdown, Table4Row};
+pub use analysis::{
+    characterize, working_set_curve, LocalityGeometry, SharingBreakdown, Table4Row,
+};
 pub use generate::{generate, KernelTrace, TraceParams, Workload};
 pub use layout::{AddressLayout, SharingClass};
 pub use profiles::{BenchmarkProfile, KernelBehavior, Preference};

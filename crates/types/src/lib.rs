@@ -31,6 +31,7 @@ pub mod fsio;
 pub mod hash;
 pub mod ids;
 pub mod json;
+pub mod locality;
 pub mod mode;
 pub mod obs;
 pub mod packet;
@@ -51,6 +52,7 @@ pub use expect::{
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use hash::{LineHasher, LineMap, LineSet};
 pub use ids::{ChannelId, ChipId, ClusterId, SliceId};
+pub use locality::KernelProfile;
 pub use mode::{EngineMode, ModeDescriptor, ENGINE_MODES};
 pub use obs::{ObsConfig, ObsLevel};
 pub use packet::{AccessKind, MemAccess, Request, RequestId, Response, ResponseOrigin};
