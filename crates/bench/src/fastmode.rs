@@ -10,9 +10,10 @@
 //!
 //! The profile does not depend on the organization, so `run_fast` reads
 //! it from the workload's memo ([`Workload::kernel_profiles`]): sweeping
-//! five organizations over one trace profiles that trace once. Everything
-//! is deterministic, so fast-mode cells replay byte-identically from a
-//! journal exactly like cycle-mode cells.
+//! five organizations over one trace profiles that trace once, and cells
+//! of one trace that run at the same time share that pass's per-chip
+//! tasks. Everything is deterministic, so fast-mode cells replay
+//! byte-identically from a journal exactly like cycle-mode cells.
 //!
 //! # What the fabricated `RunStats` means
 //!

@@ -5,7 +5,10 @@
 //! organization swept over one trace shares one pass. These tests pin
 //! what sharing must not change: a result on a shared workload equals the
 //! same cell on a fresh one, whatever geometry filled the memo first and
-//! however many sweep threads share it.
+//! however many sweep threads share it. Callers that race a fill under its
+//! geometry claim its tasks and then borrow the one published profile; a
+//! caller under another geometry gets the uncached profile; and the fill's
+//! task state is gone once the profile is published.
 
 use mcgpu_trace::{generate, profiles, TraceParams, Workload};
 use mcgpu_types::{LlcOrgKind, MachineConfig, TopologyKind};
@@ -13,6 +16,7 @@ use proptest::prelude::*;
 use sac_bench::fastmode::{profile_workload, run_fast};
 use sac_bench::sweep;
 use std::borrow::Cow;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// The machines of the `fast_dse` benchmark grid: 4- and 8-chip rings and
@@ -153,4 +157,111 @@ fn shared_workloads_give_the_same_bytes_on_1_and_4_threads() {
         sweep::map_with_jobs(jobs, cells, |(wl, org)| json(&cfg, &wl, org))
     };
     assert_eq!(run(1), run(4));
+}
+
+/// The five organizations over six shared 16-chip-mesh workloads (16
+/// tasks per phase), on 1, 2, 4 and 16 sweep threads: every cell's first
+/// call races the others of its trace for the fill, each gets the bytes of
+/// the serial sweep, and every caller borrows the one published profile.
+#[test]
+fn racing_callers_share_one_published_profile() {
+    let cfg = machines()[2].1.clone();
+    let run = |jobs: usize| {
+        let workloads: Vec<Arc<Workload>> = ["SN", "SRAD", "CFD", "BFS", "GEMM", "RN"]
+            .map(|bench| Arc::new(workload(&cfg, bench, 40_000)))
+            .into();
+        let cells: Vec<(Arc<Workload>, LlcOrgKind)> = workloads
+            .iter()
+            .flat_map(|wl| LlcOrgKind::ALL.map(|org| (Arc::clone(wl), org)))
+            .collect();
+        let out = sweep::map_with_jobs(jobs, cells, |(wl, org)| {
+            let profiles = wl.kernel_profiles(&cfg);
+            assert!(matches!(profiles, Cow::Borrowed(_)), "{jobs} threads");
+            (profiles.as_ptr() as usize, json(&cfg, &wl, org))
+        });
+        for (wl, cells) in workloads.iter().zip(out.chunks(LlcOrgKind::ALL.len())) {
+            assert!(!wl.holds_profile_fill(), "{jobs} threads");
+            let memo = wl.kernel_profiles(&cfg);
+            for &(profiles, _) in cells {
+                assert!(
+                    std::ptr::eq(profiles as *const _, memo.as_ptr()),
+                    "{jobs} threads"
+                );
+            }
+        }
+        out.into_iter().map(|(_, json)| json).collect::<Vec<_>>()
+    };
+    let serial = run(1);
+    for jobs in [2, 4, 16] {
+        assert_eq!(run(jobs), serial, "{jobs} threads");
+    }
+}
+
+/// A machine with the 16-chip mesh's geometry but a smaller L1.
+fn small_l1(cfg: &MachineConfig) -> MachineConfig {
+    let mut other = cfg.clone();
+    (other.l1_bytes_per_cluster, other.l1_assoc) = (8 << 10, 2);
+    other.validate().expect("a valid machine");
+    other
+}
+
+/// A call under another L1 geometry, made while a fill under the first
+/// geometry is under way, gets the uncached profile of its own geometry
+/// and leaves the fill to its caller: the memo then answers for the first
+/// geometry. Repeated on fresh clones until the second call has found the
+/// fill under way at least once.
+#[test]
+fn another_geometry_racing_the_fill_gets_the_uncached_profile() {
+    let cfg = machines()[2].1.clone();
+    let other = small_l1(&cfg);
+    let base = workload(&cfg, "SRAD", 150_000);
+    let first = profile_workload(&cfg, &base);
+    let uncached = profile_workload(&other, &base);
+    let mut raced = 0;
+    for _ in 0..20 {
+        let wl = base.clone();
+        let filled = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let filler = scope.spawn(|| {
+                let profiles = wl.kernel_profiles(&cfg);
+                filled.store(true, Ordering::Release);
+                assert!(matches!(profiles, Cow::Borrowed(_)));
+                profiles.as_ptr() as usize
+            });
+            while !wl.holds_profile_fill() && !filled.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            raced += usize::from(!filled.load(Ordering::Acquire));
+            let profiles = wl.kernel_profiles(&other);
+            assert!(matches!(profiles, Cow::Owned(_)));
+            assert_eq!(&*profiles, uncached.as_slice());
+            let published = filler.join().expect("the fill completes");
+            let memo = wl.kernel_profiles(&cfg);
+            assert!(std::ptr::eq(published as *const _, memo.as_ptr()));
+            assert_eq!(&*memo, first.as_slice());
+        });
+        if raced >= 3 {
+            break;
+        }
+    }
+    assert!(
+        raced > 0,
+        "the second geometry never found the fill under way"
+    );
+}
+
+/// The fill's task state (claim counters, parts, buckets) lives only
+/// until the profile is published: a workload holds none before its first
+/// call and none once it has returned, and a call under another geometry
+/// leaves none either.
+#[test]
+fn a_published_profile_leaves_no_fill_state() {
+    for (label, cfg) in machines() {
+        let wl = workload(&cfg, "SN", 15_000);
+        assert!(!wl.holds_profile_fill(), "{label}");
+        wl.kernel_profiles(&cfg);
+        assert!(!wl.holds_profile_fill(), "{label}");
+        assert!(matches!(wl.kernel_profiles(&small_l1(&cfg)), Cow::Owned(_)));
+        assert!(!wl.holds_profile_fill(), "{label}");
+    }
 }

@@ -12,8 +12,16 @@
 //! page sizes) and on hand-built workloads whose addresses lie beyond the
 //! layout or that only write. Neither the trace generator nor the pass
 //! reads the fabric topology, so every machine keeps the ring.
+//!
+//! The pass runs as per-chip tasks in two phases
+//! (`mcgpu_trace::analysis::ProfileTasks`), which a workload's memo lets
+//! several callers claim in any order; the last property runs them in
+//! drawn orders and checks that the order cannot change the profile.
 
-use mcgpu_trace::{generate, profiles, AddressLayout, KernelTrace, TraceParams, Workload};
+use mcgpu_trace::analysis::ProfileTasks;
+use mcgpu_trace::{
+    generate, profiles, AddressLayout, KernelTrace, LocalityGeometry, TraceParams, Workload,
+};
 use mcgpu_types::{AccessKind, Address, MachineConfig, MemAccess};
 use proptest::prelude::*;
 use sac::KernelProfile;
@@ -208,50 +216,126 @@ proptest! {
         machine_args in (2usize..=16, 1usize..=3, any::<bool>(), 0usize..4, any::<bool>()),
         write_only in any::<bool>(),
         gap in 0u32..100,
-        kernels in proptest::collection::vec(
-            proptest::collection::vec(
-                (any::<u64>(), any::<u64>(), 0u64..128, any::<bool>(), 0u8..16),
-                0..600,
-            ),
-            1..5,
-        ),
+        kernels in hand_built_kernels(),
     ) {
         let (chips, clusters, sectored, l1, big_pages) = machine_args;
         let mut cfg = machine(chips, sectored, l1, big_pages);
         cfg.clusters_per_chip = clusters;
-        let layout = AddressLayout::new(&cfg, 1, 1, 1);
-        let in_layout = layout.total_pages() * (cfg.page_size / cfg.line_size);
-        let mut profile = profiles::by_name("SN").expect("Table-4 profile");
-        profile.kernels[0].compute_gap = gap;
-        let behavior = profile.kernels[0];
-        let flat_clusters = (chips * clusters) as u64;
-        let kernels = kernels
-            .iter()
-            .map(|accesses| {
-                let mut streams = vec![Vec::new(); chips * clusters];
-                for &(cluster, line, offset, write, far) in accesses {
-                    // Lines in [0, 2 · in_layout): half beyond the layout.
-                    let mut addr = (line % (2 * in_layout)) * cfg.line_size + offset;
-                    if far == 0 {
-                        addr |= 1 << 45;
-                    }
-                    let kind = if write || write_only {
-                        AccessKind::Write
-                    } else {
-                        AccessKind::Read
-                    };
-                    streams[(cluster % flat_clusters) as usize].push(MemAccess {
-                        addr: Address::new(addr),
-                        kind,
-                    });
-                }
-                KernelTrace {
-                    per_cluster: streams.into_iter().map(Arc::from).collect(),
-                    behavior,
-                }
-            })
-            .collect();
-        let wl = Workload::new("hand-built".to_string(), layout, kernels, profile);
+        let wl = hand_built(&cfg, write_only, gap, &kernels);
         prop_assert_eq!(profile_workload(&cfg, &wl), reference_profile(&cfg, &wl));
     }
+
+    /// The two phases' tasks run in drawn orders: a drawn prefix of a
+    /// permutation of the phase-1 tasks, then a permutation of the phase-2
+    /// tasks (each runs the phase-1 tasks it reads that have not run, in
+    /// chip order). The assembled profile must equal the reference on
+    /// generated traces and on hand-built workloads with lines beyond the
+    /// layout, writes only or both.
+    #[test]
+    fn task_order_cannot_change_the_profile(
+        machine_args in (2usize..=16, 1usize..=3, any::<bool>(), 0usize..4, any::<bool>()),
+        source in 0usize..3,
+        generated in (0usize..16, 1_000usize..20_000, any::<u64>()),
+        kernels in hand_built_kernels(),
+        order in (
+            proptest::collection::vec(any::<u64>(), 16),
+            0usize..=16,
+            proptest::collection::vec(any::<u64>(), 16),
+        ),
+    ) {
+        let (chips, clusters, sectored, l1, big_pages) = machine_args;
+        let mut cfg = machine(chips, sectored, l1, big_pages);
+        let wl = if source == 0 {
+            let (profile, accesses, seed) = generated;
+            let params = TraceParams {
+                total_accesses: accesses,
+                seed,
+                ..TraceParams::quick()
+            };
+            generate(&cfg, &profiles::all_profiles().swap_remove(profile), &params)
+        } else {
+            cfg.clusters_per_chip = clusters;
+            hand_built(&cfg, source == 2, 0, &kernels)
+        };
+        let (requester_keys, prefix, home_keys) = order;
+        let tasks = ProfileTasks::new(&LocalityGeometry::of(&cfg), &wl);
+        for chip in permutation(&requester_keys[..chips]).into_iter().take(prefix) {
+            tasks.run_requester_task(&wl, chip);
+        }
+        for chip in permutation(&home_keys[..chips]) {
+            tasks.run_home_task(&wl, chip);
+        }
+        prop_assert_eq!(tasks.assemble(&wl), reference_profile(&cfg, &wl));
+    }
+}
+
+/// The order that sorts `keys`: a permutation of `0..keys.len()`.
+fn permutation(keys: &[u64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..keys.len()).collect();
+    order.sort_by_key(|&i| keys[i]);
+    order
+}
+
+/// Hand-built kernels: per kernel, accesses drawn as (cluster, line,
+/// offset, write, far).
+type HandBuiltKernels = Vec<Vec<(u64, u64, u64, bool, u8)>>;
+
+fn hand_built_kernels() -> impl Strategy<Value = HandBuiltKernels> {
+    proptest::collection::vec(
+        proptest::collection::vec(
+            (
+                any::<u64>(),
+                any::<u64>(),
+                0u64..128,
+                any::<bool>(),
+                0u8..16,
+            ),
+            0..600,
+        ),
+        1..5,
+    )
+}
+
+/// A workload of `kernels` on `cfg` over a layout of a few pages: lines
+/// fall in twice the layout's footprint, and one access in sixteen lies
+/// far past it. Every kernel has compute gap `gap`.
+fn hand_built(
+    cfg: &MachineConfig,
+    write_only: bool,
+    gap: u32,
+    kernels: &HandBuiltKernels,
+) -> Workload {
+    let layout = AddressLayout::new(cfg, 1, 1, 1);
+    let in_layout = layout.total_pages() * (cfg.page_size / cfg.line_size);
+    let mut profile = profiles::by_name("SN").expect("Table-4 profile");
+    profile.kernels[0].compute_gap = gap;
+    let behavior = profile.kernels[0];
+    let flat_clusters = cfg.chips * cfg.clusters_per_chip;
+    let kernels = kernels
+        .iter()
+        .map(|accesses| {
+            let mut streams = vec![Vec::new(); flat_clusters];
+            for &(cluster, line, offset, write, far) in accesses {
+                // Lines in [0, 2 · in_layout): half beyond the layout.
+                let mut addr = (line % (2 * in_layout)) * cfg.line_size + offset;
+                if far == 0 {
+                    addr |= 1 << 45;
+                }
+                let kind = if write || write_only {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                };
+                streams[(cluster % flat_clusters as u64) as usize].push(MemAccess {
+                    addr: Address::new(addr),
+                    kind,
+                });
+            }
+            KernelTrace {
+                per_cluster: streams.into_iter().map(Arc::from).collect(),
+                behavior,
+            }
+        })
+        .collect();
+    Workload::new("hand-built".to_string(), layout, kernels, profile)
 }

@@ -632,6 +632,21 @@ mod tests {
     }
 
     #[test]
+    fn zero_cache_capacities_are_rejected_at_build_time() {
+        for zero in [
+            |c: &mut MachineConfig| c.l1_bytes_per_cluster = 0,
+            |c: &mut MachineConfig| c.llc_bytes_per_chip = 0,
+        ] {
+            let mut c = cfg();
+            zero(&mut c);
+            let err = SimBuilder::new(c)
+                .build()
+                .expect_err("an empty cache must be rejected");
+            assert!(err.to_string().contains("capacities"), "{err}");
+        }
+    }
+
+    #[test]
     fn all_organizations_complete_the_same_work() {
         let c = cfg();
         let wl = generate(&c, &profiles::by_name("SN").unwrap(), &TraceParams::quick());

@@ -5,6 +5,8 @@ use crate::generate::Workload;
 use crate::layout::SharingClass;
 use mcgpu_types::{AccessKind, KernelProfile, LineMap, LineSet, MachineConfig, PageAddr};
 use std::collections::hash_map::Entry;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Sharing-classified working-set sizes in MB (at machine scale).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -266,105 +268,370 @@ fn touch(spans: &mut KernelSpans, granule: u64, now: u32) -> (bool, bool) {
 /// caches. Reuse is tracked per granule ([`LocalityGeometry`]).
 ///
 /// This is the uncached pass; sweeps read the workload's memo through
-/// [`Workload::kernel_profiles`], which runs it once per workload.
-///
-/// Each access costs one L1 set probe and, if it reaches the LLC, two hash
-/// operations: one in its home chip's span map, one in the requester's
-/// local span map or remote set. A span map keeps, per granule, the first
-/// and last kernel that touched it, so "touched in an earlier kernel" is
-/// `first < now`, "first touch this kernel" is `last != now`, and the
-/// cumulative footprint is the map's length.
+/// [`Workload::kernel_profiles`], which runs it once per workload. Both run
+/// the same [`ProfileTasks`]: this function runs every task in order on the
+/// calling thread, the memo lets every caller that finds its fill under
+/// way claim tasks.
 pub fn profile_workload(geometry: &LocalityGeometry, wl: &Workload) -> Vec<KernelProfile> {
-    let chips = geometry.chips;
-    // Each page's natural home; pages beyond the layout have none and are
-    // homed on the requester.
-    let homes: Vec<u8> = (0..wl.layout.total_pages())
-        .map(|p| {
-            wl.layout
-                .natural_home(PageAddr(p))
-                .expect("every page of the layout has a natural home")
-                .0
-        })
-        .collect();
-    let mut l1s: Vec<L1Filter> = (0..chips * geometry.clusters_per_chip)
-        .map(|_| L1Filter::new(geometry))
-        .collect();
-    // Post-L1 footprints across kernels, per home chip and per requester's
-    // locally-homed granules, and this kernel's remote granules per
-    // requester.
-    let mut homed: Vec<KernelSpans> = vec![KernelSpans::default(); chips];
-    let mut local: Vec<KernelSpans> = vec![KernelSpans::default(); chips];
-    let mut seen_remote: Vec<LineSet> = vec![LineSet::default(); chips];
-    let mut out = Vec::with_capacity(wl.kernels.len());
-    for (now, kernel) in wl.kernels.iter().enumerate() {
-        let now = u32::try_from(now).expect("fewer than 2^32 kernels");
-        let mut p = KernelProfile {
-            local_accesses: vec![0; chips],
-            remote_accesses: vec![0; chips],
-            distinct_local: vec![0; chips],
-            distinct_remote: vec![0; chips],
-            homed_accesses: vec![0; chips],
-            distinct_homed: vec![0; chips],
-            prior_homed: vec![0; chips],
-            prior_local: vec![0; chips],
-            cum_distinct_homed: vec![0; chips],
-            cum_distinct_local: vec![0; chips],
-            ..KernelProfile::default()
+    let tasks = ProfileTasks::new(geometry, wl);
+    tasks.work(wl);
+    tasks.assemble(wl)
+}
+
+/// The profile pass split into per-chip tasks in two phases.
+///
+/// *Phase 1* has one task per requesting chip. It runs the chip's cluster
+/// L1 filters across every kernel and counts what is indexed by requester:
+/// L1 accesses and hits, reads, writes, issue cycles, local and remote
+/// accesses, through the chip's local span map and remote set. It also
+/// buckets the chip's post-L1 granules by (kernel, home chip).
+///
+/// *Phase 2* has one task per home chip. It replays every requester's
+/// bucket for that home, kernel by kernel, through the home's span map.
+///
+/// An access costs one L1 set probe and, if it reaches the LLC, a bucket
+/// push and two hash operations: one in phase 1 (the requester's local
+/// span map or remote set), one in phase 2 (the home's span map). A span
+/// map keeps, per granule, the first and last kernel that touched it, so
+/// "touched in an earlier kernel" is `first < now`, "first touch this
+/// kernel" is `last != now`, and the cumulative footprint is the map's
+/// length.
+///
+/// Each task runs once, in a `OnceLock` that a caller claims through a
+/// per-phase counter (as the memo's callers do) or waits on through the
+/// task's own initializer, so a task whose claimer panicked is run again
+/// by the next caller that needs it. A phase-2 task reads every phase-1
+/// part, and [`ProfileTasks::assemble`] reads every part, so each waits
+/// for (or runs) what it reads.
+///
+/// Which caller runs which task, and in what order, cannot change the
+/// result: every per-chip count is a sum, a maximum or a distinct count
+/// within one kernel, and a phase-2 task replays a kernel's granules only
+/// after every earlier kernel's, so "touched in an earlier kernel" sees
+/// the same span map whatever order the requesters' buckets come in.
+#[derive(Debug)]
+pub struct ProfileTasks {
+    geometry: LocalityGeometry,
+    kernels: u32,
+    /// Each page's natural home; pages beyond the layout have none and are
+    /// homed on the requester.
+    homes: Vec<u8>,
+    next_requester: AtomicUsize,
+    requesters: Vec<OnceLock<RequesterPart>>,
+    next_home: AtomicUsize,
+    homed: Vec<OnceLock<Vec<HomeCounts>>>,
+}
+
+/// Phase-1 counts of one requesting chip in one kernel.
+#[derive(Debug, Clone, Copy, Default)]
+struct RequesterCounts {
+    issue_cycles: u64,
+    l1_accesses: u64,
+    l1_hits: u64,
+    reads: u64,
+    writes: u64,
+    local_accesses: u64,
+    remote_accesses: u64,
+    distinct_local: u64,
+    distinct_remote: u64,
+    prior_local: u64,
+    cum_distinct_local: u64,
+}
+
+/// What a phase-1 task produces: its counts per kernel, and its post-L1
+/// granules bucketed by (kernel, home chip).
+#[derive(Debug)]
+struct RequesterPart {
+    kernels: Vec<RequesterCounts>,
+    /// Per home chip: the granules homed there, kernel after kernel.
+    buckets: Vec<Vec<u64>>,
+    /// `buckets[home].len()` at the end of each kernel, at
+    /// `kernel * chips + home`.
+    ends: Vec<usize>,
+}
+
+impl RequesterPart {
+    /// The granules of `kernel` homed on `home`.
+    fn granules(&self, kernel: usize, home: usize) -> &[u64] {
+        let chips = self.buckets.len();
+        let start = match kernel {
+            0 => 0,
+            k => self.ends[(k - 1) * chips + home],
         };
-        seen_remote.iter_mut().for_each(LineSet::clear);
-        let slots = 1 + u64::from(kernel.behavior.compute_gap);
-        for (flat, stream) in kernel.per_cluster.iter().enumerate() {
-            let requester = flat / geometry.clusters_per_chip;
-            p.issue_cycles = p.issue_cycles.max(stream.len() as u64 * slots);
-            let l1 = &mut l1s[flat];
-            for acc in stream.iter() {
-                let g = acc.addr.raw() >> geometry.granule_shift;
-                p.l1_accesses += 1;
-                let hit = l1.access(g, acc.kind);
-                if hit {
-                    p.l1_hits += 1;
-                }
-                // Post-L1 traffic: read misses and every write (the L1 is
-                // write-through).
-                let reaches_llc = acc.kind == AccessKind::Write || !hit;
-                if !reaches_llc {
-                    continue;
-                }
-                let page = acc.addr.raw() >> geometry.page_shift;
-                let home = if page < homes.len() as u64 {
-                    usize::from(homes[page as usize])
-                } else {
-                    requester
+        &self.buckets[home][start..self.ends[kernel * chips + home]]
+    }
+}
+
+/// Phase-2 counts of one home chip in one kernel.
+#[derive(Debug, Clone, Copy, Default)]
+struct HomeCounts {
+    homed_accesses: u64,
+    distinct_homed: u64,
+    prior_homed: u64,
+    cum_distinct_homed: u64,
+}
+
+impl ProfileTasks {
+    /// The unrun tasks of `wl`'s pass under `geometry`.
+    pub fn new(geometry: &LocalityGeometry, wl: &Workload) -> Self {
+        let homes = (0..wl.layout.total_pages())
+            .map(|p| {
+                wl.layout
+                    .natural_home(PageAddr(p))
+                    .expect("every page of the layout has a natural home")
+                    .0
+            })
+            .collect();
+        ProfileTasks {
+            geometry: *geometry,
+            kernels: u32::try_from(wl.kernels.len()).expect("fewer than 2^32 kernels"),
+            homes,
+            next_requester: AtomicUsize::new(0),
+            requesters: (0..geometry.chips).map(|_| OnceLock::new()).collect(),
+            next_home: AtomicUsize::new(0),
+            homed: (0..geometry.chips).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// Claim and run phase 1's unclaimed tasks, then phase 2's. A task
+    /// another caller holds is left to it; [`ProfileTasks::assemble`] waits
+    /// for it. Callers of one `ProfileTasks` must pass the same workload.
+    pub(crate) fn work(&self, wl: &Workload) {
+        for chip in claims(&self.next_requester, self.geometry.chips) {
+            self.requester(wl, chip);
+        }
+        for chip in claims(&self.next_home, self.geometry.chips) {
+            self.home(wl, chip);
+        }
+    }
+
+    /// Run phase-1 task `chip`, unless it has run; wait if another caller
+    /// is running it.
+    pub fn run_requester_task(&self, wl: &Workload, chip: usize) {
+        self.requester(wl, chip);
+    }
+
+    /// Run phase-2 task `chip`, unless it has run; wait if another caller
+    /// is running it. Runs or waits for the phase-1 tasks it reads.
+    pub fn run_home_task(&self, wl: &Workload, chip: usize) {
+        self.home(wl, chip);
+    }
+
+    /// The profile, one entry per kernel, from every task's part (running
+    /// or waiting for any task that has not finished).
+    pub fn assemble(&self, wl: &Workload) -> Vec<KernelProfile> {
+        let chips = self.geometry.chips;
+        let homed: Vec<&[HomeCounts]> = (0..chips).map(|h| self.home(wl, h)).collect();
+        let requesters: Vec<&RequesterPart> = (0..chips).map(|r| self.requester(wl, r)).collect();
+        (0..self.kernels as usize)
+            .map(|k| {
+                let by_requester = |count: fn(&RequesterCounts) -> u64| {
+                    requesters.iter().map(move |part| count(&part.kernels[k]))
                 };
-                if acc.kind == AccessKind::Write {
-                    p.writes += 1;
-                } else {
-                    p.reads += 1;
+                let by_home = |count: fn(&HomeCounts) -> u64| -> Vec<u64> {
+                    homed.iter().map(|part| count(&part[k])).collect()
+                };
+                KernelProfile {
+                    issue_cycles: by_requester(|c| c.issue_cycles).max().unwrap_or(0),
+                    l1_accesses: by_requester(|c| c.l1_accesses).sum(),
+                    l1_hits: by_requester(|c| c.l1_hits).sum(),
+                    reads: by_requester(|c| c.reads).sum(),
+                    writes: by_requester(|c| c.writes).sum(),
+                    local_accesses: by_requester(|c| c.local_accesses).collect(),
+                    remote_accesses: by_requester(|c| c.remote_accesses).collect(),
+                    distinct_local: by_requester(|c| c.distinct_local).collect(),
+                    distinct_remote: by_requester(|c| c.distinct_remote).collect(),
+                    homed_accesses: by_home(|c| c.homed_accesses),
+                    distinct_homed: by_home(|c| c.distinct_homed),
+                    prior_homed: by_home(|c| c.prior_homed),
+                    prior_local: by_requester(|c| c.prior_local).collect(),
+                    cum_distinct_homed: by_home(|c| c.cum_distinct_homed),
+                    cum_distinct_local: by_requester(|c| c.cum_distinct_local).collect(),
                 }
-                p.homed_accesses[home] += 1;
-                let (prior, first_this_kernel) = touch(&mut homed[home], g, now);
-                p.prior_homed[home] += u64::from(prior);
-                p.distinct_homed[home] += u64::from(first_this_kernel);
-                if home == requester {
-                    p.local_accesses[requester] += 1;
-                    let (prior, first_this_kernel) = touch(&mut local[requester], g, now);
-                    p.prior_local[requester] += u64::from(prior);
-                    p.distinct_local[requester] += u64::from(first_this_kernel);
-                } else {
-                    p.remote_accesses[requester] += 1;
-                    if seen_remote[requester].insert(g) {
-                        p.distinct_remote[requester] += 1;
+            })
+            .collect()
+    }
+
+    fn requester(&self, wl: &Workload, chip: usize) -> &RequesterPart {
+        self.requesters[chip].get_or_init(|| self.requester_task(wl, chip))
+    }
+
+    fn home(&self, wl: &Workload, chip: usize) -> &[HomeCounts] {
+        self.homed[chip].get_or_init(|| self.home_task(wl, chip))
+    }
+
+    /// Phase 1 for requesting chip `chip`.
+    fn requester_task(&self, wl: &Workload, chip: usize) -> RequesterPart {
+        let g = &self.geometry;
+        let first_cluster = chip * g.clusters_per_chip;
+        let mut l1s: Vec<L1Filter> = (0..g.clusters_per_chip).map(|_| L1Filter::new(g)).collect();
+        // Post-L1 footprint of the chip's locally homed granules across
+        // kernels, and this kernel's remote granules.
+        let mut local = KernelSpans::default();
+        let mut seen_remote = LineSet::default();
+        let mut buckets: Vec<Vec<u64>> = vec![Vec::new(); g.chips];
+        let mut ends = Vec::with_capacity(wl.kernels.len() * g.chips);
+        let mut kernels = Vec::with_capacity(wl.kernels.len());
+        for (now, kernel) in (0..self.kernels).zip(&wl.kernels) {
+            let mut c = RequesterCounts::default();
+            seen_remote.clear();
+            let slots = 1 + u64::from(kernel.behavior.compute_gap);
+            let streams = kernel.per_cluster.iter().skip(first_cluster);
+            for (l1, stream) in l1s.iter_mut().zip(streams) {
+                c.issue_cycles = c.issue_cycles.max(stream.len() as u64 * slots);
+                for acc in stream.iter() {
+                    let granule = acc.addr.raw() >> g.granule_shift;
+                    c.l1_accesses += 1;
+                    let hit = l1.access(granule, acc.kind);
+                    if hit {
+                        c.l1_hits += 1;
+                    }
+                    // Post-L1 traffic: read misses and every write (the L1
+                    // is write-through).
+                    let reaches_llc = acc.kind == AccessKind::Write || !hit;
+                    if !reaches_llc {
+                        continue;
+                    }
+                    let page = acc.addr.raw() >> g.page_shift;
+                    let home = if page < self.homes.len() as u64 {
+                        usize::from(self.homes[page as usize])
+                    } else {
+                        chip
+                    };
+                    if acc.kind == AccessKind::Write {
+                        c.writes += 1;
+                    } else {
+                        c.reads += 1;
+                    }
+                    buckets[home].push(granule);
+                    if home == chip {
+                        c.local_accesses += 1;
+                        let (prior, first_this_kernel) = touch(&mut local, granule, now);
+                        c.prior_local += u64::from(prior);
+                        c.distinct_local += u64::from(first_this_kernel);
+                    } else {
+                        c.remote_accesses += 1;
+                        c.distinct_remote += u64::from(seen_remote.insert(granule));
                     }
                 }
             }
+            c.cum_distinct_local = local.len() as u64;
+            ends.extend(buckets.iter().map(Vec::len));
+            kernels.push(c);
         }
-        for c in 0..chips {
-            p.cum_distinct_homed[c] = homed[c].len() as u64;
-            p.cum_distinct_local[c] = local[c].len() as u64;
+        RequesterPart {
+            kernels,
+            buckets,
+            ends,
         }
-        out.push(p);
     }
-    out
+
+    /// Phase 2 for home chip `chip`.
+    fn home_task(&self, wl: &Workload, chip: usize) -> Vec<HomeCounts> {
+        let parts: Vec<&RequesterPart> = (0..self.geometry.chips)
+            .map(|r| self.requester(wl, r))
+            .collect();
+        // Post-L1 footprint of the granules homed on `chip`, across kernels.
+        let mut homed = KernelSpans::default();
+        (0..self.kernels)
+            .map(|now| {
+                let mut c = HomeCounts::default();
+                for part in &parts {
+                    for &granule in part.granules(now as usize, chip) {
+                        c.homed_accesses += 1;
+                        let (prior, first_this_kernel) = touch(&mut homed, granule, now);
+                        c.prior_homed += u64::from(prior);
+                        c.distinct_homed += u64::from(first_this_kernel);
+                    }
+                }
+                c.cum_distinct_homed = homed.len() as u64;
+                c
+            })
+            .collect()
+    }
+}
+
+/// The indices `0..n` not yet claimed from `next`, each claimed as it is
+/// yielded. The counter publishes no data (a task's part is published by
+/// its `OnceLock`), so `Relaxed` suffices.
+fn claims(next: &AtomicUsize, n: usize) -> impl Iterator<Item = usize> + '_ {
+    std::iter::from_fn(move || Some(next.fetch_add(1, Ordering::Relaxed)))
+        .take_while(move |&i| i < n)
+}
+
+/// A workload's memoized profile ([`Workload::kernel_profiles`]): the
+/// first geometry's profile once published, and until then the
+/// [`ProfileTasks`] of its fill, which every caller under that geometry
+/// joins. Cloning yields an empty memo.
+#[derive(Debug, Default)]
+pub(crate) struct ProfileMemo {
+    published: OnceLock<(LocalityGeometry, Vec<KernelProfile>)>,
+    /// The fill under way; `None` before the first call and once the
+    /// profile is published.
+    fill: Mutex<Option<Arc<ProfileTasks>>>,
+}
+
+impl Clone for ProfileMemo {
+    fn clone(&self) -> Self {
+        ProfileMemo::default()
+    }
+}
+
+impl ProfileMemo {
+    /// The memoized profile if it is `geometry`'s, filling the memo first
+    /// if it is empty; `None` if the memo holds, or is being filled with,
+    /// another geometry's profile.
+    pub(crate) fn get_or_fill(
+        &self,
+        geometry: &LocalityGeometry,
+        wl: &Workload,
+    ) -> Option<&[KernelProfile]> {
+        let (memo_geometry, profiles) = match self.published.get() {
+            Some(published) => published,
+            None => self.fill(geometry, wl)?,
+        };
+        (memo_geometry == geometry).then_some(profiles.as_slice())
+    }
+
+    /// Join (or start) the fill, then publish it unless another caller
+    /// has. `None` if the fill under way is another geometry's.
+    fn fill(
+        &self,
+        geometry: &LocalityGeometry,
+        wl: &Workload,
+    ) -> Option<&(LocalityGeometry, Vec<KernelProfile>)> {
+        let tasks = {
+            let mut fill = self.lock_fill();
+            if let Some(published) = self.published.get() {
+                return Some(published);
+            }
+            Arc::clone(fill.get_or_insert_with(|| Arc::new(ProfileTasks::new(geometry, wl))))
+        };
+        if tasks.geometry != *geometry {
+            return None;
+        }
+        tasks.work(wl);
+        let mut fill = self.lock_fill();
+        Some(self.published.get_or_init(|| {
+            let profiles = tasks.assemble(wl);
+            // Under the lock, drop the fill state before publishing: a
+            // caller that finds the profile published finds no fill
+            // state. The other callers' handles go as they return.
+            *fill = None;
+            (*geometry, profiles)
+        }))
+    }
+
+    /// Whether the memo holds a fill's task state.
+    pub(crate) fn holds_fill(&self) -> bool {
+        self.lock_fill().is_some()
+    }
+
+    /// The fill slot. A panic under the lock leaves the slot consistent
+    /// (it is written only by whole assignments), so poisoning is ignored.
+    fn lock_fill(&self) -> MutexGuard<'_, Option<Arc<ProfileTasks>>> {
+        self.fill.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 #[cfg(test)]

@@ -1,13 +1,13 @@
 //! The synthetic trace generator.
 
-use crate::analysis::{profile_workload, LocalityGeometry};
+use crate::analysis::{profile_workload, LocalityGeometry, ProfileMemo};
 use crate::layout::AddressLayout;
 use crate::profiles::{BenchmarkProfile, KernelBehavior};
 use mcgpu_types::{AccessKind, ChipId, KernelProfile, MachineConfig, MemAccess};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Parameters controlling trace volume and reproducibility.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -97,18 +97,7 @@ pub struct Workload {
     pub kernels: Vec<KernelTrace>,
     /// The profile this workload was generated from.
     pub profile: BenchmarkProfile,
-    locality: LocalityMemo,
-}
-
-/// The first locality profile computed for a workload, with the geometry
-/// it was computed under. Cloning yields an empty memo.
-#[derive(Debug, Default)]
-struct LocalityMemo(OnceLock<(LocalityGeometry, Vec<KernelProfile>)>);
-
-impl Clone for LocalityMemo {
-    fn clone(&self) -> Self {
-        LocalityMemo::default()
-    }
+    locality: ProfileMemo,
 }
 
 impl Workload {
@@ -124,7 +113,7 @@ impl Workload {
             layout,
             kernels,
             profile,
-            locality: LocalityMemo::default(),
+            locality: ProfileMemo::default(),
         }
     }
 
@@ -133,19 +122,25 @@ impl Workload {
     /// later calls under an equal [`LocalityGeometry`] borrow the memo,
     /// whatever else of the machine differs (the organization, the LLC,
     /// the fabric). A call under another geometry computes that profile
-    /// afresh and leaves the memo as it is. Calls racing on the first fill
-    /// wait for one pass rather than each running their own.
+    /// afresh and leaves the memo as it is. A call that finds the first
+    /// fill under way under its geometry joins it: it claims the pass's
+    /// unclaimed [`ProfileTasks`](crate::analysis::ProfileTasks) and waits
+    /// only for tasks another call holds. The tasks' state is dropped once
+    /// the profile is published.
     pub fn kernel_profiles(&self, cfg: &MachineConfig) -> Cow<'_, [KernelProfile]> {
         let geometry = LocalityGeometry::of(cfg);
-        let (memo_geometry, profiles) = self
-            .locality
-            .0
-            .get_or_init(|| (geometry, profile_workload(&geometry, self)));
-        if *memo_geometry == geometry {
-            Cow::Borrowed(profiles)
-        } else {
-            Cow::Owned(profile_workload(&geometry, self))
+        match self.locality.get_or_fill(&geometry, self) {
+            Some(profiles) => Cow::Borrowed(profiles),
+            None => Cow::Owned(profile_workload(&geometry, self)),
         }
+    }
+
+    /// Whether this workload holds the task state of a profile fill
+    /// ([`Workload::kernel_profiles`]): from the first call until the
+    /// profile is published, and after a fill whose every caller panicked
+    /// (the next call resumes it).
+    pub fn holds_profile_fill(&self) -> bool {
+        self.locality.holds_fill()
     }
 
     /// Total accesses across all kernels.

@@ -419,6 +419,11 @@ impl MachineConfig {
         if self.l1_assoc == 0 || self.llc_assoc == 0 {
             return Err(ConfigError::new("cache associativities must be positive"));
         }
+        // Zero is a multiple of every set size, so the whole-number-of-sets
+        // checks below would pass an empty cache.
+        if self.l1_bytes_per_cluster == 0 || self.llc_bytes_per_chip == 0 {
+            return Err(ConfigError::new("cache capacities must be positive"));
+        }
         if self.mshrs_per_cluster == 0 || self.issue_width == 0 || self.links_per_pair == 0 {
             return Err(ConfigError::new(
                 "MSHRs, issue width and links per pair must be positive",
@@ -947,6 +952,14 @@ mod tests {
 
         let mut c = MachineConfig::paper_baseline();
         c.sectors_per_line = 3;
+        assert!(c.validate().is_err());
+
+        let mut c = MachineConfig::paper_baseline();
+        c.l1_bytes_per_cluster = 0;
+        assert!(c.validate().is_err());
+
+        let mut c = MachineConfig::paper_baseline();
+        c.llc_bytes_per_chip = 0;
         assert!(c.validate().is_err());
 
         let mut c = MachineConfig::paper_baseline();
