@@ -1,9 +1,9 @@
 //! Perf-baseline emitter: times the engine's primitives (slice
-//! lookup/fill, PAE indexing, EAB, CRD) and whole cells with plain
-//! `Instant` loops and writes a canonical `mcgpu-bench-v1` document, so
-//! the repo carries a `BENCH_sac.json` trajectory that future
-//! optimization PRs can compare against with numbers instead of
-//! adjectives.
+//! lookup/fill, PAE indexing, EAB, CRD), simulator construction and
+//! whole cells with plain `Instant` loops and writes a canonical
+//! `mcgpu-bench-v1` document, so the repo carries a `BENCH_sac.json`
+//! trajectory that future optimization PRs can compare against with
+//! numbers instead of adjectives.
 //!
 //! This is the repo's one micro-benchmark harness. Each primitive is
 //! calibrated with a short probe run, then timed for enough iterations to
@@ -189,6 +189,24 @@ fn main() {
                     .unwrap();
             }));
         }
+    }
+
+    // sim_build_mesh16 — constructing (and dropping) the 16-chip mesh,
+    // memory-side: every cluster L1, LLC slice, crossbar, DRAM channel
+    // and fabric link. Each sweep cell pays it once, so it is most of the
+    // set-up of a short cell.
+    {
+        let mut cfg = MachineConfig::experiment_baseline();
+        cfg.topology = TopologyKind::Mesh2D;
+        cfg.chips = 16;
+        samples.push(measure("sim_build_mesh16", target, || {
+            black_box(
+                SimBuilder::new(cfg.clone())
+                    .organization(LlcOrgKind::MemorySide)
+                    .build()
+                    .expect("valid machine configuration"),
+            );
+        }));
     }
 
     // NN memory-side at the figure-sweep volume: its dense trace keeps

@@ -115,37 +115,46 @@ impl CacheConfig {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Way {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    home: DataHome,
-    /// Per-sector valid bits; all-ones for conventional caches.
-    sectors: u8,
-    /// LRU timestamp (higher = more recent).
-    stamp: u64,
+/// Flag bit: the way holds a line.
+const VALID: u8 = 1;
+/// Flag bit: the line needs a writeback before it is dropped.
+const DIRTY: u8 = 2;
+/// Flag bit: the line's data is homed in a remote partition.
+const REMOTE: u8 = 4;
+
+/// The flag bits that record `home`.
+#[inline]
+fn home_flag(home: DataHome) -> u8 {
+    match home {
+        DataHome::Local => 0,
+        DataHome::Remote => REMOTE,
+    }
 }
 
-impl Way {
-    fn empty() -> Self {
-        Way {
-            tag: 0,
-            valid: false,
-            dirty: false,
-            home: DataHome::Local,
-            sectors: 0,
-            stamp: 0,
-        }
+/// The data home that `flags` record.
+#[inline]
+fn flag_home(flags: u8) -> DataHome {
+    if flags & REMOTE != 0 {
+        DataHome::Remote
+    } else {
+        DataHome::Local
     }
 }
 
 /// A set-associative, write-back, true-LRU cache with optional sectoring and
-/// way partitioning. See the [crate docs](crate) for an example.
+/// way partitioning, its ways in flat arrays indexed `set * assoc + way`.
+/// See the [crate docs](crate) for an example.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Way>>,
+    num_sets: u64,
+    tags: Vec<u64>,
+    /// LRU timestamps (higher = more recent).
+    stamps: Vec<u64>,
+    /// `VALID`, `DIRTY` and `REMOTE` bits.
+    flags: Vec<u8>,
+    /// Per-sector valid bits; all-ones for conventional caches.
+    sectors: Vec<u8>,
     clock: u64,
     /// Number of ways reserved for local data when partitioned; `None` means
     /// unpartitioned.
@@ -164,8 +173,13 @@ impl SetAssocCache {
     /// Panics if the geometry is inconsistent (see [`CacheConfig::num_sets`]).
     pub fn new(cfg: CacheConfig) -> Self {
         let num_sets = cfg.num_sets();
+        let ways = num_sets * cfg.assoc;
         SetAssocCache {
-            sets: vec![vec![Way::empty(); cfg.assoc]; num_sets],
+            num_sets: num_sets as u64,
+            tags: vec![0; ways],
+            stamps: vec![0; ways],
+            flags: vec![0; ways],
+            sectors: vec![0; ways],
             clock: 0,
             local_ways: None,
             stats: CacheStats::default(),
@@ -214,8 +228,9 @@ impl SetAssocCache {
         self.local_ways.map(|l| (l, self.cfg.assoc - l))
     }
 
+    /// Index of way 0 of the set `line` maps to.
     #[inline]
-    fn set_index(&self, line: LineAddr) -> usize {
+    fn set_base(&self, line: LineAddr) -> usize {
         let mut x = line.index();
         if self.cfg.hashed_sets {
             // splitmix64-style finalizer: decorrelates strided traffic.
@@ -225,7 +240,25 @@ impl SetAssocCache {
             x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
             x ^= x >> 31;
         }
-        (x % self.sets.len() as u64) as usize
+        // A mask where the set count allows it (every machine geometry):
+        // the same set as the remainder, without a division.
+        let set = if self.num_sets.is_power_of_two() {
+            x & (self.num_sets - 1)
+        } else {
+            x % self.num_sets
+        };
+        set as usize * self.cfg.assoc
+    }
+
+    /// The way holding `line` in the set starting at `base`, if resident.
+    #[inline]
+    fn find(&self, base: usize, line: LineAddr) -> Option<usize> {
+        let ways = base..base + self.cfg.assoc;
+        self.tags[ways.clone()]
+            .iter()
+            .zip(&self.flags[ways])
+            .position(|(&tag, &flags)| tag == line.index() && flags & VALID != 0)
+            .map(|way| base + way)
     }
 
     #[inline]
@@ -246,34 +279,27 @@ impl SetAssocCache {
         write: bool,
     ) -> LookupOutcome {
         self.clock += 1;
-        let mask = self.sector_mask(sector);
-        let set = self.set_index(line);
         self.stats.accesses += 1;
-        for way in &mut self.sets[set] {
-            if way.valid && way.tag == line.index() {
-                way.stamp = self.clock;
-                if way.sectors & mask != 0 {
-                    if write {
-                        way.dirty = true;
-                    }
-                    self.stats.hits += 1;
-                    return LookupOutcome::Hit;
-                }
-                self.stats.sector_misses += 1;
-                return LookupOutcome::SectorMiss;
-            }
+        let Some(i) = self.find(self.set_base(line), line) else {
+            self.stats.misses += 1;
+            return LookupOutcome::Miss;
+        };
+        self.stamps[i] = self.clock;
+        if self.sectors[i] & self.sector_mask(sector) == 0 {
+            self.stats.sector_misses += 1;
+            return LookupOutcome::SectorMiss;
         }
-        self.stats.misses += 1;
-        LookupOutcome::Miss
+        if write {
+            self.flags[i] |= DIRTY;
+        }
+        self.stats.hits += 1;
+        LookupOutcome::Hit
     }
 
     /// Check residency without touching LRU or stats.
     pub fn probe(&self, line: LineAddr, sector: Option<SectorId>) -> bool {
-        let mask = self.sector_mask(sector);
-        let set = self.set_index(line);
-        self.sets[set]
-            .iter()
-            .any(|w| w.valid && w.tag == line.index() && w.sectors & mask != 0)
+        self.find(self.set_base(line), line)
+            .is_some_and(|i| self.sectors[i] & self.sector_mask(sector) != 0)
     }
 
     /// Install `line` (or just `sector` of it), evicting an LRU victim from
@@ -289,28 +315,24 @@ impl SetAssocCache {
         write: bool,
     ) -> Option<Eviction> {
         self.clock += 1;
-        let mask = self.sector_mask(sector);
-        let set = self.set_index(line);
         self.stats.fills += 1;
+        let mask = self.sector_mask(sector);
+        let dirty = if write { DIRTY } else { 0 };
+        let base = self.set_base(line);
 
         // Already resident (sector fill into an existing line)?
-        if let Some(way) = self.sets[set]
-            .iter_mut()
-            .find(|w| w.valid && w.tag == line.index())
-        {
-            way.sectors |= mask;
-            way.stamp = self.clock;
-            if write {
-                way.dirty = true;
-            }
+        if let Some(i) = self.find(base, line) {
+            self.sectors[i] |= mask;
+            self.stamps[i] = self.clock;
+            self.flags[i] |= dirty;
             return None;
         }
 
         let pool = match self.local_ways {
-            None => 0..self.cfg.assoc,
+            None => base..base + self.cfg.assoc,
             Some(l) => match home {
-                DataHome::Local => 0..l,
-                DataHome::Remote => l..self.cfg.assoc,
+                DataHome::Local => base..base + l,
+                DataHome::Remote => base + l..base + self.cfg.assoc,
             },
         };
         if pool.is_empty() {
@@ -319,69 +341,61 @@ impl SetAssocCache {
             return None;
         }
 
-        // Prefer an invalid way, else evict the LRU way of the pool.
-        let ways = &mut self.sets[set];
-        let victim_idx = pool
-            .clone()
-            .find(|&i| !ways[i].valid)
-            .unwrap_or_else(|| pool.min_by_key(|&i| ways[i].stamp).expect("non-empty pool"));
-        let victim = &mut ways[victim_idx];
-        let evicted = if victim.valid {
-            self.stats.evictions += 1;
-            Some(Eviction {
-                line: LineAddr(victim.tag),
-                dirty: victim.dirty,
-                home: victim.home,
-            })
-        } else {
-            None
-        };
-        *victim = Way {
-            tag: line.index(),
-            valid: true,
-            dirty: write,
-            home,
-            sectors: mask,
-            stamp: self.clock,
-        };
+        // Prefer the pool's first invalid way, else its first LRU way.
+        let stamps = &self.stamps[pool.clone()];
+        let way = self.flags[pool.clone()]
+            .iter()
+            .position(|&flags| flags & VALID == 0)
+            .or_else(|| (0..stamps.len()).min_by_key(|&way| stamps[way]))
+            .expect("non-empty pool");
+        let i = pool.start + way;
+        let flags = self.flags[i];
+        let evicted = (flags & VALID != 0).then(|| Eviction {
+            line: LineAddr(self.tags[i]),
+            dirty: flags & DIRTY != 0,
+            home: flag_home(flags),
+        });
         if let Some(ev) = evicted {
+            self.stats.evictions += 1;
             *self.valid_count(ev.home) -= 1;
         }
+        self.tags[i] = line.index();
+        self.stamps[i] = self.clock;
+        self.flags[i] = VALID | dirty | home_flag(home);
+        self.sectors[i] = mask;
         *self.valid_count(home) += 1;
         evicted
     }
 
     /// Invalidate a single line if resident, returning whether it was dirty.
     pub fn invalidate(&mut self, line: LineAddr) -> Option<bool> {
-        let set = self.set_index(line);
-        let way = self.sets[set]
-            .iter_mut()
-            .find(|w| w.valid && w.tag == line.index())?;
-        way.valid = false;
-        let (dirty, home) = (way.dirty, way.home);
-        *self.valid_count(home) -= 1;
-        Some(dirty)
+        let i = self.find(self.set_base(line), line)?;
+        let flags = std::mem::take(&mut self.flags[i]);
+        *self.valid_count(flag_home(flags)) -= 1;
+        Some(flags & DIRTY != 0)
+    }
+
+    /// Invalidate every valid line whose flags satisfy `pick`, in set
+    /// order, returning the dirty ones for writeback.
+    fn drop_lines(&mut self, pick: impl Fn(u8) -> bool) -> Vec<LineAddr> {
+        let mut dirty = Vec::new();
+        for (flags, &tag) in self.flags.iter_mut().zip(&self.tags) {
+            if *flags & VALID != 0 && pick(*flags) {
+                if *flags & DIRTY != 0 {
+                    dirty.push(LineAddr(tag));
+                }
+                *flags = 0;
+            }
+        }
+        dirty
     }
 
     /// Flush + invalidate the whole cache (software coherence at a kernel
     /// boundary, or an LLC reconfiguration). Returns the dirty lines that
     /// need writing back.
     pub fn flush_all(&mut self) -> Vec<LineAddr> {
-        let mut dirty = Vec::new();
-        for set in &mut self.sets {
-            for way in set {
-                if way.valid {
-                    if way.dirty {
-                        dirty.push(LineAddr(way.tag));
-                    }
-                    way.valid = false;
-                    way.dirty = false;
-                    way.sectors = 0;
-                }
-            }
-        }
         self.valid = (0, 0);
-        dirty
+        self.drop_lines(|_| true)
     }
 
     /// Write back every dirty line, marking it clean but **keeping it
@@ -390,12 +404,10 @@ impl SetAssocCache {
     /// pushed to memory before replicas can appear elsewhere).
     pub fn writeback_all_dirty(&mut self) -> Vec<LineAddr> {
         let mut dirty = Vec::new();
-        for set in &mut self.sets {
-            for way in set {
-                if way.valid && way.dirty {
-                    dirty.push(LineAddr(way.tag));
-                    way.dirty = false;
-                }
+        for (flags, &tag) in self.flags.iter_mut().zip(&self.tags) {
+            if *flags & (VALID | DIRTY) == VALID | DIRTY {
+                dirty.push(LineAddr(tag));
+                *flags &= !DIRTY;
             }
         }
         dirty
@@ -406,21 +418,9 @@ impl SetAssocCache {
     /// drop their remote pool at kernel boundaries). Returns the dirty
     /// lines that need writing back.
     pub fn flush_home(&mut self, home: DataHome) -> Vec<LineAddr> {
-        let mut dirty = Vec::new();
-        for set in &mut self.sets {
-            for way in set {
-                if way.valid && way.home == home {
-                    if way.dirty {
-                        dirty.push(LineAddr(way.tag));
-                    }
-                    way.valid = false;
-                    way.dirty = false;
-                    way.sectors = 0;
-                }
-            }
-        }
         *self.valid_count(home) = 0;
-        dirty
+        let remote = home_flag(home);
+        self.drop_lines(|flags| flags & REMOTE == remote)
     }
 
     /// Number of valid lines currently resident.
@@ -443,14 +443,9 @@ impl SetAssocCache {
     /// Count the valid lines by data home with a full scan of the ways.
     #[cfg(test)]
     fn recount_valid(&self) -> (usize, usize) {
-        let mut counts = (0, 0);
-        for way in self.sets.iter().flatten().filter(|w| w.valid) {
-            match way.home {
-                DataHome::Local => counts.0 += 1,
-                DataHome::Remote => counts.1 += 1,
-            }
-        }
-        counts
+        let valid = self.flags.iter().filter(|&&flags| flags & VALID != 0);
+        let remote = valid.clone().filter(|&&flags| flags & REMOTE != 0).count();
+        (valid.count() - remote, remote)
     }
 }
 

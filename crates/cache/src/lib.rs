@@ -16,6 +16,11 @@
 //! ([`DataHome::Remote`]); the occupancy breakdown of Fig. 9 falls directly
 //! out of these tags.
 //!
+//! A cache keeps the ways of all its sets in flat arrays indexed
+//! `set * assoc + way` (tags, LRU stamps, a flags byte and the sector
+//! bits): four allocations per cache, and a lookup scans one contiguous
+//! run of tags.
+//!
 //! # Example
 //!
 //! ```

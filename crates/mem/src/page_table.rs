@@ -1,7 +1,7 @@
 //! First-touch page allocation.
 
-use mcgpu_types::{ChipId, PageAddr};
-use std::collections::HashMap;
+use mcgpu_types::{ChipId, LineMap, PageAddr};
+use std::collections::hash_map::Entry;
 
 /// Maps pages to home memory partitions using first-touch allocation
 /// (Arunkumar et al.): the first chip to access any line of a page becomes
@@ -11,7 +11,8 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 pub struct PageTable {
     page_size: u64,
-    homes: HashMap<PageAddr, ChipId>,
+    /// Home chip by page index.
+    homes: LineMap<ChipId>,
     pages_per_chip: Vec<u64>,
 }
 
@@ -27,7 +28,7 @@ impl PageTable {
         );
         PageTable {
             page_size,
-            homes: HashMap::new(),
+            homes: LineMap::default(),
             pages_per_chip: Vec::new(),
         }
     }
@@ -40,9 +41,9 @@ impl PageTable {
     /// Home chip of `page`, allocating it to `toucher`'s partition if this is
     /// the first access (first-touch policy).
     pub fn home_of(&mut self, page: PageAddr, toucher: ChipId) -> ChipId {
-        match self.homes.entry(page) {
-            std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-            std::collections::hash_map::Entry::Vacant(e) => {
+        match self.homes.entry(page.0) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
                 e.insert(toucher);
                 let idx = toucher.index();
                 if self.pages_per_chip.len() <= idx {
@@ -56,7 +57,7 @@ impl PageTable {
 
     /// Home chip of `page` if already mapped.
     pub fn lookup(&self, page: PageAddr) -> Option<ChipId> {
-        self.homes.get(&page).copied()
+        self.homes.get(&page.0).copied()
     }
 
     /// Number of pages mapped so far.
