@@ -4,60 +4,55 @@
 //! organization × configuration) simulation runs. Each run is a pure
 //! function of its inputs — it builds its own [`mcgpu_sim::Simulator`]
 //! from a cloned config and a read-only workload — so the sweep fans the
-//! runs out across a thread pool and collects the results **in input
-//! order**, making the output bit-identical to the serial loop regardless
-//! of thread count (see `DESIGN.md`, "Sweep runner and the determinism
-//! contract").
+//! runs out across threads and collects the results **in input order**,
+//! making the output bit-identical to the serial loop regardless of
+//! thread count (see `DESIGN.md`, "Parallel sweep runner and the
+//! determinism contract").
 //!
-//! [`map`] is the fan-out primitive; a panic in one item poisons the
-//! whole batch. Cells that produce `RunStats` therefore run through
-//! [`crate::run_journaled`], which gives each cell bounded retries
-//! ([`run_cell_from`]), catches its panics, and records it in the run
-//! journal when one is open; the resilience report's fault runs, which
-//! reduce to `Outcome`s, fan out on [`map`] directly.
+//! [`map`] is the fan-out primitive: the calling thread and `jobs - 1`
+//! scoped helper threads claim the next item from one shared counter and
+//! store its result by index. A panicking item stops further claims, and
+//! its panic is re-raised on the caller once every thread has joined, so
+//! it poisons the whole batch. Cells that produce `RunStats` therefore run
+//! through [`crate::run_journaled`], which gives each cell bounded
+//! retries ([`run_cell_from`]), catches its panics, and records it in the
+//! run journal when one is open; the resilience report's fault runs,
+//! which reduce to `Outcome`s, fan out on [`map`] directly.
 //!
 //! Thread count resolution, highest priority first:
 //!
 //! 1. `--jobs N` (or `--jobs=N`) on the command line,
 //! 2. the `MCGPU_JOBS` environment variable,
-//! 3. the `RAYON_NUM_THREADS` environment variable (vendored-rayon
-//!    default),
-//! 4. the number of available CPUs.
+//! 3. the number of available CPUs.
 //!
 //! A `--jobs` or `MCGPU_JOBS` value that does not parse exits with
 //! status 2, naming the flag or variable.
 
 use mcgpu_sim::SimError;
-use std::sync::OnceLock;
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
 
 /// Thread count requested via `--jobs`/`MCGPU_JOBS`, or `None` to fall
-/// through to the rayon default (`RAYON_NUM_THREADS` / available CPUs).
-pub fn configured_jobs() -> Option<usize> {
+/// through to the number of available CPUs.
+fn configured_jobs() -> Option<usize> {
     crate::arg_value::<usize>("--jobs")
         .or_else(|| crate::env_value::<usize>("MCGPU_JOBS"))
         .map(|n| n.max(1))
 }
 
-/// The sweep's thread count after full resolution.
+/// The sweep's thread count, resolved once at first use.
 pub fn jobs() -> usize {
-    match configured_jobs() {
-        Some(n) => n,
-        None => rayon::current_num_threads(),
-    }
-}
-
-/// The process-wide sweep pool, sized by [`jobs`] at first use.
-fn pool() -> &'static rayon::ThreadPool {
-    static POOL: OnceLock<rayon::ThreadPool> = OnceLock::new();
-    POOL.get_or_init(|| {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(jobs())
-            .build()
-            .expect("sweep pool")
+    static JOBS: OnceLock<usize> = OnceLock::new();
+    *JOBS.get_or_init(|| {
+        configured_jobs().unwrap_or_else(|| {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        })
     })
 }
 
-/// Run `f` over every item on the sweep pool, returning results in input
+/// Run `f` over every item on [`jobs`] threads, returning results in input
 /// order. This is the single fan-out primitive every harness binary uses;
 /// `f` must be a pure function of its item (no shared mutable state), which
 /// is what makes the result independent of the thread count.
@@ -67,25 +62,73 @@ where
     R: Send,
     F: Fn(T) -> R + Sync + Send,
 {
-    use rayon::prelude::*;
-    pool().install(|| items.into_par_iter().map(f).collect())
+    map_with_jobs(jobs(), items, f)
 }
 
-/// Like [`map`] but on a dedicated pool of exactly `jobs` threads,
-/// ignoring the CLI/environment override. Used by the determinism tests to
-/// compare 1-thread and N-thread executions of the same sweep.
+/// Like [`map`] but on exactly `jobs` threads, ignoring the
+/// CLI/environment override. Used by the determinism tests to compare
+/// 1-thread and N-thread executions of the same sweep.
+///
+/// With one thread or one item everything runs on the caller and no
+/// helper thread is spawned.
 pub fn map_with_jobs<T, R, F>(jobs: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync + Send,
 {
-    use rayon::prelude::*;
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(jobs.max(1))
-        .build()
-        .expect("sweep pool");
-    pool.install(|| items.into_par_iter().map(f).collect())
+    let n = items.len();
+    let helpers = jobs.min(n).saturating_sub(1);
+    if helpers == 0 {
+        return items.into_iter().map(f).collect();
+    }
+    // Each index is claimed by exactly one thread, so a slot's mutex is
+    // never contended: it only moves the item to the claiming thread. The
+    // counter publishes no data (the mutexes and the scope's joins do), so
+    // its operations are relaxed.
+    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let next = AtomicUsize::new(0);
+    let work = || -> std::thread::Result<Vec<(usize, R)>> {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(slot) = slots.get(i) else {
+                return Ok(done);
+            };
+            let item = slot
+                .lock()
+                .expect("slot never poisoned: locked once, by its claimer")
+                .take()
+                .expect("each index is claimed once");
+            match panic::catch_unwind(AssertUnwindSafe(|| f(item))) {
+                Ok(r) => done.push((i, r)),
+                Err(payload) => {
+                    next.store(n, Ordering::Relaxed);
+                    return Err(payload);
+                }
+            }
+        }
+    };
+    let parts = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (0..helpers).map(|_| scope.spawn(work)).collect();
+        let mut parts = vec![work()];
+        parts.extend(
+            spawned
+                .into_iter()
+                .map(|h| h.join().expect("`work` catches every panic")),
+        );
+        parts
+    });
+    let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    for part in parts {
+        for (i, r) in part.unwrap_or_else(|payload| panic::resume_unwind(payload)) {
+            results[i] = Some(r);
+        }
+    }
+    results
+        .into_iter()
+        .map(|r| r.expect("every index ran"))
+        .collect()
 }
 
 /// Typed failure of one sweep cell. Sibling cells keep running; the sweep
@@ -212,7 +255,7 @@ pub fn run_cell_from<R>(
     let limit = prior_attempts.saturating_add(MAX_ATTEMPTS);
     let mut attempt = prior_attempts;
     loop {
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(attempt)));
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| f(attempt)));
         let err = match caught {
             Ok(Ok(v)) => {
                 return CellOutcome {
@@ -222,7 +265,7 @@ pub fn run_cell_from<R>(
             }
             Ok(Err(e)) => e,
             Err(payload) => CellError::Panic {
-                message: rayon::panic_message(payload.as_ref()),
+                message: panic_message(payload.as_ref()),
             },
         };
         attempt += 1;
@@ -232,6 +275,19 @@ pub fn run_cell_from<R>(
                 result: Err(err),
             };
         }
+    }
+}
+
+/// Best-effort text of a panic payload: `panic!` with a literal carries a
+/// `&'static str`, `panic!` with formatting carries a `String`; anything
+/// else (a custom `panic_any` value) gets a placeholder.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&'static str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
 }
 
@@ -247,9 +303,45 @@ mod tests {
 
     #[test]
     fn thread_count_does_not_change_results() {
-        let serial = map_with_jobs(1, (0..97).collect(), |i: u64| i.wrapping_mul(0x9e37));
-        let parallel = map_with_jobs(8, (0..97).collect(), |i: u64| i.wrapping_mul(0x9e37));
-        assert_eq!(serial, parallel);
+        let expected: Vec<u64> = (0..257).map(|i: u64| i.wrapping_mul(0x9e37)).collect();
+        for jobs in [1, 4, 8] {
+            let runs = AtomicUsize::new(0);
+            let out = map_with_jobs(jobs, (0..257).collect(), |i: u64| {
+                runs.fetch_add(1, Ordering::Relaxed);
+                i.wrapping_mul(0x9e37)
+            });
+            assert_eq!(runs.into_inner(), 257, "runs on {jobs} threads");
+            assert_eq!(out, expected, "results on {jobs} threads");
+        }
+    }
+
+    #[test]
+    fn one_thread_or_one_item_runs_on_the_caller() {
+        let caller = std::thread::current().id();
+        for (jobs, n) in [(1, 5), (4, 1)] {
+            let ids = map_with_jobs(jobs, vec![(); n], |()| std::thread::current().id());
+            assert_eq!(ids, vec![caller; n], "{jobs} threads, {n} items");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cell 11 failed")]
+    fn a_panicking_item_reaches_the_caller() {
+        map_with_jobs(4, (0..16).collect(), |i: u32| {
+            if i == 11 {
+                panic!("cell {i} failed");
+            }
+        });
+    }
+
+    #[test]
+    fn panic_message_downcasts_common_payloads() {
+        let literal: Box<dyn Any + Send> = Box::new("literal");
+        assert_eq!(panic_message(literal.as_ref()), "literal");
+        let formatted: Box<dyn Any + Send> = Box::new(String::from("formatted 7"));
+        assert_eq!(panic_message(formatted.as_ref()), "formatted 7");
+        let other: Box<dyn Any + Send> = Box::new(42u32);
+        assert_eq!(panic_message(other.as_ref()), "non-string panic payload");
     }
 
     #[test]

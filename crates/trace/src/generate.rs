@@ -372,7 +372,6 @@ fn generate_cluster_stream(
 mod tests {
     use super::*;
     use crate::profiles;
-    use mcgpu_types::LineAddr;
 
     fn cfg() -> MachineConfig {
         MachineConfig::experiment_baseline()
@@ -517,6 +516,5 @@ mod tests {
             (frac - expected).abs() < 0.05,
             "write frac {frac} vs {expected}"
         );
-        let _ = LineAddr(0); // silence unused import in some cfgs
     }
 }

@@ -628,11 +628,9 @@ impl MachineConfig {
                 let (_, cols) = self.mesh_dims();
                 let mut out = Vec::new();
                 for i in 0..n {
-                    let (r, c) = (i / cols, i % cols);
-                    if c + 1 < cols {
+                    if i % cols + 1 < cols {
                         out.push((ChipId(i as u8), ChipId((i + 1) as u8)));
                     }
-                    let _ = r;
                     if i + cols < n {
                         out.push((ChipId(i as u8), ChipId((i + cols) as u8)));
                     }
