@@ -44,38 +44,6 @@ impl ArchBandwidth {
     }
 }
 
-/// Per-topology structural capacities of the inter-chip fabric (GB/s ==
-/// bytes/cycle), derived from the machine configuration. `B_inter` in
-/// [`ArchBandwidth`] is the *mean* per-chip egress
-/// ([`FabricCapacity::mean_egress_gbs`]); the bisection and the busiest
-/// chip's egress bound what the fabric can actually move for a given
-/// topology and chip count — the scale-out figures report them alongside
-/// the EAB decision.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FabricCapacity {
-    /// Minimum link capacity crossing a balanced cut, per direction.
-    pub bisection_gbs: f64,
-    /// One directed link's bandwidth.
-    pub link_gbs: f64,
-    /// Egress bandwidth of the highest-degree chip.
-    pub max_egress_gbs: f64,
-    /// Mean per-chip egress bandwidth (equals `ArchBandwidth::b_inter`).
-    pub mean_egress_gbs: f64,
-}
-
-impl FabricCapacity {
-    /// Compute the configured topology's capacities.
-    pub fn from_config(cfg: &mcgpu_types::MachineConfig) -> Self {
-        let max_degree = cfg.max_chip_degree() as f64;
-        FabricCapacity {
-            bisection_gbs: cfg.bisection_gbs(),
-            link_gbs: cfg.interchip_pair_gbs,
-            max_egress_gbs: max_degree * cfg.interchip_pair_gbs,
-            mean_egress_gbs: cfg.inter_gbs_per_chip(),
-        }
-    }
-}
-
 /// Workload- and configuration-dependent model inputs (Table 2, bottom),
 /// collected during the profiling window (§3.4).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -328,30 +296,20 @@ mod tests {
     }
 
     #[test]
-    fn fabric_capacity_tracks_topology() {
+    fn arch_bandwidth_tracks_topology() {
         use mcgpu_types::{MachineConfig, TopologyKind};
         let mut cfg = MachineConfig::paper_baseline();
-        // Ring baseline: 2 links cross any balanced cut, every chip has
-        // degree 2, and B_inter agrees with the mean egress.
-        let ring = FabricCapacity::from_config(&cfg);
-        assert!((ring.bisection_gbs - 2.0 * cfg.interchip_pair_gbs).abs() < 1e-9);
-        assert!((ring.max_egress_gbs - ring.mean_egress_gbs).abs() < 1e-9);
-        assert!((ring.mean_egress_gbs - 192.0).abs() < 1e-9);
-        // All-to-all at 8 chips: 4 x 4 links cross the cut; B_inter grows
-        // with degree.
+        // Ring baseline: every chip has degree 2, and 2 links cross any
+        // balanced cut.
+        assert!((ArchBandwidth::from_config(&cfg).b_inter - 192.0).abs() < 1e-9);
+        assert!((cfg.bisection_gbs() - 2.0 * cfg.interchip_pair_gbs).abs() < 1e-9);
+        // All-to-all at 8 chips: B_inter grows with degree, and 4 x 4
+        // links cross the cut.
         cfg.topology = TopologyKind::FullyConnected;
         cfg.chips = 8;
-        let full = FabricCapacity::from_config(&cfg);
-        assert!((full.bisection_gbs - 16.0 * cfg.interchip_pair_gbs).abs() < 1e-9);
-        assert!((full.mean_egress_gbs - 7.0 * cfg.interchip_pair_gbs).abs() < 1e-9);
-        // Mean egress always equals the model's B_inter input.
-        for kind in TopologyKind::ALL {
-            cfg.topology = kind;
-            let cap = FabricCapacity::from_config(&cfg);
-            let arch = ArchBandwidth::from_config(&cfg);
-            assert!((cap.mean_egress_gbs - arch.b_inter).abs() < 1e-9, "{kind}");
-            assert!(cap.bisection_gbs > 0.0 && cap.max_egress_gbs >= cap.mean_egress_gbs - 1e-9);
-        }
+        let full = ArchBandwidth::from_config(&cfg);
+        assert!((full.b_inter - 7.0 * cfg.interchip_pair_gbs).abs() < 1e-9);
+        assert!((cfg.bisection_gbs() - 16.0 * cfg.interchip_pair_gbs).abs() < 1e-9);
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub mod overhead;
 pub use controller::{SacConfig, SacController, SacState};
 pub use counters::{lsu, ProfileCollector};
 pub use crd::Crd;
-pub use eab::{ArchBandwidth, EabInputs, EabModel, FabricCapacity};
+pub use eab::{ArchBandwidth, EabInputs, EabModel};
 pub use estimate::{estimate_cell, FastCellEstimate, FastKernelEstimate, KernelProfile};
 pub use overhead::HardwareOverhead;
 

@@ -1,4 +1,4 @@
-//! Inter-chip fabric: topology-generic packet transport.
+//! Inter-chip fabric: packet transport over the configured topology.
 //!
 //! The fabric keeps one directed bandwidth/latency [`Pipe`] per (chip,
 //! neighbor-slot) of the configured [`Topology`] and forwards multi-hop
@@ -16,13 +16,13 @@
 //! NVLink-class links in total, 3 per adjacent pair, 96 GB/s per
 //! direction per pair) this reproduces the original hard-wired ring
 //! fabric bit-for-bit: slot 0 is clockwise, slot 1 counter-clockwise, and
-//! the [`Ring`](crate::topology::Ring) routing policy is the original
-//! shortest-path/balanced-tie-break/long-way-around logic.
+//! [`Topology::route`] keeps the original shortest-path/balanced-tie-break/
+//! long-way-around logic.
 //!
 //! [`fail_link`]: FabricNetwork::fail_link
 //! [`tick`]: FabricNetwork::tick
 
-use crate::topology::{build_topology, Topology};
+use crate::topology::Topology;
 use mcgpu_types::{earliest_event, ActiveSet, ChipId, MachineConfig, Pipe};
 use std::collections::VecDeque;
 
@@ -82,7 +82,10 @@ impl<T> SendError<T> {
 #[derive(Debug)]
 pub struct FabricNetwork<T> {
     chips: usize,
-    topo: Box<dyn Topology>,
+    topo: Topology,
+    /// The configured bandwidth of one directed link, GB/s, which
+    /// [`FabricNetwork::degrade_link`] scales.
+    link_gbs: f64,
     /// `links[from][slot]` carries traffic from `from` to its `slot`-th
     /// neighbor. On a ring, slot 0 = clockwise (to chip+1), slot 1 =
     /// counter-clockwise.
@@ -128,13 +131,13 @@ impl<T> FabricNetwork<T> {
     /// `cfg.link_latency`; `queue_depth` bounds each link's injection
     /// queue.
     pub fn new(cfg: &MachineConfig, queue_depth: usize) -> Self {
-        let topo = build_topology(cfg);
+        let topo = Topology::new(cfg);
         let n = cfg.chips;
         let links: Vec<Vec<Pipe<FabricPacket<T>>>> = ChipId::all(n)
             .map(|c| {
                 topo.neighbors(c)
                     .iter()
-                    .map(|_| Pipe::new(topo.link_gbs(), topo.link_latency(), Some(queue_depth)))
+                    .map(|_| Pipe::new(cfg.interchip_pair_gbs, cfg.link_latency, Some(queue_depth)))
                     .collect()
             })
             .collect();
@@ -159,6 +162,7 @@ impl<T> FabricNetwork<T> {
         let mut fabric = FabricNetwork {
             chips: n,
             topo,
+            link_gbs: cfg.interchip_pair_gbs,
             links,
             alive,
             routes: vec![vec![None; n]; n],
@@ -239,7 +243,7 @@ impl<T> FabricNetwork<T> {
     /// bandwidth, in both directions. Queued and in-flight packets are
     /// unaffected; future packets transmit at the reduced rate.
     pub fn degrade_link(&mut self, a: ChipId, b: ChipId, factor: f64) {
-        let rate = self.topo.link_gbs() * factor;
+        let rate = self.link_gbs * factor;
         let s_ab = self.slot_towards(a, b);
         let s_ba = self.slot_towards(b, a);
         self.links[a.index()][s_ab].set_rate(rate);

@@ -1,5 +1,5 @@
-//! Interconnect substrates: intra-chip crossbar NoC, topology-generic
-//! inter-chip fabric, and a first-order physical (area/power) model.
+//! Interconnect substrates: intra-chip crossbar NoC, inter-chip fabric,
+//! and a first-order physical (area/power) model.
 //!
 //! The baseline machine (§2) uses a concentrated hierarchical crossbar per
 //! chip — logically a 38×22 crossbar connecting 32 SM clusters plus 6
@@ -7,10 +7,11 @@
 //! links on the output side — and an inter-chip ring of 3 NVLink-class links
 //! per adjacent pair. Requests and responses travel on **separate
 //! networks** (§3.1), so the simulator instantiates two [`Crossbar`]s and
-//! two [`FabricNetwork`]s per direction. The inter-chip fabric is generic
-//! over a [`Topology`] ([`topology::Ring`], [`topology::FullyConnected`],
-//! [`topology::Mesh2D`]); the paper's 4-chip ring is the default and the
-//! `Ring` implementation reproduces the original hard-wired ring exactly.
+//! two [`FabricNetwork`]s per direction. The inter-chip fabric routes over
+//! one concrete [`Topology`] built from the configured
+//! [`TopologyKind`](mcgpu_types::TopologyKind) (`ring`, `full` or
+//! `mesh2d`); the paper's 4-chip ring is the default, and its routing
+//! reproduces the original hard-wired ring exactly.
 //!
 //! # Example
 //!
@@ -36,4 +37,4 @@ pub mod topology;
 pub use crossbar::Crossbar;
 pub use fabric::{FabricNetwork, SendError};
 pub use physical::{NocPhysical, PhysicalEstimate};
-pub use topology::{build_topology, Topology};
+pub use topology::Topology;

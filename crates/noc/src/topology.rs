@@ -1,74 +1,131 @@
-//! Inter-chip fabric topologies.
+//! The inter-chip fabric topology.
 //!
-//! [`Topology`] abstracts the structure of the inter-chip fabric — node
-//! count, slot-ordered neighbor sets, per-link bandwidth/latency, and a
-//! deterministic fault-aware `route` — so the packet-moving fabric
-//! ([`crate::FabricNetwork`]) is topology-generic. Three implementations
-//! ship: [`Ring`] (bit-exact reproduction of the original hard-wired
-//! 4-chip ring, Table 3), [`FullyConnected`], and [`Mesh2D`]. The
-//! structural facts (who neighbors whom, canonical link lists) come from
-//! [`MachineConfig`] so every layer — fault validation, the engine's
-//! degraded-link bandwidth factors, this fabric — agrees on the same
-//! graph.
+//! [`Topology`] is the structure of the configured fabric — its
+//! [`TopologyKind`] and every chip's slot-ordered neighbor list — plus a
+//! deterministic fault-aware router that matches on the kind. The
+//! neighbor lists come from [`MachineConfig::neighbor_list`], so every
+//! layer (fault validation, the engine's degraded-link bandwidth factors,
+//! the packet-moving [`crate::FabricNetwork`]) agrees on one graph. The
+//! ring reproduces the original hard-wired 4-chip ring (Table 3) exactly;
+//! the fully-connected and 2-D mesh fabrics route breadth-first.
 
 use mcgpu_types::{ChipId, MachineConfig, TopologyKind};
+use std::cmp::Ordering;
 
 /// Per-chip, per-slot directed-link liveness: `alive[chip][slot]` is
 /// whether chip `chip` can transmit on its `slot`-th outgoing link.
 pub type LinkLiveness = [Vec<bool>];
 
-/// The structure of an inter-chip fabric.
+/// The structure and routing policy of an inter-chip fabric.
 ///
 /// Slots are positions in a chip's ordered neighbor list; the fabric keeps
-/// one directed [`mcgpu_types::Pipe`] per (chip, slot). `route` returns
-/// the outgoing slot a packet should take for its next hop and must be
+/// one directed [`mcgpu_types::Pipe`] per (chip, slot). Routing is
 /// deterministic in its inputs — simulation reproducibility (and the
 /// byte-exact golden suite) depends on it.
-pub trait Topology: std::fmt::Debug + Send + Sync {
-    /// Which topology this is.
-    fn kind(&self) -> TopologyKind;
+#[derive(Debug)]
+pub struct Topology {
+    kind: TopologyKind,
+    neighbors: Vec<Vec<ChipId>>,
+}
+
+impl Topology {
+    /// The fabric of `cfg.topology` over `cfg.chips` chips.
+    pub fn new(cfg: &MachineConfig) -> Self {
+        Topology {
+            kind: cfg.topology,
+            neighbors: ChipId::all(cfg.chips)
+                .map(|c| cfg.neighbor_list(c))
+                .collect(),
+        }
+    }
 
     /// Number of chips on the fabric.
-    fn nodes(&self) -> usize;
+    pub fn nodes(&self) -> usize {
+        self.neighbors.len()
+    }
 
-    /// Slot-ordered neighbors of `chip`. A slot's position is stable for
-    /// the lifetime of the fabric; a 2-chip ring has two slots both
+    /// Slot-ordered neighbors of `chip`. A 2-chip ring has two slots both
     /// pointing at the other chip (parallel links).
-    fn neighbors(&self, chip: ChipId) -> &[ChipId];
-
-    /// Bandwidth of one directed link, GB/s (== bytes/cycle).
-    fn link_gbs(&self) -> f64;
-
-    /// Latency of one hop, cycles.
-    fn link_latency(&self) -> u64;
+    pub fn neighbors(&self, chip: ChipId) -> &[ChipId] {
+        &self.neighbors[chip.index()]
+    }
 
     /// The outgoing slot at `from` for a packet destined to `dest`, given
     /// current link liveness, or `None` when failures have disconnected
     /// `dest` from `from`. Routing is a pure function of liveness, so the
-    /// fabric tabulates it once per liveness change (see
-    /// [`route_row`](Topology::route_row)) rather than per packet.
-    fn route(&self, from: ChipId, dest: ChipId, alive: &LinkLiveness) -> Option<usize>;
+    /// fabric tabulates it once per liveness change with
+    /// [`route_row`](Topology::route_row) rather than per packet.
+    ///
+    /// The ring takes the shortest direction (slot 0 clockwise, slot 1
+    /// counter-clockwise; ties go clockwise from even-indexed sources to
+    /// balance the two) when every link along it is alive, else the long
+    /// way round. The other kinds take the first slot of a shortest live
+    /// path, searched breadth-first in slot order.
+    pub fn route(&self, from: ChipId, dest: ChipId, alive: &LinkLiveness) -> Option<usize> {
+        match self.kind {
+            TopologyKind::Ring => self.ring_route(from.index(), dest.index(), alive),
+            TopologyKind::FullyConnected | TopologyKind::Mesh2D => {
+                let mut row = vec![None; self.nodes()];
+                self.bfs_row(from, alive, &mut row);
+                row[dest.index()]
+            }
+        }
+    }
 
     /// Fill `row[dest]` with [`route`](Topology::route)`(from, dest,
-    /// alive)` for every chip `dest` (`row[from]` is `None`). The default
-    /// calls `route` once per destination; breadth-first topologies
-    /// override it with one [`bfs_row`](Topology::bfs_row) pass.
-    fn route_row(&self, from: ChipId, alive: &LinkLiveness, row: &mut [Option<usize>]) {
-        for dest in ChipId::all(self.nodes()) {
-            row[dest.index()] = if dest == from {
-                None
-            } else {
-                self.route(from, dest, alive)
-            };
+    /// alive)` for every chip `dest` (`row[from]` is `None`): one
+    /// breadth-first pass, or the ring's closed form per destination.
+    pub fn route_row(&self, from: ChipId, alive: &LinkLiveness, row: &mut [Option<usize>]) {
+        match self.kind {
+            TopologyKind::Ring => {
+                for dest in ChipId::all(self.nodes()) {
+                    row[dest.index()] = if dest == from {
+                        None
+                    } else {
+                        self.ring_route(from.index(), dest.index(), alive)
+                    };
+                }
+            }
+            TopologyKind::FullyConnected | TopologyKind::Mesh2D => self.bfs_row(from, alive, row),
         }
+    }
+
+    /// The ring's closed form. On a 2-chip ring both directions reach the
+    /// same chip, so everything prefers slot 0, as the original ring did.
+    fn ring_route(&self, from: usize, dest: usize, alive: &LinkLiveness) -> Option<usize> {
+        let n = self.nodes();
+        let cw = (dest + n - from) % n;
+        let clockwise = match cw.cmp(&(n - cw)) {
+            Ordering::Less => true,
+            Ordering::Greater => false,
+            Ordering::Equal => from.is_multiple_of(2),
+        };
+        let preferred = usize::from(!clockwise && n > 2);
+        // Every directed link from `from` to `dest` going `dir` is alive.
+        let path_alive = |dir: usize| {
+            let mut c = from;
+            while c != dest {
+                if !alive[c][dir] {
+                    return false;
+                }
+                c = if dir == 0 {
+                    (c + 1) % n
+                } else {
+                    (c + n - 1) % n
+                };
+            }
+            true
+        };
+        [preferred, 1 - preferred]
+            .into_iter()
+            .find(|&dir| path_alive(dir))
     }
 
     /// Shortest-path next hops from `from` to every chip over live links,
     /// by one breadth-first pass expanding neighbors in slot order
     /// (deterministic): `row[c]` is the slot taken at `from` on the first
     /// shortest path that reaches `c`, or `None` when `c` is unreachable
-    /// or is `from` itself. The routing policy for topologies without a
-    /// closed-form one.
+    /// or is `from` itself.
     fn bfs_row(&self, from: ChipId, alive: &LinkLiveness, row: &mut [Option<usize>]) {
         row.fill(None);
         let mut queue = Vec::with_capacity(self.nodes());
@@ -90,248 +147,6 @@ pub trait Topology: std::fmt::Debug + Send + Sync {
             }
         }
     }
-
-    /// One destination's entry of a fresh [`bfs_row`](Topology::bfs_row):
-    /// the per-pair `route` of breadth-first topologies.
-    fn bfs_route(&self, from: ChipId, dest: ChipId, alive: &LinkLiveness) -> Option<usize> {
-        let mut row = vec![None; self.nodes()];
-        self.bfs_row(from, alive, &mut row);
-        row[dest.index()]
-    }
-}
-
-/// Shared structural skeleton: precomputed slot-ordered neighbor lists
-/// plus uniform link bandwidth/latency, all taken from [`MachineConfig`].
-#[derive(Debug)]
-struct Structure {
-    chips: usize,
-    neighbors: Vec<Vec<ChipId>>,
-    link_gbs: f64,
-    link_latency: u64,
-}
-
-impl Structure {
-    fn from_config(cfg: &MachineConfig) -> Self {
-        Structure {
-            chips: cfg.chips,
-            neighbors: ChipId::all(cfg.chips)
-                .map(|c| cfg.neighbor_list(c))
-                .collect(),
-            link_gbs: cfg.interchip_pair_gbs,
-            link_latency: cfg.link_latency,
-        }
-    }
-}
-
-/// The paper's ring (Table 3): slot 0 is clockwise (towards `chip + 1`),
-/// slot 1 counter-clockwise. Routing reproduces the original hard-wired
-/// behavior exactly: shortest path with even-source-goes-clockwise
-/// tie-breaking, whole-path liveness check per direction, fall back to the
-/// long way around, `None` on partition.
-#[derive(Debug)]
-pub struct Ring {
-    s: Structure,
-}
-
-impl Ring {
-    /// Build from `cfg` (`cfg.topology` need not be `Ring`; the structure
-    /// is taken as a ring of `cfg.chips` chips).
-    pub fn new(cfg: &MachineConfig) -> Self {
-        let mut ring_cfg = cfg.clone();
-        ring_cfg.topology = TopologyKind::Ring;
-        Ring {
-            s: Structure::from_config(&ring_cfg),
-        }
-    }
-
-    /// The preferred (shortest-path) direction from `from` to `dest`:
-    /// 0 = clockwise, 1 = counter-clockwise, ties broken clockwise for
-    /// even-indexed sources to balance the two directions.
-    fn preferred_dir(&self, from: ChipId, dest: ChipId) -> usize {
-        let n = self.s.chips;
-        let cw = (dest.index() + n - from.index()) % n;
-        let ccw = n - cw;
-        let clockwise = match cw.cmp(&ccw) {
-            std::cmp::Ordering::Less => true,
-            std::cmp::Ordering::Greater => false,
-            std::cmp::Ordering::Equal => from.index().is_multiple_of(2),
-        };
-        let next = if clockwise {
-            (from.index() + 1) % n
-        } else {
-            (from.index() + n - 1) % n
-        };
-        // Map the chosen next-hop chip back to a slot the way the original
-        // ring fabric did: anything landing on `from + 1` is slot 0. On a
-        // 2-chip ring both directions reach the same chip, so everything
-        // rides slot 0 — exactly the legacy behavior.
-        if next == (from.index() + 1) % n {
-            0
-        } else {
-            1
-        }
-    }
-
-    /// Whether every directed link from `from` to `dest` going `dir` is
-    /// alive.
-    fn path_alive(&self, from: usize, dest: usize, dir: usize, alive: &LinkLiveness) -> bool {
-        let n = self.s.chips;
-        let mut c = from;
-        while c != dest {
-            if !alive[c][dir] {
-                return false;
-            }
-            c = if dir == 0 {
-                (c + 1) % n
-            } else {
-                (c + n - 1) % n
-            };
-        }
-        true
-    }
-}
-
-impl Topology for Ring {
-    fn kind(&self) -> TopologyKind {
-        TopologyKind::Ring
-    }
-
-    fn nodes(&self) -> usize {
-        self.s.chips
-    }
-
-    fn neighbors(&self, chip: ChipId) -> &[ChipId] {
-        &self.s.neighbors[chip.index()]
-    }
-
-    fn link_gbs(&self) -> f64 {
-        self.s.link_gbs
-    }
-
-    fn link_latency(&self) -> u64 {
-        self.s.link_latency
-    }
-
-    fn route(&self, from: ChipId, dest: ChipId, alive: &LinkLiveness) -> Option<usize> {
-        let preferred = self.preferred_dir(from, dest);
-        if self.path_alive(from.index(), dest.index(), preferred, alive) {
-            return Some(preferred);
-        }
-        let other = 1 - preferred;
-        if self.path_alive(from.index(), dest.index(), other, alive) {
-            return Some(other);
-        }
-        None
-    }
-}
-
-/// Every chip pair directly linked; routing is the direct link when alive,
-/// else a BFS detour through an intermediate chip.
-#[derive(Debug)]
-pub struct FullyConnected {
-    s: Structure,
-}
-
-impl FullyConnected {
-    /// Build an all-to-all fabric over `cfg.chips` chips.
-    pub fn new(cfg: &MachineConfig) -> Self {
-        let mut fc_cfg = cfg.clone();
-        fc_cfg.topology = TopologyKind::FullyConnected;
-        FullyConnected {
-            s: Structure::from_config(&fc_cfg),
-        }
-    }
-}
-
-impl Topology for FullyConnected {
-    fn kind(&self) -> TopologyKind {
-        TopologyKind::FullyConnected
-    }
-
-    fn nodes(&self) -> usize {
-        self.s.chips
-    }
-
-    fn neighbors(&self, chip: ChipId) -> &[ChipId] {
-        &self.s.neighbors[chip.index()]
-    }
-
-    fn link_gbs(&self) -> f64 {
-        self.s.link_gbs
-    }
-
-    fn link_latency(&self) -> u64 {
-        self.s.link_latency
-    }
-
-    fn route(&self, from: ChipId, dest: ChipId, alive: &LinkLiveness) -> Option<usize> {
-        self.bfs_route(from, dest, alive)
-    }
-
-    fn route_row(&self, from: ChipId, alive: &LinkLiveness, row: &mut [Option<usize>]) {
-        self.bfs_row(from, alive, row);
-    }
-}
-
-/// A 2-D mesh: chips placed row-major on the most balanced
-/// `rows x cols` grid (see [`MachineConfig::mesh_dims`]), slot order
-/// north, south, west, east (absent edges skipped). Routing is BFS
-/// shortest-path over live links, which reduces to deterministic
-/// dimension-ordered-ish routing on a healthy mesh and reroutes around
-/// failed links automatically.
-#[derive(Debug)]
-pub struct Mesh2D {
-    s: Structure,
-}
-
-impl Mesh2D {
-    /// Build the mesh fabric over `cfg.chips` chips.
-    pub fn new(cfg: &MachineConfig) -> Self {
-        let mut mesh_cfg = cfg.clone();
-        mesh_cfg.topology = TopologyKind::Mesh2D;
-        Mesh2D {
-            s: Structure::from_config(&mesh_cfg),
-        }
-    }
-}
-
-impl Topology for Mesh2D {
-    fn kind(&self) -> TopologyKind {
-        TopologyKind::Mesh2D
-    }
-
-    fn nodes(&self) -> usize {
-        self.s.chips
-    }
-
-    fn neighbors(&self, chip: ChipId) -> &[ChipId] {
-        &self.s.neighbors[chip.index()]
-    }
-
-    fn link_gbs(&self) -> f64 {
-        self.s.link_gbs
-    }
-
-    fn link_latency(&self) -> u64 {
-        self.s.link_latency
-    }
-
-    fn route(&self, from: ChipId, dest: ChipId, alive: &LinkLiveness) -> Option<usize> {
-        self.bfs_route(from, dest, alive)
-    }
-
-    fn route_row(&self, from: ChipId, alive: &LinkLiveness, row: &mut [Option<usize>]) {
-        self.bfs_row(from, alive, row);
-    }
-}
-
-/// Instantiate the topology selected by `cfg.topology`.
-pub fn build_topology(cfg: &MachineConfig) -> Box<dyn Topology> {
-    match cfg.topology {
-        TopologyKind::Ring => Box::new(Ring::new(cfg)),
-        TopologyKind::FullyConnected => Box::new(FullyConnected::new(cfg)),
-        TopologyKind::Mesh2D => Box::new(Mesh2D::new(cfg)),
-    }
 }
 
 #[cfg(test)]
@@ -345,7 +160,11 @@ mod tests {
         c
     }
 
-    fn all_alive(topo: &dyn Topology) -> Vec<Vec<bool>> {
+    fn topology(kind: TopologyKind, chips: usize) -> Topology {
+        Topology::new(&cfg_for(kind, chips))
+    }
+
+    fn all_alive(topo: &Topology) -> Vec<Vec<bool>> {
         ChipId::all(topo.nodes())
             .map(|c| vec![true; topo.neighbors(c).len()])
             .collect()
@@ -356,8 +175,7 @@ mod tests {
         for kind in TopologyKind::ALL {
             for chips in [2usize, 4, 8, 16] {
                 let cfg = cfg_for(kind, chips);
-                let topo = build_topology(&cfg);
-                assert_eq!(topo.kind(), kind);
+                let topo = Topology::new(&cfg);
                 assert_eq!(topo.nodes(), chips);
                 for chip in ChipId::all(chips) {
                     assert_eq!(topo.neighbors(chip), cfg.neighbor_list(chip).as_slice());
@@ -368,8 +186,7 @@ mod tests {
 
     #[test]
     fn ring_route_matches_legacy_direction_policy() {
-        let cfg = cfg_for(TopologyKind::Ring, 4);
-        let ring = Ring::new(&cfg);
+        let ring = topology(TopologyKind::Ring, 4);
         let alive = all_alive(&ring);
         // Adjacent: shortest direction.
         assert_eq!(ring.route(ChipId(0), ChipId(1), &alive), Some(0));
@@ -377,12 +194,16 @@ mod tests {
         // Opposite: even source clockwise, odd counter-clockwise.
         assert_eq!(ring.route(ChipId(0), ChipId(2), &alive), Some(0));
         assert_eq!(ring.route(ChipId(1), ChipId(3), &alive), Some(1));
+        // Two chips: both directions reach the other chip; slot 0 wins.
+        let ring = topology(TopologyKind::Ring, 2);
+        let alive = all_alive(&ring);
+        assert_eq!(ring.route(ChipId(0), ChipId(1), &alive), Some(0));
+        assert_eq!(ring.route(ChipId(1), ChipId(0), &alive), Some(0));
     }
 
     #[test]
     fn ring_reroutes_long_way_and_detects_partition() {
-        let cfg = cfg_for(TopologyKind::Ring, 4);
-        let ring = Ring::new(&cfg);
+        let ring = topology(TopologyKind::Ring, 4);
         let mut alive = all_alive(&ring);
         alive[0][0] = false; // 0 -> 1 dead
         assert_eq!(ring.route(ChipId(0), ChipId(1), &alive), Some(1));
@@ -392,8 +213,7 @@ mod tests {
 
     #[test]
     fn full_routes_direct_and_detours_around_dead_link() {
-        let cfg = cfg_for(TopologyKind::FullyConnected, 4);
-        let topo = FullyConnected::new(&cfg);
+        let topo = topology(TopologyKind::FullyConnected, 4);
         let mut alive = all_alive(&topo);
         // Direct: slot of dest in 0's neighbor list [1, 2, 3].
         assert_eq!(topo.route(ChipId(0), ChipId(2), &alive), Some(1));
@@ -405,8 +225,7 @@ mod tests {
     #[test]
     fn mesh_routes_shortest_and_reroutes() {
         // 2x2 mesh: 0 1 / 2 3. Chip 0 neighbors: [south=2, east=1].
-        let cfg = cfg_for(TopologyKind::Mesh2D, 4);
-        let topo = Mesh2D::new(&cfg);
+        let topo = topology(TopologyKind::Mesh2D, 4);
         let mut alive = all_alive(&topo);
         assert_eq!(topo.neighbors(ChipId(0)), &[ChipId(2), ChipId(1)]);
         // Diagonal 0 -> 3: two equal 2-hop paths; BFS slot order picks

@@ -17,7 +17,7 @@
 //! delivered or stranded by a partition), comparing every arrival, then
 //! the packets left and the counters.
 
-use mcgpu_noc::{build_topology, FabricNetwork, SendError, Topology};
+use mcgpu_noc::{FabricNetwork, SendError, Topology};
 use mcgpu_types::{ChipId, MachineConfig, Pipe, TopologyKind};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -33,7 +33,8 @@ struct Packet {
 /// The reference fabric: the per-hop re-routing packet mover.
 struct Reference {
     chips: usize,
-    topo: Box<dyn Topology>,
+    topo: Topology,
+    link_gbs: f64,
     links: Vec<Vec<Pipe<Packet>>>,
     alive: Vec<Vec<bool>>,
     transit: Vec<Vec<Packet>>,
@@ -45,13 +46,13 @@ struct Reference {
 
 impl Reference {
     fn new(cfg: &MachineConfig, queue_depth: usize) -> Self {
-        let topo = build_topology(cfg);
+        let topo = Topology::new(cfg);
         let n = cfg.chips;
         let links: Vec<Vec<Pipe<Packet>>> = ChipId::all(n)
             .map(|c| {
                 topo.neighbors(c)
                     .iter()
-                    .map(|_| Pipe::new(topo.link_gbs(), topo.link_latency(), Some(queue_depth)))
+                    .map(|_| Pipe::new(cfg.interchip_pair_gbs, cfg.link_latency, Some(queue_depth)))
                     .collect()
             })
             .collect();
@@ -60,6 +61,7 @@ impl Reference {
             alive: links.iter().map(|l| vec![true; l.len()]).collect(),
             links,
             topo,
+            link_gbs: cfg.interchip_pair_gbs,
             transit: (0..n).map(|_| Vec::new()).collect(),
             arrived: (0..n).map(|_| Vec::new()).collect(),
             delivered: 0,
@@ -77,7 +79,7 @@ impl Reference {
     }
 
     fn degrade_link(&mut self, a: ChipId, b: ChipId, factor: f64) {
-        let rate = self.topo.link_gbs() * factor;
+        let rate = self.link_gbs * factor;
         let (s_ab, s_ba) = (self.slot_towards(a, b), self.slot_towards(b, a));
         self.links[a.index()][s_ab].set_rate(rate);
         self.links[b.index()][s_ba].set_rate(rate);

@@ -1,11 +1,11 @@
-//! Property tests for topology-generic routing: every (src, dst) pair on
+//! Property tests for fabric routing: every (src, dst) pair on
 //! every topology × chip count delivers with no packet loss under `tick`,
 //! a single link failure reroutes when the machine stays connected and
 //! yields a typed `SendError::NoRoute` when it partitions — never a silent
 //! drop — and the fabric's next-hop table always equals per-pair
 //! `Topology::route` under the current link liveness.
 
-use mcgpu_noc::{build_topology, FabricNetwork, SendError, Topology};
+use mcgpu_noc::{FabricNetwork, SendError, Topology};
 use mcgpu_types::{ChipId, MachineConfig, TopologyKind};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -157,14 +157,9 @@ proptest! {
 }
 
 /// The per-pair breadth-first search that breadth-first topologies routed
-/// with before the single-source `Topology::bfs_row`: expand neighbors in
-/// slot order and stop at the first discovery of `dest`.
-fn per_pair_bfs(
-    topo: &dyn Topology,
-    from: ChipId,
-    dest: ChipId,
-    alive: &[Vec<bool>],
-) -> Option<usize> {
+/// with before `Topology::route_row` took one pass per source: expand
+/// neighbors in slot order and stop at the first discovery of `dest`.
+fn per_pair_bfs(topo: &Topology, from: ChipId, dest: ChipId, alive: &[Vec<bool>]) -> Option<usize> {
     let mut first_slot = vec![usize::MAX; topo.nodes()];
     let mut queue = std::collections::VecDeque::new();
     for (slot, &next) in topo.neighbors(from).iter().enumerate() {
@@ -204,7 +199,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let cfg = cfg_for(kind, chips);
-        let topo = build_topology(&cfg);
+        let topo = Topology::new(&cfg);
         let mut rng = SmallRng::seed_from_u64(seed);
         let dead = rng.gen_range(0.0..0.6);
         let alive: Vec<Vec<bool>> = ChipId::all(chips)
@@ -218,7 +213,7 @@ proptest! {
                 let route = topo.route(from, dest, &alive);
                 prop_assert_eq!(row[dest.index()], route, "{} {:?}->{:?}", kind, from, dest);
                 if kind != TopologyKind::Ring {
-                    prop_assert_eq!(route, per_pair_bfs(topo.as_ref(), from, dest, &alive));
+                    prop_assert_eq!(route, per_pair_bfs(&topo, from, dest, &alive));
                 }
             }
         }
@@ -235,7 +230,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let cfg = cfg_for(kind, chips);
-        let topo = build_topology(&cfg);
+        let topo = Topology::new(&cfg);
         let pairs = cfg.link_pairs();
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut fabric: FabricNetwork<u32> = FabricNetwork::new(&cfg, 8);

@@ -98,7 +98,6 @@ pub struct Cluster {
     /// retry only the MSHR allocation, so each access is looked up once.
     held_miss: bool,
     reads_done: u64,
-    writes_issued: u64,
 }
 
 impl Cluster {
@@ -122,7 +121,6 @@ impl Cluster {
             deferred: None,
             held_miss: false,
             reads_done: 0,
-            writes_issued: 0,
         }
     }
 
@@ -219,7 +217,6 @@ impl Cluster {
                 // and always send the write onward.
                 let _ = self.l1.lookup(line, sector, false);
                 self.cursor += 1;
-                self.writes_issued += 1;
                 self.gap_remaining = self.compute_gap;
                 Some((acc, true))
             }
@@ -297,11 +294,6 @@ impl Cluster {
         self.gap_remaining = self
             .gap_remaining
             .saturating_sub(u32::try_from(k).unwrap_or(u32::MAX));
-    }
-
-    /// Writes issued into the memory system.
-    pub fn writes_issued(&self) -> u64 {
-        self.writes_issued
     }
 
     /// Software coherence: invalidate the L1 (write-through, so nothing to
@@ -387,7 +379,6 @@ mod tests {
         assert_eq!(c.issue().unwrap().0.kind, AccessKind::Write);
         assert_eq!(c.issue().unwrap().0.kind, AccessKind::Write);
         assert!(c.done(), "writes hold no MSHRs");
-        assert_eq!(c.writes_issued(), 2);
     }
 
     #[test]

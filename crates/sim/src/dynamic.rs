@@ -16,7 +16,6 @@ pub struct DynamicCtl {
     local_ways: usize,
     last_ring_bytes: u64,
     last_mem_bytes: u64,
-    adjustments: u64,
 }
 
 impl DynamicCtl {
@@ -34,18 +33,12 @@ impl DynamicCtl {
             local_ways: assoc / 2,
             last_ring_bytes: 0,
             last_mem_bytes: 0,
-            adjustments: 0,
         }
     }
 
     /// Ways currently reserved for local data.
     pub fn local_ways(&self) -> usize {
         self.local_ways
-    }
-
-    /// Number of epoch adjustments performed.
-    pub fn adjustments(&self) -> u64 {
-        self.adjustments
     }
 
     /// The next cycle at which [`maybe_adjust`](DynamicCtl::maybe_adjust)
@@ -77,12 +70,7 @@ impl DynamicCtl {
         } else if mem_delta as f64 > ring_delta as f64 * 1.25 && self.local_ways < self.assoc - 1 {
             self.local_ways += 1;
         }
-        if self.local_ways != before {
-            self.adjustments += 1;
-            Some(self.local_ways)
-        } else {
-            None
-        }
+        (self.local_ways != before).then_some(self.local_ways)
     }
 
     /// Reset measurement state at a kernel boundary (the way split is kept —
@@ -140,7 +128,6 @@ mod tests {
         assert_eq!(c.maybe_adjust(1000, 1000, 1000), None);
         assert_eq!(c.maybe_adjust(2000, 2100, 2000), None, "within hysteresis");
         assert_eq!(c.local_ways(), 8);
-        assert_eq!(c.adjustments(), 0);
     }
 
     #[test]

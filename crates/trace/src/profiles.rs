@@ -325,22 +325,6 @@ pub fn by_name(name: &str) -> Option<BenchmarkProfile> {
     all_profiles().into_iter().find(|p| p.name == name)
 }
 
-/// The SM-side-preferred subset (top half of Table 4).
-pub fn sm_side_preferred() -> Vec<BenchmarkProfile> {
-    all_profiles()
-        .into_iter()
-        .filter(|p| p.preference == Preference::SmSide)
-        .collect()
-}
-
-/// The memory-side-preferred subset (bottom half of Table 4).
-pub fn memory_side_preferred() -> Vec<BenchmarkProfile> {
-    all_profiles()
-        .into_iter()
-        .filter(|p| p.preference == Preference::MemorySide)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,8 +333,10 @@ mod tests {
     fn sixteen_benchmarks_split_evenly() {
         let all = all_profiles();
         assert_eq!(all.len(), 16);
-        assert_eq!(sm_side_preferred().len(), 8);
-        assert_eq!(memory_side_preferred().len(), 8);
+        for pref in [Preference::SmSide, Preference::MemorySide] {
+            let count = all.iter().filter(|p| p.preference == pref).count();
+            assert_eq!(count, 8, "{pref:?}");
+        }
     }
 
     #[test]

@@ -123,24 +123,6 @@ impl PageAddr {
     pub const fn index(self) -> u64 {
         self.0
     }
-
-    /// The first byte address of this page.
-    #[inline]
-    pub fn base(self, page_size: u64) -> Address {
-        Address(self.0 * page_size)
-    }
-
-    /// The first line of this page.
-    #[inline]
-    pub fn first_line(self, line_size: u64, page_size: u64) -> LineAddr {
-        LineAddr(self.0 * (page_size / line_size))
-    }
-
-    /// Number of cache lines in a page.
-    #[inline]
-    pub fn lines_per_page(line_size: u64, page_size: u64) -> u64 {
-        page_size / line_size
-    }
 }
 
 impl fmt::Display for PageAddr {
@@ -164,14 +146,6 @@ mod tests {
         assert_eq!(a.line(LINE).page(LINE, PAGE), a.page(PAGE));
         assert_eq!(a.line(LINE).base(LINE).raw(), 5 * PAGE + 3 * LINE);
         assert_eq!(a.line_offset(LINE), 17);
-    }
-
-    #[test]
-    fn page_first_line() {
-        let p = PageAddr(7);
-        assert_eq!(p.first_line(LINE, PAGE).index(), 7 * 32);
-        assert_eq!(PageAddr::lines_per_page(LINE, PAGE), 32);
-        assert_eq!(p.base(PAGE).raw(), 7 * 4096);
     }
 
     #[test]

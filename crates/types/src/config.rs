@@ -7,9 +7,6 @@
 use crate::error::ConfigError;
 use crate::ids::ChipId;
 
-/// Bandwidth unit marker: 1 GB/s == 1 byte/cycle at the 1 GHz GPU clock.
-pub const GB_S: f64 = 1.0;
-
 /// The five LLC organizations compared in the paper's evaluation (§5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LlcOrgKind {
@@ -523,10 +520,10 @@ impl MachineConfig {
     }
 
     /// Inter-chip bandwidth available to one chip per direction, GB/s
-    /// (`B_inter`): the mean chip degree times the per-pair bandwidth
-    /// (exactly two ring neighbours on the baseline ring).
+    /// (`B_inter`): the mean chip degree, `2 x links / chips`, times the
+    /// per-pair bandwidth (exactly two ring neighbours on any ring).
     pub fn inter_gbs_per_chip(&self) -> f64 {
-        self.mean_degree() * self.interchip_pair_gbs
+        2.0 * self.num_links() as f64 / self.chips as f64 * self.interchip_pair_gbs
     }
 
     /// DRAM bandwidth per chip (one memory partition), GB/s (`B_mem`).
@@ -564,8 +561,7 @@ impl MachineConfig {
         let i = chip.index();
         match self.topology {
             TopologyKind::Ring => {
-                let (cw, ccw) = self.ring_neighbors(chip);
-                vec![cw, ccw]
+                vec![ChipId(((i + 1) % n) as u8), ChipId(((i + n - 1) % n) as u8)]
             }
             TopologyKind::FullyConnected => (0..n)
                 .filter(|&j| j != i)
@@ -593,16 +589,10 @@ impl MachineConfig {
     }
 
     /// Whether `a` and `b` are directly linked under the configured
-    /// topology (false for `a == b`).
+    /// topology: `b` is in `a`'s [`neighbor_list`](Self::neighbor_list)
+    /// (so false for `a == b` and for chips outside the machine).
     pub fn is_adjacent(&self, a: ChipId, b: ChipId) -> bool {
-        a != b
-            && a.index() < self.chips
-            && b.index() < self.chips
-            && match self.topology {
-                TopologyKind::Ring => self.ring_distance(a, b) == 1,
-                TopologyKind::FullyConnected => true,
-                TopologyKind::Mesh2D => self.neighbor_list(a).contains(&b),
-            }
+        a.index() < self.chips && self.neighbor_list(a).contains(&b)
     }
 
     /// The canonical undirected link list of the configured topology. The
@@ -642,11 +632,7 @@ impl MachineConfig {
 
     /// Number of undirected links in the configured topology.
     pub fn num_links(&self) -> usize {
-        match self.topology {
-            TopologyKind::Ring => self.chips,
-            TopologyKind::FullyConnected => self.chips * (self.chips - 1) / 2,
-            TopologyKind::Mesh2D => self.link_pairs().len(),
-        }
+        self.link_pairs().len()
     }
 
     /// Index of the undirected link `{a, b}` in the canonical link list,
@@ -696,11 +682,6 @@ impl MachineConfig {
             .unwrap_or(0)
     }
 
-    /// Mean chip degree: `2 x links / chips` (exactly 2 on any ring).
-    pub fn mean_degree(&self) -> f64 {
-        2.0 * self.num_links() as f64 / self.chips as f64
-    }
-
     /// Inter-chip bisection bandwidth of the configured topology per
     /// direction, GB/s: the minimum link capacity crossing a balanced cut.
     pub fn bisection_gbs(&self) -> f64 {
@@ -724,20 +705,6 @@ impl MachineConfig {
     /// times the per-pair bandwidth (`2 x interchip_pair_gbs` on the ring).
     pub fn egress_gbs(&self, chip: ChipId) -> f64 {
         self.chip_degree(chip) as f64 * self.interchip_pair_gbs
-    }
-
-    /// The two ring neighbours of `chip` (clockwise, counter-clockwise).
-    pub fn ring_neighbors(&self, chip: ChipId) -> (ChipId, ChipId) {
-        let n = self.chips;
-        let i = chip.index();
-        (ChipId(((i + 1) % n) as u8), ChipId(((i + n - 1) % n) as u8))
-    }
-
-    /// Number of ring hops between two chips along the shortest path.
-    pub fn ring_distance(&self, from: ChipId, to: ChipId) -> usize {
-        let n = self.chips;
-        let cw = (to.index() + n - from.index()) % n;
-        cw.min(n - cw)
     }
 }
 
@@ -796,10 +763,14 @@ mod tests {
         for chips in [2usize, 3, 4, 8] {
             c.chips = chips;
             assert_eq!(c.num_links(), chips);
-            assert!((c.mean_degree() - 2.0).abs() == 0.0);
+            assert_eq!(c.inter_gbs_per_chip(), 2.0 * c.interchip_pair_gbs);
             for chip in ChipId::all(chips) {
-                let (cw, ccw) = c.ring_neighbors(chip);
-                assert_eq!(c.neighbor_list(chip), vec![cw, ccw]);
+                let i = chip.index();
+                let (cw, ccw) = ((i + 1) % chips, (i + chips - 1) % chips);
+                assert_eq!(
+                    c.neighbor_list(chip),
+                    vec![ChipId(cw as u8), ChipId(ccw as u8)]
+                );
                 assert_eq!(c.chip_degree(chip), 2);
                 assert!((c.egress_gbs(chip) - 2.0 * c.interchip_pair_gbs).abs() < 1e-12);
             }
@@ -830,13 +801,24 @@ mod tests {
         let mut c = MachineConfig::paper_baseline();
         for kind in TopologyKind::ALL {
             c.topology = kind;
-            for chips in [2usize, 4, 6, 8, 16] {
+            for chips in [2usize, 3, 4, 6, 8, 16] {
                 c.chips = chips;
                 let pairs = c.link_pairs();
-                assert_eq!(pairs.len(), c.num_links(), "{kind} chips={chips}");
-                if kind != TopologyKind::Ring {
+                // Adjacency is exactly membership in the link list, over
+                // every ordered pair and one chip outside the machine.
+                for a in ChipId::all(chips + 1) {
+                    for b in ChipId::all(chips + 1) {
+                        let linked = pairs.contains(&(a, b)) || pairs.contains(&(b, a));
+                        assert_eq!(
+                            c.is_adjacent(a, b),
+                            linked,
+                            "{kind} chips={chips} {a:?}-{b:?}"
+                        );
+                    }
+                }
+                // The 2-chip ring lists its pair twice; both map to link 1.
+                if kind != TopologyKind::Ring || chips > 2 {
                     for (idx, &(a, b)) in pairs.iter().enumerate() {
-                        assert!(c.is_adjacent(a, b), "{kind} {a:?}-{b:?}");
                         assert_eq!(c.link_index(a, b), Some(idx));
                         assert_eq!(c.link_index(b, a), Some(idx));
                     }
@@ -922,12 +904,13 @@ mod tests {
     }
 
     #[test]
-    fn ring_distances() {
+    fn ring_adjacency() {
         let c = MachineConfig::paper_baseline();
-        assert_eq!(c.ring_distance(ChipId(0), ChipId(1)), 1);
-        assert_eq!(c.ring_distance(ChipId(0), ChipId(2)), 2);
-        assert_eq!(c.ring_distance(ChipId(0), ChipId(3)), 1);
-        assert_eq!(c.ring_distance(ChipId(3), ChipId(0)), 1);
+        assert!(c.is_adjacent(ChipId(0), ChipId(1)));
+        assert!(!c.is_adjacent(ChipId(0), ChipId(2)));
+        assert!(c.is_adjacent(ChipId(0), ChipId(3)));
+        assert!(c.is_adjacent(ChipId(3), ChipId(0)));
+        assert!(!c.is_adjacent(ChipId(1), ChipId(1)));
     }
 
     #[test]
@@ -935,7 +918,9 @@ mod tests {
         let mut c = MachineConfig::paper_baseline();
         c.chips = 2;
         c.validate().unwrap();
-        assert_eq!(c.ring_distance(ChipId(0), ChipId(1)), 1);
+        assert!(c.is_adjacent(ChipId(0), ChipId(1)));
+        assert!(c.is_adjacent(ChipId(1), ChipId(0)));
+        assert!(!c.is_adjacent(ChipId(0), ChipId(0)));
     }
 
     #[test]

@@ -7,8 +7,6 @@
 //! stringly panic payload:
 //!
 //! - [`ConfigError`] — a machine/workload configuration is inconsistent.
-//! - [`TraceError`] — a benchmark or trace request cannot be satisfied
-//!   (unknown profile name, empty workload).
 //! - [`ParseError`] — malformed input to one of the hand-rolled readers
 //!   (canonical stats JSON, the sweep run journal).
 //! - [`JournalError`] — a run-journal record is structurally valid JSON but
@@ -50,44 +48,6 @@ impl fmt::Display for ConfigError {
 }
 
 impl Error for ConfigError {}
-
-/// A benchmark or trace request could not be satisfied.
-///
-/// # Example
-/// ```
-/// use mcgpu_types::TraceError;
-///
-/// let e = TraceError::UnknownBenchmark { name: "BOGUS".into() };
-/// assert!(e.to_string().contains("BOGUS"));
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceError {
-    /// No benchmark profile with this name exists.
-    UnknownBenchmark {
-        /// The name that failed to resolve.
-        name: String,
-    },
-    /// A generated or loaded workload contains no accesses.
-    EmptyWorkload {
-        /// The workload's benchmark name.
-        name: String,
-    },
-}
-
-impl fmt::Display for TraceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceError::UnknownBenchmark { name } => {
-                write!(f, "unknown benchmark `{name}` (see table04_workloads)")
-            }
-            TraceError::EmptyWorkload { name } => {
-                write!(f, "workload `{name}` contains no accesses")
-            }
-        }
-    }
-}
-
-impl Error for TraceError {}
 
 /// Malformed input to one of the hand-rolled readers (canonical stats
 /// JSON, journal records).
@@ -172,7 +132,6 @@ mod tests {
     fn is_send_sync_error() {
         fn takes_err<E: Error + Send + Sync + 'static>(_: E) {}
         takes_err(ConfigError::new("x"));
-        takes_err(TraceError::UnknownBenchmark { name: "x".into() });
         takes_err(ParseError::new("x"));
         takes_err(JournalError::new("x"));
     }

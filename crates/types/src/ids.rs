@@ -1,9 +1,8 @@
 //! Identifiers for the hardware units of a multi-chip GPU.
 //!
-//! All identifiers are small copyable newtypes ([`ChipId`], [`ClusterId`],
-//! [`SliceId`], [`ChannelId`]). Units that exist per chip (SM clusters, LLC
-//! slices, memory channels) are identified by a `(chip, index)` pair so that
-//! the same code can address "slice 3 of chip 1" without ambiguity.
+//! Both identifiers are small copyable newtypes: [`ChipId`] names a chip,
+//! and [`ClusterId`] names an SM cluster by its `(chip, index)` pair, so
+//! the same code can address "cluster 3 of chip 1" without ambiguity.
 
 use std::fmt;
 
@@ -69,70 +68,6 @@ impl fmt::Display for ClusterId {
     }
 }
 
-/// Identifies one LLC slice within a chip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct SliceId {
-    /// The chip this slice belongs to.
-    pub chip: ChipId,
-    /// The slice index within the chip.
-    pub index: u16,
-}
-
-impl SliceId {
-    /// Create a slice id from a chip and an intra-chip index.
-    #[inline]
-    pub fn new(chip: ChipId, index: usize) -> Self {
-        SliceId {
-            chip,
-            index: index as u16,
-        }
-    }
-
-    /// Flat index across the whole machine given `slices_per_chip`.
-    #[inline]
-    pub fn flat(self, slices_per_chip: usize) -> usize {
-        self.chip.index() * slices_per_chip + self.index as usize
-    }
-}
-
-impl fmt::Display for SliceId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:llc{}", self.chip, self.index)
-    }
-}
-
-/// Identifies one DRAM channel within a chip's memory partition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct ChannelId {
-    /// The chip whose memory partition hosts this channel.
-    pub chip: ChipId,
-    /// The channel index within the partition.
-    pub index: u16,
-}
-
-impl ChannelId {
-    /// Create a channel id from a chip and an intra-partition index.
-    #[inline]
-    pub fn new(chip: ChipId, index: usize) -> Self {
-        ChannelId {
-            chip,
-            index: index as u16,
-        }
-    }
-
-    /// Flat index across the whole machine given `channels_per_chip`.
-    #[inline]
-    pub fn flat(self, channels_per_chip: usize) -> usize {
-        self.chip.index() * channels_per_chip + self.index as usize
-    }
-}
-
-impl fmt::Display for ChannelId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:mc{}", self.chip, self.index)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,7 +83,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for chip in ChipId::all(4) {
             for i in 0..16 {
-                assert!(seen.insert(SliceId::new(chip, i).flat(16)));
+                assert!(seen.insert(ClusterId::new(chip, i).flat(16)));
             }
         }
         assert_eq!(seen.len(), 64);
@@ -159,7 +94,5 @@ mod tests {
     fn display_is_informative() {
         assert_eq!(ChipId(3).to_string(), "chip3");
         assert_eq!(ClusterId::new(ChipId(1), 7).to_string(), "chip1:sm7");
-        assert_eq!(SliceId::new(ChipId(0), 2).to_string(), "chip0:llc2");
-        assert_eq!(ChannelId::new(ChipId(2), 5).to_string(), "chip2:mc5");
     }
 }

@@ -41,17 +41,16 @@ pub use active::ActiveSet;
 pub use addr::{Address, LineAddr, PageAddr, SectorId};
 pub use budget::BandwidthBudget;
 pub use config::{
-    CoherenceKind, LlcOrgKind, MachineConfig, MemoryInterface, PolicyCtx, ScaleFactor,
-    TopologyKind, GB_S,
+    CoherenceKind, LlcOrgKind, MachineConfig, MemoryInterface, PolicyCtx, ScaleFactor, TopologyKind,
 };
-pub use error::{ConfigError, JournalError, ParseError, TraceError};
+pub use error::{ConfigError, JournalError, ParseError};
 pub use expect::{
     Check, CrossvalField, Expectation, ExpectationSet, Finding, Metric, Report, Severity, Verdict,
     EXPECT_SCHEMA, REPORT_SCHEMA,
 };
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use hash::{LineHasher, LineMap, LineSet};
-pub use ids::{ChannelId, ChipId, ClusterId, SliceId};
+pub use ids::{ChipId, ClusterId};
 pub use locality::KernelProfile;
 pub use mode::{EngineMode, ModeDescriptor, ENGINE_MODES};
 pub use obs::{ObsConfig, ObsLevel};

@@ -96,12 +96,6 @@ impl Request {
             AccessKind::Write => REQ_HEADER_BYTES + WRITE_PAYLOAD_BYTES,
         }
     }
-
-    /// Whether the issuing cluster is on the page's home chip.
-    #[inline]
-    pub fn is_local(&self) -> bool {
-        self.origin.chip == self.home
-    }
 }
 
 /// Where a response's data was found (Fig. 10 breakdown).
@@ -134,16 +128,6 @@ impl ResponseOrigin {
             ResponseOrigin::LocalMem => "local mem",
             ResponseOrigin::RemoteMem => "remote mem",
         }
-    }
-
-    /// Whether the data came from an LLC (hit) rather than DRAM.
-    pub fn is_llc(self) -> bool {
-        matches!(self, ResponseOrigin::LocalLlc | ResponseOrigin::RemoteLlc)
-    }
-
-    /// Whether the data came from the requesting chip.
-    pub fn is_local(self) -> bool {
-        matches!(self, ResponseOrigin::LocalLlc | ResponseOrigin::LocalMem)
     }
 }
 
@@ -214,18 +198,7 @@ mod tests {
     }
 
     #[test]
-    fn locality() {
-        assert!(req(AccessKind::Read, 2, 2).is_local());
-        assert!(!req(AccessKind::Read, 2, 3).is_local());
-    }
-
-    #[test]
-    fn origin_classification() {
-        assert!(ResponseOrigin::LocalLlc.is_llc());
-        assert!(ResponseOrigin::RemoteLlc.is_llc());
-        assert!(!ResponseOrigin::LocalMem.is_llc());
-        assert!(ResponseOrigin::LocalMem.is_local());
-        assert!(!ResponseOrigin::RemoteMem.is_local());
+    fn origin_labels_are_distinct() {
         let labels: std::collections::HashSet<_> =
             ResponseOrigin::ALL.iter().map(|o| o.label()).collect();
         assert_eq!(labels.len(), 4);
