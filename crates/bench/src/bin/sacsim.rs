@@ -11,8 +11,8 @@
 //!
 //! Any other flag, or a flag value that does not parse, exits 2.
 //!
-//! ORG is any token or label from the LLC-organization registry
-//! (`--list-orgs` prints them), or `all`. Prints the full run statistics;
+//! ORG is any LLC organization's token or label (`--list-orgs` prints
+//! them), or `all`. Prints the full run statistics;
 //! `--org all` fans every organization out over the sweep pool and prints
 //! a comparison table; `--json` prints the canonical golden-stat JSON
 //! instead (single organization only).
@@ -27,7 +27,7 @@
 //! the clock over cycles in which nothing can move; `--mode fast`
 //! evaluates cells with the analytic locality estimator instead (no cycle
 //! simulation, so `--obs*` and `--trace-out` are rejected with it).
-//! `--list-modes` prints the registry.
+//! `--list-modes` prints the modes.
 //!
 //! Robustness knobs: `--watchdog-cycles N` sets the forward-progress
 //! watchdog window (`MCGPU_WATCHDOG_CYCLES` works too; `18446744073709551615`
@@ -78,15 +78,15 @@ fn main() {
     reject_unknown_flags(FLAGS);
     if std::env::args().any(|a| a == "--list-orgs") {
         println!("{:8} {:12} summary", "token", "label");
-        for d in &mcgpu_sim::org::REGISTRY {
-            println!("{:8} {:12} {}", d.token, d.kind.label(), d.summary);
+        for org in LlcOrgKind::ALL {
+            println!("{:8} {:12} {}", org.token(), org.label(), org.summary());
         }
         return;
     }
     if std::env::args().any(|a| a == "--list-modes") {
         println!("{:8} summary", "token");
-        for d in &mcgpu_types::ENGINE_MODES {
-            println!("{:8} {}", d.token, d.summary);
+        for mode in EngineMode::ALL {
+            println!("{:8} {}", mode.token(), mode.summary());
         }
         return;
     }
@@ -94,12 +94,12 @@ fn main() {
     let org = match arg_value::<String>("--org").as_deref() {
         None => Some(LlcOrgKind::MemorySide),
         Some("all") => None,
-        Some(other) => match mcgpu_sim::org::org_by_token(other) {
+        Some(other) => match LlcOrgKind::from_token(other) {
             Some(kind) => Some(kind),
             None => {
-                let known: Vec<String> = mcgpu_sim::org::REGISTRY
+                let known: Vec<String> = LlcOrgKind::ALL
                     .iter()
-                    .map(|d| format!("{} ({})", d.token, d.kind.label()))
+                    .map(|o| format!("{} ({})", o.token(), o.label()))
                     .collect();
                 eprintln!(
                     "unknown organization {other}; known: {}, or `all` (see --list-orgs)",

@@ -35,7 +35,8 @@ const fn case(name: &'static str, bench: &'static str, org: LlcOrgKind) -> Case 
 
 /// The fixed suite. Kept small enough for every-PR CI (quick trace volume)
 /// while covering each organization, both coherence schemes, and sectored
-/// caches.
+/// caches. At this volume the SAC cases record no decision and stay
+/// memory-side throughout.
 pub fn suite() -> Vec<Case> {
     vec![
         case("sn_memside", "SN", LlcOrgKind::MemorySide),

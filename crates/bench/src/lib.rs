@@ -189,7 +189,7 @@ pub fn parse_mode_or_exit(token: &str) -> EngineMode {
     EngineMode::from_token(token).unwrap_or_else(|| {
         eprintln!(
             "error: unknown engine mode `{token}`; known modes: {} (see --list-modes)",
-            EngineMode::tokens().join(", ")
+            EngineMode::ALL.map(EngineMode::token).join(", ")
         );
         std::process::exit(2);
     })

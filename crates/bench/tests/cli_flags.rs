@@ -1,7 +1,9 @@
 //! Command-line hygiene of every `sac-bench` binary: a flag the binary
 //! does not read, and an environment value that does not parse, exit 2
 //! before any work starts, naming the offending flag or variable, so a
-//! misspelt or retired option is never silently ignored.
+//! misspelt or retired option is never silently ignored. `sacsim`'s
+//! organization and mode listings and its unknown-token errors are pinned
+//! byte for byte.
 
 use std::process::{Command, Output};
 
@@ -99,5 +101,55 @@ fn unparsable_environment_values_exit_2() {
     ] {
         let out = run(sacsim, &args, &[(var, value)]);
         assert_rejected(&format!("{var}={value}"), &out, var);
+    }
+}
+
+/// `sacsim --list-orgs` and `--list-modes`, byte for byte.
+#[test]
+fn sacsim_lists_every_organization_and_mode() {
+    let sacsim = bin!("sacsim").1;
+    let cases: [(&str, &str); 2] = [
+        (
+            "--list-orgs",
+            "token    label        summary\n\
+             mem      memory-side  baseline: slices cache the local partition's data for all chips\n\
+             sm       SM-side      two-NoC SM-side: slices cache whatever the local SMs access\n\
+             static   static       L1.5 static split: half the ways local, half remote\n\
+             dynamic  dynamic      dynamic way split adapting to local-memory vs inter-chip pressure\n\
+             sac      SAC          SAC: per-kernel memory-side/SM-side choice driven by the EAB model\n",
+        ),
+        (
+            "--list-modes",
+            "token    summary\n\
+             cycle    cycle-accurate simulation (ground truth)\n\
+             fast     analytic EAB/locality estimator (no cycle simulation; cross-validated)\n",
+        ),
+    ];
+    for (flag, expected) in cases {
+        let out = run(sacsim, &[flag], &[]);
+        assert_eq!(out.status.code(), Some(0), "{flag}");
+        assert_eq!(String::from_utf8_lossy(&out.stdout), expected, "{flag}");
+    }
+}
+
+/// An unknown `--org` or `--mode` exits 2 naming every known token.
+#[test]
+fn sacsim_names_every_token_on_an_unknown_org_or_mode() {
+    let sacsim = bin!("sacsim").1;
+    let cases: [(&[&str], &str); 2] = [
+        (
+            &["--org", "bogus"],
+            "unknown organization bogus; known: mem (memory-side), sm (SM-side), \
+             static (static), dynamic (dynamic), sac (SAC), or `all` (see --list-orgs)\n",
+        ),
+        (
+            &["--mode", "bogus"],
+            "error: unknown engine mode `bogus`; known modes: cycle, fast (see --list-modes)\n",
+        ),
+    ];
+    for (args, expected) in cases {
+        let out = run(sacsim, args, &[]);
+        assert_rejected(&format!("{args:?}"), &out, "bogus");
+        assert_eq!(String::from_utf8_lossy(&out.stderr), expected, "{args:?}");
     }
 }

@@ -1,5 +1,6 @@
 //! Kernel-boundary sequencing: software/hardware coherence actions, the
-//! policy's boundary decision, and the post-kernel drain (§2.1, §3.6, §4).
+//! organization's boundary decision, and the post-kernel drain (§2.1, §3.6,
+//! §4).
 
 use super::{SimError, Simulator};
 use crate::org::BoundaryAction;
@@ -51,10 +52,10 @@ impl Simulator {
 
     /// Kernel-boundary software coherence (§2.1, §4) and SAC revert (§3.6).
     ///
-    /// Sequencing matters: the policy's boundary action is read *before*
-    /// `end_kernel` (SAC reverts its mode there, and the action must
-    /// reflect the mode the kernel actually ran in), the drain runs next,
-    /// and the policy is told the drain finished last.
+    /// Sequencing matters: the organization's boundary action is read
+    /// *before* SAC's `end_kernel` (SAC reverts its mode there, and the
+    /// action must reflect the mode the kernel actually ran in), the drain
+    /// runs next, and SAC is told the drain finished last.
     pub(super) fn kernel_boundary(&mut self) -> Result<(), SimError> {
         let boundary_start = self.cycle;
         // L1s are invalidated under both coherence schemes (write-through,
@@ -65,7 +66,7 @@ impl Simulator {
             }
         }
 
-        match self.policy.boundary_action(self.cfg.coherence) {
+        match self.org.boundary_action(self.cfg.coherence) {
             BoundaryAction::None => {}
             BoundaryAction::FlushAllDirty => self.start_llc_flush(),
             BoundaryAction::FlushRemoteDirty => {
@@ -97,8 +98,11 @@ impl Simulator {
 
         // SAC reverts to memory-side; the flush above already ran if the
         // coherence scheme required it, and draining happens below together
-        // with the flush traffic.
-        self.policy.end_kernel();
+        // with the flush traffic, so whether the revert needs a drain is
+        // not consulted.
+        if let Some(sac) = self.org.sac_mut() {
+            sac.end_kernel();
+        }
 
         // Let all writebacks and invalidations drain. Injected faults can
         // wedge this drain too (e.g. a partitioned ring holding a remote
@@ -108,7 +112,9 @@ impl Simulator {
             self.check_progress()?;
         }
         let now = self.cycle;
-        self.policy.boundary_drained(now);
+        if let Some(sac) = self.org.sac_mut() {
+            sac.drain_complete(now);
+        }
         if let Some(o) = self.obs.as_deref_mut() {
             o.note_boundary(boundary_start, now);
         }

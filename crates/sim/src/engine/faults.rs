@@ -65,12 +65,9 @@ impl Simulator {
 
     /// Re-derive the effective architectural bandwidths from the surviving
     /// hardware and hand them to the SAC controller, so its EAB decisions
-    /// reason about the machine as it now is. A no-op for policies without
-    /// a SAC controller.
+    /// reason about the machine as it now is. A no-op for organizations
+    /// other than SAC.
     fn refresh_sac_arch(&mut self) {
-        if self.policy.sac().is_none() {
-            return;
-        }
         let base = ArchBandwidth::from_config(&self.cfg);
         let n = self.cfg.chips as f64;
         let link_mean = self.link_factor.iter().sum::<f64>() / self.link_factor.len().max(1) as f64;
@@ -91,15 +88,13 @@ impl Simulator {
             })
             .sum::<f64>()
             / n;
-        let sac = self
-            .policy
-            .sac_mut()
-            .expect("sac() checked non-empty above");
-        sac.update_arch(ArchBandwidth {
-            b_intra: base.b_intra,
-            b_inter: base.b_inter * link_mean,
-            b_llc: base.b_llc * llc_mean,
-            b_mem: base.b_mem * mem_mean,
-        });
+        if let Some(sac) = self.org.sac_mut() {
+            sac.update_arch(ArchBandwidth {
+                b_intra: base.b_intra,
+                b_inter: base.b_inter * link_mean,
+                b_llc: base.b_llc * llc_mean,
+                b_mem: base.b_mem * mem_mean,
+            });
+        }
     }
 }

@@ -19,9 +19,10 @@
 //!   issue phase visits, and running values for the per-cycle sums.
 //!
 //! Everything that varies *by LLC organization* — routing, fills, way
-//! splits, boundary actions, reconfiguration — lives behind
-//! [`crate::org::LlcOrgPolicy`]; the engine only applies what the policy
-//! decides.
+//! splits, boundary actions — is a method of the simulator's [`LlcOrg`],
+//! which matches on its variant. The engine applies those decisions, and
+//! once per cycle runs the organization's controller against the machine:
+//! the Dynamic way split, and SAC's §3.6 drain/flush sequence.
 
 #![deny(missing_docs)]
 
@@ -41,7 +42,7 @@ pub use diagnostics::{
 
 use crate::chip::Chip;
 use crate::obs::{ChipSample, MachineSnapshot, ObsReport, Observer};
-use crate::org::{self, LlcOrgPolicy, Pause, RouteMode};
+use crate::org::{LlcOrg, Pause};
 use crate::packet::{FabricPayload, RspEnvelope};
 use crate::stats::{KernelStats, RunStats};
 use coherence::SharerDirectory;
@@ -149,8 +150,8 @@ impl SimBuilder {
         self.cfg.validate()?;
         self.fault_plan.validate(&self.cfg)?;
         self.obs.validate()?;
-        let policy = org::build_policy(self.org, &self.cfg, self.sac_cfg)?;
-        Ok(Simulator::new(self, policy))
+        let org = LlcOrg::new(self.org, &self.cfg, self.sac_cfg)?;
+        Ok(Simulator::new(self, org))
     }
 }
 
@@ -158,9 +159,9 @@ impl SimBuilder {
 #[derive(Debug)]
 pub struct Simulator {
     cfg: MachineConfig,
-    /// The LLC-organization policy: every routing/fill/partition/boundary
-    /// decision, plus the organization's internal controller state.
-    policy: Box<dyn LlcOrgPolicy>,
+    /// The LLC organization: every routing/fill/partition/boundary
+    /// decision, plus its runtime controller state.
+    org: LlcOrg,
     chips: Vec<Chip>,
     fabric: FabricNetwork<FabricPayload>,
     page_table: PageTable,
@@ -235,7 +236,7 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    fn new(b: SimBuilder, policy: Box<dyn LlcOrgPolicy>) -> Self {
+    fn new(b: SimBuilder, org: LlcOrg) -> Self {
         let SimBuilder {
             cfg,
             org: _,
@@ -263,7 +264,7 @@ impl Simulator {
             in_flight: 0,
             max_in_flight: 0,
             pause: Pause::Running,
-            policy,
+            org,
             directory: SharerDirectory::default(),
             fault_plan,
             watchdog_window: cfg.watchdog_cycles,
@@ -298,11 +299,6 @@ impl Simulator {
         &self.cfg
     }
 
-    /// The simulated LLC organization.
-    pub fn organization(&self) -> LlcOrgKind {
-        self.policy.kind()
-    }
-
     /// Number of times the engine jumped its clock over cycles in which
     /// nothing could move. Diagnostic only: skip accounting never appears
     /// in [`RunStats`] or observability reports, which are byte-identical
@@ -317,9 +313,9 @@ impl Simulator {
         self.skipped_cycles
     }
 
-    /// Apply (or clear) the policy's way split on every LLC slice.
+    /// Apply (or clear) the organization's way split on every LLC slice.
     fn apply_partitioning(&mut self) {
-        let split = self.policy.way_split();
+        let split = self.org.way_split();
         for chip in &mut self.chips {
             for slice in &mut chip.slices {
                 match split {
@@ -328,11 +324,6 @@ impl Simulator {
                 }
             }
         }
-    }
-
-    /// The policy's current request routing mode.
-    fn route_mode(&self) -> RouteMode {
-        self.policy.route_mode()
     }
 
     // ------------------------------------------------------------------
@@ -377,7 +368,7 @@ impl Simulator {
 
             let (now, ring_bytes, mem_bytes) =
                 (self.cycle, self.fabric.bytes_sent(), self.mem_bytes_total());
-            self.policy.begin_kernel(now, ring_bytes, mem_bytes);
+            self.org.begin_kernel(now, ring_bytes, mem_bytes);
 
             // Execute until the kernel completes.
             while !self.kernel_done() {
@@ -398,13 +389,13 @@ impl Simulator {
             self.kernel_boundary()?;
             self.overhead_cycles += self.cycle - boundary_start;
 
-            let sac_mode = self.policy.sac().and_then(|s| {
-                s.history()
-                    .iter()
-                    .rev()
-                    .find(|r| r.start_cycle >= kernel_start_cycle)
-                    .map(|r| r.mode)
-            });
+            let sac_mode = self
+                .org
+                .sac_history()
+                .iter()
+                .rev()
+                .find(|r| r.start_cycle >= kernel_start_cycle)
+                .map(|r| r.mode);
             let accesses = self.sched.reads() + self.writes_done - work_before;
             self.kernels.push(KernelStats {
                 index: ki,
@@ -448,7 +439,7 @@ impl Simulator {
             l1.merge(&chip.l1_stats());
             llc.merge(&chip.llc_stats());
         }
-        let sac = self.policy.sac();
+        let sac = self.org.sac();
         let (crd_occupied, crd_capacity) = sac
             .map(|s| s.collector().crd_occupancy())
             .unwrap_or_default();
@@ -508,10 +499,10 @@ impl Simulator {
             llc_hits: llc.hits,
             l1_accesses: l1.accesses,
             l1_hits: l1.hits,
-            route_mode: self.route_mode().label(),
+            route_mode: self.org.route_mode().label(),
             pause: self.pause.label(),
-            controller: self.policy.controller_state_label().unwrap_or("-"),
-            sac_decisions: sac.map(|s| s.history().len() as u64).unwrap_or(0),
+            controller: sac.map_or("-", |s| s.state_label()),
+            sac_decisions: self.org.sac_history().len() as u64,
             sac_window_requests: sac.map(|s| s.collector().total_requests()).unwrap_or(0),
             crd_occupied,
             crd_capacity,
@@ -525,15 +516,10 @@ impl Simulator {
     pub fn take_obs_report(&mut self) -> Option<ObsReport> {
         self.obs.as_ref()?;
         let snap = self.machine_snapshot();
-        let history: Vec<sac::controller::KernelRecord> = self
-            .policy
-            .sac()
-            .map(|s| s.history().to_vec())
-            .unwrap_or_default();
-        let org = self.policy.kind().label();
+        let org = self.org.kind().label();
         self.obs
             .take()
-            .map(|o| o.finalize(org, self.cycle, &snap, &history))
+            .map(|o| o.finalize(org, self.cycle, &snap, self.org.sac_history()))
     }
 
     /// Take `times` LLC occupancy samples (Fig. 9) of the current cache
@@ -574,7 +560,7 @@ impl Simulator {
             llc.merge(&chip.llc_stats());
         }
         RunStats {
-            organization: self.policy.kind(),
+            organization: self.org.kind(),
             cycles: self.cycle,
             reads: self.sched.reads(),
             writes: self.writes_done,
@@ -597,11 +583,7 @@ impl Simulator {
             overhead_cycles: self.overhead_cycles,
             max_in_flight: self.max_in_flight,
             kernels: self.kernels.clone(),
-            sac_history: self
-                .policy
-                .sac()
-                .map(|s| s.history().to_vec())
-                .unwrap_or_default(),
+            sac_history: self.org.sac_history().to_vec(),
         }
     }
 }

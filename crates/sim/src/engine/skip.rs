@@ -29,8 +29,8 @@
 //!   countdown when next visited or frozen. A parked cluster's skipped
 //!   calls would have changed nothing.
 //! * **Fault plan** — the next scheduled hardware fault.
-//! * **Policy** — [`LlcOrgPolicy::next_policy_event`] bounds when the
-//!   organization's `on_cycle` hook can next act (SAC profiling deadlines,
+//! * **Organization** — [`LlcOrg::next_event`] bounds when the
+//!   organization's controller can next act (SAC profiling deadlines,
 //!   divergence-monitor expiry, Dynamic epoch boundaries), assuming no
 //!   datapath event until then.
 //! * **Sampling grid** — the observability epoch window.
@@ -42,7 +42,7 @@
 //!
 //! Why a window is exact: until the earliest event no item leaves a pipe
 //! and no budget changes, so no request retires, no cache line moves and
-//! the watchdog's progress signature is frozen; the policy sees the same
+//! the watchdog's progress signature is frozen; the controller sees the same
 //! inputs at every skipped cycle. LLC occupancy is sampled every
 //! [`OCC_SAMPLE_PERIOD`] cycles, but with the caches frozen every skipped
 //! sample adds the same `f64` pair, so the jump replays them by adding
@@ -50,7 +50,7 @@
 //! additions, bit for bit.
 //!
 //! [`tick`]: Simulator::tick
-//! [`LlcOrgPolicy::next_policy_event`]: crate::org::LlcOrgPolicy::next_policy_event
+//! [`LlcOrg::next_event`]: crate::org::LlcOrg::next_event
 
 use super::tick::OCC_SAMPLE_PERIOD;
 use super::Simulator;
@@ -105,7 +105,7 @@ impl Simulator {
         }
 
         // The organization's next possible action.
-        event = event.min(self.policy.next_policy_event(now).max(soon));
+        event = event.min(self.org.next_event(now).max(soon));
 
         // Sampling grid: observability epochs.
         if let Some(o) = self.obs.as_deref() {

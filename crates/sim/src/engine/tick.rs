@@ -1,6 +1,6 @@
 //! The per-cycle datapath pipeline: issue, request crossbars, LLC slices,
 //! the memory bypass, DRAM partitions, response delivery, the inter-chip
-//! fabric, and the per-cycle policy hook.
+//! fabric, and the per-cycle controller phase.
 //!
 //! Each phase visits only the members that can act: the clusters the
 //! issue schedule marks due, and the crossbar ports, slice service pipes,
@@ -9,14 +9,14 @@
 //! "Active sets").
 
 use super::Simulator;
-use crate::chip::Chip;
-use crate::org::{EpochCtx, Pause, RouteMode};
+use crate::org::{LlcOrg, Pause, RouteMode};
 use crate::packet::{FabricPayload, FillAction, ReqEnvelope, ReqStage, RspEnvelope};
 use mcgpu_cache::{DataHome, LookupOutcome};
 use mcgpu_mem::{interleave, DramRequest};
 use mcgpu_types::{
     AccessKind, ChipId, LineAddr, MemAccess, Request, RequestId, Response, ResponseOrigin,
 };
+use sac::LlcMode;
 
 /// Fabric egress queue bound (requests waiting to leave the chip).
 const PENDING_FABRIC_LIMIT: usize = 64;
@@ -164,8 +164,8 @@ impl Simulator {
             self.sched.assert_running_values(&self.chips);
         }
         self.sched.begin_phase();
-        let mode = self.route_mode();
-        let profiling = self.policy.sac().is_some_and(|s| s.is_profiling());
+        let mode = self.org.route_mode();
+        let profiling = self.org.sac().is_some_and(|s| s.is_profiling());
         let n_clusters = self.cfg.clusters_per_chip;
         // Round-robin arbitration: rotate which cluster gets first claim on
         // the cycle's NoC injection bandwidth, as a real allocator would.
@@ -213,7 +213,7 @@ impl Simulator {
                 let sector = self.sector_of(&acc);
                 let slice = self.slice_of(line);
                 let spc = self.cfg.slices_per_chip;
-                let sac = self.policy.sac_mut().expect("profiling implies sac");
+                let sac = self.org.sac_mut().expect("profiling implies sac");
                 sac.collector_mut().observe_request(
                     chip_id,
                     home,
@@ -264,7 +264,7 @@ impl Simulator {
             if profiling {
                 let sector = self.sector_of(&acc);
                 let spc = self.cfg.slices_per_chip;
-                let sac = self.policy.sac_mut().expect("profiling implies sac");
+                let sac = self.org.sac_mut().expect("profiling implies sac");
                 sac.collector_mut().observe_request(
                     chip_id,
                     home,
@@ -286,7 +286,7 @@ impl Simulator {
         let sector = self.sector_of(&env.req.access);
         let requester = env.req.origin.chip;
         let is_write = env.req.access.kind.is_write();
-        let profiling = self.policy.sac().is_some_and(|sc| sc.is_profiling());
+        let profiling = self.org.sac().is_some_and(|sc| sc.is_profiling());
 
         // A disabled (fused-off) slice holds nothing: every request misses
         // straight through to memory without touching the cache array.
@@ -304,7 +304,7 @@ impl Simulator {
             // measured rate is biased low relative to the CRD's prediction,
             // which observes the full (unmerged) request stream.
             let merged_would_hit = !hit && self.chips[c].slices[s].pending.contains(line.index());
-            if let Some(sac) = self.policy.sac_mut() {
+            if let Some(sac) = self.org.sac_mut() {
                 sac.collector_mut()
                     .observe_memside_llc(hit || merged_would_hit);
             }
@@ -363,7 +363,7 @@ impl Simulator {
                         // dirtying the local replica.
                         self.coherence_on_write(c, line);
                         let forward_to_home =
-                            home != chip_id && self.route_mode() == RouteMode::Tiered;
+                            home != chip_id && self.org.route_mode() == RouteMode::Tiered;
                         if !forward_to_home && self.try_merge_at_slice(c, s, line, env) {
                             // Slice MSHR hit: rides the in-flight fetch.
                         } else if home == chip_id {
@@ -401,7 +401,7 @@ impl Simulator {
                     // Slice MSHR hit: merged onto the in-flight fetch.
                 } else {
                     self.begin_fetch(c, s, line);
-                    match self.route_mode() {
+                    match self.org.route_mode() {
                         RouteMode::SmSide | RouteMode::MemorySide => {
                             // (MemorySide can momentarily see ToLocalSlice
                             // envelopes right after a SAC revert drain; they
@@ -571,11 +571,11 @@ impl Simulator {
             "local writes absorb at slices or memory, never via responses"
         );
         // Local responses never replicate; remote responses replicate (or
-        // not) exactly as the organization's policy dictates.
+        // not) exactly as the organization dictates.
         let fill = if requester == chip_id {
             FillAction::None
         } else {
-            self.policy.remote_fill_action()
+            self.org.remote_fill_action()
         };
         let env = RspEnvelope {
             rsp: Response {
@@ -725,52 +725,80 @@ impl Simulator {
         }
     }
 
-    /// The per-cycle policy hook: hand the organization's policy the cycle
-    /// context (with a lazily computed quiescence signal so non-SAC
-    /// organizations never walk the chips for it) and apply whatever
-    /// actions it returns, in a fixed order that matches the historical
-    /// controller sequencing: dirty writeback, pause transition, overhead
-    /// accounting, way-split repartition.
+    /// The per-cycle controller phase, after the datapath phases: Dynamic
+    /// re-balances its way split on its epoch grid, and SAC steps its §3.6
+    /// reconfiguration sequence. The other organizations have no
+    /// controller.
     fn controller_phase(&mut self, now: u64) {
-        let ring_bytes = self.fabric.bytes_sent();
-        let mem_bytes = self.mem_bytes_total();
-        let actions = {
-            // Borrow individual fields (all disjoint from `policy`) so the
-            // policy can observe the machine while it mutates itself.
-            let chips = &self.chips;
-            let fabric = &self.fabric;
-            let in_flight = self.in_flight;
-            let quiescent =
-                move || in_flight == 0 && fabric.is_empty() && chips.iter().all(Chip::is_quiescent);
-            let ctx = EpochCtx {
-                now,
-                ring_bytes,
-                mem_bytes,
-                quiescent: &quiescent,
-                work_done: self.sched.reads() + self.writes_done,
-            };
-            self.policy.on_cycle(&ctx, self.pause)
+        match self.org {
+            LlcOrg::Dynamic(_) => self.rebalance_ways(now),
+            LlcOrg::Sac(_) => self.sac_phase(now),
+            LlcOrg::MemorySide | LlcOrg::SmSide | LlcOrg::StaticHalf { .. } => {}
+        }
+    }
+
+    /// Let the Dynamic controller compare the epoch's ring and DRAM
+    /// traffic, and repartition every slice when it moves a way.
+    fn rebalance_ways(&mut self, now: u64) {
+        let (ring_bytes, mem_bytes) = (self.fabric.bytes_sent(), self.mem_bytes_total());
+        let LlcOrg::Dynamic(ctl) = &mut self.org else {
+            return;
         };
-        if actions.writeback_dirty {
+        if ctl.maybe_adjust(now, ring_bytes, mem_bytes).is_some() {
+            self.apply_partitioning();
+        }
+    }
+
+    /// SAC's §3.6 sequence, Running → SacDrain → SacFlush → Running. A
+    /// decision for SM-side, or the divergence monitor, pauses issue to
+    /// drain; at quiescence a switch into SM-side writes back every dirty
+    /// line and waits for that traffic to drain too. Each paused cycle is
+    /// reconfiguration overhead.
+    fn sac_phase(&mut self, now: u64) {
+        let work_done = self.sched.reads() + self.writes_done;
+        // Quiescence walks every chip; only a paused machine reads it.
+        let paused = self.pause != Pause::Running;
+        let quiescent = paused && self.machine_quiescent();
+        let LlcOrg::Sac(sac) = &mut self.org else {
+            return;
+        };
+        let (next, writeback_dirty) = match self.pause {
+            Pause::Running => {
+                let decided_sm = sac.tick(now).is_some_and(|r| r.mode == LlcMode::SmSide);
+                // Graceful degradation: feed the divergence monitor the
+                // machine's completed-work count; it requests a drain when
+                // a running SM-side decision stops holding up.
+                let diverged = sac.observe_progress(now, work_done);
+                ((decided_sm || diverged).then_some(Pause::SacDrain), false)
+            }
+            // §3.6: write back and invalidate *dirty* lines; clean
+            // home-slice contents remain valid under SM-side routing (same
+            // slice hash).
+            Pause::SacDrain if quiescent => {
+                if sac.drain_complete(now) {
+                    (Some(Pause::SacFlush), true)
+                } else {
+                    (Some(Pause::Running), false)
+                }
+            }
+            Pause::SacFlush if quiescent => {
+                sac.flush_complete();
+                (Some(Pause::Running), false)
+            }
+            Pause::SacDrain | Pause::SacFlush => (None, false),
+        };
+        if writeback_dirty {
             self.start_llc_dirty_writeback();
         }
-        if let Some(p) = actions.set_pause {
-            if p != self.pause {
-                if let Some(o) = self.obs.as_deref_mut() {
-                    o.note_pause(now, p.label());
-                }
+        // Every transition above leaves the current state.
+        if let Some(p) = next {
+            if let Some(o) = self.obs.as_deref_mut() {
+                o.note_pause(now, p.label());
             }
             self.pause = p;
         }
-        if actions.overhead_cycle {
+        if paused {
             self.overhead_cycles += 1;
-        }
-        if let Some(ways) = actions.set_local_ways {
-            for chip in &mut self.chips {
-                for slice in &mut chip.slices {
-                    slice.cache.set_partition(ways);
-                }
-            }
         }
     }
 }

@@ -17,6 +17,10 @@
 //! * **SAC**: per-kernel reconfiguration between memory-side and SM-side
 //!   driven by the EAB model (the [`sac`] crate).
 //!
+//! The simulator holds its organization as one [`LlcOrg`] value, whose
+//! methods match on the variant at every decision that varies by
+//! organization (routing, fills, way split, kernel-boundary action).
+//!
 //! # Example
 //!
 //! ```
@@ -50,5 +54,5 @@ pub use engine::{
     Simulator,
 };
 pub use obs::{EpochSample, LatencyHistogram, MachineSnapshot, ObsReport, Observer, HIST_BUCKETS};
-pub use org::{BoundaryAction, LlcOrgPolicy, OrgDescriptor, RouteMode, REGISTRY};
+pub use org::{BoundaryAction, LlcOrg, RouteMode};
 pub use stats::{KernelStats, RunStats};

@@ -51,7 +51,7 @@ pub struct MachineSnapshot {
     pub l1_accesses: u64,
     /// Cumulative L1 hits (all clusters).
     pub l1_hits: u64,
-    /// Current routing-mode label from the organization policy.
+    /// Current routing-mode label of the LLC organization.
     pub route_mode: &'static str,
     /// Current pause-state label from the engine.
     pub pause: &'static str,

@@ -1,37 +1,38 @@
-//! Decision-table regression over the LLC-organization policy layer.
+//! Decision-table regression over the LLC organizations.
 //!
-//! Every (organization × coherence scheme) cell renders the policy's four
-//! static decisions — route mode, remote fill action, kernel-boundary
+//! Every (organization × coherence scheme) cell renders the organization's
+//! four static decisions — route mode, remote fill action, kernel-boundary
 //! action, and way split — as one row, and the whole table is compared
-//! against a committed expectation. Any behavioral drift in a policy (or a
-//! new organization forgetting a decision) shows up as a table diff, with
-//! both tables printed in full.
+//! against a committed expectation. Any behavioral drift in an
+//! organization shows up as a table diff, with both tables printed in
+//! full.
 
-use mcgpu_sim::org::{self, LlcOrgPolicy};
+use mcgpu_sim::LlcOrg;
 use mcgpu_types::{CoherenceKind, LlcOrgKind, MachineConfig};
 use sac::SacConfig;
 
-/// Render one policy's decision row under `coherence`.
-fn row(policy: &dyn LlcOrgPolicy, coherence: CoherenceKind) -> String {
-    let ways = match policy.way_split() {
+/// Render one organization's decision row under `coherence`.
+fn row(org: &LlcOrg, coherence: CoherenceKind) -> String {
+    let ways = match org.way_split() {
         Some(w) => format!("{w} local"),
         None => "unpartitioned".to_string(),
     };
     format!(
         "{:12} {:9} route={:12} fill={:15} boundary={:21} ways={}",
-        policy.kind().label(),
+        org.kind().label(),
         format!("{coherence:?}").to_lowercase(),
-        policy.route_mode().label(),
-        format!("{:?}", policy.remote_fill_action()),
-        policy.boundary_action(coherence).label(),
+        org.route_mode().label(),
+        format!("{:?}", org.remote_fill_action()),
+        org.boundary_action(coherence).label(),
         ways,
     )
 }
 
 /// The committed decision table (16-way LLC, so the partitioned
 /// organizations start at an 8-way local split). SAC rows reflect its
-/// kernel-start memory-side mode; its SM-side decisions are exercised by
-/// the behavioral tests in `organization_behaviors.rs`.
+/// kernel-start memory-side mode; its SM-side decisions are checked by
+/// `org::tests::sac_decides_like_the_side_it_runs` and the behavioral
+/// tests in `organization_behaviors.rs`.
 const EXPECTED: &[&str] = &[
     "memory-side  software  route=memory-side  fill=None            boundary=none                  ways=unpartitioned",
     "memory-side  hardware  route=memory-side  fill=None            boundary=drop-remote-replicas  ways=unpartitioned",
@@ -54,31 +55,16 @@ fn decision_table_is_stable() {
         for coherence in [CoherenceKind::Software, CoherenceKind::Hardware] {
             let mut cell = cfg.clone();
             cell.coherence = coherence;
-            let policy = org::build_policy(kind, &cell, SacConfig::for_machine(&cell))
+            let org = LlcOrg::new(kind, &cell, SacConfig::for_machine(&cell))
                 .expect("every organization builds on the paper baseline");
-            actual.push(row(policy.as_ref(), coherence));
+            actual.push(row(&org, coherence));
         }
     }
     assert_eq!(
         actual,
         EXPECTED,
-        "policy decision table drifted\n-- actual --\n{}\n-- expected --\n{}",
+        "organization decision table drifted\n-- actual --\n{}\n-- expected --\n{}",
         actual.join("\n"),
         EXPECTED.join("\n"),
     );
-}
-
-#[test]
-fn every_registered_org_has_table_rows() {
-    for d in &org::REGISTRY {
-        assert!(
-            EXPECTED
-                .iter()
-                .filter(|r| r.starts_with(&format!("{:12} ", d.kind.label())))
-                .count()
-                == 2,
-            "organization {} must have one row per coherence scheme",
-            d.kind.label()
-        );
-    }
 }

@@ -61,13 +61,6 @@ pub struct KernelBehavior {
     pub compute_gap: u32,
 }
 
-impl KernelBehavior {
-    /// Fraction of accesses to the non-shared stream.
-    pub fn f_non(&self) -> f64 {
-        (1.0 - self.f_true - self.f_false).max(0.0)
-    }
-}
-
 /// A Table 4 benchmark with its generator parameterization.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchmarkProfile {
@@ -357,8 +350,9 @@ mod tests {
             let total_weight: f64 = p.kernels.iter().map(|b| b.weight).sum();
             assert!((total_weight - 1.0).abs() < 1e-9, "{}", p.name);
             for b in &p.kernels {
+                // The non-shared stream's fraction, 1 - f_true - f_false,
+                // is never negative.
                 assert!(b.f_true + b.f_false <= 1.0 + 1e-9, "{}", p.name);
-                assert!(b.f_non() >= -1e-9);
                 assert!((0.0..=1.0).contains(&b.write_frac));
                 assert!(b.true_hot_frac > 0.0 && b.true_hot_frac <= 1.0);
                 assert!(b.block_rounds >= 1);

@@ -52,6 +52,41 @@ impl LlcOrgKind {
     pub fn from_label(label: &str) -> Option<LlcOrgKind> {
         LlcOrgKind::ALL.into_iter().find(|o| o.label() == label)
     }
+
+    /// Canonical CLI token (`--org <token>`).
+    pub fn token(self) -> &'static str {
+        match self {
+            LlcOrgKind::MemorySide => "mem",
+            LlcOrgKind::SmSide => "sm",
+            LlcOrgKind::StaticHalf => "static",
+            LlcOrgKind::Dynamic => "dynamic",
+            LlcOrgKind::Sac => "sac",
+        }
+    }
+
+    /// One-line description for `sacsim --list-orgs`.
+    pub fn summary(self) -> &'static str {
+        match self {
+            LlcOrgKind::MemorySide => {
+                "baseline: slices cache the local partition's data for all chips"
+            }
+            LlcOrgKind::SmSide => "two-NoC SM-side: slices cache whatever the local SMs access",
+            LlcOrgKind::StaticHalf => "L1.5 static split: half the ways local, half remote",
+            LlcOrgKind::Dynamic => {
+                "dynamic way split adapting to local-memory vs inter-chip pressure"
+            }
+            LlcOrgKind::Sac => "SAC: per-kernel memory-side/SM-side choice driven by the EAB model",
+        }
+    }
+
+    /// Resolve a CLI token (or a display label) to its organization.
+    /// Tokens are the canonical spelling; labels are accepted so journal
+    /// files and `--org SAC` keep working.
+    pub fn from_token(token: &str) -> Option<LlcOrgKind> {
+        LlcOrgKind::ALL
+            .into_iter()
+            .find(|o| o.token() == token || o.label() == token)
+    }
 }
 
 impl std::fmt::Display for LlcOrgKind {
@@ -71,12 +106,12 @@ pub enum CoherenceKind {
     Hardware,
 }
 
-/// The slice of a [`MachineConfig`] that LLC-organization policies consult
-/// when making routing, fill, way-partition and kernel-boundary decisions.
+/// The slice of a [`MachineConfig`] that sizes the LLC organizations'
+/// controllers: the Dynamic way split and the SAC profiling counters.
 ///
 /// Extracted once at simulator-build time ([`MachineConfig::policy_ctx`]) so
-/// a policy carries only the structural facts its decisions depend on, never
-/// the full machine configuration.
+/// a controller carries only the structural facts it depends on, never the
+/// full machine configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PolicyCtx {
     /// Number of chips in the machine.
@@ -89,8 +124,6 @@ pub struct PolicyCtx {
     pub llc_sets_per_chip: usize,
     /// Whether the LLC tracks per-sector validity.
     pub sectored: bool,
-    /// The coherence scheme enforced at kernel boundaries.
-    pub coherence: CoherenceKind,
 }
 
 /// Inter-chip fabric topology connecting the package's GPU chips.
@@ -491,7 +524,8 @@ impl MachineConfig {
         self.chips * self.slices_per_chip
     }
 
-    /// The policy-facing slice of this configuration (see [`PolicyCtx`]).
+    /// The slice of this configuration that sizes the LLC organizations'
+    /// controllers (see [`PolicyCtx`]).
     pub fn policy_ctx(&self) -> PolicyCtx {
         PolicyCtx {
             chips: self.chips,
@@ -500,7 +534,6 @@ impl MachineConfig {
             llc_sets_per_chip: (self.llc_bytes_per_chip / (self.llc_assoc as u64 * self.line_size))
                 as usize,
             sectored: self.sectored,
-            coherence: self.coherence,
         }
     }
 
@@ -962,5 +995,17 @@ mod tests {
             assert_eq!(LlcOrgKind::from_label(org.label()), Some(org));
         }
         assert_eq!(LlcOrgKind::from_label("bogus"), None);
+    }
+
+    #[test]
+    fn tokens_and_labels_both_resolve() {
+        assert_eq!(LlcOrgKind::from_token("mem"), Some(LlcOrgKind::MemorySide));
+        assert_eq!(
+            LlcOrgKind::from_token("memory-side"),
+            Some(LlcOrgKind::MemorySide)
+        );
+        assert_eq!(LlcOrgKind::from_token("sac"), Some(LlcOrgKind::Sac));
+        assert_eq!(LlcOrgKind::from_token("SAC"), Some(LlcOrgKind::Sac));
+        assert_eq!(LlcOrgKind::from_token("bogus"), None);
     }
 }

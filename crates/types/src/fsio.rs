@@ -52,11 +52,6 @@ pub fn inject_failure(point: Option<FailPoint>) {
     ARMED.with(|a| a.set(point));
 }
 
-/// Whether a failure is currently armed on this thread (test helper).
-pub fn failure_armed() -> bool {
-    ARMED.with(|a| a.get()).is_some()
-}
-
 fn trip(point: FailPoint) -> bool {
     ARMED.with(|a| {
         if a.get() == Some(point) {
@@ -152,7 +147,7 @@ mod tests {
         assert_eq!(fs::read(&p).unwrap(), b"good old state");
         let torn = fs::read(tmp_path(&p)).unwrap();
         assert!(torn.len() < b"new state that dies".len());
-        assert!(!failure_armed(), "one-shot hook disarms itself");
+        assert_eq!(ARMED.with(Cell::get), None, "one-shot hook disarms itself");
         // A later retry succeeds and clears the torn tmp.
         atomic_write(&p, b"new state that lives").unwrap();
         assert_eq!(fs::read(&p).unwrap(), b"new state that lives");

@@ -52,7 +52,7 @@ pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use hash::{LineHasher, LineMap, LineSet};
 pub use ids::{ChipId, ClusterId};
 pub use locality::KernelProfile;
-pub use mode::{EngineMode, ModeDescriptor, ENGINE_MODES};
+pub use mode::EngineMode;
 pub use obs::{ObsConfig, ObsLevel};
 pub use packet::{AccessKind, MemAccess, Request, RequestId, Response, ResponseOrigin};
 pub use pipe::{earliest_event, Pipe};

@@ -7,6 +7,12 @@
 //! parse as JSON. Any behavioural drift in the simulator — intended or
 //! not — fails here first.
 //!
+//! The three SAC cases stay memory-side at golden volume (no decision,
+//! `overhead_cycles` 0). SAC's drain and flush are checked by the recorded
+//! outputs in `results/` (the quick ablations, Fig. 13 and Fig. 15, the
+//! resilience report and `obs_bfs_sac.json`) and by
+//! `crates/sim/tests/organization_behaviors.rs`.
+//!
 //! The case definitions live in `sac_bench::golden`, shared with the
 //! `golden_sweep` binary the CI kill/resume job drives, so a resumed
 //! journaled sweep reproduces exactly the snapshots checked here.
