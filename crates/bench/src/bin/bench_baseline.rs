@@ -24,7 +24,7 @@
 use mcgpu_cache::{CacheConfig, DataHome, SetAssocCache};
 use mcgpu_mem::interleave;
 use mcgpu_sim::SimBuilder;
-use mcgpu_trace::{generate, profiles, TraceParams};
+use mcgpu_trace::{analysis, generate, profiles, TraceParams};
 use mcgpu_types::json::CanonicalWriter;
 use mcgpu_types::{ChipId, LineAddr, LlcOrgKind, MachineConfig, TopologyKind};
 use sac::eab::{ArchBandwidth, EabInputs, EabModel};
@@ -369,6 +369,45 @@ fn main() {
             for org in LlcOrgKind::ALL {
                 black_box(sac_bench::fastmode::run_fast(black_box(&cfg), &wl, org));
             }
+        }));
+    }
+
+    // The profile pass of a short trace over a large footprint: NN (the
+    // largest Table-4 footprint, 22,209 pages) at 1k accesses on the
+    // 16-chip mesh, so the pass's per-trace and per-task fixed costs
+    // dominate. Each iteration profiles a fresh clone, whose memo is
+    // empty.
+    {
+        let mut cfg = MachineConfig::experiment_baseline();
+        cfg.topology = TopologyKind::Mesh2D;
+        cfg.chips = 16;
+        let params = TraceParams {
+            total_accesses: 1_000,
+            ..TraceParams::standard()
+        };
+        let wl = generate(&cfg, &profiles::by_name("NN").expect("profile"), &params);
+        samples.push(measure("fast_mode_nn_1k_mesh16", target, || {
+            black_box(wl.clone().kernel_profiles(black_box(&cfg)).len());
+        }));
+    }
+
+    // Table 4 and Fig. 11 trace analyses on the largest footprint: NN at
+    // 150k accesses on the 4-chip ring, `characterize` plus the working
+    // set at three fixed windows (in accesses).
+    {
+        let cfg = MachineConfig::experiment_baseline();
+        let params = TraceParams {
+            total_accesses: 150_000,
+            ..TraceParams::standard()
+        };
+        let wl = generate(&cfg, &profiles::by_name("NN").expect("profile"), &params);
+        samples.push(measure("trace_analyses_nn_150k", target, || {
+            black_box(analysis::characterize(black_box(&cfg), &wl));
+            black_box(analysis::working_set_curve(
+                &cfg,
+                &wl,
+                &[1_000, 10_000, 100_000],
+            ));
         }));
     }
 

@@ -497,8 +497,9 @@ impl SacController {
 
     /// The running kernel terminated. If the LLC was SM-side, a drain back
     /// to memory-side begins (§3.6); otherwise the controller goes idle.
-    /// Returns `true` when a revert drain is required.
-    pub fn end_kernel(&mut self) -> bool {
+    /// The kernel boundary drains the machine either way, then signals
+    /// [`drain_complete`](SacController::drain_complete).
+    pub fn end_kernel(&mut self) {
         let needs_revert = matches!(
             self.state,
             SacState::Running {
@@ -520,7 +521,6 @@ impl SacController {
         self.monitor_start = None;
         self.baseline_rate = None;
         self.slow_windows = 0;
-        needs_revert
     }
 
     /// Per-kernel decision history.
@@ -590,7 +590,13 @@ mod tests {
         c.flush_complete();
         assert_eq!(c.mode(), LlcMode::SmSide);
         // Kernel ends: revert drain back to memory-side.
-        assert!(c.end_kernel());
+        c.end_kernel();
+        assert_eq!(
+            c.state(),
+            SacState::Draining {
+                to: LlcMode::MemorySide
+            }
+        );
         assert_eq!(c.mode(), LlcMode::SmSide, "still SM-side until drained");
         assert!(!c.drain_complete(9000));
         assert_eq!(c.mode(), LlcMode::MemorySide);
@@ -621,8 +627,8 @@ mod tests {
                 mode: LlcMode::MemorySide
             }
         );
-        assert!(!c.end_kernel(), "no revert needed");
-        assert_eq!(c.state(), SacState::Idle);
+        c.end_kernel();
+        assert_eq!(c.state(), SacState::Idle, "no revert needed");
     }
 
     #[test]
@@ -640,7 +646,8 @@ mod tests {
         let mut c = controller();
         c.begin_kernel(0);
         // Kernel ends mid-profiling: no decision recorded, state resets.
-        assert!(!c.end_kernel());
+        c.end_kernel();
+        assert_eq!(c.state(), SacState::Idle);
         assert!(c.history().is_empty());
         c.begin_kernel(5000);
         assert!(c.is_profiling());
@@ -653,9 +660,8 @@ mod tests {
             c.begin_kernel(k * 10_000);
             feed_sm_side_friendly(&mut c);
             c.tick(k * 10_000 + 2000).expect("decision");
-            if c.end_kernel() {
-                c.drain_complete(k * 10_000 + 3000);
-            }
+            c.end_kernel();
+            c.drain_complete(k * 10_000 + 3000);
         }
         assert_eq!(c.history().len(), 3);
         assert!(c.history().iter().all(|r| r.mode == LlcMode::SmSide));

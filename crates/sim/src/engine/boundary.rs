@@ -98,8 +98,7 @@ impl Simulator {
 
         // SAC reverts to memory-side; the flush above already ran if the
         // coherence scheme required it, and draining happens below together
-        // with the flush traffic, so whether the revert needs a drain is
-        // not consulted.
+        // with the flush traffic.
         if let Some(sac) = self.org.sac_mut() {
             sac.end_kernel();
         }

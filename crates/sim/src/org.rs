@@ -359,7 +359,14 @@ mod tests {
         assert_eq!(decisions(&org), sm_side, "running SM-side");
 
         let sac = org.sac_mut().unwrap();
-        assert!(sac.end_kernel(), "SM-side reverts at kernel end");
+        sac.end_kernel();
+        assert_eq!(
+            sac.state(),
+            SacState::Draining {
+                to: LlcMode::MemorySide
+            },
+            "SM-side reverts at kernel end"
+        );
         assert_eq!(decisions(&org), sm_side, "still SM-side until drained");
         assert!(!org.sac_mut().unwrap().drain_complete(9000));
         assert_eq!(decisions(&org), memory_side, "reverted");

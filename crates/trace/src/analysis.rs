@@ -2,9 +2,8 @@
 //! curve, and fast mode's per-kernel locality profile.
 
 use crate::generate::Workload;
-use crate::layout::SharingClass;
-use mcgpu_types::{AccessKind, KernelProfile, LineMap, LineSet, MachineConfig, PageAddr};
-use std::collections::hash_map::Entry;
+use crate::layout::{AddressLayout, SharingClass};
+use mcgpu_types::{AccessKind, ChipId, KernelProfile, LineMap, MachineConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -55,30 +54,128 @@ pub struct Table4Row {
     pub false_shared_mb: f64,
 }
 
+/// Keys per chunk of a [`FootprintTable`].
+const CHUNK: usize = 512;
+
+/// Touches a [`FootprintTable`] must expect per chunk of its footprint
+/// before it allocates chunks. Allocating and zeroing a 4 KiB chunk takes
+/// about 180 ns, a touch of a small [`LineMap`] about 35 ns (2-vCPU Xeon
+/// VM). At eight touches per chunk, even touches spread over every chunk
+/// cost at most 23 ns each in chunks; a short trace over a large
+/// footprint, which touches most of its chunks once or twice, is cheaper
+/// in the map.
+const MIN_TOUCHES_PER_CHUNK: u64 = 8;
+
+/// A value per line, granule or page index, for the analyses' per-access
+/// lookups. When the caller expects enough touches, every index a layout
+/// lays out (below its footprint, counted from zero) lives in flat chunks
+/// of [`CHUNK`] values, each allocated zeroed on the first touch of an
+/// index in it, so an access costs an indexed load and a table sized to
+/// the footprint is paid only for the parts a trace touches. Indices
+/// beyond the layout, which only hand-built workloads have, and every
+/// index of a table that expects fewer than [`MIN_TOUCHES_PER_CHUNK`] per
+/// chunk, live in a [`LineMap`]. An untouched index reads as
+/// `V::default()`, so every user keeps the default for "untouched".
+struct FootprintTable<V> {
+    /// Indices below `limit` live in `chunks`.
+    limit: u64,
+    chunks: Vec<Option<Box<[V; CHUNK]>>>,
+    beyond: LineMap<V>,
+}
+
+impl<V: Copy + Default + PartialEq> FootprintTable<V> {
+    /// An empty table over `layout`'s footprint in indices of
+    /// `1 << shift` bytes, for a caller that expects about `touches`
+    /// lookups.
+    fn new(layout: &AddressLayout, shift: u32, touches: u64) -> Self {
+        let keys = layout.footprint_bytes() >> shift;
+        let chunks = keys.div_ceil(CHUNK as u64);
+        let limit = if touches >= chunks * MIN_TOUCHES_PER_CHUNK {
+            keys
+        } else {
+            0
+        };
+        FootprintTable {
+            limit,
+            chunks: vec![None; limit.div_ceil(CHUNK as u64) as usize],
+            beyond: LineMap::default(),
+        }
+    }
+
+    /// The value of `key`, allocating its chunk (or map entry) if needed.
+    #[inline]
+    fn get_mut(&mut self, key: u64) -> &mut V {
+        if key < self.limit {
+            let chunk = self.chunks[(key / CHUNK as u64) as usize]
+                .get_or_insert_with(|| Box::new([V::default(); CHUNK]));
+            &mut chunk[key as usize % CHUNK]
+        } else {
+            self.beyond.entry(key).or_default()
+        }
+    }
+
+    /// The value of `key`.
+    fn get(&self, key: u64) -> V {
+        if key < self.limit {
+            self.chunks[(key / CHUNK as u64) as usize]
+                .as_ref()
+                .map_or_else(V::default, |chunk| chunk[key as usize % CHUNK])
+        } else {
+            self.beyond.get(&key).copied().unwrap_or_default()
+        }
+    }
+
+    /// Every touched key with its value, in no particular order.
+    fn touched(&self) -> impl Iterator<Item = (u64, V)> + '_ {
+        let in_layout = self.chunks.iter().enumerate().flat_map(|(c, chunk)| {
+            chunk
+                .iter()
+                .flat_map(move |chunk| (c as u64 * CHUNK as u64..).zip(chunk.iter().copied()))
+        });
+        in_layout
+            .chain(self.beyond.iter().map(|(&key, &v)| (key, v)))
+            .filter(|(_, v)| *v != V::default())
+    }
+}
+
 /// Measure the sharing character of a workload from its accesses (Table 4).
 /// Sharers are tracked as one bit per chip, which covers the 64 chips
 /// [`MachineConfig::validate`] allows.
+///
+/// # Panics
+/// Panics if the line or page size is not a power of two, which `validate`
+/// rules out.
 pub fn characterize(cfg: &MachineConfig, wl: &Workload) -> Table4Row {
-    let lines_per_page = cfg.page_size / cfg.line_size;
-    let mut line_sharers: LineMap<u64> = LineMap::default();
-    let mut page_sharers: LineMap<u64> = LineMap::default();
+    assert!(
+        cfg.line_size.is_power_of_two() && cfg.page_size.is_power_of_two(),
+        "line and page sizes must be powers of two (validate the config)"
+    );
+    let line_shift = cfg.line_size.trailing_zeros();
+    let page_shift = cfg.page_size.trailing_zeros();
+    let touches = wl.total_accesses() as u64;
+    let mut line_sharers = FootprintTable::<u64>::new(&wl.layout, line_shift, touches);
+    let mut page_sharers = FootprintTable::<u64>::new(&wl.layout, page_shift, touches);
     let clusters_per_chip = cfg.clusters_per_chip;
     for k in &wl.kernels {
         for (flat, stream) in k.per_cluster.iter().enumerate() {
             let chip = 1u64 << (flat / clusters_per_chip);
             for a in stream.iter() {
-                let line = a.addr.line(cfg.line_size).index();
-                *line_sharers.entry(line).or_default() |= chip;
-                *page_sharers.entry(line / lines_per_page).or_default() |= chip;
+                let addr = a.addr.raw();
+                *line_sharers.get_mut(addr >> line_shift) |= chip;
+                *page_sharers.get_mut(addr >> page_shift) |= chip;
             }
         }
     }
     let mut true_lines = 0u64;
     let mut false_lines = 0u64;
-    for (&line, &mask) in &line_sharers {
+    for (line, mask) in line_sharers.touched() {
         if mask.count_ones() >= 2 {
             true_lines += 1;
-        } else if page_sharers[&(line / lines_per_page)].count_ones() >= 2 {
+        } else if page_sharers
+            .get((line << line_shift) >> page_shift)
+            .count_ones()
+            >= 2
+        {
             false_lines += 1;
         }
     }
@@ -87,7 +184,7 @@ pub fn characterize(cfg: &MachineConfig, wl: &Workload) -> Table4Row {
     Table4Row {
         name: wl.name.clone(),
         ctas: wl.profile.ctas,
-        footprint_mb: page_sharers.len() as f64 * cfg.page_size as f64 * scale
+        footprint_mb: page_sharers.touched().count() as f64 * cfg.page_size as f64 * scale
             / (1u64 << 20) as f64,
         true_shared_mb: mb(true_lines),
         false_shared_mb: mb(false_lines),
@@ -99,17 +196,30 @@ pub fn characterize(cfg: &MachineConfig, wl: &Workload) -> Table4Row {
 ///
 /// The paper's x-axis is cycles; the harness converts using the measured
 /// issue rate (accesses/cycle) of the simulated run.
+///
+/// # Panics
+/// Panics if the line size is not a power of two, which
+/// [`MachineConfig::validate`] rules out.
 pub fn working_set_curve(
     cfg: &MachineConfig,
     wl: &Workload,
     windows: &[usize],
 ) -> Vec<(usize, SharingBreakdown)> {
+    assert!(
+        cfg.line_size.is_power_of_two(),
+        "the line size must be a power of two (validate the config)"
+    );
+    let line_shift = cfg.line_size.trailing_zeros();
     let stream: Vec<u64> = wl
         .merged_stream()
-        .map(|(_, a)| a.addr.line(cfg.line_size).index())
+        .map(|(_, a)| a.addr.raw() >> line_shift)
         .collect();
     let line_mb = cfg.line_size as f64 / (1u64 << 20) as f64;
-    let mut seen = LineSet::default();
+    // Each line's last window, counting windows from 1 across every
+    // length, so no window clears the table.
+    let touches = (stream.len() * windows.len()) as u64;
+    let mut last_window = FootprintTable::<u64>::new(&wl.layout, line_shift, touches);
+    let mut window = 0u64;
 
     windows
         .iter()
@@ -118,10 +228,12 @@ pub fn working_set_curve(
             let mut sums = SharingBreakdown::default();
             let mut num_windows = 0usize;
             for chunk in stream.chunks(w) {
-                seen.clear();
+                window += 1;
                 let mut counts = [0u64; 3];
                 for &line in chunk {
-                    if seen.insert(line) {
+                    let seen = last_window.get_mut(line);
+                    if *seen != window {
+                        *seen = window;
                         let class = wl.layout.classify(mcgpu_types::LineAddr(line));
                         let idx = match class {
                             SharingClass::TrueShared => 0,
@@ -222,7 +334,13 @@ impl L1Filter {
 
     /// Look up `line`; on a read miss, fill it. Returns whether it hit.
     fn access(&mut self, line: u64, kind: AccessKind) -> bool {
-        let set = (line % self.sets) as usize;
+        // A mask where the set count allows it (every machine geometry):
+        // the same set as the remainder, without a division.
+        let set = if self.sets.is_power_of_two() {
+            line & (self.sets - 1)
+        } else {
+            line % self.sets
+        } as usize;
         let fill = &mut self.fill[set];
         let tags = &mut self.tags[set * self.ways..(set + 1) * self.ways];
         let resident = &mut tags[..*fill];
@@ -243,23 +361,36 @@ impl L1Filter {
     }
 }
 
-/// Granule → (first, last) kernel index that touched it.
-type KernelSpans = LineMap<(u32, u32)>;
+/// Per granule, the first and the last kernel that touched it, each plus
+/// one, so `(0, 0)` is untouched; and the number of granules touched.
+struct KernelSpans {
+    spans: FootprintTable<(u32, u32)>,
+    touched: u64,
+}
 
-/// Record that kernel `now` touches `granule`. Returns whether an earlier
-/// kernel touched it, and whether this is its first touch in `now`.
-fn touch(spans: &mut KernelSpans, granule: u64, now: u32) -> (bool, bool) {
-    match spans.entry(granule) {
-        Entry::Vacant(e) => {
-            e.insert((now, now));
-            (false, true)
+impl KernelSpans {
+    fn new(layout: &AddressLayout, granule_shift: u32, touches: u64) -> Self {
+        KernelSpans {
+            spans: FootprintTable::new(layout, granule_shift, touches),
+            touched: 0,
         }
-        Entry::Occupied(mut e) => {
-            let (first, last) = e.get_mut();
-            let first_this_kernel = *last != now;
-            *last = now;
-            (*first < now, first_this_kernel)
+    }
+
+    /// Record that kernel `now` touches `granule`. Returns whether an
+    /// earlier kernel touched it, and whether this is its first touch in
+    /// `now`.
+    #[inline]
+    fn touch(&mut self, granule: u64, now: u32) -> (bool, bool) {
+        let stamp = now + 1;
+        let (first, last) = self.spans.get_mut(granule);
+        if *last == 0 {
+            (*first, *last) = (stamp, stamp);
+            self.touched += 1;
+            return (false, true);
         }
+        let first_this_kernel = *last != stamp;
+        *last = stamp;
+        (*first < stamp, first_this_kernel)
     }
 }
 
@@ -283,19 +414,24 @@ pub fn profile_workload(geometry: &LocalityGeometry, wl: &Workload) -> Vec<Kerne
 /// *Phase 1* has one task per requesting chip. It runs the chip's cluster
 /// L1 filters across every kernel and counts what is indexed by requester:
 /// L1 accesses and hits, reads, writes, issue cycles, local and remote
-/// accesses, through the chip's local span map and remote set. It also
-/// buckets the chip's post-L1 granules by (kernel, home chip).
+/// accesses, through the chip's local span table and remote stamps. It
+/// also lays the chip's post-L1 granules out in one buffer, kernel by
+/// kernel and home by home within a kernel.
 ///
 /// *Phase 2* has one task per home chip. It replays every requester's
-/// bucket for that home, kernel by kernel, through the home's span map.
+/// granules for that home, kernel by kernel, through the home's span
+/// table.
 ///
-/// An access costs one L1 set probe and, if it reaches the LLC, a bucket
-/// push and two hash operations: one in phase 1 (the requester's local
-/// span map or remote set), one in phase 2 (the home's span map). A span
-/// map keeps, per granule, the first and last kernel that touched it, so
-/// "touched in an earlier kernel" is `first < now`, "first touch this
-/// kernel" is `last != now`, and the cumulative footprint is the map's
-/// length.
+/// An access costs one L1 set probe and, if it reaches the LLC, two
+/// buffer writes and two table lookups: one in phase 1 (the requester's
+/// local span table or remote stamps), one in phase 2 (the home's span
+/// table). Every table is a [`FootprintTable`]. A span table keeps, per
+/// granule, the first and last kernel that touched it, so "touched in an
+/// earlier kernel" is `first < now`, "first touch this kernel" is
+/// `last != now`, and the cumulative footprint is the count of first
+/// touches. A remote stamp is the last kernel that touched the granule,
+/// so a kernel's distinct remote granules need no set cleared per
+/// kernel.
 ///
 /// Each task runs once, in a `OnceLock` that a caller claims through a
 /// per-phase counter (as the memo's callers do) or waits on through the
@@ -308,14 +444,14 @@ pub fn profile_workload(geometry: &LocalityGeometry, wl: &Workload) -> Vec<Kerne
 /// result: every per-chip count is a sum, a maximum or a distinct count
 /// within one kernel, and a phase-2 task replays a kernel's granules only
 /// after every earlier kernel's, so "touched in an earlier kernel" sees
-/// the same span map whatever order the requesters' buckets come in.
+/// the same span table whatever order the requesters' granules come in.
 #[derive(Debug)]
 pub struct ProfileTasks {
     geometry: LocalityGeometry,
     kernels: u32,
     /// Each page's natural home; pages beyond the layout have none and are
     /// homed on the requester.
-    homes: Vec<u8>,
+    homes: Vec<ChipId>,
     next_requester: AtomicUsize,
     requesters: Vec<OnceLock<RequesterPart>>,
     next_home: AtomicUsize,
@@ -339,26 +475,24 @@ struct RequesterCounts {
 }
 
 /// What a phase-1 task produces: its counts per kernel, and its post-L1
-/// granules bucketed by (kernel, home chip).
+/// granules ordered by (kernel, home chip).
 #[derive(Debug)]
 struct RequesterPart {
     kernels: Vec<RequesterCounts>,
-    /// Per home chip: the granules homed there, kernel after kernel.
-    buckets: Vec<Vec<u64>>,
-    /// `buckets[home].len()` at the end of each kernel, at
-    /// `kernel * chips + home`.
-    ends: Vec<usize>,
+    /// The granules, kernel by kernel and home by home within a kernel,
+    /// each (kernel, home) run in stream order.
+    granules: Vec<u64>,
+    /// Where the run of (`kernel`, `home`) starts in `granules`, at
+    /// `kernel * chips + home`, then the buffer's length.
+    starts: Vec<usize>,
+    chips: usize,
 }
 
 impl RequesterPart {
     /// The granules of `kernel` homed on `home`.
     fn granules(&self, kernel: usize, home: usize) -> &[u64] {
-        let chips = self.buckets.len();
-        let start = match kernel {
-            0 => 0,
-            k => self.ends[(k - 1) * chips + home],
-        };
-        &self.buckets[home][start..self.ends[kernel * chips + home]]
+        let run = kernel * self.chips + home;
+        &self.granules[self.starts[run]..self.starts[run + 1]]
     }
 }
 
@@ -374,14 +508,7 @@ struct HomeCounts {
 impl ProfileTasks {
     /// The unrun tasks of `wl`'s pass under `geometry`.
     pub fn new(geometry: &LocalityGeometry, wl: &Workload) -> Self {
-        let homes = (0..wl.layout.total_pages())
-            .map(|p| {
-                wl.layout
-                    .natural_home(PageAddr(p))
-                    .expect("every page of the layout has a natural home")
-                    .0
-            })
-            .collect();
+        let homes = wl.layout.natural_homes();
         ProfileTasks {
             geometry: *geometry,
             kernels: u32::try_from(wl.kernels.len()).expect("fewer than 2^32 kernels"),
@@ -466,15 +593,30 @@ impl ProfileTasks {
         let first_cluster = chip * g.clusters_per_chip;
         let mut l1s: Vec<L1Filter> = (0..g.clusters_per_chip).map(|_| L1Filter::new(g)).collect();
         // Post-L1 footprint of the chip's locally homed granules across
-        // kernels, and this kernel's remote granules.
-        let mut local = KernelSpans::default();
-        let mut seen_remote = LineSet::default();
-        let mut buckets: Vec<Vec<u64>> = vec![Vec::new(); g.chips];
-        let mut ends = Vec::with_capacity(wl.kernels.len() * g.chips);
+        // kernels, and the last kernel (plus one) that reached each remote
+        // granule.
+        let touches = wl
+            .kernels
+            .iter()
+            .flat_map(|k| {
+                k.per_cluster
+                    .iter()
+                    .skip(first_cluster)
+                    .take(g.clusters_per_chip)
+            })
+            .map(|stream| stream.len() as u64)
+            .sum();
+        let mut local = KernelSpans::new(&wl.layout, g.granule_shift, touches);
+        let mut remote = FootprintTable::<u32>::new(&wl.layout, g.granule_shift, touches);
+        // This kernel's post-L1 (home, granule) pairs in stream order, and
+        // how many each home has.
+        let mut pending: Vec<(usize, u64)> = Vec::new();
+        let mut per_home = vec![0usize; g.chips];
+        let mut granules = Vec::new();
+        let mut starts = Vec::with_capacity(wl.kernels.len() * g.chips + 1);
         let mut kernels = Vec::with_capacity(wl.kernels.len());
         for (now, kernel) in (0..self.kernels).zip(&wl.kernels) {
             let mut c = RequesterCounts::default();
-            seen_remote.clear();
             let slots = 1 + u64::from(kernel.behavior.compute_gap);
             let streams = kernel.per_cluster.iter().skip(first_cluster);
             for (l1, stream) in l1s.iter_mut().zip(streams) {
@@ -494,7 +636,7 @@ impl ProfileTasks {
                     }
                     let page = acc.addr.raw() >> g.page_shift;
                     let home = if page < self.homes.len() as u64 {
-                        usize::from(self.homes[page as usize])
+                        self.homes[page as usize].index()
                     } else {
                         chip
                     };
@@ -503,26 +645,44 @@ impl ProfileTasks {
                     } else {
                         c.reads += 1;
                     }
-                    buckets[home].push(granule);
+                    pending.push((home, granule));
+                    per_home[home] += 1;
                     if home == chip {
                         c.local_accesses += 1;
-                        let (prior, first_this_kernel) = touch(&mut local, granule, now);
+                        let (prior, first_this_kernel) = local.touch(granule, now);
                         c.prior_local += u64::from(prior);
                         c.distinct_local += u64::from(first_this_kernel);
                     } else {
                         c.remote_accesses += 1;
-                        c.distinct_remote += u64::from(seen_remote.insert(granule));
+                        let last = remote.get_mut(granule);
+                        c.distinct_remote += u64::from(*last != now + 1);
+                        *last = now + 1;
                     }
                 }
             }
-            c.cum_distinct_local = local.len() as u64;
-            ends.extend(buckets.iter().map(Vec::len));
+            c.cum_distinct_local = local.touched;
             kernels.push(c);
+            // Lay the kernel's granules out home by home: `per_home`
+            // becomes each home's write cursor.
+            let mut at = granules.len();
+            for n in &mut per_home {
+                starts.push(at);
+                (*n, at) = (at, at + *n);
+            }
+            granules.resize(at, 0);
+            for &(home, granule) in &pending {
+                granules[per_home[home]] = granule;
+                per_home[home] += 1;
+            }
+            pending.clear();
+            per_home.fill(0);
         }
+        starts.push(granules.len());
         RequesterPart {
             kernels,
-            buckets,
-            ends,
+            granules,
+            starts,
+            chips: g.chips,
         }
     }
 
@@ -532,19 +692,24 @@ impl ProfileTasks {
             .map(|r| self.requester(wl, r))
             .collect();
         // Post-L1 footprint of the granules homed on `chip`, across kernels.
-        let mut homed = KernelSpans::default();
+        let touches = parts
+            .iter()
+            .flat_map(|part| (0..self.kernels as usize).map(move |k| part.granules(k, chip)))
+            .map(|granules| granules.len() as u64)
+            .sum();
+        let mut homed = KernelSpans::new(&wl.layout, self.geometry.granule_shift, touches);
         (0..self.kernels)
             .map(|now| {
                 let mut c = HomeCounts::default();
                 for part in &parts {
                     for &granule in part.granules(now as usize, chip) {
                         c.homed_accesses += 1;
-                        let (prior, first_this_kernel) = touch(&mut homed, granule, now);
+                        let (prior, first_this_kernel) = homed.touch(granule, now);
                         c.prior_homed += u64::from(prior);
                         c.distinct_homed += u64::from(first_this_kernel);
                     }
                 }
-                c.cum_distinct_homed = homed.len() as u64;
+                c.cum_distinct_homed = homed.touched;
                 c
             })
             .collect()

@@ -169,6 +169,31 @@ impl AddressLayout {
         }
     }
 
+    /// [`AddressLayout::natural_home`] of every page of the footprint, in
+    /// page order, filled pool by pool rather than page by page: a
+    /// footprint of tens of thousands of pages costs more to classify one
+    /// page at a time than a short trace over it costs to profile.
+    pub(crate) fn natural_homes(&self) -> Vec<ChipId> {
+        let mut homes = Vec::with_capacity(self.total_pages() as usize);
+        let chips = || (0..self.chips).map(|c| ChipId(c as u8));
+        for chip in chips() {
+            homes.extend(std::iter::repeat_n(chip, self.non_pages_per_chip as usize));
+        }
+        homes.extend(chips().cycle().take(self.false_pages as usize));
+        // Segments of `seg` pages, the last chip also taking the remainder.
+        let seg = (self.true_pages / self.chips as u64).max(1);
+        for chip in chips() {
+            let start = (chip.index() as u64 * seg).min(self.true_pages);
+            let end = if chip.index() + 1 == self.chips {
+                self.true_pages
+            } else {
+                (start + seg).min(self.true_pages)
+            };
+            homes.extend(std::iter::repeat_n(chip, (end - start) as usize));
+        }
+        homes
+    }
+
     /// Total pages in the layout's footprint.
     pub fn total_pages(&self) -> u64 {
         self.footprint_bytes() / self.page_size
@@ -176,7 +201,10 @@ impl AddressLayout {
 
     /// The sharing class of `line`, by construction.
     pub fn classify(&self, line: LineAddr) -> SharingClass {
-        let page = line.index() / self.lines_per_page;
+        // Line and page sizes are powers of two (`MachineConfig::validate`),
+        // so the page is a shift.
+        debug_assert!(self.lines_per_page.is_power_of_two());
+        let page = line.index() >> self.lines_per_page.trailing_zeros();
         if page < self.false_base_page() {
             SharingClass::NonShared
         } else if page < self.true_base_page() {
@@ -273,6 +301,33 @@ mod tests {
         // Every in-footprint page has a home.
         for p in 0..l.total_pages() {
             assert!(l.natural_home(PageAddr(p)).is_some(), "page {p}");
+        }
+    }
+
+    #[test]
+    fn natural_homes_lists_natural_home_page_by_page() {
+        for chips in [1, 2, 3, 4, 7, 16] {
+            let mut c = cfg();
+            c.chips = chips;
+            // Pools smaller than, equal to and larger than one page per
+            // chip, and truly-shared pools that do not divide evenly.
+            for (non, fals, tru) in [
+                (0, 0, 0),
+                (1 << 20, 256 << 10, 128 << 10),
+                (3 << 12, 5 << 12, 7 << 12),
+                (
+                    (chips as u64 * 3) << 12,
+                    1 << 12,
+                    (chips as u64 * 5 + 3) << 12,
+                ),
+            ] {
+                let l = AddressLayout::new(&c, non, fals, tru);
+                let homes = l.natural_homes();
+                assert_eq!(homes.len() as u64, l.total_pages());
+                for (p, &home) in homes.iter().enumerate() {
+                    assert_eq!(l.natural_home(PageAddr(p as u64)), Some(home), "page {p}");
+                }
+            }
         }
     }
 

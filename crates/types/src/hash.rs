@@ -1,15 +1,20 @@
 //! The hasher for tables keyed by line, granule or page indices.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A `HashMap` keyed by line, granule or page index, hashed with
 /// [`LineHasher`].
+///
+/// # Example
+/// ```
+/// use mcgpu_types::LineMap;
+///
+/// let mut homes: LineMap<u8> = LineMap::default();
+/// assert_eq!(homes.insert(0x1_0040 / 128, 3), None);
+/// assert_eq!(homes.insert(0x1_0040 / 128, 1), Some(3));
+/// ```
 pub type LineMap<V> = HashMap<u64, V, BuildHasherDefault<LineHasher>>;
-
-/// A `HashSet` of line, granule or page indices, hashed with
-/// [`LineHasher`].
-pub type LineSet = HashSet<u64, BuildHasherDefault<LineHasher>>;
 
 /// A multiplicative hasher for line indices: one 64 × 64 → 128-bit
 /// multiply by an odd constant, folded to 64 bits, so both the low bits
@@ -24,15 +29,6 @@ pub type LineSet = HashSet<u64, BuildHasherDefault<LineHasher>>;
 /// default exists for that). `write_u64` and `finish` are `#[inline]` so
 /// that tables in other crates fold the hash into their lookups: the
 /// workspace builds without link-time optimization.
-///
-/// # Example
-/// ```
-/// use mcgpu_types::LineSet;
-///
-/// let mut lines = LineSet::default();
-/// assert!(lines.insert(0x1_0040 / 128));
-/// assert!(!lines.insert(0x1_0040 / 128));
-/// ```
 #[derive(Debug, Default, Clone)]
 pub struct LineHasher(u64);
 

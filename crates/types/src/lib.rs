@@ -49,7 +49,7 @@ pub use expect::{
     EXPECT_SCHEMA, REPORT_SCHEMA,
 };
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
-pub use hash::{LineHasher, LineMap, LineSet};
+pub use hash::{LineHasher, LineMap};
 pub use ids::{ChipId, ClusterId};
 pub use locality::KernelProfile;
 pub use mode::EngineMode;
