@@ -15,37 +15,12 @@
 //! table, and re-pinning `expectations/crossval.json` with margin — see
 //! `EXPERIMENTS.md`.
 
-use mcgpu_types::ExpectationSet;
-use sac_bench::{arg_value, crossval, figcheck};
+use sac_bench::{crossval, figcheck};
 
 fn main() {
     sac_bench::reject_unknown_flags(&["--jobs", "--expectations", "--report"]);
-    let path =
-        arg_value("--expectations").unwrap_or_else(|| "expectations/crossval.json".to_string());
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(1);
-    });
-    let set = ExpectationSet::parse(&text).unwrap_or_else(|e| {
-        eprintln!("cannot parse {path}: {e}");
-        std::process::exit(1);
-    });
-
+    let set = figcheck::load_expectations("expectations/crossval.json");
     let rows = crossval::crossval_rows();
     print!("{}", crossval::render_table(&rows));
-    println!();
-
-    let metrics = crossval::crossval_metrics(&rows);
-    let report = figcheck::evaluate(&set, &metrics, "golden");
-    print!("{}", figcheck::scorecard(&report));
-    if let Some(out) = arg_value::<String>("--report") {
-        std::fs::write(&out, report.to_canonical_json()).unwrap_or_else(|e| {
-            eprintln!("cannot write {out}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("  wrote {out}");
-    }
-    if report.gates() {
-        std::process::exit(2);
-    }
+    figcheck::gate(&set, &crossval::crossval_metrics(&rows), "golden");
 }

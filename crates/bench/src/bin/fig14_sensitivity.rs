@@ -14,6 +14,6 @@ fn main() {
     sac_bench::reject_unknown_flags(sac_bench::FIGURE_FLAGS);
     let base = sac_bench::experiment_config();
     let params = sac_bench::trace_params();
-    let opts = SweepOptions::from_args().sequential();
+    let opts = SweepOptions::from_args();
     emit(&Fig14Data::collect(&base, &params, &opts));
 }

@@ -22,49 +22,21 @@
 //!   keyed by its full machine config, so a killed run resumes without
 //!   re-simulating finished cells.
 
-use mcgpu_types::ExpectationSet;
 use sac_bench::figdata::{emit, Fig15Data};
-use sac_bench::{arg_value, figcheck, SweepOptions};
+use sac_bench::{figcheck, quick_mode, SweepOptions};
 
 fn main() {
     sac_bench::reject_unknown_flags(
         &[sac_bench::FIGURE_FLAGS, &["--expectations", "--report"]].concat(),
     );
-    let path = arg_value("--expectations")
-        .unwrap_or_else(|| "expectations/fig15_scaleout.json".to_string());
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(1);
-    });
-    let set = ExpectationSet::parse(&text).unwrap_or_else(|e| {
-        eprintln!("cannot parse {path}: {e}");
-        std::process::exit(1);
-    });
-
+    let set = figcheck::load_expectations("expectations/fig15_scaleout.json");
     let base = sac_bench::experiment_config();
     let params = sac_bench::trace_params();
-    let opts = SweepOptions::from_args().sequential();
-    let data = Fig15Data::collect(&base, &params, &opts);
+    let data = Fig15Data::collect(&base, &params, &SweepOptions::from_args());
     emit(&data);
 
     let mut metrics = figcheck::Metrics::new();
     metrics.add_fig15(&data);
-    let volume = if sac_bench::quick_mode() {
-        "quick"
-    } else {
-        "standard"
-    };
-    let report = figcheck::evaluate(&set, &metrics, volume);
-    println!();
-    print!("{}", figcheck::scorecard(&report));
-    if let Some(out) = arg_value::<String>("--report") {
-        std::fs::write(&out, report.to_canonical_json()).unwrap_or_else(|e| {
-            eprintln!("cannot write {out}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("  wrote {out}");
-    }
-    if report.gates() {
-        std::process::exit(2);
-    }
+    let volume = if quick_mode() { "quick" } else { "standard" };
+    figcheck::gate(&set, &metrics, volume);
 }

@@ -7,15 +7,20 @@
 //! [`Metrics`] lookup table. That shared path is the whole point: a figure
 //! and the expectation gating it can never disagree about a number.
 //!
-//! Two table constructors exist: [`suite_metrics`] for the full-suite
-//! sweep the `figcheck` binary runs, and [`golden_metrics`] for the fixed
-//! 8-case golden suite, whose report is snapshotted byte-for-byte under
-//! `tests/golden/`.
+//! Two table constructors exist: [`SuiteFigures::metrics`] (and its
+//! shorthand [`suite_metrics`]) for the full-suite sweep the `figcheck`
+//! binary runs, and [`golden_metrics`] for the fixed 8-case golden suite,
+//! whose report is snapshotted byte-for-byte under `tests/golden/`. The
+//! binaries that score a run share one gate: [`load_expectations`] before
+//! the sweep, [`gate`] after it.
 
-use crate::figdata::{Fig08Data, Fig09Data, Fig10Data, Fig11Data, Fig15Data, Table4Data};
+use crate::figdata::{
+    Fig01Data, Fig08Data, Fig09Data, Fig10Data, Fig11Data, Fig15Data, FigData, Table4Data,
+};
 use crate::{golden, sweep, BenchRows};
 use mcgpu_sim::RunStats;
 use mcgpu_trace::analysis;
+use mcgpu_types::json::CanonicalWriter;
 use mcgpu_types::{
     Check, CrossvalField, ExpectationSet, Finding, LlcOrgKind, MachineConfig, Metric, Report,
     ResponseOrigin, Severity, Verdict,
@@ -260,27 +265,129 @@ impl Metrics {
     }
 }
 
-/// Build the full-suite metric table the `figcheck` binary scores: Fig. 8,
-/// 9, 10 and 11 data from an all-organizations suite plus measured
-/// Table 4 characteristics. The per-benchmark working-set and
-/// characterization analyses fan out over the sweep pool.
-pub fn suite_metrics(cfg: &MachineConfig, rows: &[BenchRows]) -> Metrics {
-    let fig08 = Fig08Data::compute(rows);
-    let fig09 = Fig09Data::compute(rows);
-    let fig10 = Fig10Data::compute(rows);
-    let fig11 = Fig11Data::compute(cfg, rows);
-    let t4_rows = sweep::map(rows.iter().collect(), |r| {
-        (r.profile.clone(), analysis::characterize(cfg, &r.workload))
-    });
-    let table04 = Table4Data::compute(&t4_rows);
+/// The figures the paper reads off one experiment, 16 benchmarks × 5 LLC
+/// organizations on one machine: Figs. 1 and 8–11, plus the measured
+/// Table 4 characteristics the expectations also score. The `figcheck`
+/// binary prints the five figures and scores [`SuiteFigures::metrics`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct SuiteFigures {
+    /// Fig. 1: group means per organization.
+    pub fig01: Fig01Data,
+    /// Fig. 8: per-benchmark speedups.
+    pub fig08: Fig08Data,
+    /// Fig. 9: local vs remote LLC contents.
+    pub fig09: Fig09Data,
+    /// Fig. 10: effective bandwidth by response origin.
+    pub fig10: Fig10Data,
+    /// Fig. 11: working sets per time window (SM-side rows).
+    pub fig11: Fig11Data,
+    /// Table 4, measured from the sweep's traces (scored, not printed).
+    pub table04: Table4Data,
+}
 
-    let mut m = Metrics::new();
-    m.add_fig08(&fig08);
-    m.add_fig09(&fig09);
-    m.add_fig10(&fig10);
-    m.add_fig11(&fig11);
-    m.add_table04(&table04);
-    m
+impl SuiteFigures {
+    /// Compute every figure from all-organizations suite rows. The
+    /// per-benchmark working-set and characterization analyses fan out
+    /// over the sweep pool.
+    pub fn compute(cfg: &MachineConfig, rows: &[BenchRows]) -> SuiteFigures {
+        let t4_rows = sweep::map(rows.iter().collect(), |r| {
+            (r.profile.clone(), analysis::characterize(cfg, &r.workload))
+        });
+        SuiteFigures {
+            fig01: Fig01Data::compute(rows),
+            fig08: Fig08Data::compute(rows),
+            fig09: Fig09Data::compute(rows),
+            fig10: Fig10Data::compute(rows),
+            fig11: Fig11Data::compute(cfg, rows),
+            table04: Table4Data::compute(&t4_rows),
+        }
+    }
+
+    /// The metric table the expectations score: Fig. 8, 9, 10 and 11 data
+    /// and the measured Table 4 characteristics.
+    pub fn metrics(&self) -> Metrics {
+        let mut m = Metrics::new();
+        m.add_fig08(&self.fig08);
+        m.add_fig09(&self.fig09);
+        m.add_fig10(&self.fig10);
+        m.add_fig11(&self.fig11);
+        m.add_table04(&self.table04);
+        m
+    }
+
+    /// The printed figures, in figure order.
+    fn figures(&self) -> [&dyn FigData; 5] {
+        [
+            &self.fig01,
+            &self.fig08,
+            &self.fig09,
+            &self.fig10,
+            &self.fig11,
+        ]
+    }
+}
+
+impl FigData for SuiteFigures {
+    fn figure(&self) -> &'static str {
+        "suite"
+    }
+
+    fn render(&self) -> String {
+        self.figures()
+            .map(|f| format!("== {} ==\n{}", f.figure(), f.render()))
+            .join("\n")
+    }
+
+    fn write_fields(&self, w: &mut CanonicalWriter) {
+        let figures = self.figures();
+        w.array_field("figures", figures.len(), |w, i| {
+            w.open();
+            w.str_field("figure", figures[i].figure());
+            figures[i].write_fields(w);
+            w.close();
+        });
+    }
+}
+
+/// Build the full-suite metric table the `figcheck` binary scores (see
+/// [`SuiteFigures::metrics`]).
+pub fn suite_metrics(cfg: &MachineConfig, rows: &[BenchRows]) -> Metrics {
+    SuiteFigures::compute(cfg, rows).metrics()
+}
+
+/// The expectation set at `--expectations PATH`, or at `default_path`
+/// without the flag. A binary calls this before its sweep: a file that
+/// cannot be read or parsed exits with status 1 before any cell runs.
+pub fn load_expectations(default_path: &str) -> ExpectationSet {
+    let path = crate::arg_value("--expectations").unwrap_or_else(|| default_path.to_string());
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        eprintln!("cannot read {path}: {e}");
+        std::process::exit(1);
+    });
+    ExpectationSet::parse(&text).unwrap_or_else(|e| {
+        eprintln!("cannot parse {path}: {e}");
+        std::process::exit(1);
+    })
+}
+
+/// Score `metrics` against `set` at `volume`, print a blank line and the
+/// scorecard, write the canonical report to `--report PATH` when given,
+/// and exit with status 2 when a `shape` expectation fails or cannot be
+/// evaluated (status 1 when the report cannot be written).
+pub fn gate(set: &ExpectationSet, metrics: &Metrics, volume: &str) {
+    let report = evaluate(set, metrics, volume);
+    println!();
+    print!("{}", scorecard(&report));
+    if let Some(out) = crate::arg_value::<String>("--report") {
+        std::fs::write(&out, report.to_canonical_json()).unwrap_or_else(|e| {
+            eprintln!("cannot write {out}: {e}");
+            std::process::exit(1);
+        });
+        eprintln!("  wrote {out}");
+    }
+    if report.gates() {
+        std::process::exit(2);
+    }
 }
 
 /// Build the metric table of the fixed golden suite (`golden::suite()`):
@@ -554,6 +661,34 @@ mod tests {
             }),
             None
         );
+    }
+
+    #[test]
+    fn suite_json_lists_the_five_figures_in_order() {
+        use mcgpu_types::json::{parse, JsonValue};
+        let figures = SuiteFigures {
+            fig01: Fig01Data {
+                performance: vec![],
+                miss_rate: vec![],
+                bandwidth: vec![],
+            },
+            fig08: Fig08Data {
+                rows: vec![],
+                hmeans: vec![],
+            },
+            fig09: Fig09Data { rows: vec![] },
+            fig10: Fig10Data { benches: vec![] },
+            fig11: Fig11Data { rows: vec![] },
+            table04: Table4Data { rows: vec![] },
+        };
+        let v = parse(&figures.to_canonical_json()).expect("suite figdata parses");
+        assert_eq!(v.get("figure").and_then(JsonValue::as_str), Some("suite"));
+        let listed = v.get("figures").and_then(JsonValue::as_array).unwrap();
+        let names: Vec<_> = listed
+            .iter()
+            .map(|f| f.get("figure").and_then(JsonValue::as_str).unwrap())
+            .collect();
+        assert_eq!(names, ["fig01", "fig08", "fig09", "fig10", "fig11"]);
     }
 
     #[test]

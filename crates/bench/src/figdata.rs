@@ -19,7 +19,7 @@
 
 use crate::{
     cell_config_desc, exit_on_quarantine, group_speedup, harmonic_mean, run_journaled,
-    run_profiles, sweep, BenchRows, CellKey, SimCell, SweepOptions,
+    run_machines, sweep, BenchRows, CellKey, SimCell, SweepOptions,
 };
 use mcgpu_trace::profiles::Preference;
 use mcgpu_trace::{analysis, generate, profiles, TraceParams, Workload};
@@ -70,6 +70,10 @@ pub fn emit(data: &impl FigData) {
 fn org_labels() -> Vec<&'static str> {
     LlcOrgKind::ALL.iter().map(|o| o.label()).collect()
 }
+
+/// The organizations Figs. 13–15 run: the memory-side baseline and the two
+/// they report against it.
+const ORGS: [LlcOrgKind; 3] = [LlcOrgKind::MemorySide, LlcOrgKind::SmSide, LlcOrgKind::Sac];
 
 // ---------------------------------------------------------------- fig01
 
@@ -868,7 +872,6 @@ impl Fig13Data {
     /// parameters; a quarantined cell exits the process with the standard
     /// report (this is a binary-support path).
     pub fn collect(cfg: &MachineConfig, base: &TraceParams, opts: &SweepOptions) -> Fig13Data {
-        const ORGS: [LlcOrgKind; 3] = [LlcOrgKind::MemorySide, LlcOrgKind::SmSide, LlcOrgKind::Sac];
         let groups: [(&str, [&str; 2], [f64; 5]); 2] = [
             (
                 "SM-side preferred",
@@ -1027,28 +1030,25 @@ pub struct Fig14Data {
 }
 
 impl Fig14Data {
-    /// Run all 19 configuration sweeps and collect the figure. Each sweep
-    /// fans its `(benchmark × organization)` cells out over the pool;
-    /// quarantined cells exit the process with the standard report.
+    /// Run every configuration row in one sweep and collect the figure:
+    /// the rows' `(machine × benchmark × organization)` cells fan out over
+    /// the pool through [`run_machines`], so the rows that run the default
+    /// machine share one set of runs. Quarantined cells exit the process
+    /// with the standard report.
     pub fn collect(base: &MachineConfig, params: &TraceParams, opts: &SweepOptions) -> Fig14Data {
         let subset: Vec<_> = FIG14_SUBSET
             .iter()
             .map(|n| profiles::by_name(n).expect("profile"))
             .collect();
-        let run = |label: &str, cfg: &MachineConfig| -> Fig14Row {
-            let rows = exit_on_quarantine(run_profiles(
-                cfg,
-                &subset,
-                params,
-                &[LlcOrgKind::MemorySide, LlcOrgKind::SmSide, LlcOrgKind::Sac],
-                opts,
-            ));
-            let sm: Vec<f64> = rows.iter().map(|r| r.speedup(LlcOrgKind::SmSide)).collect();
-            let sac: Vec<f64> = rows.iter().map(|r| r.speedup(LlcOrgKind::Sac)).collect();
+        // Each row records its machine; its speedups come from the one
+        // sweep over all of them below.
+        let mut machines = Vec::new();
+        let mut row = |label: &str, cfg: &MachineConfig| -> Fig14Row {
+            machines.push(cfg.clone());
             Fig14Row {
                 label: label.to_string(),
-                sm_side: harmonic_mean(&sm),
-                sac: harmonic_mean(&sac),
+                sm_side: 0.0,
+                sac: 0.0,
             }
         };
 
@@ -1064,7 +1064,7 @@ impl Fig14Data {
         ] {
             let mut c = base.clone();
             c.interchip_pair_gbs *= factor;
-            rows.push(run(label, &c));
+            rows.push(row(label, &c));
         }
         sections.push(Fig14Section {
             title: "-- inter-chip bandwidth (default marked *) --".to_string(),
@@ -1075,7 +1075,7 @@ impl Fig14Data {
         for (label, factor) in [("0.5x LLC", 0.5), ("1x LLC *", 1.0), ("2x LLC", 2.0)] {
             let mut c = base.clone();
             c.llc_bytes_per_chip = (c.llc_bytes_per_chip as f64 * factor) as u64;
-            rows.push(run(label, &c));
+            rows.push(row(label, &c));
         }
         sections.push(Fig14Section {
             title: "-- LLC capacity --".to_string(),
@@ -1095,7 +1095,7 @@ impl Fig14Data {
             } else {
                 ""
             };
-            rows.push(run(&format!("{}{}", iface.label(), star), &c));
+            rows.push(row(&format!("{}{}", iface.label(), star), &c));
         }
         sections.push(Fig14Section {
             title: "-- memory interface --".to_string(),
@@ -1111,7 +1111,7 @@ impl Fig14Data {
             } else {
                 ""
             };
-            rows.push(run(&format!("{:?}{}", coh, star), &c));
+            rows.push(row(&format!("{:?}{}", coh, star), &c));
         }
         sections.push(Fig14Section {
             title: "-- coherence protocol --".to_string(),
@@ -1125,7 +1125,7 @@ impl Fig14Data {
             c.chips = chips;
             c.interchip_pair_gbs = total_pair_bw / chips as f64;
             let star = if chips == 4 { " *" } else { "" };
-            rows.push(run(&format!("{} GPUs{}", chips, star), &c));
+            rows.push(row(&format!("{} GPUs{}", chips, star), &c));
         }
         sections.push(Fig14Section {
             title: "-- GPU count (total inter-chip bandwidth held constant) --".to_string(),
@@ -1137,7 +1137,7 @@ impl Fig14Data {
             let mut c = base.clone();
             c.sectored = sectored;
             let star = if !sectored { " *" } else { "" };
-            rows.push(run(&format!("sectored={}{}", sectored, star), &c));
+            rows.push(row(&format!("sectored={}{}", sectored, star), &c));
         }
         sections.push(Fig14Section {
             title: "-- sectored cache --".to_string(),
@@ -1149,13 +1149,18 @@ impl Fig14Data {
             let mut c = base.clone();
             c.page_size = ps;
             let star = if ps == 4096 { " *" } else { "" };
-            rows.push(run(&format!("{} B pages{}", ps, star), &c));
+            rows.push(row(&format!("{} B pages{}", ps, star), &c));
         }
         sections.push(Fig14Section {
             title: "-- page size --".to_string(),
             rows,
         });
 
+        let runs = exit_on_quarantine(run_machines(&machines, &subset, params, &ORGS, opts));
+        for (row, rows) in sections.iter_mut().flat_map(|s| &mut s.rows).zip(runs) {
+            row.sm_side = group_speedup(&rows, LlcOrgKind::SmSide, None);
+            row.sac = group_speedup(&rows, LlcOrgKind::Sac, None);
+        }
         Fig14Data { sections }
     }
 }
@@ -1253,57 +1258,50 @@ pub struct Fig15Data {
 }
 
 impl Fig15Data {
-    /// Run the 9 `(topology × chip count)` sweeps and collect the figure.
-    /// Each sweep fans its `(benchmark × organization)` cells out over
-    /// the pool; quarantined cells exit the process with the standard
-    /// report. With journaling, cells are keyed by the full machine
-    /// config, so every `(topology, chips)` variant resumes independently.
+    /// Run the 9 `(topology × chip count)` machines in one sweep and
+    /// collect the figure: their `(machine × benchmark × organization)`
+    /// cells fan out over the pool through [`run_machines`]; quarantined
+    /// cells exit the process with the standard report. With journaling,
+    /// cells are keyed by the full machine config, so every
+    /// `(topology, chips)` variant resumes independently.
     pub fn collect(base: &MachineConfig, params: &TraceParams, opts: &SweepOptions) -> Fig15Data {
         let subset: Vec<_> = FIG15_SUBSET
             .iter()
             .map(|n| profiles::by_name(n).expect("profile"))
             .collect();
+        let machines: Vec<MachineConfig> = TopologyKind::ALL
+            .iter()
+            .flat_map(|&kind| {
+                FIG15_CHIPS.iter().map(move |&chips| {
+                    let mut c = base.clone();
+                    c.topology = kind;
+                    c.chips = chips;
+                    c
+                })
+            })
+            .collect();
+        let runs = exit_on_quarantine(run_machines(&machines, &subset, params, &ORGS, opts));
+        let mut points = machines.iter().zip(runs).map(|(c, rows)| {
+            let fabric: Vec<f64> = rows
+                .iter()
+                .map(|r| {
+                    let s = r.stats(LlcOrgKind::MemorySide);
+                    s.ring_bytes as f64 / s.cycles as f64
+                })
+                .collect();
+            Fig15Point {
+                chips: c.chips as u64,
+                sm_side: group_speedup(&rows, LlcOrgKind::SmSide, None),
+                sac: group_speedup(&rows, LlcOrgKind::Sac, None),
+                fabric_bytes_per_cycle: fabric.iter().sum::<f64>() / fabric.len() as f64,
+                bisection_gbs: c.bisection_gbs(),
+            }
+        });
         let curves = TopologyKind::ALL
             .iter()
-            .map(|&kind| {
-                let points = FIG15_CHIPS
-                    .iter()
-                    .map(|&chips| {
-                        let mut c = base.clone();
-                        c.topology = kind;
-                        c.chips = chips;
-                        let rows = exit_on_quarantine(run_profiles(
-                            &c,
-                            &subset,
-                            params,
-                            &[LlcOrgKind::MemorySide, LlcOrgKind::SmSide, LlcOrgKind::Sac],
-                            opts,
-                        ));
-                        let sm: Vec<f64> =
-                            rows.iter().map(|r| r.speedup(LlcOrgKind::SmSide)).collect();
-                        let sac: Vec<f64> =
-                            rows.iter().map(|r| r.speedup(LlcOrgKind::Sac)).collect();
-                        let fabric: Vec<f64> = rows
-                            .iter()
-                            .map(|r| {
-                                let s = r.stats(LlcOrgKind::MemorySide);
-                                s.ring_bytes as f64 / s.cycles as f64
-                            })
-                            .collect();
-                        Fig15Point {
-                            chips: chips as u64,
-                            sm_side: harmonic_mean(&sm),
-                            sac: harmonic_mean(&sac),
-                            fabric_bytes_per_cycle: fabric.iter().sum::<f64>()
-                                / fabric.len() as f64,
-                            bisection_gbs: c.bisection_gbs(),
-                        }
-                    })
-                    .collect();
-                Fig15Curve {
-                    topology: kind.label().to_string(),
-                    points,
-                }
+            .map(|&kind| Fig15Curve {
+                topology: kind.label().to_string(),
+                points: points.by_ref().take(FIG15_CHIPS.len()).collect(),
             })
             .collect();
         Fig15Data { curves }

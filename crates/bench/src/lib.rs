@@ -7,9 +7,10 @@
 //! figures report.
 //!
 //! Run the binaries in release mode — e.g.
-//! `cargo run --release -p sac-bench --bin fig08_speedup` — and pass
-//! `--quick` for a reduced-volume smoke run. Every binary fans its
-//! simulation runs out over the [`sweep`] thread pool; `--jobs N` (or
+//! `cargo run --release -p sac-bench --bin figcheck`, which prints Figs. 1
+//! and 8–11 from one suite sweep and scores them — and pass `--quick` for
+//! a reduced-volume smoke run. Every binary fans its simulation runs out
+//! over the [`sweep`] thread pool in one journaled sweep; `--jobs N` (or
 //! `MCGPU_JOBS=N`) bounds the parallelism, and results are identical for
 //! every thread count.
 //!
@@ -228,24 +229,6 @@ impl SweepOptions {
         }
     }
 
-    /// Adapt for binaries that run *several* sweeps in sequence: a fresh
-    /// `--journal` is truncated once, here, and then treated as a resume
-    /// target so later sweeps append to it instead of truncating the
-    /// records of earlier ones.
-    pub fn sequential(self) -> SweepOptions {
-        if let (Some(path), None) = (&self.journal, &self.resume) {
-            Journal::create(path)
-                .unwrap_or_else(|e| panic!("cannot create journal {}: {e}", path.display()));
-            SweepOptions {
-                journal: None,
-                resume: Some(path.clone()),
-                ..self
-            }
-        } else {
-            self
-        }
-    }
-
     /// Open the journal these options describe, if any.
     ///
     /// Journal I/O failures abort the process: they are environment
@@ -378,6 +361,7 @@ fn collect_outcomes<R>(
 }
 
 /// Results of one benchmark under every requested organization.
+#[derive(Clone)]
 pub struct BenchRows {
     /// The benchmark profile.
     pub profile: BenchmarkProfile,
@@ -534,7 +518,7 @@ pub struct CellKey {
 
 /// Run `cells` as isolated, journaled sweep cells on the sweep pool and
 /// return their stats in input order. This is the one cell runner: the
-/// figure sweeps ([`run_profiles`], Fig. 13), the ablations
+/// figure sweeps ([`run_machines`], Fig. 13), the ablations
 /// ([`run_sac_ablation`]), the resilience baselines and the golden sweep
 /// ([`golden::run_sweep`]) all call it, and `attempt(cell, a)` runs one
 /// attempt of a cell (normally [`SimCell::attempt`]).
@@ -646,26 +630,8 @@ pub fn run_benchmark(
     Ok(rows.pop().expect("one profile yields one row"))
 }
 
-/// Run the full 16-benchmark suite under the given organizations on the
-/// sweep pool: trace generation fans out per benchmark, then every
-/// (benchmark × organization) simulation fans out independently. Results
-/// are collected in input order, so the rows are identical to the serial
-/// loop's for any `--jobs` value.
-///
-/// # Errors
-/// [`SweepFailure`] listing every quarantined cell.
-pub fn run_suite(
-    cfg: &MachineConfig,
-    params: &TraceParams,
-    orgs: &[LlcOrgKind],
-    opts: &SweepOptions,
-) -> Result<Vec<BenchRows>, SweepFailure> {
-    run_profiles(cfg, &profiles::all_profiles(), params, orgs, opts)
-}
-
-/// [`run_suite`] over an explicit benchmark subset: every (benchmark ×
-/// organization) cell, named `"BENCH/organization"`, runs through
-/// [`run_journaled`].
+/// Run the benchmarks `profs` under the given organizations on `cfg`:
+/// [`run_machines`] on that one machine.
 ///
 /// # Errors
 /// [`SweepFailure`] listing every quarantined cell.
@@ -676,18 +642,56 @@ pub fn run_profiles(
     orgs: &[LlcOrgKind],
     opts: &SweepOptions,
 ) -> Result<Vec<BenchRows>, SweepFailure> {
+    let mut rows = run_machines(std::slice::from_ref(cfg), profs, params, orgs, opts)?;
+    Ok(rows.pop().expect("one machine yields one row set"))
+}
+
+/// Run every benchmark of `profs` under every organization of `orgs` on
+/// every machine of `cfgs`, in one sweep: trace generation fans out per
+/// (machine × benchmark), then every (machine × benchmark × organization)
+/// cell, named `"BENCH/organization"` and keyed by its machine, runs
+/// through one [`run_journaled`] call. Machines that compare equal run
+/// once and share their rows.
+///
+/// Returns one row set per entry of `cfgs`, in input order.
+///
+/// # Errors
+/// [`SweepFailure`] listing every quarantined cell.
+pub fn run_machines(
+    cfgs: &[MachineConfig],
+    profs: &[BenchmarkProfile],
+    params: &TraceParams,
+    orgs: &[LlcOrgKind],
+    opts: &SweepOptions,
+) -> Result<Vec<Vec<BenchRows>>, SweepFailure> {
+    let mut distinct: Vec<&MachineConfig> = Vec::new();
+    let slots: Vec<usize> = cfgs
+        .iter()
+        .map(|c| {
+            distinct.iter().position(|&d| d == c).unwrap_or_else(|| {
+                distinct.push(c);
+                distinct.len() - 1
+            })
+        })
+        .collect();
     eprintln!(
-        "  sweep: {} benchmarks x {} organizations on {} thread(s)",
+        "  sweep: {} machine(s) x {} benchmarks x {} organizations on {} thread(s)",
+        distinct.len(),
         profs.len(),
         orgs.len(),
         sweep::jobs()
     );
-    let workloads: Vec<Arc<Workload>> =
-        sweep::map(profs.to_vec(), |p| Arc::new(generate(cfg, &p, params)));
-    let cells = profs
+    let inputs: Vec<(&MachineConfig, &BenchmarkProfile)> = distinct
+        .iter()
+        .flat_map(|&cfg| profs.iter().map(move |p| (cfg, p)))
+        .collect();
+    let workloads: Vec<Arc<Workload>> = sweep::map(inputs.clone(), |(cfg, p)| {
+        Arc::new(generate(cfg, p, params))
+    });
+    let cells = inputs
         .iter()
         .zip(&workloads)
-        .flat_map(|(p, wl)| {
+        .flat_map(|(&(cfg, p), wl)| {
             orgs.iter().map(move |&org| {
                 let key = CellKey {
                     name: format!("{}/{}", p.name, org.label()),
@@ -698,10 +702,10 @@ pub fn run_profiles(
         })
         .collect();
     let mut stats = run_journaled(cells, opts, SimCell::attempt)?.into_iter();
-    Ok(profs
+    let rows: Vec<BenchRows> = inputs
         .iter()
         .zip(&workloads)
-        .map(|(p, wl)| BenchRows {
+        .map(|(&(_, p), wl)| BenchRows {
             profile: p.clone(),
             workload: Arc::clone(wl),
             runs: orgs
@@ -709,6 +713,11 @@ pub fn run_profiles(
                 .map(|&org| (org, stats.next().expect("one result per cell")))
                 .collect(),
         })
+        .collect();
+    let n = profs.len();
+    Ok(slots
+        .iter()
+        .map(|&d| rows[d * n..(d + 1) * n].to_vec())
         .collect())
 }
 
@@ -913,5 +922,41 @@ mod tests {
             "replayed cells are not re-journaled"
         );
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn equal_machines_run_once_and_share_their_rows() {
+        let base = experiment_config();
+        let mut other = base.clone();
+        other.interchip_pair_gbs *= 0.5;
+        let params = TraceParams {
+            total_accesses: 10_000,
+            ..TraceParams::quick()
+        };
+        let profs = ["SN", "SRAD"].map(|n| profiles::by_name(n).unwrap());
+        let orgs = [LlcOrgKind::MemorySide, LlcOrgKind::SmSide];
+        let path =
+            std::env::temp_dir().join(format!("sac-bench-machines-{}.jsonl", std::process::id()));
+        let opts = SweepOptions {
+            journal: Some(path.clone()),
+            ..SweepOptions::none()
+        };
+        let sets = run_machines(&[base.clone(), other, base], &profs, &params, &orgs, &opts);
+        let sets = sets.expect("healthy cells never quarantine");
+        let records = Journal::open(&path).unwrap().records().len();
+        assert_eq!(
+            records,
+            2 * profs.len() * orgs.len(),
+            "one run per distinct machine"
+        );
+        std::fs::remove_file(&path).unwrap();
+        let canonical = |rows: &[BenchRows]| -> Vec<String> {
+            rows.iter()
+                .flat_map(|r| r.runs.iter().map(|(_, s)| s.to_canonical_json()))
+                .collect()
+        };
+        assert_eq!(sets.len(), 3);
+        assert_eq!(canonical(&sets[0]), canonical(&sets[2]));
+        assert_ne!(canonical(&sets[0]), canonical(&sets[1]));
     }
 }

@@ -15,16 +15,11 @@ macro_rules! bin {
 }
 
 /// Every binary of the package.
-const BINARIES: [(&str, &str); 20] = [
+const BINARIES: [(&str, &str); 15] = [
     bin!("ablation_profile_window"),
     bin!("ablation_theta"),
     bin!("bench_baseline"),
     bin!("crossval"),
-    bin!("fig01_overview"),
-    bin!("fig08_speedup"),
-    bin!("fig09_local_remote"),
-    bin!("fig10_bw_breakdown"),
-    bin!("fig11_working_set"),
     bin!("fig12_time_varying"),
     bin!("fig13_input_sets"),
     bin!("fig14_sensitivity"),
@@ -72,7 +67,7 @@ fn every_binary_rejects_an_unknown_flag() {
 /// and the closed-form tables read no flag at all.
 #[test]
 fn flags_a_binary_would_ignore_are_rejected() {
-    let cases: [((&str, &str), &[&str], &str); 7] = [
+    let cases: [((&str, &str), &[&str], &str); 8] = [
         (bin!("fig13_input_sets"), &["--mode", "fast"], "--mode"),
         (bin!("ablation_theta"), &["--mode", "fast"], "--mode"),
         (bin!("ablation_profile_window"), &["--mode=fast"], "--mode"),
@@ -84,6 +79,7 @@ fn flags_a_binary_would_ignore_are_rejected() {
         ),
         (bin!("table03_config"), &["--quick"], "--quick"),
         (bin!("crossval"), &["--reprot", "x.json"], "--reprot"),
+        (bin!("figcheck"), &["--reprot", "x.json"], "--reprot"),
     ];
     for ((name, exe), args, flag) in cases {
         assert_rejected(&format!("{name} {args:?}"), &run(exe, args, &[]), flag);

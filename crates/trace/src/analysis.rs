@@ -425,7 +425,7 @@ pub fn profile_workload(geometry: &LocalityGeometry, wl: &Workload) -> Vec<Kerne
 /// An access costs one L1 set probe and, if it reaches the LLC, two
 /// buffer writes and two table lookups: one in phase 1 (the requester's
 /// local span table or remote stamps), one in phase 2 (the home's span
-/// table). Every table is a [`FootprintTable`]. A span table keeps, per
+/// table). Every table is a `FootprintTable`. A span table keeps, per
 /// granule, the first and last kernel that touched it, so "touched in an
 /// earlier kernel" is `first < now`, "first touch this kernel" is
 /// `last != now`, and the cumulative footprint is the count of first

@@ -299,8 +299,6 @@ pub struct MachineConfig {
     /// Inter-chip fabric topology (Table 3: a 4-chip ring).
     pub topology: TopologyKind,
 
-    /// L1 hit latency, cycles.
-    pub l1_hit_latency: u64,
     /// One-way intra-chip NoC traversal latency, cycles.
     pub noc_latency: u64,
     /// LLC access latency, cycles.
@@ -312,8 +310,6 @@ pub struct MachineConfig {
 
     /// Outstanding-miss registers per SM cluster.
     pub mshrs_per_cluster: usize,
-    /// Memory instructions an SM cluster can issue per cycle.
-    pub issue_width: usize,
 
     /// Coherence protocol for SM-side configurations.
     pub coherence: CoherenceKind,
@@ -350,13 +346,11 @@ impl MachineConfig {
             interchip_pair_gbs: 96.0,
             links_per_pair: 3,
             topology: TopologyKind::Ring,
-            l1_hit_latency: 28,
             noc_latency: 20,
             llc_latency: 90,
             dram_latency: 250,
             link_latency: 80,
             mshrs_per_cluster: 64,
-            issue_width: 1,
             coherence: CoherenceKind::Software,
             memory_interface: MemoryInterface::Gddr6,
             scale: ScaleFactor::UNIT,
@@ -454,9 +448,9 @@ impl MachineConfig {
         if self.l1_bytes_per_cluster == 0 || self.llc_bytes_per_chip == 0 {
             return Err(ConfigError::new("cache capacities must be positive"));
         }
-        if self.mshrs_per_cluster == 0 || self.issue_width == 0 || self.links_per_pair == 0 {
+        if self.mshrs_per_cluster == 0 || self.links_per_pair == 0 {
             return Err(ConfigError::new(
-                "MSHRs, issue width and links per pair must be positive",
+                "MSHRs and links per pair must be positive",
             ));
         }
         for (name, gbs) in [
